@@ -6,6 +6,7 @@ unless RADIOFP_DATASET points at a feature CSV derived from it.
 """
 
 import dataclasses
+import hashlib
 import math
 import os
 import time
@@ -316,32 +317,74 @@ def test_criterion_8_explainer_sanity():
 # --- criterion 9: reproducibility ---------------------------------------------
 
 
-def test_criterion_9_reproducibility(tmp_path):
-    def run(base):
-        raw = base / "raw"
-        assert main(["gen-dataset", "--out-dir", str(raw), "--devices", "2",
-                     "--frames-per-device", "15", "--frame-len", "256",
-                     "--seed", "21", "--no-timestamp"]) == 0
-        features = base / "features.csv"
-        assert main(["extract", "--input", str(raw / "manifest.csv"),
-                     "--etalon", str(raw / "etalon.iq"),
-                     "--out", str(features), "--no-timestamp"]) == 0
-        assert main(["stats", "--input", str(features),
-                     "--out-dir", str(base / "stats"), "--no-timestamp"]) == 0
-        assert main(["train-eval", "--input", str(features),
-                     "--out-dir", str(base / "ml"), "--trees", "8",
-                     "--seed", "4", "--no-timestamp"]) == 0
-        assert main(["explain", "--model", str(base / "ml" / "model.txt"),
-                     "--input", str(features), "--row", "2", "--seed", "6",
-                     "--n-perturbations", "300",
-                     "--out", str(base / "explanation.csv"),
-                     "--no-timestamp"]) == 0
-        return {p.relative_to(base): p.read_bytes()
-                for p in sorted(base.rglob("*")) if p.is_file()}
+def _criterion_9_run(base):
+    """The criterion-9 CLI run: every command, fixed seeds, no timestamps."""
+    raw = base / "raw"
+    assert main(["gen-dataset", "--out-dir", str(raw), "--devices", "2",
+                 "--frames-per-device", "15", "--frame-len", "256",
+                 "--seed", "21", "--no-timestamp"]) == 0
+    features = base / "features.csv"
+    assert main(["extract", "--input", str(raw / "manifest.csv"),
+                 "--etalon", str(raw / "etalon.iq"),
+                 "--out", str(features), "--no-timestamp"]) == 0
+    assert main(["stats", "--input", str(features),
+                 "--out-dir", str(base / "stats"), "--no-timestamp"]) == 0
+    assert main(["train-eval", "--input", str(features),
+                 "--out-dir", str(base / "ml"), "--trees", "8",
+                 "--seed", "4", "--no-timestamp"]) == 0
+    assert main(["explain", "--model", str(base / "ml" / "model.txt"),
+                 "--input", str(features), "--row", "2", "--seed", "6",
+                 "--n-perturbations", "300",
+                 "--out", str(base / "explanation.csv"),
+                 "--no-timestamp"]) == 0
+    return {p.relative_to(base).as_posix(): p.read_bytes()
+            for p in sorted(base.rglob("*")) if p.is_file()}
 
-    first = run(tmp_path / "a")
-    second = run(tmp_path / "b")
+
+def test_criterion_9_reproducibility(tmp_path):
+    first = _criterion_9_run(tmp_path / "a")
+    second = _criterion_9_run(tmp_path / "b")
     assert first.keys() == second.keys()
     for name, blob in first.items():
         assert second[name] == blob, f"{name} differs between runs"
     _report(9, f"{len(first)} files byte-identical across two runs")
+
+
+# sha256 of every file the criterion-9 run writes.  A deliberate change to
+# any output updates its digest here, with the reason in CHANGES.md.
+CRITERION_9_DIGESTS = {
+    "explanation.csv": "ee48ab38ed3106442b921ecdf5b72f5862c70a3d57b560a9a1c6601149b569f6",
+    "features.csv": "e7dd174fc0c7d6df489ff2be115ef68d2dee235b15c7bd5f42f1f3bd1d70ae3f",
+    "ml/confusion_forest.csv": "9725c3afbe83a23ab7d36eb2182852bf325432805f3bbc5d8b8c3d89526727bb",
+    "ml/confusion_knn.csv": "9333eeafc1554ad3aa1f22001e6bb04065ffe0a56e6964ea5e50d547f3987f01",
+    "ml/confusion_logreg.csv": "a686eaf3e6392fa08258caf333b1788e41d6b5113ee7ce2688f0511e270e635a",
+    "ml/confusion_tree.csv": "a686eaf3e6392fa08258caf333b1788e41d6b5113ee7ce2688f0511e270e635a",
+    "ml/importances.csv": "79c7e7fb03b4400fd983cad82fe2dd5afa1c1d9c71b1103c45baf41a0cb55dca",
+    "ml/metrics.csv": "7fd4a6f47025ff7fdab989cdb5f283c71f8f7755928eb9c3967f80a8bcda9724",
+    "ml/model.txt": "58bba777e5265908475080e9ae0987de7f210d59e362a2fa1107a689a36da55e",
+    "raw/device_0.iq": "0b232c85c09c7f113d6d5b8041fe80bbd78467be3d4555cc52705496c479533b",
+    "raw/device_1.iq": "ea2a68a250c3359a1919ca9ca45395a2459a185974f8d4004837c0a7dc166f99",
+    "raw/etalon.iq": "893bdd227eae0046dd612de753403ec5f94752d84217424e4c322e8f01f0c1b8",
+    "raw/manifest.csv": "3e5201d594e18ee00fbf00b1966a2bbd45df51f9e63be82f2475461a1a187182",
+    "stats/hist_P1.csv": "695d2b8feb3f5897600425e466a9121dbc6533f6e014aa338e415349fe9a2e0d",
+    "stats/hist_P10.csv": "e079f4a057ea62d18fa269e107243414882ba643df7eadf2cf23e4bdce58ed6d",
+    "stats/hist_P2.csv": "c604a72371d61ec56f9aeac85c96b2ca916c1d4a572032bbff97c3ebeba453f7",
+    "stats/hist_P3.csv": "5ae4e9ef32cc127184e9ab4f8769b5d4419eb23297a4c125a695b5f5dead1b03",
+    "stats/hist_P4.csv": "08854c6efb57ea50e97283e02805ba0a650c4ff0d723e47d333289d18ee23c18",
+    "stats/hist_P5.csv": "84bf6d97023261d4ee1761b65abe67779ec6e6eb73c59767835d7d4882b17138",
+    "stats/hist_P6.csv": "64f88bbc5168c1c4297385f629b5ce0aeb83d7e0bc743c098aea492e11b7d623",
+    "stats/hist_P7.csv": "c4538efd806ab46e88edb3b3e15446ae220223d533430a684ecc4b8ec040586c",
+    "stats/hist_P8.csv": "e43464d511b71c99289594d0161b73917312635c5d4ff6199a531794943b080d",
+    "stats/hist_P9.csv": "e965d66460478633b76e0aad07755f1bc1c8e9335ac4da2ebc4da2df81bd0725",
+    "stats/pearson_matrix.csv": "4facc85d9e7129cf345b2323b93c7daadac050b045e676c82786af441a9b1588",
+    "stats/significance.csv": "30eef59014475352a8e3035b2680cc428104acab964b7cd42e98c7860bf6f2f1",
+}
+
+
+def test_criterion_9_golden_digests(tmp_path):
+    files = _criterion_9_run(tmp_path)
+    digests = {name: hashlib.sha256(blob).hexdigest()
+               for name, blob in files.items()}
+    assert sorted(digests) == sorted(CRITERION_9_DIGESTS)
+    changed = [n for n in digests if digests[n] != CRITERION_9_DIGESTS[n]]
+    assert not changed, f"outputs differ from the golden digests: {changed}"

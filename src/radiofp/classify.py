@@ -16,12 +16,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .dataset import FeatureStats, LabeledFeatureSet
 from .errors import (
+    DataFormatError,
     EmptyDatasetError,
     NoSplitsError,
     SingleClassError,
@@ -48,19 +49,36 @@ def derive_seed(master: int, *indices: int) -> int:
 # --- CART ------------------------------------------------------------------
 
 
-@dataclass
-class TreeNode:
-    """Split node or leaf; leaves have feature None and carry class counts."""
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One CART tree as parallel arrays indexed by pre-order node id.
 
-    counts: np.ndarray
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    Node 0 is the root and every child has a larger id than its parent.
+    ``feature`` is -1 at leaves, where ``threshold`` is NaN and ``left`` and
+    ``right`` are -1.  ``counts[i]`` holds the class counts of the training
+    samples that reach node i.
+    """
+
+    feature: np.ndarray  # (n_nodes,) int
+    threshold: np.ndarray  # (n_nodes,) float
+    left: np.ndarray  # (n_nodes,) int
+    right: np.ndarray  # (n_nodes,) int
+    counts: np.ndarray  # (n_nodes, n_classes) int
 
     @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    def n_nodes(self) -> int:
+        return self.feature.size
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """Leaf id reached by each row; all rows descend one level per step."""
+        node = np.zeros(rows.shape[0], dtype=np.intp)
+        active = np.flatnonzero(self.feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            go_left = rows[active, self.feature[at]] <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[self.feature[node[active]] >= 0]
+        return node
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -108,46 +126,42 @@ def _best_split(x_node, y_node, feature_ids, n_classes, parent_counts):
     return best
 
 
-def _grow_tree(features, labels, indices, depth, max_depth, min_samples_split,
-               features_per_split, rng, n_classes) -> TreeNode:
-    counts = np.bincount(labels[indices], minlength=n_classes)
-    node = TreeNode(counts=counts)
-    n = indices.size
-    if (
-        n < 2
-        or n < min_samples_split
-        or counts.max() == n
-        or (max_depth is not None and depth >= max_depth)
-    ):
-        return node
-
+def _grow_tree(features, labels, indices, max_depth, min_samples_split,
+               features_per_split, rng, n_classes) -> Tree:
+    """Grow depth-first, left child first, so ids and rng draws are pre-order."""
     n_features = features.shape[1]
-    if features_per_split >= n_features:
-        feats = np.arange(n_features)
-    else:
-        feats = np.sort(rng.choice(n_features, features_per_split, replace=False))
-
-    best = _best_split(features[indices], labels[indices], feats,
-                       n_classes, counts.astype(np.float64))
-    if best is None:
-        return node
-
-    node.feature, node.threshold, _ = best
-    mask = features[indices, node.feature] <= node.threshold
-    node.left = _grow_tree(features, labels, indices[mask], depth + 1,
-                           max_depth, min_samples_split, features_per_split,
-                           rng, n_classes)
-    node.right = _grow_tree(features, labels, indices[~mask], depth + 1,
-                            max_depth, min_samples_split, features_per_split,
-                            rng, n_classes)
-    return node
-
-
-def _leaf_for(root: TreeNode, row: np.ndarray) -> TreeNode:
-    node = root
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
+    feature, threshold, left, right, counts = [], [], [], [], []
+    stack = [(indices, 0, -1, left)]  # (samples, depth, parent, parent's link)
+    while stack:
+        idx, depth, parent, link = stack.pop()
+        nid = len(feature)
+        if parent >= 0:
+            link[parent] = nid
+        node_counts = np.bincount(labels[idx], minlength=n_classes)
+        counts.append(node_counts)
+        feature.append(-1)
+        threshold.append(math.nan)
+        left.append(-1)
+        right.append(-1)
+        n = idx.size
+        if (n < max(2, min_samples_split) or node_counts.max() == n
+                or (max_depth is not None and depth >= max_depth)):
+            continue
+        if features_per_split >= n_features:
+            feats = np.arange(n_features)
+        else:
+            feats = np.sort(rng.choice(n_features, features_per_split,
+                                       replace=False))
+        best = _best_split(features[idx], labels[idx], feats,
+                           n_classes, node_counts.astype(np.float64))
+        if best is None:
+            continue
+        feature[nid], threshold[nid], _ = best
+        mask = features[idx, feature[nid]] <= threshold[nid]
+        stack.append((idx[~mask], depth + 1, nid, right))
+        stack.append((idx[mask], depth + 1, nid, left))
+    return Tree(np.array(feature), np.array(threshold), np.array(left),
+                np.array(right), np.array(counts))
 
 
 @dataclass
@@ -185,13 +199,10 @@ class RandomForestModel:
             raise UntrainedModelError("model has no trees")
         rows = np.atleast_2d(np.asarray(features, dtype=float))
         out = np.zeros((rows.shape[0], self.n_classes))
-        for i, row in enumerate(rows):
-            acc = np.zeros(self.n_classes)
-            for root in self.trees:
-                leaf = _leaf_for(root, row)
-                acc += leaf.counts / leaf.counts.sum()
-            out[i] = acc / len(self.trees)
-        return out
+        for tree in self.trees:
+            proba = tree.counts / tree.counts.sum(axis=1, keepdims=True)
+            out += proba[tree.apply(rows)]
+        return out / len(self.trees)
 
     def predict(self, features) -> np.ndarray:
         return np.argmax(self.predict_proba(features), axis=1)
@@ -237,7 +248,7 @@ def train_forest(dataset: LabeledFeatureSet,
         else:
             indices = np.arange(dataset.n)
         trees.append(
-            _grow_tree(feats, labels, indices, 0, params.max_depth,
+            _grow_tree(feats, labels, indices, params.max_depth,
                        params.min_samples_split, per_split, rng, n_classes)
         )
 
@@ -266,23 +277,16 @@ def feature_importances(model: RandomForestModel) -> np.ndarray:
         raise UntrainedModelError("model has no trees")
     n_features = len(model.feature_names)
     total = np.zeros(n_features)
-    for root in model.trees:
-        imp = np.zeros(n_features)
-        n_root = root.counts.sum()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            n = node.counts.sum()
-            n_l = node.left.counts.sum()
-            n_r = node.right.counts.sum()
-            child_gini = (n_l * _gini(node.left.counts)
-                          + n_r * _gini(node.right.counts)) / n
-            imp[node.feature] += (n / n_root) * (_gini(node.counts) - child_gini)
-            stack.append(node.left)
-            stack.append(node.right)
-        total += imp
+    for tree in model.trees:
+        n = tree.counts.sum(axis=1)
+        p = tree.counts / n[:, None]
+        gini = 1.0 - np.einsum("ij,ij->i", p, p)
+        split = np.flatnonzero(tree.feature >= 0)
+        lo, hi = tree.left[split], tree.right[split]
+        child_gini = (n[lo] * gini[lo] + n[hi] * gini[hi]) / n[split]
+        decrease = (n[split] / n[0]) * (gini[split] - child_gini)
+        total += np.bincount(tree.feature[split], weights=decrease,
+                             minlength=n_features)
     total /= len(model.trees)
     s = total.sum()
     if s == 0:
@@ -506,124 +510,119 @@ def random_grid_search(dataset: LabeledFeatureSet, grid: HyperparamGrid,
 MODEL_FORMAT_HEADER = "radiofp-model v1"
 
 
-def _write_nodes(root: TreeNode, lines: list) -> int:
-    """Pre-order node listing; returns the number of nodes written."""
-    ids = {}
-
-    def assign(node):
-        ids[id(node)] = len(ids)
-        if not node.is_leaf:
-            assign(node.left)
-            assign(node.right)
-
-    assign(root)
-
-    def emit(node):
-        nid = ids[id(node)]
-        if node.is_leaf:
-            counts = " ".join(str(int(c)) for c in node.counts)
-            lines.append(f"{nid} leaf {counts}")
-        else:
-            lines.append(
-                f"{nid} split {node.feature} {node.threshold!r} "
-                f"{ids[id(node.left)]} {ids[id(node.right)]}"
-            )
-            emit(node.left)
-            emit(node.right)
-
-    emit(root)
-    return len(ids)
-
-
 def model_to_text(model: RandomForestModel) -> str:
     """Versioned plain-text serialization sufficient for bit-exact reload."""
-    params = model.params
     meta = {
         "label_names": list(model.label_names),
         "feature_names": list(model.feature_names),
         "seed": model.seed,
-        "params": {
-            "n_trees": params.n_trees,
-            "max_depth": params.max_depth,
-            "min_samples_split": params.min_samples_split,
-            "features_per_split": params.features_per_split,
-            "bootstrap": params.bootstrap,
-        },
+        "params": asdict(model.params),
         "importances": (None if model.importances is None
                         else list(model.importances)),
     }
     lines = [MODEL_FORMAT_HEADER, f"kind {model.kind}",
              "meta " + json.dumps(meta), f"trees {len(model.trees)}"]
-    for i, root in enumerate(model.trees):
-        body: list = []
-        n_nodes = _write_nodes(root, body)
-        lines.append(f"tree {i} {n_nodes}")
-        lines.extend(body)
+    for i, tree in enumerate(model.trees):
+        lines.append(f"tree {i} {tree.n_nodes}")
+        nodes = zip(tree.feature.tolist(), tree.threshold.tolist(),
+                    tree.left.tolist(), tree.right.tolist(),
+                    tree.counts.tolist())
+        for nid, (feature, threshold, left, right, counts) in enumerate(nodes):
+            if feature < 0:
+                lines.append(f"{nid} leaf " + " ".join(map(str, counts)))
+            else:
+                lines.append(
+                    f"{nid} split {feature} {threshold!r} {left} {right}")
     return "\n".join(lines) + "\n"
 
 
+def _tree_from_lines(lines: list, first_line: int, n_classes: int,
+                     n_features: int) -> Tree:
+    """Fill the arrays from node lines, then rebuild split-node counts."""
+    n_nodes = len(lines)
+    feature = np.full(n_nodes, -1)
+    threshold = np.full(n_nodes, math.nan)
+    left = np.full(n_nodes, -1)
+    right = np.full(n_nodes, -1)
+    counts = np.zeros((n_nodes, n_classes), dtype=int)
+    for nid, line in enumerate(lines):
+        where = f"line {first_line + nid}: node {nid}"
+        parts = line.split()
+        if parts[:2] == [str(nid), "leaf"]:
+            leaf = [int(v) for v in parts[2:]]
+            if len(leaf) != n_classes or min(leaf) < 0 or sum(leaf) == 0:
+                raise DataFormatError(f"{where}: a leaf needs {n_classes} "
+                                      "non-negative counts, not all zero")
+            counts[nid] = leaf
+            continue
+        if parts[:2] != [str(nid), "split"] or len(parts) != 6:
+            raise DataFormatError(
+                f"{where}: expected '{nid} leaf ...' or '{nid} split ...'")
+        f, lo, hi = int(parts[2]), int(parts[4]), int(parts[5])
+        if not 0 <= f < n_features:
+            raise DataFormatError(f"{where}: feature {f} out of range")
+        if not (nid < lo < n_nodes and nid < hi < n_nodes):
+            raise DataFormatError(
+                f"{where}: child ids must lie in ({nid}, {n_nodes})")
+        feature[nid], threshold[nid] = f, float(parts[3])
+        left[nid], right[nid] = lo, hi
+    split = feature >= 0
+    children = np.sort(np.concatenate([left[split], right[split]]))
+    if not np.array_equal(children, np.arange(1, n_nodes)):
+        raise DataFormatError(f"line {first_line}: some node other than the "
+                              "root is not the child of exactly one node")
+    for nid in np.flatnonzero(split)[::-1]:
+        counts[nid] = counts[left[nid]] + counts[right[nid]]
+    return Tree(feature, threshold, left, right, counts)
+
+
 def model_from_text(text: str) -> RandomForestModel:
+    """Parse a model file; any malformed content raises DataFormatError.
+
+    Node ids run 0..n_nodes-1 in order, each child id lies above its
+    parent's, and every node but the root has exactly one parent.
+    """
     lines = text.splitlines()
-    if not lines or lines[0] != MODEL_FORMAT_HEADER:
-        raise ValueError("not a radiofp model file")
-    kind = lines[1].split(" ", 1)[1]
-    meta = json.loads(lines[2].split(" ", 1)[1])
-    n_trees = int(lines[3].split(" ", 1)[1])
-    n_classes = len(meta["label_names"])
-
-    pos = 4
-    trees = []
-    for _ in range(n_trees):
-        head = lines[pos].split()
-        if head[0] != "tree":
-            raise ValueError(f"expected tree header at line {pos + 1}")
-        n_nodes = int(head[2])
-        pos += 1
-        raw = {}
-        for _ in range(n_nodes):
-            parts = lines[pos].split()
-            raw[int(parts[0])] = parts[1:]
-            pos += 1
-
-        def build(nid):
-            parts = raw[nid]
-            if parts[0] == "leaf":
-                counts = np.array([int(v) for v in parts[1:]], dtype=int)
-                if counts.size != n_classes:
-                    raise ValueError("leaf count width mismatch")
-                return TreeNode(counts=counts)
-            _, feature, threshold, left_id, right_id = parts
-            left = build(int(left_id))
-            right = build(int(right_id))
-            return TreeNode(
-                counts=left.counts + right.counts,
-                feature=int(feature),
-                threshold=float(threshold),
-                left=left,
-                right=right,
-            )
-
-        trees.append(build(0))
-
-    p = meta["params"]
-    params = ForestParams(
-        n_trees=p["n_trees"],
-        max_depth=p["max_depth"],
-        min_samples_split=p["min_samples_split"],
-        features_per_split=p["features_per_split"],
-        bootstrap=p["bootstrap"],
-    )
-    importances = (None if meta["importances"] is None
-                   else np.array(meta["importances"]))
-    return RandomForestModel(
-        trees=trees,
-        label_names=tuple(meta["label_names"]),
-        feature_names=tuple(meta["feature_names"]),
-        params=params,
-        seed=meta["seed"],
-        importances=importances,
-        kind=kind,
-    )
+    try:
+        if not lines or lines[0] != MODEL_FORMAT_HEADER:
+            raise DataFormatError("not a radiofp model file")
+        keyed = [line.partition(" ") for line in lines[1:4]]
+        if [key for key, _, _ in keyed] != ["kind", "meta", "trees"]:
+            raise DataFormatError("expected 'kind', 'meta', 'trees' lines")
+        (_, _, kind), (_, _, meta_text), (_, _, n_trees) = keyed
+        meta = json.loads(meta_text)
+        n_classes = len(meta["label_names"])
+        n_features = len(meta["feature_names"])
+        trees, pos = [], 4
+        for t in range(int(n_trees)):
+            head = lines[pos].split() if pos < len(lines) else []
+            if len(head) != 3 or head[:2] != ["tree", str(t)]:
+                raise DataFormatError(
+                    f"line {pos + 1}: expected 'tree {t} <n_nodes>'")
+            body = lines[pos + 1:pos + 1 + int(head[2])]
+            if not body or len(body) != int(head[2]):
+                raise DataFormatError(f"tree {t}: expected {head[2]} node "
+                                      f"lines, found {len(body)}")
+            trees.append(_tree_from_lines(body, pos + 2, n_classes,
+                                          n_features))
+            pos += 1 + len(body)
+        if pos != len(lines):
+            raise DataFormatError(f"line {pos + 1}: text after the last tree")
+        importances = meta["importances"]
+        return RandomForestModel(
+            trees=trees,
+            label_names=tuple(meta["label_names"]),
+            feature_names=tuple(meta["feature_names"]),
+            params=ForestParams(**meta["params"]),
+            seed=meta["seed"],
+            importances=(None if importances is None
+                         else np.array(importances, dtype=float)),
+            kind=kind,
+        )
+    except KeyError as exc:
+        raise DataFormatError(f"bad model file: meta lacks {exc}") from None
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"bad model file: {exc}") from None
 
 
 def save_model(model: RandomForestModel, path) -> None:

@@ -36,10 +36,9 @@ from .classify import (
     train_tree,
 )
 from .dataset import FeatureStats
-from .errors import RadioFpError
+from .errors import FeatureError, RadioFpError
 from .explain import ExplainConfig, explain_instance
 from .features import extract_features
-from .errors import FeatureError
 from .pipeline import (
     DEFAULT_FRAME_LEN,
     DEFAULT_SYNC_THRESHOLD,
@@ -380,12 +379,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    # before ValueError: DataFormatError and UnicodeDecodeError subclass it
+    except (OSError, RadioFpError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (OSError, RadioFpError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -100,13 +100,17 @@ def read_feature_csv(path) -> LabeledFeatureSet:
         raise DataFormatError(f"{path}: missing feature CSV header")
     if len(rows) < 2:
         raise DataFormatError(f"{path}: no feature rows")
+    for i, r in enumerate(rows[1:], start=1):
+        if len(r) != len(FEATURE_CSV_HEADER):
+            raise DataFormatError(f"{path}: data row {i} has {len(r)} fields, "
+                                  f"expected {len(FEATURE_CSV_HEADER)}")
     labels = [r[0] for r in rows[1:]]
     try:
         feats = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad feature value ({exc})") from exc
-    if feats.shape[1] != 10:
-        raise DataFormatError(f"{path}: expected 10 feature columns")
+    if not np.all(np.isfinite(feats)):
+        raise DataFormatError(f"{path}: non-finite feature value")
     return LabeledFeatureSet.from_rows(labels, feats)
 
 

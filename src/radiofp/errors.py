@@ -94,5 +94,5 @@ class SingularFitError(RadioFpError):
     """Local surrogate fit received non-finite inputs."""
 
 
-class DataFormatError(RadioFpError):
-    """On-disk data does not match the documented binary/CSV layout."""
+class DataFormatError(RadioFpError, ValueError):
+    """On-disk data does not match the documented binary/CSV/model layout."""

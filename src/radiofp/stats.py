@@ -19,6 +19,7 @@ from .errors import (
     ConstantInputError,
     EmptyInputError,
     SingleClassError,
+    StatsError,
 )
 
 SIGNIFICANCE_ALPHA = 0.05
@@ -233,7 +234,7 @@ def significance_report(dataset: LabeledFeatureSet) -> SignificanceReport:
     if dataset.n_classes < 2:
         raise SingleClassError("dataset has a single class")
     if dataset.n_classes > 2:
-        raise ValueError("point-biserial significance needs binary labels")
+        raise StatsError("point-biserial significance needs binary labels")
     labels01 = dataset.labels
     rows = []
     for i, name in enumerate(dataset.feature_names):

@@ -359,9 +359,9 @@ CRITERION_9_DIGESTS = {
     "ml/confusion_knn.csv": "9333eeafc1554ad3aa1f22001e6bb04065ffe0a56e6964ea5e50d547f3987f01",
     "ml/confusion_logreg.csv": "a686eaf3e6392fa08258caf333b1788e41d6b5113ee7ce2688f0511e270e635a",
     "ml/confusion_tree.csv": "a686eaf3e6392fa08258caf333b1788e41d6b5113ee7ce2688f0511e270e635a",
-    "ml/importances.csv": "79c7e7fb03b4400fd983cad82fe2dd5afa1c1d9c71b1103c45baf41a0cb55dca",
+    "ml/importances.csv": "246a4ac8b3f650792944324479512eb69fcdeddbda8ea2063c5d201b0e510015",
     "ml/metrics.csv": "7fd4a6f47025ff7fdab989cdb5f283c71f8f7755928eb9c3967f80a8bcda9724",
-    "ml/model.txt": "58bba777e5265908475080e9ae0987de7f210d59e362a2fa1107a689a36da55e",
+    "ml/model.txt": "ac6d1158c6d8ec00eedbbb26e7b45dd24065bcba51feefbd0059985628fb0ef6",
     "raw/device_0.iq": "0b232c85c09c7f113d6d5b8041fe80bbd78467be3d4555cc52705496c479533b",
     "raw/device_1.iq": "ea2a68a250c3359a1919ca9ca45395a2459a185974f8d4004837c0a7dc166f99",
     "raw/etalon.iq": "893bdd227eae0046dd612de753403ec5f94752d84217424e4c322e8f01f0c1b8",

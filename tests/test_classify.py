@@ -48,16 +48,17 @@ def test_tree_one_perfect_split():
     x = np.concatenate([np.linspace(-2, -0.1, 10), np.linspace(0.1, 2, 10)])
     ds = LabeledFeatureSet.from_rows((x > 0).astype(int), x[:, None])
     model = train_tree(ds)
-    root = model.trees[0]
-    assert not root.is_leaf
-    assert root.left.is_leaf and root.right.is_leaf
+    tree = model.trees[0]
+    assert tree.feature[0] >= 0  # the root splits
+    assert np.all(tree.feature[[tree.left[0], tree.right[0]]] == -1)
     assert np.mean(model.predict(ds.features) == ds.labels) == 1.0
 
 
 def test_tree_single_class_is_leaf():
     ds = LabeledFeatureSet.from_rows([1] * 10, np.random.default_rng(0).normal(size=(10, 3)))
     model = train_tree(ds)
-    assert model.trees[0].is_leaf
+    tree = model.trees[0]
+    assert tree.n_nodes == 1 and tree.feature[0] == -1
     assert np.all(model.predict(ds.features) == 0)
 
 
@@ -119,12 +120,72 @@ def test_predict_proba_agreement_and_ties():
                                   np.argmax(proba, axis=1))
 
 
+def _row_walk_proba(model, rows):
+    """Reference: one row at a time, leaf distributions summed in tree order."""
+    out = np.zeros((len(rows), model.n_classes))
+    for i, row in enumerate(rows):
+        acc = np.zeros(model.n_classes)
+        for tree in model.trees:
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = row[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            acc += tree.counts[node] / tree.counts[node].sum()
+        out[i] = acc / len(model.trees)
+    return out
+
+
+def test_predict_proba_matches_row_walk():
+    # integer features put thresholds on the half-integer query grid, so
+    # some queries land exactly on a threshold and must go left
+    base = blobs(n_per_class=80, spread=1.2, seed=11, n_features=3)
+    ds = LabeledFeatureSet.from_rows(base.labels, np.round(base.features))
+    model = train_forest(ds, ForestParams(n_trees=6), seed=2)
+    rng = np.random.default_rng(12)
+    queries = np.round(rng.normal(1.5, 2.0, size=(300, 3)) * 2) / 2
+    np.testing.assert_array_equal(model.predict_proba(queries),
+                                  _row_walk_proba(model, queries))
+
+
+def _node_walk_importances(model):
+    """Reference: mean decrease in impurity accumulated node by node."""
+    def gini(counts):
+        p = counts / counts.sum()
+        return 1.0 - p @ p
+
+    total = np.zeros(len(model.feature_names))
+    for tree in model.trees:
+        n_root = tree.counts[0].sum()
+        for nid in np.flatnonzero(tree.feature >= 0):
+            lo, hi = tree.left[nid], tree.right[nid]
+            n, n_l, n_r = tree.counts[[nid, lo, hi]].sum(axis=1)
+            child = (n_l * gini(tree.counts[lo])
+                     + n_r * gini(tree.counts[hi])) / n
+            total[tree.feature[nid]] += (
+                (n / n_root) * (gini(tree.counts[nid]) - child))
+    return total / total.sum()
+
+
+def test_importances_match_node_walk():
+    ds = blobs(n_per_class=80, spread=1.2, seed=13, n_features=4)
+    model = train_forest(ds, ForestParams(n_trees=6), seed=3)
+    # only the summation order differs from the reference
+    np.testing.assert_allclose(feature_importances(model),
+                               _node_walk_importances(model),
+                               rtol=1e-12, atol=0)
+
+
 def test_two_tree_tie_breaks_to_lowest_label():
     # hand-built forest: two pure single-leaf trees voting 1-1
-    from radiofp.classify import RandomForestModel, TreeNode
+    from radiofp.classify import RandomForestModel, Tree
 
-    t0 = TreeNode(counts=np.array([5, 0]))
-    t1 = TreeNode(counts=np.array([0, 5]))
+    def leaf(counts):
+        return Tree(feature=np.array([-1]), threshold=np.array([np.nan]),
+                    left=np.array([-1]), right=np.array([-1]),
+                    counts=np.array([counts]))
+
+    t0 = leaf([5, 0])
+    t1 = leaf([0, 5])
     model = RandomForestModel(trees=[t0, t1], label_names=("a", "b"),
                               feature_names=("F1",), params=ForestParams(),
                               seed=0)

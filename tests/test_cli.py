@@ -256,3 +256,75 @@ def test_seed_recorded_in_outputs(small_dataset, tmp_path):
         "--no-timestamp",
     ]) == 0
     assert "# seed 9" in (out / "metrics.csv").read_text()
+
+
+@pytest.fixture(scope="module")
+def small_model(small_dataset):
+    root, _, features = small_dataset
+    out = root / "ml_small"
+    assert main([
+        "train-eval", "--input", str(features), "--out-dir", str(out),
+        "--trees", "2", "--classifiers", "forest", "--no-timestamp",
+    ]) == 0
+    return out / "model.txt"
+
+
+def _first_node(text, kind, edit):
+    """Apply ``edit`` to the fields of the file's first ``kind`` node line."""
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.split()[1:2] == [kind])
+    lines[at] = " ".join(edit(lines[at].split()))
+    return "\n".join(lines) + "\n"
+
+
+def _tree0_size(text):
+    return next(line.split()[2] for line in text.splitlines()
+                if line.startswith("tree 0 "))
+
+
+def _first_row(text, edit):
+    lines = text.splitlines()
+    lines[1] = ",".join(edit(lines[1].split(",")))
+    return "\n".join(lines) + "\n"
+
+
+# (case, file corrupted, corruption of its text)
+MALFORMED_INPUTS = [
+    ("model_cut_inside_meta", "model",
+     lambda t: t[:t.index("meta ") + 30]),
+    ("model_cut_mid_tree", "model",
+     lambda t: "\n".join(t.splitlines()[:6]) + "\n"),
+    ("model_child_id_not_above_own_id", "model",
+     lambda t: _first_node(t, "split", lambda f: f[:4] + [f[0]] + f[5:])),
+    ("model_child_id_at_n_nodes", "model",
+     lambda t: _first_node(t, "split", lambda f: f[:5] + [_tree0_size(t)])),
+    ("model_wrong_leaf_width", "model",
+     lambda t: _first_node(t, "leaf", lambda f: f + ["1"])),
+    ("model_non_ascii", "model", lambda t: t.replace("forest", "f\u00f6rest")),
+    ("csv_nan", "csv", lambda t: _first_row(t, lambda r: [r[0], "nan"] + r[2:])),
+    ("csv_ragged", "csv", lambda t: _first_row(t, lambda r: r[:-1])),
+    ("stats_three_classes", "csv",
+     lambda t: _first_row(t, lambda r: ["2"] + r[1:])),
+]
+
+
+@pytest.mark.parametrize("case, target, corrupt", MALFORMED_INPUTS,
+                         ids=[case for case, _, _ in MALFORMED_INPUTS])
+def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
+                                         small_model, tmp_path, capsys):
+    _, _, features = small_dataset
+    bad = tmp_path / "bad"
+    if target == "model":
+        bad.write_text(corrupt(small_model.read_text()))
+        argv = ["explain", "--model", str(bad), "--input", str(features),
+                "--row", "0", "--out", str(tmp_path / "e.csv")]
+    else:
+        bad.write_text(corrupt(features.read_text()))
+        argv = ["stats", "--input", str(bad), "--out-dir", str(tmp_path / "s")]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err

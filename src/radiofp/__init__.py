@@ -33,13 +33,13 @@ from .features import (
     FeatureVector,
     RootLineFit,
     extract_features,
+    feature_matrix,
     find_roots,
     fit_root_line,
 )
 from .pipeline import (
     DEFAULT_FRAME_LEN,
     ImpairmentProfile,
-    IQFrame,
     error_phase,
     gen_transnoise,
     run_capture_pipeline,

@@ -36,9 +36,9 @@ from .classify import (
     train_tree,
 )
 from .dataset import FeatureStats
-from .errors import FeatureError, RadioFpError
+from .errors import RadioFpError
 from .explain import ExplainConfig, explain_instance
-from .features import extract_features
+from .features import FEATURE_NAMES, feature_matrix
 from .pipeline import (
     DEFAULT_FRAME_LEN,
     DEFAULT_SYNC_THRESHOLD,
@@ -134,52 +134,40 @@ def cmd_gen_dataset(args) -> int:
     return EXIT_OK
 
 
-def _extract_stream(stream, etalon, label, threshold):
-    """(feature rows, skip count) for one device stream."""
-    capture = run_capture_pipeline(stream, etalon, threshold=threshold)
-    rows = []
-    skipped = len(capture.skipped)
-    for seq in capture.sequences:
-        try:
-            rows.append((label, extract_features(seq).as_array()))
-        except FeatureError:
-            skipped += 1
-    return rows, skipped, len(capture.sequences) + len(capture.skipped)
-
-
 def cmd_extract(args) -> int:
     etalon = dataio.read_iq(args.etalon)
     input_path = Path(args.input)
-    jobs = []  # (label, stream path)
     if input_path.suffix == ".csv":
-        base = input_path.parent
-        for entry in dataio.read_manifest(input_path):
-            jobs.append((entry.label, base / entry.file))
+        jobs = [(e.label, input_path.parent / e.file, e.frames)
+                for e in dataio.read_manifest(input_path)]
     else:
-        jobs.append((args.label, input_path))
+        jobs = [(args.label, input_path, None)]
 
-    all_rows = []
-    skipped = 0
-    frames = 0
-    for label, path in jobs:
-        stream = dataio.read_iq(path)
-        rows, skip, total = _extract_stream(stream, etalon, label,
-                                            args.sync_threshold)
-        all_rows.extend(rows)
-        skipped += skip
-        frames += total
+    labels, rows = [], []
+    reasons = ("zero gain",) + FEATURE_NAMES
+    skips = np.zeros(len(reasons), dtype=np.int64)
+    for label, path, expected in jobs:
+        phases, dropped, lags = run_capture_pipeline(
+            dataio.read_iq(path), etalon, threshold=args.sync_threshold)
+        if expected is not None and lags.size < expected:
+            print(f"device {label}: sync found {lags.size} of {expected} "
+                  f"frames, lost after sample {lags[-1] + etalon.size}",
+                  file=sys.stderr)
+        values, failed = feature_matrix(phases)
+        rows.append(values[failed < 0])
+        labels += [label] * len(rows[-1])
+        skips[0] += dropped.sum()
+        skips[1:] += np.bincount(failed[failed >= 0], minlength=10)
 
-    print(f"skipped {skipped} of {frames} frames", file=sys.stderr)
-    if not all_rows:
+    detail = ", ".join(f"{r}: {n}" for r, n in zip(reasons, skips) if n)
+    print(f"skipped {skips.sum()} of {len(labels) + skips.sum()} frames"
+          + (f" ({detail})" if detail else ""), file=sys.stderr)
+    if not labels:
         print("no extractable frames", file=sys.stderr)
         return EXIT_EMPTY
-    dataio.write_feature_csv(
-        args.out,
-        [label for label, _ in all_rows],
-        np.array([row for _, row in all_rows]),
-        timestamp=not args.no_timestamp,
-    )
-    print(f"wrote {len(all_rows)} feature rows to {args.out}")
+    dataio.write_feature_csv(args.out, labels, np.concatenate(rows),
+                             timestamp=not args.no_timestamp)
+    print(f"wrote {len(labels)} feature rows to {args.out}")
     return EXIT_OK
 
 

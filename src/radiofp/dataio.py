@@ -136,13 +136,25 @@ def read_manifest(path) -> list:
     if not rows or rows[0] != ["label", "file", "frames", "profile"]:
         raise DataFormatError(f"{path}: missing manifest header")
     entries = []
-    for r in rows[1:]:
-        entries.append(ManifestEntry(
-            label=r[0],
-            file=r[1],
-            frames=int(r[2]),
-            profile=ImpairmentProfile.from_json_dict(json.loads(r[3])),
-        ))
+    for i, r in enumerate(rows[1:], start=1):
+        where = f"{path}: manifest row {i}"
+        if len(r) != 4:
+            raise DataFormatError(f"{where} has {len(r)} fields, expected 4")
+        if not r[2].isascii() or not r[2].isdigit():
+            raise DataFormatError(
+                f"{where}: frames {r[2]!r} is not a non-negative integer")
+        try:
+            profile = json.loads(r[3])
+        except ValueError:
+            profile = None
+        if not isinstance(profile, dict):
+            raise DataFormatError(f"{where}: profile is not a JSON object")
+        try:
+            profile = ImpairmentProfile.from_json_dict(profile)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise DataFormatError(f"{where}: bad profile ({exc})") from exc
+        entries.append(ManifestEntry(label=r[0], file=r[1],
+                                     frames=int(r[2]), profile=profile))
     return entries
 
 

@@ -50,10 +50,6 @@ class SyncNotFoundError(RadioFpError):
     """Correlation peak too weak to synchronize against the reference."""
 
 
-class ZeroGainError(RadioFpError):
-    """Least-squares gain is numerically zero; frame cannot be normalized."""
-
-
 class StatsError(RadioFpError):
     """Base class for statistics errors."""
 

@@ -6,9 +6,10 @@ parameters compare its positive and negative deviations; the last two come
 from a straight-line fit to the positions of its zero crossings, which yields
 a mean oscillation frequency and phase.
 
-All functions are pure and operate on 1-D float arrays (anything
-``np.asarray`` accepts).  Deviations are always taken from the arithmetic
-mean, so every parameter except P1 is shift-invariant.
+All functions are pure; `feature_matrix` computes the parameters of every
+row of a matrix in one pass, and the one-sequence functions are views of it
+on a single row.  Deviations are always taken from the arithmetic mean, so
+every parameter except P1 is shift-invariant.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ from .errors import (
 FEATURE_NAMES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10")
 
 MIN_SEQUENCE_LENGTH = 8
+
+# error a one-sequence view raises for an undefined parameter, by index
+_UNDEFINED = {1: DegenerateSequenceError, 2: OneSidedSequenceError,
+              4: DegenerateAsymmetryError, 5: OneSidedSequenceError,
+              7: DegenerateSequenceError}
 
 
 @dataclass(frozen=True)
@@ -53,13 +59,6 @@ class FeatureVector:
              self.p6, self.p7, self.p8, self.p9, self.p10]
         )
 
-    @classmethod
-    def from_array(cls, values) -> "FeatureVector":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (10,):
-            raise ValueError(f"expected 10 values, got shape {values.shape}")
-        return cls(*values.tolist())
-
 
 @dataclass(frozen=True)
 class RootLineFit:
@@ -75,13 +74,13 @@ class RootLineFit:
     residual_rms: float
 
 
-def _as_sequence(seq, min_len: int = 1) -> np.ndarray:
+def _as_sequence(seq, min_len: int = 1, ndim: int = 1) -> np.ndarray:
     y = np.asarray(seq, dtype=float)
-    if y.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence, got shape {y.shape}")
-    if y.size < min_len:
+    if y.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D array, got shape {y.shape}")
+    if y.shape[-1] < min_len:
         raise DegenerateSequenceError(
-            f"sequence has {y.size} samples, need at least {min_len}"
+            f"sequence has {y.shape[-1]} samples, need at least {min_len}"
         )
     if not np.all(np.isfinite(y)):
         raise NonFiniteInputError("sequence contains NaN or infinite samples")
@@ -94,9 +93,103 @@ def center(seq) -> np.ndarray:
     return y - y.mean()
 
 
+def _walk_range(steps: np.ndarray) -> np.ndarray:
+    """Range of each row's running sum, the walk starting at 0."""
+    walk = np.cumsum(steps, axis=1)
+    return np.maximum(walk.max(axis=1), 0.0) - np.minimum(walk.min(axis=1), 0.0)
+
+
+def _roots(dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero crossings of each row of a centered matrix: (positions, rows).
+
+    A column holds at most one root, since an exactly zero sample never
+    starts a sign change, so the positions come out row by row and in
+    increasing order within each row.
+    """
+    zero = dy == 0.0
+    first = zero.copy()
+    first[:, 1:] &= ~zero[:, :-1]
+    cross = np.zeros_like(zero)
+    cross[:, :-1] = dy[:, :-1] * dy[:, 1:] < 0
+    rows, cols = np.nonzero(first | cross)
+    pos = cols.astype(float)
+    at = cross[rows, cols]
+    r, c = rows[at], cols[at]
+    pos[at] += dy[r, c] / (dy[r, c] - dy[r, c + 1])
+    return pos, rows
+
+
+def _features(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`feature_matrix` of an already validated matrix."""
+    mean = y.mean(axis=1)
+    dy = y - mean[:, None]
+    y_max, y_min = y.max(axis=1), y.min(axis=1)
+    hi, lo = dy.max(axis=1), dy.min(axis=1)
+    y_range = y_max - y_min
+    one_sided = (hi <= 0) | (lo >= 0)
+    bell = np.cumsum(np.sort(dy, axis=1)[:, ::-1], axis=1)
+    # distance of the last negative deviation from the end, minus that of
+    # the last positive one: the difference of their 1-based indices
+    backwards = dy[:, ::-1]
+    horizontal = (np.argmax(backwards < 0, axis=1)
+                  - np.argmax(backwards > 0, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.column_stack([
+            mean, hi - lo, np.where(one_sided, np.nan, hi - np.abs(lo)),
+            _walk_range(dy),
+            np.where(mean > y_min, (y_max - mean) / (mean - y_min), np.nan),
+            np.where(one_sided, np.nan, horizontal),
+            np.maximum(bell.max(axis=1), 0.0),
+            np.where(y_range == 0, np.nan, _walk_range(dy / y_range[:, None])),
+            np.full((len(y), 2), np.nan),
+        ])
+
+    roots, rows = _roots(dy)
+    bounds = np.searchsorted(rows, np.arange(len(y) + 1))
+    for i in range(len(y)):
+        try:
+            fit = fit_root_line(roots[bounds[i]:bounds[i + 1]])
+        except FeatureError:
+            continue  # P9 and P10 stay NaN
+        values[i, 8:] = p9_p10_from_fit(fit)
+
+    undefined = np.isnan(values)
+    undefined[:, 1] = values[:, 1] == 0
+    return values, np.where(undefined.any(axis=1), undefined.argmax(axis=1), -1)
+
+
+def feature_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
+    """All ten parameters of each row of a finite ``(n, L)`` matrix, L >= 8.
+
+    Returns ``(values, failed)``.  ``values`` is ``(n, 10)``, NaN where a
+    parameter is undefined: P3 and P6 without deviations of both signs, P5
+    if the mean equals the minimum, P8 for a constant row, P9 and P10 if no
+    root line can be fitted.  ``failed[i]`` is the index of the first
+    parameter that makes `extract_features` reject row ``i`` (1, i.e. P2,
+    for a constant row), or -1.
+    """
+    return _features(_as_sequence(rows, MIN_SEQUENCE_LENGTH, ndim=2))
+
+
+def _raise_undefined(j: int, y: np.ndarray):
+    if j == 8:
+        fit_root_line(find_roots(center(y)))  # raises the fit's own error
+    cls, name = _UNDEFINED[j], FEATURE_NAMES[j]
+    raise cls(f"{name} undefined: {cls.__doc__}", parameter=name)
+
+
+def _parameter(seq, j: int, min_len: int = 2) -> float:
+    """Parameter ``j`` of one sequence, raising its error when undefined."""
+    y = _as_sequence(seq, min_len)
+    value = _features(y[None])[0][0, j]
+    if np.isnan(value):
+        _raise_undefined(j, y)
+    return float(value)
+
+
 def p1_mean(seq) -> float:
     """P1: arithmetic mean of the sequence."""
-    return float(_as_sequence(seq).mean())
+    return _parameter(seq, 0, min_len=1)
 
 
 def p2_range(seq) -> float:
@@ -104,8 +197,7 @@ def p2_range(seq) -> float:
 
     Equals ``max(y) - min(y)``; 0.0 for a constant sequence.
     """
-    dy = center(_as_sequence(seq, min_len=2))
-    return float(dy.max() - dy.min())
+    return _parameter(seq, 1)
 
 
 def p3_relative_intensity(seq) -> float:
@@ -114,21 +206,7 @@ def p3_relative_intensity(seq) -> float:
     ``max(Dy) - |min(Dy)|`` on the deviations ``Dy = y - mean(y)``.  Positive
     when upward spikes dominate, negative when downward ones do.
     """
-    dy = center(_as_sequence(seq, min_len=2))
-    hi, lo = dy.max(), dy.min()
-    if hi <= 0 or lo >= 0:
-        raise OneSidedSequenceError(
-            "need deviations of both signs", parameter="P3"
-        )
-    return float(hi - abs(lo))
-
-
-def _walk(dy: np.ndarray) -> np.ndarray:
-    """Cumulative sum of deviations, prefixed with 0."""
-    out = np.empty(dy.size + 1)
-    out[0] = 0.0
-    np.cumsum(dy, out=out[1:])
-    return out
+    return _parameter(seq, 2)
 
 
 def p4_cumulative_range(seq) -> float:
@@ -136,8 +214,7 @@ def p4_cumulative_range(seq) -> float:
 
     The walk starts at 0, so the reported range always straddles zero.
     """
-    j = _walk(center(_as_sequence(seq, min_len=2)))
-    return float(j.max() - j.min())
+    return _parameter(seq, 3)
 
 
 def p5_asymmetry(seq) -> float:
@@ -145,14 +222,7 @@ def p5_asymmetry(seq) -> float:
 
     1.0 marks a sequence whose extremes sit symmetrically about the mean.
     """
-    y = _as_sequence(seq, min_len=2)
-    m = y.mean()
-    lo = y.min()
-    if not m > lo:
-        raise DegenerateAsymmetryError(
-            "mean equals minimum; asymmetry undefined", parameter="P5"
-        )
-    return float((y.max() - m) / (m - lo))
+    return _parameter(seq, 4)
 
 
 def p6_horizontal_asymmetry(seq) -> float:
@@ -161,14 +231,7 @@ def p6_horizontal_asymmetry(seq) -> float:
     Difference between the largest 1-based sample index with a positive
     deviation and the largest with a negative one.
     """
-    dy = center(_as_sequence(seq, min_len=2))
-    up = np.nonzero(dy > 0)[0]
-    dn = np.nonzero(dy < 0)[0]
-    if up.size == 0 or dn.size == 0:
-        raise OneSidedSequenceError(
-            "need deviations of both signs", parameter="P6"
-        )
-    return float((up[-1] + 1) - (dn[-1] + 1))
+    return _parameter(seq, 5)
 
 
 def p7_bell_max(seq) -> float:
@@ -179,9 +242,7 @@ def p7_bell_max(seq) -> float:
     maximum (with the empty prefix counting as 0) separates the positive
     branch from the negative one.
     """
-    dy = center(_as_sequence(seq, min_len=2))
-    bell = _walk(np.sort(dy)[::-1])
-    return float(bell.max())
+    return _parameter(seq, 6)
 
 
 def p8_normalized_integral_range(seq) -> float:
@@ -191,15 +252,7 @@ def p8_normalized_integral_range(seq) -> float:
     result comparable across sequences of different amplitude; identical to
     ``p4 / p2``.
     """
-    y = _as_sequence(seq, min_len=2)
-    dy = y - y.mean()
-    rng = y.max() - y.min()
-    if rng == 0:
-        raise DegenerateSequenceError(
-            "constant sequence has no range to normalize by", parameter="P8"
-        )
-    j = _walk(dy / rng)
-    return float(j.max() - j.min())
+    return _parameter(seq, 7)
 
 
 def find_roots(seq) -> np.ndarray:
@@ -211,23 +264,7 @@ def find_roots(seq) -> np.ndarray:
     consecutive zeros collapsed to their first index.  Returns fractional
     0-based positions in increasing order (possibly empty).
     """
-    dy = _as_sequence(seq, min_len=2)
-    roots = []
-
-    zero = dy == 0.0
-    if zero.any():
-        idx = np.nonzero(zero)[0]
-        keep = np.ones(idx.size, dtype=bool)
-        keep[1:] = np.diff(idx) > 1
-        roots.extend(idx[keep].astype(float))
-
-    prod = dy[:-1] * dy[1:]
-    cross = np.nonzero(prod < 0)[0]
-    if cross.size:
-        frac = dy[cross] / (dy[cross] - dy[cross + 1])
-        roots.extend(cross + frac)
-
-    return np.sort(np.array(roots, dtype=float))
+    return _roots(_as_sequence(seq, min_len=2)[None])[0]
 
 
 def fit_root_line(roots) -> RootLineFit:
@@ -278,25 +315,7 @@ def extract_features(seq) -> FeatureVector:
     computed via the exception's ``parameter`` attribute.
     """
     y = _as_sequence(seq, min_len=MIN_SEQUENCE_LENGTH)
-
-    def tag(param, fn, *args):
-        try:
-            return fn(*args)
-        except FeatureError as exc:
-            if exc.parameter is None:
-                exc.parameter = param
-            raise
-
-    p1 = p1_mean(y)
-    p2 = tag("P2", p2_range, y)
-    if p2 == 0:
-        raise DegenerateSequenceError("constant sequence", parameter="P2")
-    p3 = tag("P3", p3_relative_intensity, y)
-    p4 = tag("P4", p4_cumulative_range, y)
-    p5 = tag("P5", p5_asymmetry, y)
-    p6 = tag("P6", p6_horizontal_asymmetry, y)
-    p7 = tag("P7", p7_bell_max, y)
-    p8 = tag("P8", p8_normalized_integral_range, y)
-    fit = tag("P9", fit_root_line, find_roots(y - y.mean()))
-    p9, p10 = p9_p10_from_fit(fit)
-    return FeatureVector(p1, p2, p3, p4, p5, p6, p7, p8, p9, p10)
+    values, failed = _features(y[None])
+    if failed[0] >= 0:
+        _raise_undefined(int(failed[0]), y)
+    return FeatureVector(*values[0].tolist())

@@ -11,11 +11,11 @@ feature extraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DigitTableExhaustedError, SyncNotFoundError, ZeroGainError
+from .errors import DigitTableExhaustedError, SyncNotFoundError
 from .pi_digits import PI_DIGITS
 
 DEFAULT_FRAME_LEN = 1024
@@ -94,20 +94,6 @@ class ImpairmentProfile:
         )
 
 
-@dataclass
-class IQFrame:
-    """One synchronized block of L complex samples.
-
-    ``lag`` is the integer sample offset the frame was cut at; ``lag_frac``
-    the sub-sample refinement of the correlation peak around it.
-    """
-
-    samples: np.ndarray
-    source_label: str | None = None
-    lag: int | None = None
-    lag_frac: float = field(default=0.0)
-
-
 def simulate_device(clean, profile: ImpairmentProfile, seed: int) -> np.ndarray:
     """Pass a clean frame through a simulated imperfect transmitter.
 
@@ -156,17 +142,6 @@ def _cross_correlation_mag(stream: np.ndarray, etalon: np.ndarray) -> np.ndarray
     return np.abs(corr)
 
 
-def _parabolic_offset(mag: np.ndarray, k: int) -> float:
-    """Sub-sample peak offset from a 3-point parabola; 0 at the edges."""
-    if k <= 0 or k >= mag.size - 1:
-        return 0.0
-    ym1, y0, yp1 = mag[k - 1], mag[k], mag[k + 1]
-    denom = ym1 - 2.0 * y0 + yp1
-    if denom == 0.0:
-        return 0.0
-    return float(0.5 * (ym1 - yp1) / denom)
-
-
 def _check_etalon(etalon) -> np.ndarray:
     e = np.asarray(etalon, dtype=complex)
     if e.size < MIN_ETALON_LEN:
@@ -177,16 +152,15 @@ def _check_etalon(etalon) -> np.ndarray:
 
 
 def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
-                search_width: int = 8) -> list[IQFrame]:
-    """Slice a stream into etalon-aligned frames.
+                search_width: int = 8) -> np.ndarray:
+    """Sample offsets (``int64``) of the etalon-aligned frames of a stream.
 
     The first repetition is located by the strongest correlation peak within
     the first L lags; subsequent frames re-synchronize inside a
     ``search_width`` window around last lag + L so a slow sampling-clock
     offset cannot accumulate.  Each accepted peak must exceed ``threshold``
-    times the mean correlation magnitude.  The fractional part of each lag
-    (3-point parabolic refinement) is reported on the frame; samples are cut
-    at the integer lag.
+    times the mean correlation magnitude; the first peak that does not ends
+    the search.
     """
     e = _check_etalon(etalon)
     x = np.asarray(stream, dtype=complex)
@@ -212,13 +186,10 @@ def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
             f"peak-to-mean ratio {ratio(k0):.2f} below {threshold}"
         )
 
-    frames = []
+    lags = []
     k = k0
     while k + length <= x.size:
-        frames.append(
-            IQFrame(samples=x[k : k + length].copy(), lag=k,
-                    lag_frac=_parabolic_offset(mag, k))
-        )
+        lags.append(k)
         expected = k + length
         if expected + length > x.size:
             break
@@ -228,56 +199,48 @@ def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
         if ratio(k_next) < threshold:
             break
         k = k_next
-    return frames
+    return np.array(lags, dtype=np.int64)
 
 
-def error_phase(frame, etalon) -> np.ndarray:
-    """Per-sample phase of the gain-normalized error signal.
+def error_phase(frames, etalon) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample phase of the gain-normalized error signal of each frame.
 
-    The frame is divided by the complex least-squares gain
-    ``g = <frame, etalon> / <etalon, etalon>`` (which absorbs any channel
-    gain and carrier rotation) and the etalon subtracted; the result is the
-    wrapped principal argument in (-pi, pi].  Error samples whose magnitude
-    is below 1e-12 of the etalon RMS carry only rounding noise, so their
-    phase is reported as 0 (this covers the exactly-zero case too).
+    Each row of the ``(n, L)`` matrix ``frames`` is divided by its complex
+    least-squares gain ``g = <frame, etalon> / <etalon, etalon>`` (which
+    absorbs any channel gain and carrier rotation) and the etalon subtracted;
+    the result is the wrapped principal argument in (-pi, pi].  Error samples
+    whose magnitude is below 1e-12 of the etalon RMS carry only rounding
+    noise, so their phase is reported as 0.  Returns ``(phases, dropped)``:
+    ``dropped`` masks the rows whose gain is numerically zero, and ``phases``
+    holds the other rows in order.
     """
     e = _check_etalon(etalon)
-    f = np.asarray(frame.samples if isinstance(frame, IQFrame) else frame,
-                   dtype=complex)
-    if f.size != e.size:
-        raise ValueError("frame and etalon must have equal length")
+    f = np.asarray(frames, dtype=complex)
+    if f.ndim != 2 or f.shape[1] != e.size:
+        raise ValueError("frames must be an (n, L) matrix, L the etalon length")
     energy = float(np.vdot(e, e).real)
-    gain = np.vdot(e, f) / energy
+    # one vdot per row: a matrix product rounds the gains differently
+    gain = np.array([np.vdot(e, row) / energy for row in f], dtype=complex)
     etalon_rms = math.sqrt(energy / e.size)
-    if abs(gain) < 1e-12 * etalon_rms:
-        raise ZeroGainError("least-squares gain is numerically zero")
-    err = f / gain - e
+    dropped = np.abs(gain) < 1e-12 * etalon_rms
+    err = f[~dropped] / gain[~dropped, None] - e
     phases = np.angle(err)
     # np.angle maps a negative-real value with -0.0 imaginary part to -pi;
     # fold it back into (-pi, pi]
     phases[phases == -np.pi] = np.pi
     phases[np.abs(err) <= 1e-12 * etalon_rms] = 0.0
-    return phases
-
-
-@dataclass(frozen=True)
-class CaptureResult:
-    """Phase sequences per frame plus the indices of skipped frames."""
-
-    sequences: list
-    skipped: list
+    return phases, dropped
 
 
 def run_capture_pipeline(stream, etalon,
-                         threshold: float = DEFAULT_SYNC_THRESHOLD) -> CaptureResult:
-    """synchronize + error_phase over a whole stream, in stream order."""
+                         threshold: float = DEFAULT_SYNC_THRESHOLD):
+    """synchronize + error_phase over a whole stream, in stream order.
+
+    Returns ``(phases, dropped, lags)``: the `error_phase` result for the
+    matrix of synchronized frames, and the sample offset of each frame.
+    """
     e = _check_etalon(etalon)
-    frames = synchronize(stream, e, threshold=threshold)
-    sequences = []
-    skipped = []
-    for i, frame in enumerate(frames):
-        try:
-            sequences.append(error_phase(frame, e))
-        except ZeroGainError:
-            skipped.append(i)
-    return CaptureResult(sequences=sequences, skipped=skipped)
+    x = np.asarray(stream, dtype=complex)
+    lags = synchronize(x, e, threshold=threshold)
+    phases, dropped = error_phase(x[lags[:, None] + np.arange(e.size)], e)
+    return phases, dropped, lags

@@ -198,9 +198,10 @@ def synthetic_experiment():
     for dev, profile in enumerate(profiles):
         frames = [simulate_device(etalon, profile, derive_seed(0, dev, m))
                   for m in range(2000)]
-        capture = run_capture_pipeline(np.concatenate(frames), etalon)
-        skipped += len(capture.skipped)
-        for seq in capture.sequences:
+        phases, dropped, _ = run_capture_pipeline(np.concatenate(frames),
+                                                  etalon)
+        skipped += int(dropped.sum())
+        for seq in phases:
             try:
                 rows.append(extract_features(seq).as_array())
                 labels.append(str(dev))

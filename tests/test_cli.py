@@ -1,3 +1,7 @@
+import csv
+import io
+import shutil
+
 import numpy as np
 import pytest
 
@@ -67,6 +71,26 @@ def test_extract_clean_repetitions_all_skipped(tmp_path, capsys):
     ])
     assert code == 3  # zero-error frames are degenerate: all skipped
     assert "skipped 6 of 6" in capsys.readouterr().err
+
+
+def test_extract_reports_sync_loss(small_dataset, tmp_path, capsys):
+    _, raw, _ = small_dataset
+    data = tmp_path / "gap"
+    shutil.copytree(raw, data)
+    stream = dataio.read_iq(data / "device_0.iq")
+    cut = 10 * 256  # a 300-sample gap after frame 10 of 40
+    dataio.write_iq(data / "device_0.iq", np.concatenate(
+        [stream[:cut], np.zeros(300, dtype=complex), stream[cut:]]))
+    capsys.readouterr()
+    assert main([
+        "extract", "--input", str(data / "manifest.csv"),
+        "--etalon", str(data / "etalon.iq"),
+        "--out", str(tmp_path / "f.csv"), "--no-timestamp",
+    ]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "device 0: sync found 10 of 40 frames, lost after sample 2560" \
+        in err
+    assert "skipped 0 of 50 frames" in err
 
 
 def test_extract_missing_file_exit_2(tmp_path):
@@ -289,7 +313,18 @@ def _first_row(text, edit):
     return "\n".join(lines) + "\n"
 
 
-# (case, file corrupted, corruption of its text)
+def _manifest_row(text, edit):
+    """Apply ``edit`` to the fields of the manifest's first data row."""
+    lines = text.splitlines()
+    at = lines.index("label,file,frames,profile") + 1
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(
+        edit(next(csv.reader([lines[at]]))))
+    lines[at] = out.getvalue()
+    return "\n".join(lines) + "\n"
+
+
+# (case, file corrupted, corruption of its text, or of its bytes for "iq")
 MALFORMED_INPUTS = [
     ("model_cut_inside_meta", "model",
      lambda t: t[:t.index("meta ") + 30]),
@@ -306,6 +341,15 @@ MALFORMED_INPUTS = [
     ("csv_ragged", "csv", lambda t: _first_row(t, lambda r: r[:-1])),
     ("stats_three_classes", "csv",
      lambda t: _first_row(t, lambda r: ["2"] + r[1:])),
+    ("manifest_short_row", "manifest",
+     lambda t: _manifest_row(t, lambda f: f[:3])),
+    ("manifest_frames_not_integer", "manifest",
+     lambda t: _manifest_row(t, lambda f: f[:2] + ["4.5"] + f[3:])),
+    ("manifest_frames_negative", "manifest",
+     lambda t: _manifest_row(t, lambda f: f[:2] + ["-1"] + f[3:])),
+    ("manifest_profile_not_object", "manifest",
+     lambda t: _manifest_row(t, lambda f: f[:3] + ["[1, 2]"])),
+    ("iq_odd_float_count", "iq", lambda b: b[:-4]),
 ]
 
 
@@ -313,15 +357,24 @@ MALFORMED_INPUTS = [
                          ids=[case for case, _, _ in MALFORMED_INPUTS])
 def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
                                          small_model, tmp_path, capsys):
-    _, _, features = small_dataset
-    bad = tmp_path / "bad"
+    _, raw, features = small_dataset
+    source = {"model": small_model, "csv": features, "iq": raw / "device_0.iq",
+              "manifest": raw / "manifest.csv"}[target]
+    # a manifest names its streams relative to its own directory
+    bad = (raw if target == "manifest" else tmp_path) / f"{case}{source.suffix}"
+    if target == "iq":
+        bad.write_bytes(corrupt(source.read_bytes()))
+    else:
+        bad.write_text(corrupt(source.read_text()))
     if target == "model":
-        bad.write_text(corrupt(small_model.read_text()))
         argv = ["explain", "--model", str(bad), "--input", str(features),
                 "--row", "0", "--out", str(tmp_path / "e.csv")]
-    else:
-        bad.write_text(corrupt(features.read_text()))
+    elif target == "csv":
         argv = ["stats", "--input", str(bad), "--out-dir", str(tmp_path / "s")]
+    else:
+        argv = ["extract", "--input", str(bad),
+                "--etalon", str(raw / "etalon.iq"),
+                "--out", str(tmp_path / "f.csv")]
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err

@@ -282,3 +282,19 @@ def test_matches_oracle_smoke():
             assert got[name] == pytest.approx(
                 ref[name], rel=1e-9, abs=1e-12
             ), name
+
+
+def test_feature_matrix_rows_match_extract_features():
+    rng = np.random.default_rng(43)
+    good = [rng.normal(size=256), rng.uniform(-1, 1, 256),
+            np.sin(np.pi * (np.arange(256) + 0.5) / 8)]
+    constant = np.full(256, 0.75)
+    one_crossing = np.concatenate([np.full(128, -1.0), np.full(128, 1.0)])
+    matrix = np.array([good[0], constant, good[1], one_crossing, good[2]])
+    values, failed = features.feature_matrix(matrix)
+    assert values.shape == (5, 10)
+    assert failed.tolist() == [-1, 1, -1, 8, -1]
+    assert np.isnan(values[3, 8:]).all()
+    for row, seq in zip(values[[0, 2, 4]], good):
+        expected = features.extract_features(seq).as_array()
+        assert row.tobytes() == expected.tobytes()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radiofp import pipeline
-from radiofp.errors import DigitTableExhaustedError, SyncNotFoundError, ZeroGainError
+from radiofp.errors import DigitTableExhaustedError, SyncNotFoundError
 from radiofp.pipeline import ImpairmentProfile
 
 
@@ -96,17 +96,17 @@ def test_profile_json_round_trip():
 def test_synchronize_delay_17():
     etalon = pipeline.transnoise_etalon(256)
     stream = np.concatenate([np.zeros(17, dtype=complex), etalon])
-    frames = pipeline.synchronize(stream, etalon)
-    assert len(frames) == 1
-    assert frames[0].lag == 17
-    np.testing.assert_array_equal(frames[0].samples, etalon)
+    lags = pipeline.synchronize(stream, etalon)
+    assert len(lags) == 1
+    assert lags[0] == 17
+    np.testing.assert_array_equal(stream[lags[0]:lags[0] + 256], etalon)
 
 
 def test_synchronize_zero_delay():
     etalon = pipeline.transnoise_etalon(256)
-    frames = pipeline.synchronize(etalon, etalon)
-    assert len(frames) == 1
-    assert frames[0].lag == 0
+    lags = pipeline.synchronize(etalon, etalon)
+    assert len(lags) == 1
+    assert lags[0] == 0
 
 
 def test_synchronize_recovers_all_integer_delays():
@@ -114,8 +114,8 @@ def test_synchronize_recovers_all_integer_delays():
     etalon = pipeline.transnoise_etalon(length)
     for delay in range(length):
         stream = np.concatenate([np.zeros(delay, dtype=complex), etalon])
-        frames = pipeline.synchronize(stream, etalon)
-        assert frames[0].lag == delay, delay
+        lags = pipeline.synchronize(stream, etalon)
+        assert lags[0] == delay, delay
 
 
 def test_synchronize_noisy_delay_40():
@@ -125,17 +125,16 @@ def test_synchronize_noisy_delay_40():
     for trial in range(100):
         noisy = pipeline.simulate_device(etalon, profile, seed=trial)
         stream = np.concatenate([np.zeros(40, dtype=complex), noisy])
-        frames = pipeline.synchronize(stream, etalon)
-        assert frames[0].lag == 40
-        assert abs(frames[0].lag_frac) < 0.2
+        lags = pipeline.synchronize(stream, etalon)
+        assert lags[0] == 40
 
 
 def test_synchronize_multiple_repetitions():
     etalon = pipeline.transnoise_etalon(128)
     stream = np.tile(etalon, 7)
-    frames = pipeline.synchronize(stream, etalon)
-    assert len(frames) == 7
-    assert [f.lag for f in frames] == [128 * i for i in range(7)]
+    lags = pipeline.synchronize(stream, etalon)
+    assert len(lags) == 7
+    assert lags.tolist() == [128 * i for i in range(7)]
 
 
 def test_synchronize_rejects_noise():
@@ -149,8 +148,9 @@ def test_synchronize_rejects_noise():
 def test_error_phase_pure_gain_absorbed():
     etalon = pipeline.transnoise_etalon(256)
     frame = 2.0 * np.exp(1j * np.pi / 3) * etalon
-    phases = pipeline.error_phase(frame, etalon)
-    np.testing.assert_array_equal(phases, np.zeros(256))
+    phases, dropped = pipeline.error_phase(frame[None], etalon)
+    assert not dropped.any()
+    np.testing.assert_array_equal(phases, np.zeros((1, 256)))
 
 
 def test_error_phase_small_perturbation_closed_form():
@@ -164,7 +164,7 @@ def test_error_phase_small_perturbation_closed_form():
     energy = np.vdot(etalon, etalon).real
     gain = np.vdot(etalon, frame) / energy
     expected = np.angle(frame / gain - etalon)
-    got = pipeline.error_phase(frame, etalon)
+    got = pipeline.error_phase(frame[None], etalon)[0][0]
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -174,24 +174,26 @@ def test_error_phase_gain_invariance():
     frame = pipeline.simulate_device(
         etalon, ImpairmentProfile(cubic_nonlinearity=0.02, snr_db=20.0), seed=2
     )
-    base = pipeline.error_phase(frame, etalon)
+    base = pipeline.error_phase(frame[None], etalon)[0][0]
     for mag in (1e-6, 1e-2, 1.0, 37.5, 1e6):
         c = mag * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        scaled = pipeline.error_phase(c * frame, etalon)
+        scaled = pipeline.error_phase(c * frame[None], etalon)[0][0]
         diff = np.angle(np.exp(1j * (scaled - base)))
         assert np.max(np.abs(diff)) < 1e-12
 
 
 def test_error_phase_zero_gain():
     etalon = pipeline.transnoise_etalon(128)
-    with pytest.raises(ZeroGainError):
-        pipeline.error_phase(np.zeros(128, dtype=complex), etalon)
+    phases, dropped = pipeline.error_phase(np.zeros((1, 128), dtype=complex),
+                                           etalon)
+    assert dropped.tolist() == [True]
+    assert phases.shape == (0, 128)
 
 
 def test_error_phase_range():
     etalon = pipeline.transnoise_etalon(256)
     frame = pipeline.simulate_device(etalon, ImpairmentProfile(snr_db=5.0), 4)
-    phases = pipeline.error_phase(frame, etalon)
+    phases, _ = pipeline.error_phase(frame[None], etalon)
     assert np.all(phases > -np.pi)
     assert np.all(phases <= np.pi)
 
@@ -199,10 +201,10 @@ def test_error_phase_range():
 def test_capture_pipeline_clean_repetitions():
     etalon = pipeline.transnoise_etalon(128)
     stream = np.tile(etalon, 10)
-    result = pipeline.run_capture_pipeline(stream, etalon)
-    assert len(result.sequences) == 10
-    assert result.skipped == []
-    for seq in result.sequences:
+    phases, dropped, _ = pipeline.run_capture_pipeline(stream, etalon)
+    assert len(phases) == 10
+    assert not dropped.any()
+    for seq in phases:
         np.testing.assert_array_equal(seq, np.zeros(128))
 
 
@@ -210,7 +212,22 @@ def test_capture_pipeline_simulated_devices():
     etalon = pipeline.transnoise_etalon(128)
     profile = ImpairmentProfile(quadrature_error=0.02, snr_db=20.0)
     parts = [pipeline.simulate_device(etalon, profile, seed=s) for s in range(10)]
-    result = pipeline.run_capture_pipeline(np.concatenate(parts), etalon)
-    assert len(result.sequences) == 10
-    for seq in result.sequences:
+    phases, _, _ = pipeline.run_capture_pipeline(np.concatenate(parts), etalon)
+    assert len(phases) == 10
+    for seq in phases:
         assert np.var(seq) > 0
+
+
+def test_error_phase_matrix_masks_zero_gain_row():
+    etalon = pipeline.transnoise_etalon(256)
+    profile = ImpairmentProfile(cubic_nonlinearity=0.05, snr_db=15.0)
+    frames = np.array([pipeline.simulate_device(etalon, profile, seed=s)
+                       for s in range(4)])
+    frames[2] = 0.0
+    phases, dropped = pipeline.error_phase(frames, etalon)
+    assert dropped.tolist() == [False, False, True, False]
+    assert phases.shape == (3, 256)
+    for got, row in zip(phases, frames[[0, 1, 3]]):
+        one, one_dropped = pipeline.error_phase(row[None], etalon)
+        assert not one_dropped.any()
+        assert got.tobytes() == one[0].tobytes()

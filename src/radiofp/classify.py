@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .dataio import atomic_write_bytes
 from .dataset import FeatureStats, LabeledFeatureSet
 from .errors import (
     DataFormatError,
@@ -626,8 +627,7 @@ def model_from_text(text: str) -> RandomForestModel:
 
 
 def save_model(model: RandomForestModel, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(model_to_text(model))
+    atomic_write_bytes(path, model_to_text(model).encode("ascii"))
 
 
 def load_model(path) -> RandomForestModel:

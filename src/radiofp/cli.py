@@ -39,9 +39,11 @@ from .dataset import FeatureStats
 from .errors import RadioFpError
 from .explain import ExplainConfig, explain_instance
 from .features import FEATURE_NAMES, feature_matrix
+from .pi_digits import PI_DIGIT_COUNT
 from .pipeline import (
     DEFAULT_FRAME_LEN,
     DEFAULT_SYNC_THRESHOLD,
+    MIN_ETALON_LEN,
     ImpairmentProfile,
     run_capture_pipeline,
     simulate_device,
@@ -94,19 +96,19 @@ def _load_profiles(path, n_devices: int) -> list:
                 "pass --profiles for more"
             )
         return list(DEFAULT_PROFILES[:n_devices])
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    profiles = [ImpairmentProfile.from_json_dict(d) for d in raw]
+    profiles = dataio.read_profiles(path)
     if len(profiles) < 2:
         raise ConfigError("need at least 2 device profiles")
     return profiles
 
 
 def cmd_gen_dataset(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not MIN_ETALON_LEN <= args.frame_len <= PI_DIGIT_COUNT:
+        raise ConfigError(f"--frame-len not in {MIN_ETALON_LEN}..{PI_DIGIT_COUNT}")
     profiles = _load_profiles(args.profiles, args.devices)
     profiles = [dataclasses.replace(p, snr_db=args.snr_db) for p in profiles]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     etalon = transnoise_etalon(args.frame_len)
     dataio.write_iq(out_dir / "etalon.iq", etalon)
 
@@ -181,8 +183,9 @@ def cmd_stats(args) -> int:
 
     report = significance_report(dataset)
     dataio.write_significance_csv(out_dir / "significance.csv", report, stamp)
-    matrix = pearson_matrix(dataset)
-    dataio.write_matrix_csv(out_dir / "pearson_matrix.csv", matrix, stamp)
+    dataio.write_matrix_csv(out_dir / "pearson_matrix.csv",
+                            dataset.feature_names, pearson_matrix(dataset),
+                            stamp)
     for i, name in enumerate(dataset.feature_names):
         edges, counts = histogram(dataset.features[:, i], args.bins)
         dataio.write_histogram_csv(out_dir / f"hist_{name}.csv",
@@ -242,10 +245,9 @@ def cmd_train_eval(args) -> int:
         best_params, best_result = random_grid_search(
             dataset, grid, args.folds, args.seed)
         metric_rows.append(("forest_search", "mean", best_result.mean_accuracy))
-        (out_dir / "best_params.json").write_text(
-            json.dumps(dataclasses.asdict(best_params), sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        dataio.atomic_write_text(
+            out_dir / "best_params.json",
+            json.dumps(dataclasses.asdict(best_params), sort_keys=True) + "\n")
         print(f"search best: {best_params} "
               f"mean accuracy {best_result.mean_accuracy:.4f}")
 

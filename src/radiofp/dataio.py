@@ -5,9 +5,10 @@ IQ binary: headerless little-endian 32-bit floats, interleaved I,Q,I,Q,...
 format with exactly 2L floats.
 
 CSV files use ``\\n`` line endings and shortest round-trip decimal floats, so
-a given dataset and seed always produce byte-identical output.  Report
-writers can prepend a ``# generated <iso-utc>`` comment; readers skip any
-``#`` lines.  All writes go through a temp file + rename.
+a given dataset and seed always produce byte-identical output.  `write_csv`
+renders every CSV; readers skip its ``#`` comment lines.  Every output file,
+``model.txt`` and ``best_params.json`` included, is written to a temp file
+and renamed over the target, so a crash never leaves a torn file.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -24,10 +26,10 @@ import numpy as np
 
 from .dataset import LabeledFeatureSet
 from .errors import DataFormatError
+from .features import FEATURE_NAMES
 from .pipeline import ImpairmentProfile
 
-FEATURE_CSV_HEADER = ["label", "P1", "P2", "P3", "P4", "P5",
-                      "P6", "P7", "P8", "P9", "P10"]
+FEATURE_CSV_HEADER = ["label", *FEATURE_NAMES]
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -58,26 +60,28 @@ def read_iq(path) -> np.ndarray:
     return raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
 
 
-def _timestamp_line() -> str:
-    now = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return f"# generated {now}\n"
+def _cell(value) -> str:
+    """Float -> repr, NaN or None -> ``undefined``, bool -> lower case."""
+    if value is None or isinstance(value, float) and math.isnan(value):
+        return "undefined"
+    if isinstance(value, float):
+        return repr(float(value))  # np.float64's own repr names its type
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
 
 
-def _render_csv(rows, timestamp: bool, seed: int | None = None) -> str:
+def write_csv(path, rows, timestamp: bool = False, comments=()) -> None:
+    """Atomically write ``# generated <iso-utc>``, ``# <comment>``s, rows."""
     buf = io.StringIO()
     if timestamp:
-        buf.write(_timestamp_line())
-    if seed is not None:
-        buf.write(f"# seed {seed}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        now = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        buf.write(f"# generated {now}\n")
+    for comment in comments:
+        buf.write(f"# {comment}\n")
+    csv.writer(buf, lineterminator="\n").writerows(
+        [_cell(v) for v in row] for row in rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def _read_csv_rows(path) -> list:
@@ -87,11 +91,9 @@ def _read_csv_rows(path) -> list:
 
 
 def write_feature_csv(path, labels, features, timestamp: bool = False) -> None:
-    feats = np.asarray(features, dtype=float)
-    rows = [FEATURE_CSV_HEADER]
-    for label, row in zip(labels, feats):
-        rows.append([str(label)] + [repr(float(v)) for v in row])
-    atomic_write_text(path, _render_csv(rows, timestamp))
+    feats = np.asarray(features, dtype=float).tolist()
+    rows = [[label, *row] for label, row in zip(labels, feats)]
+    write_csv(path, [FEATURE_CSV_HEADER, *rows], timestamp)
 
 
 def read_feature_csv(path) -> LabeledFeatureSet:
@@ -126,9 +128,29 @@ def write_manifest(path, entries, timestamp: bool = False,
                    seed: int | None = None) -> None:
     rows = [["label", "file", "frames", "profile"]]
     for e in entries:
-        rows.append([e.label, e.file, str(e.frames),
+        rows.append([e.label, e.file, e.frames,
                      json.dumps(e.profile.to_json_dict(), sort_keys=True)])
-    atomic_write_text(path, _render_csv(rows, timestamp, seed))
+    write_csv(path, rows, timestamp, [] if seed is None else [f"seed {seed}"])
+
+
+def _profile(value, where: str) -> ImpairmentProfile:
+    if not isinstance(value, dict):
+        raise DataFormatError(f"{where}: profile is not a JSON object")
+    try:
+        return ImpairmentProfile.from_json_dict(value)
+    except (LookupError, OverflowError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{where}: bad profile ({exc})") from exc
+
+
+def read_profiles(path) -> list:
+    """A JSON list of profile objects, as ``gen-dataset --profiles`` takes."""
+    try:
+        raw = json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: not a JSON file ({exc})") from exc
+    if not isinstance(raw, list):
+        raise DataFormatError(f"{path}: expected a JSON list of profiles")
+    return [_profile(d, f"{path}: profile {i}") for i, d in enumerate(raw)]
 
 
 def read_manifest(path) -> list:
@@ -147,89 +169,52 @@ def read_manifest(path) -> list:
             profile = json.loads(r[3])
         except ValueError:
             profile = None
-        if not isinstance(profile, dict):
-            raise DataFormatError(f"{where}: profile is not a JSON object")
-        try:
-            profile = ImpairmentProfile.from_json_dict(profile)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise DataFormatError(f"{where}: bad profile ({exc})") from exc
-        entries.append(ManifestEntry(label=r[0], file=r[1],
-                                     frames=int(r[2]), profile=profile))
+        entries.append(ManifestEntry(label=r[0], file=r[1], frames=int(r[2]),
+                                     profile=_profile(profile, where)))
     return entries
 
 
 def write_significance_csv(path, report, timestamp: bool = False) -> None:
-    rows = [["feature", "pbcc", "p_value", "significant"]]
-    for fr in report.rows:
-        if fr.pbcc is None:
-            rows.append([fr.feature, "undefined", "undefined", "undefined"])
-        else:
-            rows.append([fr.feature, repr(fr.pbcc), repr(fr.p_value),
-                         str(fr.significant).lower()])
-    atomic_write_text(path, _render_csv(rows, timestamp))
+    rows = [[r.feature, r.pbcc, r.p_value, r.significant] for r in report.rows]
+    write_csv(path, [["feature", "pbcc", "p_value", "significant"], *rows],
+              timestamp)
 
 
-def write_matrix_csv(path, matrix, timestamp: bool = False) -> None:
-    names = list(matrix.feature_names)
-    rows = [["feature"] + names]
-    for i, name in enumerate(names):
-        row = [name]
-        for j in range(len(names)):
-            row.append(repr(float(matrix.values[i, j]))
-                       if matrix.defined[i, j] else "undefined")
-        rows.append(row)
-    atomic_write_text(path, _render_csv(rows, timestamp))
+def write_matrix_csv(path, names, values, timestamp: bool = False) -> None:
+    rows = [[name, *row] for name, row in zip(names, values)]
+    write_csv(path, [["feature", *names], *rows], timestamp)
 
 
 def write_histogram_csv(path, edges, counts, timestamp: bool = False) -> None:
-    rows = [["bin_left", "bin_right", "count"]]
-    for i, count in enumerate(counts):
-        rows.append([repr(float(edges[i])), repr(float(edges[i + 1])),
-                     str(int(count))])
-    atomic_write_text(path, _render_csv(rows, timestamp))
+    write_csv(path, [["bin_left", "bin_right", "count"],
+                     *zip(edges[:-1], edges[1:], counts)], timestamp)
 
 
 def write_metrics_csv(path, metric_rows, timestamp: bool = False,
                       seed: int | None = None) -> None:
     """metric_rows: iterable of (classifier, fold, accuracy)."""
-    rows = [["classifier", "fold", "accuracy"]]
-    for clf, fold, acc in metric_rows:
-        rows.append([clf, str(fold), repr(float(acc))])
-    atomic_write_text(path, _render_csv(rows, timestamp, seed))
+    write_csv(path, [["classifier", "fold", "accuracy"], *metric_rows],
+              timestamp, [] if seed is None else [f"seed {seed}"])
 
 
 def write_confusion_csv(path, confusion, label_names,
                         timestamp: bool = False) -> None:
-    names = list(label_names)
-    rows = [["true\\predicted"] + names]
-    for i, name in enumerate(names):
-        rows.append([name] + [str(int(v)) for v in confusion[i]])
-    atomic_write_text(path, _render_csv(rows, timestamp))
+    rows = [[name, *counts] for name, counts in zip(label_names, confusion)]
+    write_csv(path, [["true\\predicted", *label_names], *rows], timestamp)
 
 
 def write_importances_csv(path, feature_names, importances,
                           timestamp: bool = False) -> None:
-    rows = [["feature", "importance"]]
-    for name, value in zip(feature_names, importances):
-        rows.append([name, repr(float(value))])
-    atomic_write_text(path, _render_csv(rows, timestamp))
+    write_csv(path, [["feature", "importance"],
+                     *zip(feature_names, importances)], timestamp)
 
 
 def write_explanation_csv(path, explanation, feature_names, label_name,
                           timestamp: bool = False) -> None:
-    """feature,weight rows sorted by |weight| descending, plus a summary."""
-    header = (f"# predicted_class={label_name}"
-              f" fidelity={explanation.local_fidelity!r}"
-              f" seed={explanation.seed}\n")
+    """feature,weight rows sorted by |weight| descending, after a summary."""
+    summary = (f"predicted_class={label_name}"
+               f" fidelity={explanation.local_fidelity!r}"
+               f" seed={explanation.seed}")
     order = np.argsort(-np.abs(explanation.weights), kind="stable")
-    rows = [["feature", "weight"]]
-    for i in order:
-        rows.append([feature_names[i], repr(float(explanation.weights[i]))])
-    body = _render_csv(rows, timestamp)
-    # summary comment goes after the optional timestamp, before the header
-    if timestamp:
-        first, rest = body.split("\n", 1)
-        body = first + "\n" + header + rest
-    else:
-        body = header + body
-    atomic_write_text(path, body)
+    rows = [[feature_names[i], explanation.weights[i]] for i in order]
+    write_csv(path, [["feature", "weight"], *rows], timestamp, [summary])

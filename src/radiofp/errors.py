@@ -46,6 +46,10 @@ class DigitTableExhaustedError(RadioFpError):
     """Requested more digits than the embedded table provides."""
 
 
+class InvalidEtalonError(RadioFpError, ValueError):
+    """Reference waveform shorter than the minimum length or without energy."""
+
+
 class SyncNotFoundError(RadioFpError):
     """Correlation peak too weak to synchronize against the reference."""
 

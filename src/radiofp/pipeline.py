@@ -15,7 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DigitTableExhaustedError, SyncNotFoundError
+from .errors import (
+    DigitTableExhaustedError,
+    InvalidEtalonError,
+    SyncNotFoundError,
+)
 from .pi_digits import PI_DIGITS
 
 DEFAULT_FRAME_LEN = 1024
@@ -145,9 +149,10 @@ def _cross_correlation_mag(stream: np.ndarray, etalon: np.ndarray) -> np.ndarray
 def _check_etalon(etalon) -> np.ndarray:
     e = np.asarray(etalon, dtype=complex)
     if e.size < MIN_ETALON_LEN:
-        raise ValueError(f"etalon must have at least {MIN_ETALON_LEN} samples")
+        raise InvalidEtalonError(
+            f"etalon must have at least {MIN_ETALON_LEN} samples")
     if not np.any(e):
-        raise ValueError("etalon has zero energy")
+        raise InvalidEtalonError("etalon has zero energy")
     return e
 
 

@@ -168,38 +168,22 @@ def histogram(xs, bins: int):
     return edges, counts
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Pairwise Pearson matrix with explicit undefined-entry tracking.
-
-    ``values`` carries NaN placeholders wherever ``defined`` is False (a
-    constant column); report writers must render those as ``undefined``
-    rather than a number.
-    """
-
-    values: np.ndarray
-    defined: np.ndarray
-    feature_names: tuple[str, ...]
-
-
-def pearson_matrix(dataset: LabeledFeatureSet) -> CorrelationMatrix:
-    """Symmetric unit-diagonal correlation matrix of the feature columns."""
+def pearson_matrix(dataset: LabeledFeatureSet) -> np.ndarray:
+    """Symmetric unit-diagonal ``(f, f)`` correlation matrix of the features,
+    NaN off the diagonal where either column is constant.  Pairs go through
+    `pearson`: ``np.corrcoef`` rounds differently and moves report bytes."""
     feats = dataset.features
     if dataset.n < 2:
         raise ValueError("need at least 2 rows")
     f = feats.shape[1]
     values = np.eye(f)
-    defined = np.ones((f, f), dtype=bool)
     constant = feats.std(axis=0) == 0
     for i in range(f):
         for j in range(i + 1, f):
-            if constant[i] or constant[j]:
-                values[i, j] = values[j, i] = np.nan
-                defined[i, j] = defined[j, i] = False
-            else:
-                r = pearson(feats[:, i], feats[:, j])
-                values[i, j] = values[j, i] = r
-    return CorrelationMatrix(values, defined, tuple(dataset.feature_names))
+            values[i, j] = values[j, i] = (
+                np.nan if constant[i] or constant[j]
+                else pearson(feats[:, i], feats[:, j]))
+    return values
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -416,6 +418,21 @@ def test_serialization_round_trip(tmp_path):
                                   loaded.predict_proba(queries))
     assert model_to_text(loaded) == model_to_text(model)
     np.testing.assert_array_equal(loaded.importances, model.importances)
+
+
+def test_save_model_failed_rename_keeps_old_file(tmp_path, monkeypatch):
+    ds = blobs(n_per_class=20, seed=22)
+    path = tmp_path / "model.txt"
+    save_model(train_forest(ds, ForestParams(n_trees=2), seed=1), path)
+    old = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        save_model(train_forest(ds, ForestParams(n_trees=3), seed=2), path)
+    assert path.read_bytes() == old
 
 
 def test_serialization_rejects_garbage():

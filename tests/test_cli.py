@@ -1,6 +1,7 @@
 import csv
 import io
 import shutil
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ def test_extract_missing_file_exit_2(tmp_path):
 def test_bad_flags_exit_4(tmp_path):
     assert main(["train-eval", "--input", "x.csv"]) == 4  # missing --out-dir
     assert main(["no-such-command"]) == 4
+    gen = ["gen-dataset", "--out-dir", str(tmp_path / "g"),
+           "--frames-per-device", "1", "--no-timestamp"]
+    # the etalon needs 64 samples; the pi table holds 8192 digits
+    for frame_len in ("10", "63", "8193", "9000"):
+        assert main(gen + ["--frame-len", frame_len]) == 4, frame_len
+    one = tmp_path / "one_profile.json"
+    one.write_text("[{}]")
+    assert main(gen + ["--profiles", str(one)]) == 4
+    assert not (tmp_path / "g").exists()  # rejected before any write
+    for frame_len in ("64", "8192"):
+        assert main(gen + ["--frame-len", frame_len]) == 0, frame_len
 
 
 def test_stats_outputs(small_dataset, tmp_path):
@@ -262,6 +274,39 @@ def test_pipeline_reproducibility_end_to_end(tmp_path):
         assert outputs["r1"][name] == outputs["r2"][name], name
 
 
+def test_timestamped_layout(small_dataset, tmp_path):
+    """Line 1 is the UTC generated stamp, then any seed or summary comment;
+    without line 1 each file equals its --no-timestamp twin byte for byte."""
+    _, _, features = small_dataset
+    runs = {}
+    for flags in ([], ["--no-timestamp"]):
+        base = tmp_path / ("plain" if flags else "stamped")
+        assert main(["gen-dataset", "--out-dir", str(base / "raw"),
+                     "--frames-per-device", "2", "--frame-len", "256",
+                     "--seed", "7"] + flags) == 0
+        assert main(["train-eval", "--input", str(features),
+                     "--out-dir", str(base / "ml"), "--trees", "2",
+                     "--classifiers", "forest", "--seed", "1"] + flags) == 0
+        assert main(["explain", "--model", str(base / "ml" / "model.txt"),
+                     "--input", str(features), "--row", "0",
+                     "--n-perturbations", "100",
+                     "--out", str(base / "explanation.csv")] + flags) == 0
+        runs[base.name] = {p.relative_to(base).as_posix(): p.read_bytes()
+                           for p in base.rglob("*.csv")}
+    stamped, plain = runs["stamped"], runs["plain"]
+    assert sorted(stamped) == sorted(plain) and len(stamped) == 5
+    for name, blob in stamped.items():
+        first, rest = blob.decode().split("\n", 1)
+        assert first.startswith("# generated "), name
+        when = datetime.fromisoformat(first[len("# generated "):])
+        assert when.utcoffset() == timedelta(0), name
+        assert rest.encode() == plain[name], name
+    for name, comment in (("raw/manifest.csv", "# seed 7\n"),
+                          ("ml/metrics.csv", "# seed 1\n"),
+                          ("explanation.csv", "# predicted_class=")):
+        assert stamped[name].decode().splitlines(True)[1].startswith(comment)
+
+
 def test_default_dataset_size_is_30000_frames():
     from radiofp.cli import build_parser
 
@@ -324,7 +369,8 @@ def _manifest_row(text, edit):
     return "\n".join(lines) + "\n"
 
 
-# (case, file corrupted, corruption of its text, or of its bytes for "iq")
+# (case, file corrupted, corruption of its text, or of its bytes for
+#  "iq" and "etalon")
 MALFORMED_INPUTS = [
     ("model_cut_inside_meta", "model",
      lambda t: t[:t.index("meta ") + 30]),
@@ -350,6 +396,13 @@ MALFORMED_INPUTS = [
     ("manifest_profile_not_object", "manifest",
      lambda t: _manifest_row(t, lambda f: f[:3] + ["[1, 2]"])),
     ("iq_odd_float_count", "iq", lambda b: b[:-4]),
+    ("etalon_too_short", "etalon", lambda b: b[:8 * 63]),
+    ("etalon_zero_energy", "etalon", lambda b: bytes(len(b))),
+    ("profiles_not_a_list", "profiles", lambda t: '{"a": 1}'),
+    ("profiles_dc_offset_not_a_pair", "profiles",
+     lambda t: '[{"dc_offset": 5}, {}]'),
+    ("profiles_entry_not_object", "profiles", lambda t: '[{}, "x"]'),
+    ("profiles_not_json", "profiles", lambda t: t[:-1]),
 ]
 
 
@@ -358,11 +411,14 @@ MALFORMED_INPUTS = [
 def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
                                          small_model, tmp_path, capsys):
     _, raw, features = small_dataset
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text("[{}, {}]")
     source = {"model": small_model, "csv": features, "iq": raw / "device_0.iq",
-              "manifest": raw / "manifest.csv"}[target]
+              "manifest": raw / "manifest.csv", "etalon": raw / "etalon.iq",
+              "profiles": profiles}[target]
     # a manifest names its streams relative to its own directory
     bad = (raw if target == "manifest" else tmp_path) / f"{case}{source.suffix}"
-    if target == "iq":
+    if target in ("iq", "etalon"):
         bad.write_bytes(corrupt(source.read_bytes()))
     else:
         bad.write_text(corrupt(source.read_text()))
@@ -371,6 +427,12 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
                 "--row", "0", "--out", str(tmp_path / "e.csv")]
     elif target == "csv":
         argv = ["stats", "--input", str(bad), "--out-dir", str(tmp_path / "s")]
+    elif target == "profiles":
+        argv = ["gen-dataset", "--out-dir", str(tmp_path / "g"),
+                "--profiles", str(bad), "--frames-per-device", "1"]
+    elif target == "etalon":
+        argv = ["extract", "--input", str(raw / "manifest.csv"),
+                "--etalon", str(bad), "--out", str(tmp_path / "f.csv")]
     else:
         argv = ["extract", "--input", str(bad),
                 "--etalon", str(raw / "etalon.iq"),

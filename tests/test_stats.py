@@ -145,10 +145,10 @@ def test_pearson_matrix_duplicated_column():
     feats[:, 4] = feats[:, 0]  # P5 duplicates P1
     ds = make_set(feats, rng.integers(0, 2, size=50))
     mat = stats.pearson_matrix(ds)
-    assert mat.values[0, 4] == pytest.approx(1.0)
-    np.testing.assert_array_equal(mat.values, mat.values.T)
-    np.testing.assert_allclose(np.diag(mat.values), 1.0)
-    assert mat.defined.all()
+    assert mat[0, 4] == pytest.approx(1.0)
+    np.testing.assert_array_equal(mat, mat.T)
+    np.testing.assert_allclose(np.diag(mat), 1.0)
+    assert not np.isnan(mat).any()
 
 
 def test_pearson_matrix_constant_column_marked_undefined():
@@ -157,9 +157,8 @@ def test_pearson_matrix_constant_column_marked_undefined():
     feats[:, 6] = 2.0
     ds = make_set(feats, rng.integers(0, 2, size=30))
     mat = stats.pearson_matrix(ds)
-    assert not mat.defined[6, 0]
-    assert np.isnan(mat.values[6, 0])
-    assert mat.values[6, 6] == 1.0  # self-correlation kept by convention
+    assert np.isnan(mat[6, 0])
+    assert mat[6, 6] == 1.0  # self-correlation kept by convention
 
 
 def test_significance_report_sorted_and_flagged():

@@ -82,49 +82,41 @@ class Tree:
         return node
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p @ p))
-
-
 def _best_split(x_node, y_node, feature_ids, n_classes, parent_counts):
     """Best (feature, threshold, gain) over midpoints of distinct values.
 
+    Every candidate feature is scored in one pass: the columns are sorted
+    together, and one cumulative class count of shape (n-1, features,
+    classes) gives the Gini gain of each cut between sorted neighbours.
     Returns None when no feature in the subset has two distinct values.
-    Gains are compared strictly, so the first candidate in (feature asc,
-    threshold asc) order wins ties.
+    ``argmax`` over the gains in feature-major order takes the first
+    maximum, so the lowest feature, then the lowest threshold, wins ties.
     """
     n = y_node.size
-    parent_gini = _gini(parent_counts)
+    x = x_node[:, feature_ids]
+    # the sort need not be stable: cuts between equal values are masked,
+    # and the class counts left of any other cut do not depend on the
+    # order of equal values
+    order = np.argsort(x, axis=0)
+    xs = np.take_along_axis(x, order, axis=0)
     onehot = (y_node[:, None] == np.arange(n_classes)).astype(np.float64)
-    best = None
-    best_gain = -1.0
-    n_left = np.arange(1, n, dtype=np.float64)
+    left = np.cumsum(onehot[order], axis=0)[:-1]
+    right = parent_counts - left
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
     n_right = n - n_left
-    for f in feature_ids:
-        x = x_node[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        valid = xs[:-1] < xs[1:]
-        left = np.cumsum(onehot[order], axis=0)[:-1]
-        right = parent_counts - left
-        gini_l = 1.0 - np.einsum("ij,ij->i", left, left) / n_left**2
-        gini_r = 1.0 - np.einsum("ij,ij->i", right, right) / n_right**2
-        gains = parent_gini - (n_left * gini_l + n_right * gini_r) / n
-        gains[~valid] = -np.inf
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain:
-            thr = (xs[i] + xs[i + 1]) / 2.0
-            if thr >= xs[i + 1]:  # adjacent floats can round the midpoint up
-                thr = float(xs[i])
-            best_gain = float(gains[i])
-            best = (int(f), float(thr), best_gain)
-    return best
+    p = parent_counts / n
+    parent_gini = 1.0 - p @ p
+    gini_l = 1.0 - np.einsum("ijk,ijk->ij", left, left) / n_left**2
+    gini_r = 1.0 - np.einsum("ijk,ijk->ij", right, right) / n_right**2
+    gains = parent_gini - (n_left * gini_l + n_right * gini_r) / n
+    gains[xs[:-1] == xs[1:]] = -np.inf
+    f, i = divmod(int(np.argmax(gains.T)), n - 1)
+    if gains[i, f] == -np.inf:
+        return None
+    thr = (xs[i, f] + xs[i + 1, f]) / 2.0
+    if thr >= xs[i + 1, f]:  # adjacent floats can round the midpoint up
+        thr = xs[i, f]
+    return int(feature_ids[f]), float(thr), float(gains[i, f])
 
 
 def _grow_tree(features, labels, indices, max_depth, min_samples_split,
@@ -148,11 +140,8 @@ def _grow_tree(features, labels, indices, max_depth, min_samples_split,
         if (n < max(2, min_samples_split) or node_counts.max() == n
                 or (max_depth is not None and depth >= max_depth)):
             continue
-        if features_per_split >= n_features:
-            feats = np.arange(n_features)
-        else:
-            feats = np.sort(rng.choice(n_features, features_per_split,
-                                       replace=False))
+        feats = np.sort(rng.choice(n_features, features_per_split,
+                                   replace=False))
         best = _best_split(features[idx], labels[idx], feats,
                            n_classes, node_counts.astype(np.float64))
         if best is None:
@@ -240,6 +229,11 @@ def train_forest(dataset: LabeledFeatureSet,
     labels = dataset.labels
     n_classes = dataset.n_classes
     per_split = params.resolved_features_per_split(dataset.n_features)
+    if per_split < 1:
+        raise ValueError("features_per_split must be at least 1")
+    # rng.choice cannot draw more than n_features; a full draw sorts to
+    # every feature, whatever the rng state
+    per_split = min(per_split, dataset.n_features)
 
     trees = []
     for t in range(params.n_trees):
@@ -416,13 +410,12 @@ def stratified_kfold(dataset: LabeledFeatureSet, k: int, seed: int) -> list:
             f"smallest class has {counts.min()} members, need >= {k}"
         )
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
+    fold = np.full(dataset.n, -1)
     for cls in range(dataset.n_classes):
-        idx = np.nonzero(dataset.labels == cls)[0]
+        idx = np.flatnonzero(dataset.labels == cls)
         rng.shuffle(idx)
-        for i, sample in enumerate(idx):
-            folds[i % k].append(int(sample))
-    return [np.sort(np.array(f, dtype=int)) for f in folds]
+        fold[idx] = np.arange(idx.size) % k
+    return [np.flatnonzero(fold == i) for i in range(k)]
 
 
 @dataclass
@@ -489,6 +482,8 @@ def random_grid_search(dataset: LabeledFeatureSet, grid: HyperparamGrid,
     combos = grid.combinations()
     if not combos:
         raise ValueError("empty hyperparameter grid")
+    if grid.iterations < 1:
+        raise ValueError("need at least one search iteration")
     n_eval = min(grid.iterations, len(combos))
     rng = np.random.default_rng(derive_seed(seed, 0xC0))
     chosen = rng.choice(len(combos), size=n_eval, replace=False)

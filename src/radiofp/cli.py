@@ -89,22 +89,28 @@ def _parse_feature_mask(text: str) -> list:
 
 
 def _load_profiles(path, n_devices: int) -> list:
-    if path is None:
-        if n_devices > len(DEFAULT_PROFILES):
-            raise ConfigError(
-                f"only {len(DEFAULT_PROFILES)} built-in device profiles; "
-                "pass --profiles for more"
-            )
-        return list(DEFAULT_PROFILES[:n_devices])
-    profiles = dataio.read_profiles(path)
+    """--profiles if given, else the first --devices built-in profiles."""
+    if path is not None:
+        profiles = dataio.read_profiles(path)
+    elif n_devices > len(DEFAULT_PROFILES):
+        raise ConfigError(
+            f"only {len(DEFAULT_PROFILES)} built-in device profiles; "
+            "pass --profiles for more"
+        )
+    else:
+        profiles = list(DEFAULT_PROFILES[:n_devices])
     if len(profiles) < 2:
-        raise ConfigError("need at least 2 device profiles")
+        raise ConfigError("need at least 2 devices (--devices or --profiles)")
     return profiles
 
 
 def cmd_gen_dataset(args) -> int:
     if not MIN_ETALON_LEN <= args.frame_len <= PI_DIGIT_COUNT:
         raise ConfigError(f"--frame-len not in {MIN_ETALON_LEN}..{PI_DIGIT_COUNT}")
+    if args.frames_per_device < 1:
+        raise ConfigError("--frames-per-device must be at least 1")
+    if args.lead_in < 0:
+        raise ConfigError("--lead-in must be at least 0")
     profiles = _load_profiles(args.profiles, args.devices)
     profiles = [dataclasses.replace(p, snr_db=args.snr_db) for p in profiles]
     out_dir = Path(args.out_dir)

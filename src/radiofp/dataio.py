@@ -35,8 +35,12 @@ FEATURE_CSV_HEADER = ["label", *FEATURE_NAMES]
 def atomic_write_bytes(path, data: bytes) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:

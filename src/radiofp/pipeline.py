@@ -10,8 +10,9 @@ feature extraction.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,8 +59,8 @@ def transnoise_etalon(length: int = DEFAULT_FRAME_LEN,
 class ImpairmentProfile:
     """Analog front-end imperfections of one simulated transmitter.
 
-    ``snr_db=None`` disables additive noise entirely (an ideal channel);
-    when set it must be finite.
+    Every field must be finite.  ``snr_db=None`` disables additive noise
+    entirely (an ideal channel).
     """
 
     gain_imbalance: float = 0.0
@@ -70,10 +71,13 @@ class ImpairmentProfile:
     snr_db: float | None = None
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (value is None and field.name == "snr_db"
+                    or cmath.isfinite(value)):
+                raise ValueError(f"{field.name} must be finite")
         if self.phase_noise_rms < 0:
             raise ValueError("phase_noise_rms must be >= 0")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite (or None to disable)")
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,7 +175,8 @@ def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
     x = np.asarray(stream, dtype=complex)
     length = e.size
     if x.size < length:
-        raise ValueError("stream shorter than one frame")
+        raise SyncNotFoundError(
+            f"stream of {x.size} samples is shorter than one frame ({length})")
 
     mag = _cross_correlation_mag(x, e)
 

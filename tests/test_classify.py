@@ -89,6 +89,80 @@ def test_forest_reduces_to_tree():
     np.testing.assert_array_equal(forest.predict(grid), tree.predict(grid))
 
 
+def test_forest_features_per_split_range():
+    ds = blobs(seed=1, n_features=3)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="features_per_split"):
+            train_forest(ds, ForestParams(n_trees=1, features_per_split=bad))
+    # a request above n_features takes every feature, as n_features does
+    full, over = (train_forest(ds, ForestParams(n_trees=3, features_per_split=f),
+                               seed=4) for f in (3, 7))
+    for a, b in zip(full.trees, over.trees):
+        np.testing.assert_array_equal(a.feature, b.feature)
+        np.testing.assert_array_equal(a.threshold, b.threshold)
+
+
+def _best_split_reference(x_node, y_node, feature_ids, n_classes,
+                          parent_counts):
+    """One feature at a time: sort, cumulate class counts, strict '>'."""
+    def gini(counts):
+        p = counts / counts.sum()
+        return float(1.0 - (p @ p))
+
+    n = y_node.size
+    onehot = (y_node[:, None] == np.arange(n_classes)).astype(np.float64)
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = n - n_left
+    best, best_gain = None, -1.0
+    for f in feature_ids:
+        order = np.argsort(x_node[:, f], kind="stable")
+        xs = x_node[order, f]
+        if xs[0] == xs[-1]:
+            continue
+        left = np.cumsum(onehot[order], axis=0)[:-1]
+        right = parent_counts - left
+        gini_l = 1.0 - np.einsum("ij,ij->i", left, left) / n_left**2
+        gini_r = 1.0 - np.einsum("ij,ij->i", right, right) / n_right**2
+        gains = gini(parent_counts) - (n_left * gini_l + n_right * gini_r) / n
+        gains[~(xs[:-1] < xs[1:])] = -np.inf
+        i = int(np.argmax(gains))
+        if gains[i] > best_gain:
+            thr = (xs[i] + xs[i + 1]) / 2.0
+            if thr >= xs[i + 1]:
+                thr = xs[i]
+            best_gain = float(gains[i])
+            best = (int(f), float(thr), best_gain)
+    return best
+
+
+def test_best_split_matches_per_feature_loop():
+    rng = np.random.default_rng(31)
+    splits = 0
+    for trial in range(2000):
+        n, n_feat, n_classes = rng.integers(2, 50), rng.integers(1, 7), \
+            rng.integers(2, 4)
+        kind = trial % 4
+        if kind == 0:  # few distinct values: ties within and across features
+            x = rng.integers(0, 3, size=(n, n_feat)).astype(float)
+        elif kind == 1:  # one constant column among continuous ones
+            x = rng.normal(size=(n, n_feat))
+            x[:, rng.integers(n_feat)] = 0.25
+        elif kind == 2:  # adjacent floats, whose midpoint rounds up
+            base = rng.normal()
+            x = base + rng.integers(0, 3, size=(n, n_feat)) * np.spacing(base)
+        else:
+            x = rng.normal(size=(n, n_feat)).round(1)
+        y = rng.integers(0, n_classes, size=n)
+        counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+        feats = np.sort(rng.choice(n_feat, rng.integers(1, n_feat + 1),
+                                   replace=False))
+        got = classify._best_split(x, y, feats, n_classes, counts)
+        want = _best_split_reference(x, y, feats, n_classes, counts)
+        assert got == want, (trial, got, want)
+        splits += want is not None
+    assert splits > 1800  # most nodes split; the rest exercise None
+
+
 def test_forest_separable_blobs_cv():
     ds = blobs(n_per_class=150, spread=0.2, seed=4)
     res = evaluate(ds, lambda d, s: train_forest(d, ForestParams(n_trees=20), s),
@@ -324,6 +398,22 @@ def test_stratified_kfold_deterministic():
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
+def test_stratified_kfold_matches_per_sample_assignment():
+    rng = np.random.default_rng(16)
+    labels = rng.integers(0, 3, size=103)
+    ds = LabeledFeatureSet.from_rows(labels, rng.normal(size=(103, 2)))
+    # reference: shuffle each class, deal its samples to folds 0, 1, ..., k-1
+    ref_rng = np.random.default_rng(8)
+    want = [[] for _ in range(5)]
+    for cls in range(ds.n_classes):
+        idx = np.nonzero(ds.labels == cls)[0]
+        ref_rng.shuffle(idx)
+        for i, sample in enumerate(idx):
+            want[i % 5].append(int(sample))
+    got = stratified_kfold(ds, 5, seed=8)
+    assert [f.tolist() for f in got] == [sorted(f) for f in want]
+
+
 def test_stratified_kfold_too_few():
     ds = LabeledFeatureSet.from_rows([0, 0, 0, 1], np.zeros((4, 2)))
     with pytest.raises(TooFewSamplesError):
@@ -433,6 +523,7 @@ def test_save_model_failed_rename_keeps_old_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename failed"):
         save_model(train_forest(ds, ForestParams(n_trees=3), seed=2), path)
     assert path.read_bytes() == old
+    assert list(tmp_path.glob("*.tmp*")) == []
 
 
 def test_serialization_rejects_garbage():

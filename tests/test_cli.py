@@ -103,20 +103,40 @@ def test_extract_missing_file_exit_2(tmp_path):
     assert code == 2
 
 
-def test_bad_flags_exit_4(tmp_path):
+def test_bad_flags_exit_4(small_dataset, tmp_path, capsys):
     assert main(["train-eval", "--input", "x.csv"]) == 4  # missing --out-dir
     assert main(["no-such-command"]) == 4
     gen = ["gen-dataset", "--out-dir", str(tmp_path / "g"),
            "--frames-per-device", "1", "--no-timestamp"]
-    # the etalon needs 64 samples; the pi table holds 8192 digits
-    for frame_len in ("10", "63", "8193", "9000"):
-        assert main(gen + ["--frame-len", frame_len]) == 4, frame_len
     one = tmp_path / "one_profile.json"
     one.write_text("[{}]")
-    assert main(gen + ["--profiles", str(one)]) == 4
+    # the etalon needs 64 samples; the pi table holds 8192 digits; a dataset
+    # needs 2 devices and a frame per device
+    for flags in (["--frame-len", "10"], ["--frame-len", "63"],
+                  ["--frame-len", "8193"], ["--frame-len", "9000"],
+                  ["--profiles", str(one)], ["--devices", "0"],
+                  ["--devices", "1"], ["--devices", "-1"],
+                  ["--frames-per-device", "0"], ["--frames-per-device", "-3"],
+                  ["--lead-in", "-1"]):
+        capsys.readouterr()
+        assert main(gen + flags) == 4, flags
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert not (tmp_path / "g").exists()  # rejected before any write
     for frame_len in ("64", "8192"):
         assert main(gen + ["--frame-len", frame_len]) == 0, frame_len
+
+    _, _, features = small_dataset
+    train = ["train-eval", "--input", str(features), "--classifiers", "forest",
+             "--trees", "2", "--no-timestamp"]
+    for flags in (["--features-per-split", "0"],
+                  ["--features-per-split", "-1"],
+                  ["--search", "--iterations", "0"]):
+        capsys.readouterr()
+        assert main(train + ["--out-dir", str(tmp_path / "t")] + flags) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err
 
 
 def test_stats_outputs(small_dataset, tmp_path):
@@ -403,6 +423,11 @@ MALFORMED_INPUTS = [
      lambda t: '[{"dc_offset": 5}, {}]'),
     ("profiles_entry_not_object", "profiles", lambda t: '[{}, "x"]'),
     ("profiles_not_json", "profiles", lambda t: t[:-1]),
+    ("profiles_gain_not_finite", "profiles",
+     lambda t: '[{"gain_imbalance": 1e999}, {}]'),
+    ("profiles_dc_offset_nan", "profiles",
+     lambda t: '[{}, {"dc_offset": [0, NaN]}]'),
+    ("iq_shorter_than_one_frame", "iq", lambda b: b[:8 * 10]),
 ]
 
 
@@ -443,3 +468,5 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
     assert code == 2, err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert "Traceback" not in err
+    if target == "profiles":
+        assert not (tmp_path / "g").exists()  # rejected before any write

@@ -81,8 +81,16 @@ def test_simulate_deterministic():
 def test_profile_validation():
     with pytest.raises(ValueError):
         ImpairmentProfile(phase_noise_rms=-0.1)
-    with pytest.raises(ValueError):
-        ImpairmentProfile(snr_db=float("inf"))
+    bad = float("inf"), float("-inf"), float("nan")
+    for field in ("gain_imbalance", "quadrature_error", "phase_noise_rms",
+                  "cubic_nonlinearity", "snr_db"):
+        for value in bad:
+            with pytest.raises(ValueError, match=field):
+                ImpairmentProfile(**{field: value})
+    for value in bad:
+        for dc in (complex(value, 0.0), complex(0.0, value)):
+            with pytest.raises(ValueError, match="dc_offset"):
+                ImpairmentProfile(dc_offset=dc)
 
 
 def test_profile_json_round_trip():
@@ -143,6 +151,8 @@ def test_synchronize_rejects_noise():
     noise = rng.normal(size=4096) + 1j * rng.normal(size=4096)
     with pytest.raises(SyncNotFoundError):
         pipeline.synchronize(noise, etalon, threshold=20.0)
+    with pytest.raises(SyncNotFoundError, match="shorter than one frame"):
+        pipeline.synchronize(etalon[:255], etalon)
 
 
 def test_error_phase_pure_gain_absorbed():

@@ -137,7 +137,7 @@ def _grow_tree(features, labels, indices, max_depth, min_samples_split,
         left.append(-1)
         right.append(-1)
         n = idx.size
-        if (n < max(2, min_samples_split) or node_counts.max() == n
+        if (n < min_samples_split or node_counts.max() == n
                 or (max_depth is not None and depth >= max_depth)):
             continue
         feats = np.sort(rng.choice(n_features, features_per_split,
@@ -163,6 +163,14 @@ class ForestParams:
     min_samples_split: int = 2
     features_per_split: int | None = None
     bootstrap: bool = True
+
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be at least 1")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise ValueError("features_per_split must be at least 1")
+        if self.min_samples_split < 2:
+            raise ValueError("min_samples_split must be at least 2")
 
     def resolved_features_per_split(self, n_features: int) -> int:
         if self.features_per_split is None:
@@ -223,8 +231,6 @@ def train_forest(dataset: LabeledFeatureSet,
     if dataset.n == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     params = params or ForestParams()
-    if params.n_trees < 1:
-        raise ValueError("need at least one tree")
     feats = dataset.features
     labels = dataset.labels
     n_classes = dataset.n_classes
@@ -461,6 +467,10 @@ class HyperparamGrid:
     features_per_split: tuple = (2, 3, 4)
     iterations: int = 40
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError("need at least one search iteration")
+
     def combinations(self) -> list:
         return [
             ForestParams(n_trees=nt, max_depth=md, min_samples_split=ms,
@@ -482,8 +492,6 @@ def random_grid_search(dataset: LabeledFeatureSet, grid: HyperparamGrid,
     combos = grid.combinations()
     if not combos:
         raise ValueError("empty hyperparameter grid")
-    if grid.iterations < 1:
-        raise ValueError("need at least one search iteration")
     n_eval = min(grid.iterations, len(combos))
     rng = np.random.default_rng(derive_seed(seed, 0xC0))
     chosen = rng.choice(len(combos), size=n_eval, replace=False)

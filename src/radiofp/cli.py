@@ -182,6 +182,8 @@ def cmd_extract(args) -> int:
 def cmd_stats(args) -> int:
     from .stats import histogram, pearson_matrix, significance_report
 
+    if args.bins < 1:
+        raise ConfigError("--bins must be at least 1")
     dataset = dataio.read_feature_csv(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,16 +228,22 @@ def _trainers(args, params):
 
 
 def cmd_train_eval(args) -> int:
+    if args.folds < 2:
+        raise ConfigError("--folds must be at least 2")
+    if args.knn_k < 1:
+        raise ConfigError("--knn-k must be at least 1")
+    params = _forest_params(args)
+    trainers = _trainers(args, params)
+    grid = HyperparamGrid(iterations=args.iterations) if args.search else None
     dataset = dataio.read_feature_csv(args.input)
     if args.features_mask:
         dataset = dataset.select_features(_parse_feature_mask(args.features_mask))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = not args.no_timestamp
-    params = _forest_params(args)
 
     metric_rows = []
-    for name, trainer in _trainers(args, params):
+    for name, trainer in trainers:
         result = evaluate(dataset, trainer, args.folds, args.seed)
         for fold, acc in enumerate(result.fold_accuracies):
             metric_rows.append((name, fold, acc))
@@ -246,8 +254,7 @@ def cmd_train_eval(args) -> int:
         print(f"{name}: mean accuracy {result.mean_accuracy:.4f}")
 
     best_params = params
-    if args.search:
-        grid = HyperparamGrid(iterations=args.iterations)
+    if grid is not None:
         best_params, best_result = random_grid_search(
             dataset, grid, args.folds, args.seed)
         metric_rows.append(("forest_search", "mean", best_result.mean_accuracy))

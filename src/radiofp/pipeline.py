@@ -168,9 +168,14 @@ def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
     the first L lags; subsequent frames re-synchronize inside a
     ``search_width`` window around last lag + L so a slow sampling-clock
     offset cannot accumulate.  Each accepted peak must exceed ``threshold``
-    times the mean correlation magnitude; the first peak that does not ends
-    the search.
+    (finite and > 0) times the mean correlation magnitude outside the peak's
+    five-lag neighbourhood; the first peak that does not ends the search.
+    The magnitudes are summed once, so the whole search is linear in the
+    stream length.
     """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError("sync threshold must be finite and > 0, "
+                         f"not {threshold}")
     e = _check_etalon(etalon)
     x = np.asarray(stream, dtype=complex)
     length = e.size
@@ -179,22 +184,26 @@ def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
             f"stream of {x.size} samples is shorter than one frame ({length})")
 
     mag = _cross_correlation_mag(x, e)
+    total = float(mag.sum())
 
     def ratio(k: int) -> float:
-        # mean magnitude outside the peak's immediate neighbourhood; with no
-        # outside lags left (stream barely longer than one frame) the test
-        # degenerates and any non-zero peak is accepted
-        outside = np.concatenate([mag[: max(0, k - 2)], mag[k + 3 :]])
-        if outside.size == 0:
+        # mean magnitude outside mag[lo:hi], the peak's immediate
+        # neighbourhood; with no outside lags left (stream barely longer
+        # than one frame) the test degenerates and any non-zero peak is
+        # accepted.  Where every outside lag is zero, the subtraction can
+        # leave a rounding residue of either sign, hence <= 0.
+        lo, hi = max(0, k - 2), min(mag.size, k + 3)
+        count = mag.size - (hi - lo)
+        if count == 0:
             return math.inf if mag[k] > 0 else 0.0
-        mean_mag = float(outside.mean())
-        return math.inf if mean_mag == 0.0 else float(mag[k]) / mean_mag
+        mean_mag = (total - float(mag[lo:hi].sum())) / count
+        return math.inf if mean_mag <= 0.0 else float(mag[k]) / mean_mag
 
     k0 = int(np.argmax(mag[: min(length, mag.size)]))
-    if ratio(k0) < threshold:
+    first = ratio(k0)
+    if first < threshold:
         raise SyncNotFoundError(
-            f"peak-to-mean ratio {ratio(k0):.2f} below {threshold}"
-        )
+            f"peak-to-mean ratio {first:.2f} below {threshold}")
 
     lags = []
     k = k0

@@ -126,17 +126,36 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys):
     for frame_len in ("64", "8192"):
         assert main(gen + ["--frame-len", frame_len]) == 0, frame_len
 
-    _, _, features = small_dataset
+    _, raw, features = small_dataset
+    extract = ["extract", "--input", str(raw / "manifest.csv"),
+               "--etalon", str(raw / "etalon.iq"),
+               "--out", str(tmp_path / "f.csv"), "--sync-threshold"]
     train = ["train-eval", "--input", str(features), "--classifiers", "forest",
-             "--trees", "2", "--no-timestamp"]
-    for flags in (["--features-per-split", "0"],
-                  ["--features-per-split", "-1"],
-                  ["--search", "--iterations", "0"]):
+             "--trees", "2", "--no-timestamp", "--out-dir", str(tmp_path / "t")]
+    stats = ["stats", "--input", str(features), "--out-dir",
+             str(tmp_path / "s"), "--bins"]
+    # each is rejected before any work or write
+    for argv in (extract + ["nan"], extract + ["-1"], extract + ["0"],
+                 extract + ["inf"],
+                 train + ["--features-per-split", "0"],
+                 train + ["--features-per-split", "-1"],
+                 train + ["--search", "--iterations", "0"],
+                 train + ["--classifiers", "knn", "--features-per-split", "0"],
+                 train + ["--classifiers", "knn,logreg", "--search",
+                          "--iterations", "0"],
+                 train + ["--classifiers", "forest,nope"],
+                 train + ["--min-samples-split", "1"],
+                 train + ["--min-samples-split", "-5"],
+                 train + ["--knn-k", "0"], train + ["--trees", "0"],
+                 train + ["--folds", "1"],
+                 stats + ["0"], stats + ["-3"]):
         capsys.readouterr()
-        assert main(train + ["--out-dir", str(tmp_path / "t")] + flags) == 4
+        assert main(argv) == 4, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "Traceback" not in err
+    for out in ("f.csv", "t", "s"):
+        assert not (tmp_path / out).exists(), out
 
 
 def test_stats_outputs(small_dataset, tmp_path):

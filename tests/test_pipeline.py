@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,95 @@ def test_synchronize_rejects_noise():
         pipeline.synchronize(noise, etalon, threshold=20.0)
     with pytest.raises(SyncNotFoundError, match="shorter than one frame"):
         pipeline.synchronize(etalon[:255], etalon)
+
+
+def _synchronize_reference(stream, etalon, threshold):
+    """The quadratic search: every test re-averages the outside lags."""
+    e = pipeline._check_etalon(etalon)
+    x = np.asarray(stream, dtype=complex)
+    length = e.size
+    if x.size < length:
+        raise SyncNotFoundError(
+            f"stream of {x.size} samples is shorter than one frame ({length})")
+    mag = pipeline._cross_correlation_mag(x, e)
+
+    def ratio(k):
+        outside = np.concatenate([mag[: max(0, k - 2)], mag[k + 3 :]])
+        if outside.size == 0:
+            return math.inf if mag[k] > 0 else 0.0
+        mean_mag = float(outside.mean())
+        return math.inf if mean_mag == 0.0 else float(mag[k]) / mean_mag
+
+    k0 = int(np.argmax(mag[: min(length, mag.size)]))
+    if ratio(k0) < threshold:
+        raise SyncNotFoundError(
+            f"peak-to-mean ratio {ratio(k0):.2f} below {threshold}")
+    lags = []
+    k = k0
+    while k + length <= x.size:
+        lags.append(k)
+        expected = k + length
+        if expected + length > x.size:
+            break
+        lo = max(0, expected - 8)
+        k_next = lo + int(np.argmax(mag[lo:min(mag.size, expected + 9)]))
+        if ratio(k_next) < threshold:
+            break
+        k = k_next
+    return np.array(lags, dtype=np.int64)
+
+
+def _random_sync_stream(rng, etalon, kind):
+    """Noisy etalon repetitions with lead-ins, gaps and partial frames."""
+    length = etalon.size
+
+    def noise(n, sigma):
+        return sigma * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    def gap(n):  # zeros or noise
+        return np.zeros(n, dtype=complex) if rng.random() < 0.5 \
+            else noise(n, rng.uniform(0.1, 2.0))
+
+    if kind == 0:  # L .. L+4 samples: the outside set is empty or tiny
+        n = length + int(rng.integers(0, 5))
+        shift = int(rng.integers(0, n - length + 1))
+        stream = noise(n, rng.uniform(0.0, 0.5))
+        if rng.random() < 0.8:
+            stream[shift:shift + length] += etalon
+        return stream
+    if kind == 1:  # noise alone
+        return noise(int(rng.integers(length, 12 * length)), 1.0)
+    parts = [gap(int(rng.integers(0, 2 * length)))]
+    for _ in range(int(rng.integers(1, 16))):
+        sigma = rng.choice([0.05, 0.5, 1.0, 2.0, 4.0])
+        parts.append(etalon + noise(length, sigma))
+        if kind == 3 and rng.random() < 0.15:
+            parts.append(gap(int(rng.integers(1, 3 * length))))
+    parts.append(etalon[: int(rng.integers(0, length))])  # partial frame
+    return np.concatenate(parts)
+
+
+def test_synchronize_matches_quadratic_reference():
+    rng = np.random.default_rng(2024)
+    etalon = pipeline.transnoise_etalon(64)
+    seen = {"lags": 0, "early stop": 0, "error": 0}
+    for trial in range(600):
+        stream = _random_sync_stream(rng, etalon, trial % 4)
+        threshold = float(rng.uniform(1.5, 5.0))
+        outcomes = []
+        for sync in (pipeline.synchronize, _synchronize_reference):
+            try:
+                outcomes.append(sync(stream, etalon, threshold).tolist())
+            except SyncNotFoundError as exc:
+                outcomes.append((type(exc), str(exc)))
+        got, want = outcomes
+        assert got == want, (trial, threshold, got, want)
+        if isinstance(want, tuple):
+            seen["error"] += 1
+        else:
+            seen["lags"] += 1
+            seen["early stop"] += (want[-1] + 2 * etalon.size <= stream.size)
+    assert min(seen.values()) > 50, seen
 
 
 def test_error_phase_pure_gain_absorbed():

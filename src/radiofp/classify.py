@@ -82,76 +82,173 @@ class Tree:
         return node
 
 
-def _best_split(x_node, y_node, feature_ids, n_classes, parent_counts):
-    """Best (feature, threshold, gain) over midpoints of distinct values.
+def _value_ranks(features):
+    """Dense rank of every value within its column, and a table whose row f
+    holds column f's sorted distinct values (padded with its largest).
 
-    Every candidate feature is scored in one pass: the columns are sorted
-    together, and one cumulative class count of shape (n-1, features,
-    classes) gives the Gini gain of each cut between sorted neighbours.
-    Returns None when no feature in the subset has two distinct values.
-    ``argmax`` over the gains in feature-major order takes the first
-    maximum, so the lowest feature, then the lowest threshold, wins ties.
+    Equal values share a rank, so ``rank <= r`` selects exactly the samples
+    whose value is at most the r-th distinct value.
     """
-    n = y_node.size
-    x = x_node[:, feature_ids]
-    # the sort need not be stable: cuts between equal values are masked,
-    # and the class counts left of any other cut do not depend on the
-    # order of equal values
-    order = np.argsort(x, axis=0)
-    xs = np.take_along_axis(x, order, axis=0)
-    onehot = (y_node[:, None] == np.arange(n_classes)).astype(np.float64)
-    left = np.cumsum(onehot[order], axis=0)[:-1]
-    right = parent_counts - left
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
-    p = parent_counts / n
-    parent_gini = 1.0 - p @ p
-    gini_l = 1.0 - np.einsum("ijk,ijk->ij", left, left) / n_left**2
-    gini_r = 1.0 - np.einsum("ijk,ijk->ij", right, right) / n_right**2
-    gains = parent_gini - (n_left * gini_l + n_right * gini_r) / n
-    gains[xs[:-1] == xs[1:]] = -np.inf
-    f, i = divmod(int(np.argmax(gains.T)), n - 1)
-    if gains[i, f] == -np.inf:
-        return None
-    thr = (xs[i, f] + xs[i + 1, f]) / 2.0
-    if thr >= xs[i + 1, f]:  # adjacent floats can round the midpoint up
-        thr = xs[i, f]
-    return int(feature_ids[f]), float(thr), float(gains[i, f])
+    columns = [np.unique(col, return_inverse=True) for col in features.T]
+    width = max(values.size for values, _ in columns)
+    table = np.array([np.pad(values, (0, width - values.size), mode="edge")
+                      for values, _ in columns])
+    ranks = np.column_stack([inverse for _, inverse in columns])
+    return ranks, table
 
 
-def _grow_tree(features, labels, indices, max_depth, min_samples_split,
+def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
                features_per_split, rng, n_classes) -> Tree:
-    """Grow depth-first, left child first, so ids and rng draws are pre-order."""
-    n_features = features.shape[1]
-    feature, threshold, left, right, counts = [], [], [], [], []
-    stack = [(indices, 0, -1, left)]  # (samples, depth, parent, parent's link)
-    while stack:
-        idx, depth, parent, link = stack.pop()
-        nid = len(feature)
-        if parent >= 0:
-            link[parent] = nid
-        node_counts = np.bincount(labels[idx], minlength=n_classes)
-        counts.append(node_counts)
-        feature.append(-1)
-        threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
-        n = idx.size
-        if (n < min_samples_split or node_counts.max() == n
-                or (max_depth is not None and depth >= max_depth)):
-            continue
-        feats = np.sort(rng.choice(n_features, features_per_split,
-                                   replace=False))
-        best = _best_split(features[idx], labels[idx], feats,
-                           n_classes, node_counts.astype(np.float64))
-        if best is None:
-            continue
-        feature[nid], threshold[nid], _ = best
-        mask = features[idx, feature[nid]] <= threshold[nid]
-        stack.append((idx[~mask], depth + 1, nid, right))
-        stack.append((idx[mask], depth + 1, nid, left))
-    return Tree(np.array(feature), np.array(threshold), np.array(left),
-                np.array(right), np.array(counts))
+    """Grow one level at a time, splitting every open node in one pass.
+
+    ``rows`` are the tree's training rows (a bootstrap sample repeats some).
+    A node is open while it holds at least ``min_samples_split`` samples of
+    more than one class above ``max_depth``.  Per level, one
+    ``rng.random((open nodes, features))`` call draws each open node's
+    features: the first ``features_per_split`` of its row's stable argsort,
+    sorted.  Each (sample, drawn feature) pair becomes one int64 key,
+    ``(segment * n_ranks + value rank) * n_classes + class``, with one
+    segment per (open node, drawn feature) in that order; one sort then
+    lays every segment out by value, and a cumulative class count scores
+    the Gini gain of each cut between distinct values.  A node takes the
+    first maximum in key order (lowest feature, then lowest threshold) and
+    splits at the midpoint of the values either side of the cut.  Nodes
+    are numbered level by level, then renumbered to pre-order, left child
+    first.
+    """
+    n_features = ranks.shape[1]
+    n_ranks = values.shape[1]
+    per_split = features_per_split
+    rank_keys = ranks * n_classes
+    # each split leaves at least one sample on either side
+    cap = 2 * rows.size - 1
+    feature = np.full(cap, -1)
+    threshold = np.full(cap, math.nan)
+    left = np.full(cap, -1)
+    right = np.full(cap, -1)
+    counts = np.zeros((cap, n_classes), dtype=np.int64)
+    counts[0] = np.bincount(labels[rows], minlength=n_classes)
+    # the node of each sample still in play, numbered from its level's first
+    node = np.zeros(rows.size, dtype=np.intp)
+    levels = []  # the split nodes of each level
+    first, n_nodes, depth = 0, 1, 0
+    while max_depth is None or depth < max_depth:
+        level_counts = counts[first:n_nodes]
+        size = level_counts.sum(axis=1)
+        is_open = (size >= min_samples_split) & (level_counts.max(axis=1) < size)
+        n_open = int(np.count_nonzero(is_open))
+        if n_open == 0:
+            break
+        slot = np.full(n_nodes - first, -1)
+        slot[is_open] = np.arange(n_open)
+        owner = slot[node]
+        keep = owner >= 0
+        rows, owner = rows[keep], owner[keep]
+        open_nodes = first + np.flatnonzero(is_open)
+        open_counts = level_counts[is_open]
+        open_size = size[is_open]
+
+        drawn = np.argsort(rng.random((n_open, n_features)), axis=1,
+                           kind="stable")[:, :per_split]
+        drawn.sort(axis=1)
+        seg_key = (owner[:, None] * per_split
+                   + np.arange(per_split)) * (n_ranks * n_classes)
+        key = seg_key + rank_keys.take(rows[:, None] * n_features
+                                       + drawn[owner])
+        key += labels[rows][:, None]
+        key = key.ravel()
+        key.sort()
+        seg_rank = key // n_classes  # segment * n_ranks + value rank
+        cls = key - seg_rank * n_classes
+
+        seg_size = np.repeat(open_size, per_split)
+        seg_start = np.concatenate(([0], np.cumsum(seg_size)[:-1]))
+        is_cut = seg_rank[1:] != seg_rank[:-1]
+        is_cut[seg_start[1:] - 1] = False  # no cut across segments
+        cut = np.flatnonzero(is_cut)  # between sorted elements cut, cut+1
+        if cut.size == 0:  # every drawn feature is constant in every node
+            break
+        seg = np.repeat(np.arange(seg_size.size), seg_size)[cut]
+        start = seg_start[seg]
+        at = seg // per_split  # open node of each cut
+
+        # sums of squared class counts either side of each cut, exact in
+        # int64; class 0 counts are what the other classes leave
+        n_left = cut + 1 - start
+        l0, r0 = n_left, open_size[at] - n_left
+        l_sq = np.zeros(cut.size, dtype=np.int64)
+        r_sq = np.zeros(cut.size, dtype=np.int64)
+        running = np.zeros(key.size + 1, dtype=np.int64)
+        for k in range(1, n_classes):
+            np.cumsum(cls == k, out=running[1:])
+            lk = running[cut + 1] - running[start]
+            rk = open_counts[at, k] - lk
+            l0, r0 = l0 - lk, r0 - rk
+            l_sq += lk * lk
+            r_sq += rk * rk
+        l_sq += l0 * l0
+        r_sq += r0 * r0
+
+        # the float expression of the per-node search, cut by cut
+        p = open_counts / open_size[:, None]
+        parent_gini = 1.0 - (p[:, None, :] @ p[:, :, None])[:, 0, 0]  # p @ p
+        n = open_size.astype(np.float64)[at]
+        n_left = n_left.astype(np.float64)
+        n_right = n - n_left
+        gini_l = 1.0 - l_sq / n_left**2
+        gini_r = 1.0 - r_sq / n_right**2
+        gains = parent_gini[at] - (n_left * gini_l + n_right * gini_r) / n
+
+        # each node's first maximum; a node without a cut does not split
+        group = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+        best = np.maximum.reduceat(gains, group)
+        hit = np.flatnonzero(gains == np.repeat(best, np.diff(
+            np.append(group, cut.size))))
+        win = hit[np.concatenate(([True], at[hit[1:]] != at[hit[:-1]]))]
+        c, won = cut[win], at[win]
+        f = drawn[won, seg[win] % per_split]
+        lo = seg_rank[c] % n_ranks
+        x_lo, x_hi = values[f, lo], values[f, seg_rank[c + 1] % n_ranks]
+        thr = (x_lo + x_hi) / 2.0
+        thr = np.where(thr >= x_hi, x_lo, thr)  # adjacent floats round up
+
+        split = open_nodes[won]
+        n_split = split.size
+        feature[split], threshold[split] = f, thr
+        left[split] = n_nodes + 2 * np.arange(n_split)
+        right[split] = left[split] + 1
+        levels.append(split)
+
+        slot = np.full(n_open, -1)
+        slot[won] = np.arange(n_split)
+        owner = slot[owner]
+        keep = owner >= 0
+        rows, owner = rows[keep], owner[keep]
+        child = 2 * owner + (ranks.take(rows * n_features + f[owner])
+                             > lo[owner])
+        counts[n_nodes:n_nodes + 2 * n_split] = np.bincount(
+            child * n_classes + labels[rows],
+            minlength=2 * n_split * n_classes).reshape(-1, n_classes)
+        node = child
+        first, n_nodes, depth = n_nodes, n_nodes + 2 * n_split, depth + 1
+
+    # renumber level order to pre-order: a left child follows its parent,
+    # a right child follows its parent and the left child's subtree
+    subtree = np.ones(n_nodes, dtype=np.intp)
+    for split in reversed(levels):
+        subtree[split] += subtree[left[split]] + subtree[right[split]]
+    pre = np.zeros(n_nodes, dtype=np.intp)
+    for split in levels:
+        pre[left[split]] = pre[split] + 1
+        pre[right[split]] = pre[split] + 1 + subtree[left[split]]
+    order = np.empty(n_nodes, dtype=np.intp)
+    order[pre] = np.arange(n_nodes)
+    feature = feature[order]
+    is_split = feature >= 0
+    return Tree(feature, threshold[order],
+                np.where(is_split, pre[left[order]], -1),
+                np.where(is_split, pre[right[order]], -1),
+                counts[order])
 
 
 @dataclass
@@ -171,6 +268,8 @@ class ForestParams:
             raise ValueError("features_per_split must be at least 1")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be at least 2")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError("max_depth must be at least 1")
 
     def resolved_features_per_split(self, n_features: int) -> int:
         if self.features_per_split is None:
@@ -237,19 +336,20 @@ def train_forest(dataset: LabeledFeatureSet,
     per_split = params.resolved_features_per_split(dataset.n_features)
     if per_split < 1:
         raise ValueError("features_per_split must be at least 1")
-    # rng.choice cannot draw more than n_features; a full draw sorts to
-    # every feature, whatever the rng state
+    # a node cannot draw more than n_features; a full draw is every
+    # feature, whatever the rng state
     per_split = min(per_split, dataset.n_features)
 
+    ranks, values = _value_ranks(feats)
     trees = []
     for t in range(params.n_trees):
         rng = np.random.default_rng(derive_seed(seed, t))
         if params.bootstrap:
-            indices = rng.integers(0, dataset.n, dataset.n)
+            rows = rng.integers(0, dataset.n, dataset.n)
         else:
-            indices = np.arange(dataset.n)
+            rows = np.arange(dataset.n)
         trees.append(
-            _grow_tree(feats, labels, indices, params.max_depth,
+            _grow_tree(ranks, values, labels, rows, params.max_depth,
                        params.min_samples_split, per_split, rng, n_classes)
         )
 
@@ -297,6 +397,8 @@ def feature_importances(model: RandomForestModel) -> np.ndarray:
 
 # --- kNN and logistic regression ---------------------------------------------
 
+_KNN_CHUNK_BYTES = 2 << 20
+
 
 @dataclass
 class KnnModel:
@@ -308,14 +410,34 @@ class KnnModel:
     kind: str = "knn"
 
     def predict(self, features) -> np.ndarray:
+        """Majority vote of the k nearest; ties go to the lowest label.
+
+        The k nearest are those a stable sort of the squared distances
+        would put first: every distance below the k-th smallest, then the
+        lowest-index training rows at it.  Rows are scored in chunks whose
+        (rows, training rows, features) difference array stays within
+        ``_KNN_CHUNK_BYTES``.
+        """
         rows = np.atleast_2d(self.stats.standardize(features))
         n_classes = len(self.label_names)
+        k = self.k
         out = np.empty(rows.shape[0], dtype=int)
-        for i, row in enumerate(rows):
-            d2 = np.sum((self.features_std - row) ** 2, axis=1)
-            nearest = np.argsort(d2, kind="stable")[: self.k]
-            votes = np.bincount(self.labels[nearest], minlength=n_classes)
-            out[i] = int(np.argmax(votes))
+        chunk = max(1, _KNN_CHUNK_BYTES // self.features_std.nbytes)
+        buf = np.empty((min(chunk, rows.shape[0]), *self.features_std.shape))
+        for lo in range(0, rows.shape[0], chunk):
+            block = rows[lo:lo + chunk, None, :]
+            diff = np.subtract(self.features_std, block, out=buf[:len(block)])
+            d2 = np.sum(np.square(diff, out=diff), axis=2)
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+            below = d2 < kth
+            at_kth = d2 == kth
+            room = k - np.count_nonzero(below, axis=1)
+            nearest = below | (at_kth & (np.cumsum(at_kth, axis=1)
+                                         <= room[:, None]))
+            votes = np.column_stack([
+                np.count_nonzero(nearest & (self.labels == c), axis=1)
+                for c in range(n_classes)])
+            out[lo:lo + chunk] = np.argmax(votes, axis=1)
         return out
 
 

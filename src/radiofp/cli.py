@@ -31,6 +31,7 @@ from .classify import (
     logistic_regression_train,
     random_grid_search,
     save_model,
+    stratified_kfold,
     train_forest,
     train_knn,
     train_tree,
@@ -238,6 +239,12 @@ def cmd_train_eval(args) -> int:
     dataset = dataio.read_feature_csv(args.input)
     if args.features_mask:
         dataset = dataset.select_features(_parse_feature_mask(args.features_mask))
+    # the flags checked against the data, before any work or write
+    folds = stratified_kfold(dataset, args.folds, args.seed)
+    smallest_train = dataset.n - max(f.size for f in folds)
+    if "knn" in dict(trainers) and args.knn_k > smallest_train:
+        raise ConfigError(f"--knn-k {args.knn_k} exceeds the smallest "
+                          f"training fold ({smallest_train} rows)")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = not args.no_timestamp

@@ -102,6 +102,17 @@ def test_forest_features_per_split_range():
         np.testing.assert_array_equal(a.threshold, b.threshold)
 
 
+def test_forest_max_depth_range():
+    ds = blobs(seed=1)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_depth"):
+            train_forest(ds, ForestParams(n_trees=1, max_depth=bad))
+        with pytest.raises(ValueError, match="max_depth"):
+            train_tree(ds, max_depth=bad)
+    stumps = train_forest(ds, ForestParams(n_trees=3, max_depth=1), seed=0)
+    assert all(tree.n_nodes == 3 for tree in stumps.trees)
+
+
 def _best_split_reference(x_node, y_node, feature_ids, n_classes,
                           parent_counts):
     """One feature at a time: sort, cumulate class counts, strict '>'."""
@@ -135,32 +146,161 @@ def _best_split_reference(x_node, y_node, feature_ids, n_classes,
     return best
 
 
-def test_best_split_matches_per_feature_loop():
+def _pre_order_tree(nodes):
+    """Tree from nodes [counts, feature, threshold, left, right] in any
+    order with the root first, renumbered to pre-order, left child first."""
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        if nodes[v][1] >= 0:
+            stack += [nodes[v][4], nodes[v][3]]
+    pre = {v: i for i, v in enumerate(order)}
+    rows = [nodes[v] for v in order]
+    return classify.Tree(
+        np.array([r[1] for r in rows]), np.array([r[2] for r in rows]),
+        np.array([pre[r[3]] if r[1] >= 0 else -1 for r in rows]),
+        np.array([pre[r[4]] if r[1] >= 0 else -1 for r in rows]),
+        np.array([r[0] for r in rows]))
+
+
+def _is_open(counts, depth, max_depth, min_samples_split):
+    n = counts.sum()
+    return (n >= min_samples_split and counts.max() < n
+            and (max_depth is None or depth < max_depth))
+
+
+def _split(features, labels, idx, feats, n_classes, counts):
+    best = _best_split_reference(features[idx], labels[idx], feats,
+                                 n_classes, counts.astype(np.float64))
+    if best is None:
+        return None
+    f, thr, _ = best
+    mask = features[idx, f] <= thr
+    return f, thr, idx[mask], idx[~mask]
+
+
+def _grow_level_order(features, labels, rows, max_depth, min_samples_split,
+                      per_split, rng, n_classes):
+    """Reference: the nodes of a level split one by one, in level order,
+    each on the features of its row of one per-level draw."""
+    nodes = [[np.bincount(labels[rows], minlength=n_classes), -1, np.nan,
+              -1, -1]]
+    level, depth = [(0, rows)], 0
+    while level:
+        open_ = [(v, idx) for v, idx in level
+                 if _is_open(nodes[v][0], depth, max_depth, min_samples_split)]
+        if not open_:
+            break
+        draw = rng.random((len(open_), features.shape[1]))
+        level = []
+        for (v, idx), u in zip(open_, draw):
+            feats = np.sort(np.argsort(u, kind="stable")[:per_split])
+            found = _split(features, labels, idx, feats, n_classes,
+                           nodes[v][0])
+            if found is None:
+                continue
+            f, thr, lo, hi = found
+            nodes[v][1:] = [f, thr, len(nodes), len(nodes) + 1]
+            for child in (lo, hi):
+                level.append((len(nodes), child))
+                nodes.append([np.bincount(labels[child], minlength=n_classes),
+                              -1, np.nan, -1, -1])
+        depth += 1
+    return _pre_order_tree(nodes)
+
+
+def _grow_depth_first(features, labels, rows, max_depth, min_samples_split,
+                      n_classes):
+    """Reference for trees on every feature: depth-first, left child first."""
+    feats = np.arange(features.shape[1])
+    nodes = []
+    stack = [(rows, 0, None)]  # (samples, depth, (parent, link slot))
+    while stack:
+        idx, depth, link = stack.pop()
+        if link is not None:
+            nodes[link[0]][link[1]] = len(nodes)
+        v = len(nodes)
+        nodes.append([np.bincount(labels[idx], minlength=n_classes), -1,
+                      np.nan, -1, -1])
+        if not _is_open(nodes[v][0], depth, max_depth, min_samples_split):
+            continue
+        found = _split(features, labels, idx, feats, n_classes, nodes[v][0])
+        if found is None:
+            continue
+        f, thr, lo, hi = found
+        nodes[v][1:3] = [f, thr]
+        stack += [(hi, depth + 1, (v, 4)), (lo, depth + 1, (v, 3))]
+    return _pre_order_tree(nodes)
+
+
+def _assert_same_tree(got, want):
+    for name in ("feature", "threshold", "left", "right", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _random_dataset(rng, trial):
+    """Small tables whose values tie, repeat or sit one float apart."""
+    n, n_feat, n_classes = (int(rng.integers(2, 50)), int(rng.integers(1, 7)),
+                            int(rng.integers(2, 4)))
+    kind = trial % 4
+    if kind == 0:  # few distinct values: ties within and across features
+        x = rng.integers(0, 3, size=(n, n_feat)).astype(float)
+    elif kind == 1:  # one constant column among continuous ones
+        x = rng.normal(size=(n, n_feat))
+        x[:, rng.integers(n_feat)] = 0.25
+    elif kind == 2:  # adjacent floats, whose midpoint rounds up
+        base = rng.normal()
+        x = base + rng.integers(0, 3, size=(n, n_feat)) * np.spacing(base)
+    else:
+        x = rng.normal(size=(n, n_feat)).round(1)
+    y = rng.integers(0, n_classes, size=n)
+    return LabeledFeatureSet(x, y, tuple("abc"[:n_classes]),
+                             tuple(f"F{i}" for i in range(n_feat)))
+
+
+def test_forest_trees_match_level_order_reference():
     rng = np.random.default_rng(31)
     splits = 0
-    for trial in range(2000):
-        n, n_feat, n_classes = rng.integers(2, 50), rng.integers(1, 7), \
-            rng.integers(2, 4)
-        kind = trial % 4
-        if kind == 0:  # few distinct values: ties within and across features
-            x = rng.integers(0, 3, size=(n, n_feat)).astype(float)
-        elif kind == 1:  # one constant column among continuous ones
-            x = rng.normal(size=(n, n_feat))
-            x[:, rng.integers(n_feat)] = 0.25
-        elif kind == 2:  # adjacent floats, whose midpoint rounds up
-            base = rng.normal()
-            x = base + rng.integers(0, 3, size=(n, n_feat)) * np.spacing(base)
-        else:
-            x = rng.normal(size=(n, n_feat)).round(1)
-        y = rng.integers(0, n_classes, size=n)
-        counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-        feats = np.sort(rng.choice(n_feat, rng.integers(1, n_feat + 1),
-                                   replace=False))
-        got = classify._best_split(x, y, feats, n_classes, counts)
-        want = _best_split_reference(x, y, feats, n_classes, counts)
-        assert got == want, (trial, got, want)
-        splits += want is not None
-    assert splits > 1800  # most nodes split; the rest exercise None
+    for trial in range(600):
+        ds = _random_dataset(rng, trial)
+        params = ForestParams(
+            n_trees=int(rng.integers(1, 4)),
+            max_depth=[None, None, 1, 2, 4][trial % 5],
+            min_samples_split=int(rng.integers(2, 7)),
+            features_per_split=int(rng.integers(1, ds.n_features + 1)),
+            bootstrap=bool(trial % 3),
+        )
+        model = train_forest(ds, params, seed=trial)
+        for t, tree in enumerate(model.trees):
+            tree_rng = np.random.default_rng(derive_seed(trial, t))
+            rows = (tree_rng.integers(0, ds.n, ds.n) if params.bootstrap
+                    else np.arange(ds.n))
+            want = _grow_level_order(
+                ds.features, ds.labels, rows, params.max_depth,
+                params.min_samples_split, params.features_per_split,
+                tree_rng, ds.n_classes)
+            _assert_same_tree(tree, want)
+            splits += int(np.sum(tree.feature >= 0))
+    assert splits > 3000
+
+
+def test_full_feature_trees_match_depth_first_reference():
+    rng = np.random.default_rng(32)
+    splits = 0
+    for trial in range(300):
+        ds = _random_dataset(rng, trial)
+        max_depth = [None, None, 1, 3][trial % 4]
+        min_samples_split = int(rng.integers(2, 5))
+        model = train_tree(ds, max_depth=max_depth,
+                           min_samples_split=min_samples_split, seed=trial)
+        want = _grow_depth_first(ds.features, ds.labels, np.arange(ds.n),
+                                 max_depth, min_samples_split, ds.n_classes)
+        _assert_same_tree(model.trees[0], want)
+        splits += int(np.sum(want.feature >= 0))
+    assert splits > 1500
 
 
 def test_forest_separable_blobs_cv():
@@ -316,6 +456,38 @@ def test_knn_examples():
     assert knn_classify(ds, [10.0, 10.0], ds.n) == 0
 
 
+def _knn_row_loop(model, features):
+    """Reference: one row at a time, a stable sort of all distances."""
+    out = []
+    for row in np.atleast_2d(model.stats.standardize(features)):
+        d2 = np.sum((model.features_std - row) ** 2, axis=1)
+        nearest = np.argsort(d2, kind="stable")[: model.k]
+        votes = np.bincount(model.labels[nearest],
+                            minlength=len(model.label_names))
+        out.append(int(np.argmax(votes)))
+    return np.array(out)
+
+
+def test_knn_predict_matches_row_loop(monkeypatch):
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n, n_classes = int(rng.integers(3, 60)), int(rng.integers(2, 4))
+        # integer features: many rows tie at the k-th distance
+        feats = rng.integers(0, 3, size=(n + 25, 3)).astype(float)
+        if trial % 2:
+            feats += rng.normal(size=feats.shape)
+        labels = rng.integers(0, n_classes, size=n)
+        ds = LabeledFeatureSet(feats[:n], labels, tuple("abc"[:n_classes]),
+                               ("F1", "F2", "F3"))
+        model = train_knn(ds, int(rng.integers(1, n + 1)))
+        # chunks of one, a few, and all query rows
+        chunk_rows = [1, 7, 1000][trial % 3]
+        monkeypatch.setattr(classify, "_KNN_CHUNK_BYTES",
+                            chunk_rows * model.features_std.nbytes)
+        np.testing.assert_array_equal(model.predict(feats),
+                                      _knn_row_loop(model, feats))
+
+
 def test_knn_blobs_cv():
     ds = blobs(n_per_class=100, spread=0.2, seed=10)
     res = evaluate(ds, lambda d, s: train_knn(d, 5), k=4, seed=1)
@@ -455,12 +627,13 @@ def test_grid_search_single_combination():
 
 def test_grid_search_prefers_dominant_configuration():
     ds = blobs(n_per_class=40, spread=0.2, seed=18)
-    # depth-0 stubs cannot split at all; the single working config must win
-    grid = HyperparamGrid(n_trees=(5,), max_depth=(0, 8),
-                          min_samples_split=(2,), features_per_split=(2,),
+    # no node holds 1000 samples, so those trees cannot split at all; the
+    # single working config must win
+    grid = HyperparamGrid(n_trees=(5,), max_depth=(8,),
+                          min_samples_split=(2, 1000), features_per_split=(2,),
                           iterations=40)
     params, result = random_grid_search(ds, grid, k=4, seed=1)
-    assert params.max_depth == 8
+    assert params.min_samples_split == 2
     assert result.mean_accuracy >= 0.95
 
 

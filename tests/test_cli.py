@@ -148,6 +148,9 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys):
                  train + ["--min-samples-split", "-5"],
                  train + ["--knn-k", "0"], train + ["--trees", "0"],
                  train + ["--folds", "1"],
+                 train + ["--max-depth", "0"], train + ["--max-depth", "-1"],
+                 # 80 rows in 4 folds leave 60 training rows
+                 train + ["--classifiers", "forest,knn", "--knn-k", "61"],
                  stats + ["0"], stats + ["-3"]):
         capsys.readouterr()
         assert main(argv) == 4, argv
@@ -156,6 +159,7 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys):
         assert "Traceback" not in err
     for out in ("f.csv", "t", "s"):
         assert not (tmp_path / out).exists(), out
+    assert main(train + ["--classifiers", "knn", "--knn-k", "60"]) == 0
 
 
 def test_stats_outputs(small_dataset, tmp_path):
@@ -397,6 +401,14 @@ def _first_row(text, edit):
     return "\n".join(lines) + "\n"
 
 
+def _few_rows_of_label(text, label, n):
+    """Keep the header, the rows of the other labels and n rows of label."""
+    header, *rows = text.splitlines()
+    mine = [row for row in rows if row.split(",")[0] == label]
+    return "\n".join([header] + [row for row in rows if row not in mine]
+                     + mine[:n]) + "\n"
+
+
 def _manifest_row(text, edit):
     """Apply ``edit`` to the fields of the manifest's first data row."""
     lines = text.splitlines()
@@ -422,10 +434,14 @@ MALFORMED_INPUTS = [
     ("model_wrong_leaf_width", "model",
      lambda t: _first_node(t, "leaf", lambda f: f + ["1"])),
     ("model_non_ascii", "model", lambda t: t.replace("forest", "f\u00f6rest")),
+    ("model_max_depth_zero", "model",
+     lambda t: t.replace('"max_depth": null', '"max_depth": 0')),
     ("csv_nan", "csv", lambda t: _first_row(t, lambda r: [r[0], "nan"] + r[2:])),
     ("csv_ragged", "csv", lambda t: _first_row(t, lambda r: r[:-1])),
     ("stats_three_classes", "csv",
      lambda t: _first_row(t, lambda r: ["2"] + r[1:])),
+    ("train_class_smaller_than_folds", "train_csv",
+     lambda t: _few_rows_of_label(t, "1", 3)),
     ("manifest_short_row", "manifest",
      lambda t: _manifest_row(t, lambda f: f[:3])),
     ("manifest_frames_not_integer", "manifest",
@@ -457,7 +473,8 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
     _, raw, features = small_dataset
     profiles = tmp_path / "profiles.json"
     profiles.write_text("[{}, {}]")
-    source = {"model": small_model, "csv": features, "iq": raw / "device_0.iq",
+    source = {"model": small_model, "csv": features, "train_csv": features,
+              "iq": raw / "device_0.iq",
               "manifest": raw / "manifest.csv", "etalon": raw / "etalon.iq",
               "profiles": profiles}[target]
     # a manifest names its streams relative to its own directory
@@ -471,6 +488,9 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
                 "--row", "0", "--out", str(tmp_path / "e.csv")]
     elif target == "csv":
         argv = ["stats", "--input", str(bad), "--out-dir", str(tmp_path / "s")]
+    elif target == "train_csv":
+        argv = ["train-eval", "--input", str(bad), "--out-dir",
+                str(tmp_path / "t"), "--classifiers", "forest", "--trees", "2"]
     elif target == "profiles":
         argv = ["gen-dataset", "--out-dir", str(tmp_path / "g"),
                 "--profiles", str(bad), "--frames-per-device", "1"]
@@ -487,5 +507,5 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
     assert code == 2, err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert "Traceback" not in err
-    if target == "profiles":
-        assert not (tmp_path / "g").exists()  # rejected before any write
+    # rejected before any write
+    assert not (tmp_path / "g").exists() and not (tmp_path / "t").exists()

@@ -354,15 +354,15 @@ def test_criterion_9_reproducibility(tmp_path):
 # sha256 of every file the criterion-9 run writes.  A deliberate change to
 # any output updates its digest here, with the reason in CHANGES.md.
 CRITERION_9_DIGESTS = {
-    "explanation.csv": "ee48ab38ed3106442b921ecdf5b72f5862c70a3d57b560a9a1c6601149b569f6",
+    "explanation.csv": "721186f38d5ea0b203da4d6d052d877c982b3fcef889dd0140924456209e396a",
     "features.csv": "e7dd174fc0c7d6df489ff2be115ef68d2dee235b15c7bd5f42f1f3bd1d70ae3f",
-    "ml/confusion_forest.csv": "9725c3afbe83a23ab7d36eb2182852bf325432805f3bbc5d8b8c3d89526727bb",
+    "ml/confusion_forest.csv": "49cce5c05bc821cb7a8aba86a42c530bf28e0a1b00655335bd835d54ccb4d407",
     "ml/confusion_knn.csv": "9333eeafc1554ad3aa1f22001e6bb04065ffe0a56e6964ea5e50d547f3987f01",
     "ml/confusion_logreg.csv": "a686eaf3e6392fa08258caf333b1788e41d6b5113ee7ce2688f0511e270e635a",
     "ml/confusion_tree.csv": "a686eaf3e6392fa08258caf333b1788e41d6b5113ee7ce2688f0511e270e635a",
-    "ml/importances.csv": "246a4ac8b3f650792944324479512eb69fcdeddbda8ea2063c5d201b0e510015",
-    "ml/metrics.csv": "7fd4a6f47025ff7fdab989cdb5f283c71f8f7755928eb9c3967f80a8bcda9724",
-    "ml/model.txt": "ac6d1158c6d8ec00eedbbb26e7b45dd24065bcba51feefbd0059985628fb0ef6",
+    "ml/importances.csv": "edbaa385899646465b0038d770a96a10d58d945910a10fb5b6ab62cc4247a0ee",
+    "ml/metrics.csv": "9b0b4a3e9c0006bd173c43f700e4df4103befde75caf13a9604b407a7cb6ed88",
+    "ml/model.txt": "4a0a06dd497fbdc51fe4c796b360a34c49f2e37866cae8796ab900c8b79da012",
     "raw/device_0.iq": "0b232c85c09c7f113d6d5b8041fe80bbd78467be3d4555cc52705496c479533b",
     "raw/device_1.iq": "ea2a68a250c3359a1919ca9ca45395a2459a185974f8d4004837c0a7dc166f99",
     "raw/etalon.iq": "893bdd227eae0046dd612de753403ec5f94752d84217424e4c322e8f01f0c1b8",

@@ -97,29 +97,120 @@ def _value_ranks(features):
     return ranks, table
 
 
+def _squared_counts(cls, cut, start, at, counts):
+    """Sums of squared class counts left and right of each cut, in int64.
+
+    A cut sends its segment's sorted elements ``start..cut`` left; ``cls``
+    holds the class of every sorted element and ``counts[at]`` the class
+    counts of the cut's node.  Class 0 counts are what the others leave.
+    """
+    l0 = cut + 1 - start
+    r0 = counts.sum(axis=1)[at] - l0
+    l_sq = np.zeros(cut.size, dtype=np.int64)
+    r_sq = np.zeros(cut.size, dtype=np.int64)
+    running = np.zeros(cls.size + 1, dtype=np.int64)
+    for k in range(1, counts.shape[1]):
+        np.cumsum(cls == k, out=running[1:])
+        lk = running[cut + 1] - running[start]
+        rk = counts[at, k] - lk
+        l0 -= lk
+        r0 -= rk
+        l_sq += lk * lk
+        r_sq += rk * rk
+    l_sq += l0 * l0
+    r_sq += r0 * r0
+    return l_sq, r_sq
+
+
+def _cut_gains(cls, cut, start, at, counts):
+    """Gini gain of each cut, in the float expression of a per-node search.
+
+    The arguments are those of ``_squared_counts``.
+    """
+    l_sq, r_sq = _squared_counts(cls, cut, start, at, counts)
+    size = counts.sum(axis=1)
+    p = counts / size[:, None]
+    parent_gini = 1.0 - (p[:, None, :] @ p[:, :, None])[:, 0, 0]  # p @ p
+    n = size.astype(np.float64)[at]
+    n_left = (cut + 1 - start).astype(np.float64)
+    n_right = n - n_left
+    gini_l = 1.0 - l_sq / n_left**2
+    gini_r = 1.0 - r_sq / n_right**2
+    return parent_gini[at] - (n_left * gini_l + n_right * gini_r) / n
+
+
+def _level_splits(ranks, values, labels, rows, owner, counts, per_split,
+                  rng):
+    """Best split of every open node of one level, in one array pass.
+
+    ``rows`` are the samples of the open nodes, ``owner`` the open node of
+    each and ``counts`` the class counts of the open nodes.  One
+    ``rng.random((open nodes, features))`` call draws each node's features:
+    the first ``per_split`` of its row's stable argsort, sorted.  Each
+    (sample, drawn feature) pair becomes one int64 key,
+    ``(segment * n_ranks + value rank) * n_classes + class``, with one
+    segment per (open node, drawn feature) in that order, so one sort lays
+    every segment out by value.  A node takes the first maximum gain in key
+    order (lowest feature, then lowest threshold) over the cuts between
+    distinct values, and splits at the midpoint of the values either side.
+
+    Returns the open nodes that split, ascending, with each one's feature,
+    the value rank at or below which a sample goes left, and threshold; or
+    None when no node has a cut.
+    """
+    n_open, n_classes = counts.shape
+    n_features, n_ranks = values.shape
+    size = counts.sum(axis=1)
+    drawn = np.argsort(rng.random((n_open, n_features)), axis=1,
+                       kind="stable")[:, :per_split]
+    drawn.sort(axis=1)
+    key = ranks.take(rows[:, None] * n_features + drawn[owner])
+    key += (owner[:, None] * per_split + np.arange(per_split)) * n_ranks
+    key *= n_classes
+    key += labels[rows][:, None]
+    key = key.ravel()
+    key.sort()
+    seg_rank = key // n_classes  # segment * n_ranks + value rank
+    cls = key - seg_rank * n_classes
+    del key
+
+    seg_size = np.repeat(size, per_split)
+    seg_start = np.concatenate(([0], np.cumsum(seg_size)[:-1]))
+    is_cut = seg_rank[1:] != seg_rank[:-1]
+    is_cut[seg_start[1:] - 1] = False  # no cut across segments
+    cut = np.flatnonzero(is_cut)  # between sorted elements cut, cut+1
+    if cut.size == 0:  # every drawn feature is constant in every node
+        return None
+    seg = np.repeat(np.arange(seg_size.size), seg_size)[cut]
+    at = seg // per_split  # open node of each cut
+    gains = _cut_gains(cls, cut, seg_start[seg], at, counts)
+
+    # each node's first maximum; a node without a cut does not split
+    group = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+    best = np.maximum.reduceat(gains, group)
+    hit = np.flatnonzero(gains == np.repeat(best, np.diff(
+        np.append(group, cut.size))))
+    win = hit[np.concatenate(([True], at[hit[1:]] != at[hit[:-1]]))]
+    c = cut[win]
+    f = drawn[at[win], seg[win] % per_split]
+    lo = seg_rank[c] % n_ranks
+    x_lo, x_hi = values[f, lo], values[f, seg_rank[c + 1] % n_ranks]
+    thr = (x_lo + x_hi) / 2.0
+    thr = np.where(thr >= x_hi, x_lo, thr)  # adjacent floats round up
+    return at[win], f, lo, thr
+
+
 def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
                features_per_split, rng, n_classes) -> Tree:
     """Grow one level at a time, splitting every open node in one pass.
 
     ``rows`` are the tree's training rows (a bootstrap sample repeats some).
     A node is open while it holds at least ``min_samples_split`` samples of
-    more than one class above ``max_depth``.  Per level, one
-    ``rng.random((open nodes, features))`` call draws each open node's
-    features: the first ``features_per_split`` of its row's stable argsort,
-    sorted.  Each (sample, drawn feature) pair becomes one int64 key,
-    ``(segment * n_ranks + value rank) * n_classes + class``, with one
-    segment per (open node, drawn feature) in that order; one sort then
-    lays every segment out by value, and a cumulative class count scores
-    the Gini gain of each cut between distinct values.  A node takes the
-    first maximum in key order (lowest feature, then lowest threshold) and
-    splits at the midpoint of the values either side of the cut.  Nodes
-    are numbered level by level, then renumbered to pre-order, left child
-    first.
+    more than one class above ``max_depth``; ``_level_splits`` splits the
+    open nodes of each level.  Nodes are numbered level by level, then
+    renumbered to pre-order, left child first.
     """
     n_features = ranks.shape[1]
-    n_ranks = values.shape[1]
-    per_split = features_per_split
-    rank_keys = ranks * n_classes
     # each split leaves at least one sample on either side
     cap = 2 * rows.size - 1
     feature = np.full(cap, -1)
@@ -144,75 +235,13 @@ def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
         owner = slot[node]
         keep = owner >= 0
         rows, owner = rows[keep], owner[keep]
-        open_nodes = first + np.flatnonzero(is_open)
-        open_counts = level_counts[is_open]
-        open_size = size[is_open]
-
-        drawn = np.argsort(rng.random((n_open, n_features)), axis=1,
-                           kind="stable")[:, :per_split]
-        drawn.sort(axis=1)
-        seg_key = (owner[:, None] * per_split
-                   + np.arange(per_split)) * (n_ranks * n_classes)
-        key = seg_key + rank_keys.take(rows[:, None] * n_features
-                                       + drawn[owner])
-        key += labels[rows][:, None]
-        key = key.ravel()
-        key.sort()
-        seg_rank = key // n_classes  # segment * n_ranks + value rank
-        cls = key - seg_rank * n_classes
-
-        seg_size = np.repeat(open_size, per_split)
-        seg_start = np.concatenate(([0], np.cumsum(seg_size)[:-1]))
-        is_cut = seg_rank[1:] != seg_rank[:-1]
-        is_cut[seg_start[1:] - 1] = False  # no cut across segments
-        cut = np.flatnonzero(is_cut)  # between sorted elements cut, cut+1
-        if cut.size == 0:  # every drawn feature is constant in every node
+        found = _level_splits(ranks, values, labels, rows, owner,
+                              level_counts[is_open], features_per_split, rng)
+        if found is None:
             break
-        seg = np.repeat(np.arange(seg_size.size), seg_size)[cut]
-        start = seg_start[seg]
-        at = seg // per_split  # open node of each cut
+        won, f, lo, thr = found
 
-        # sums of squared class counts either side of each cut, exact in
-        # int64; class 0 counts are what the other classes leave
-        n_left = cut + 1 - start
-        l0, r0 = n_left, open_size[at] - n_left
-        l_sq = np.zeros(cut.size, dtype=np.int64)
-        r_sq = np.zeros(cut.size, dtype=np.int64)
-        running = np.zeros(key.size + 1, dtype=np.int64)
-        for k in range(1, n_classes):
-            np.cumsum(cls == k, out=running[1:])
-            lk = running[cut + 1] - running[start]
-            rk = open_counts[at, k] - lk
-            l0, r0 = l0 - lk, r0 - rk
-            l_sq += lk * lk
-            r_sq += rk * rk
-        l_sq += l0 * l0
-        r_sq += r0 * r0
-
-        # the float expression of the per-node search, cut by cut
-        p = open_counts / open_size[:, None]
-        parent_gini = 1.0 - (p[:, None, :] @ p[:, :, None])[:, 0, 0]  # p @ p
-        n = open_size.astype(np.float64)[at]
-        n_left = n_left.astype(np.float64)
-        n_right = n - n_left
-        gini_l = 1.0 - l_sq / n_left**2
-        gini_r = 1.0 - r_sq / n_right**2
-        gains = parent_gini[at] - (n_left * gini_l + n_right * gini_r) / n
-
-        # each node's first maximum; a node without a cut does not split
-        group = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
-        best = np.maximum.reduceat(gains, group)
-        hit = np.flatnonzero(gains == np.repeat(best, np.diff(
-            np.append(group, cut.size))))
-        win = hit[np.concatenate(([True], at[hit[1:]] != at[hit[:-1]]))]
-        c, won = cut[win], at[win]
-        f = drawn[won, seg[win] % per_split]
-        lo = seg_rank[c] % n_ranks
-        x_lo, x_hi = values[f, lo], values[f, seg_rank[c + 1] % n_ranks]
-        thr = (x_lo + x_hi) / 2.0
-        thr = np.where(thr >= x_hi, x_lo, thr)  # adjacent floats round up
-
-        split = open_nodes[won]
+        split = first + np.flatnonzero(is_open)[won]
         n_split = split.size
         feature[split], threshold[split] = f, thr
         left[split] = n_nodes + 2 * np.arange(n_split)
@@ -397,7 +426,7 @@ def feature_importances(model: RandomForestModel) -> np.ndarray:
 
 # --- kNN and logistic regression ---------------------------------------------
 
-_KNN_CHUNK_BYTES = 2 << 20
+_KNN_CHUNK_BYTES = 1 << 20
 
 
 @dataclass

@@ -404,9 +404,9 @@ def _first_row(text, edit):
 def _few_rows_of_label(text, label, n):
     """Keep the header, the rows of the other labels and n rows of label."""
     header, *rows = text.splitlines()
+    others = [row for row in rows if row.split(",")[0] != label]
     mine = [row for row in rows if row.split(",")[0] == label]
-    return "\n".join([header] + [row for row in rows if row not in mine]
-                     + mine[:n]) + "\n"
+    return "\n".join([header] + others + mine[:n]) + "\n"
 
 
 def _manifest_row(text, edit):

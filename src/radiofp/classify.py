@@ -205,9 +205,9 @@ def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
     """Grow one level at a time, splitting every open node in one pass.
 
     ``rows`` are the tree's training rows (a bootstrap sample repeats some).
-    A node is open while it holds at least ``min_samples_split`` samples of
-    more than one class above ``max_depth``; ``_level_splits`` splits the
-    open nodes of each level.  Nodes are numbered level by level, then
+    A node is open while it holds at least ``min_samples_split`` samples,
+    not all of one class, fewer than ``max_depth`` levels below the root;
+    ``_level_splits`` splits the open nodes of each level.  Nodes are numbered level by level, then
     renumbered to pre-order, left child first.
     """
     n_features = ranks.shape[1]

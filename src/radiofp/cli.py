@@ -39,7 +39,7 @@ from .classify import (
 from .dataset import FeatureStats
 from .errors import RadioFpError
 from .explain import ExplainConfig, explain_instance
-from .features import FEATURE_NAMES, feature_matrix
+from .features import FEATURE_NAMES
 from .pi_digits import PI_DIGIT_COUNT
 from .pipeline import (
     DEFAULT_FRAME_LEN,
@@ -156,13 +156,12 @@ def cmd_extract(args) -> int:
     reasons = ("zero gain",) + FEATURE_NAMES
     skips = np.zeros(len(reasons), dtype=np.int64)
     for label, path, expected in jobs:
-        phases, dropped, lags = run_capture_pipeline(
-            dataio.read_iq(path), etalon, threshold=args.sync_threshold)
+        values, failed, dropped, lags = run_capture_pipeline(
+            dataio.IqFile(path), etalon, threshold=args.sync_threshold)
         if expected is not None and lags.size < expected:
             print(f"device {label}: sync found {lags.size} of {expected} "
                   f"frames, lost after sample {lags[-1] + etalon.size}",
                   file=sys.stderr)
-        values, failed = feature_matrix(phases)
         rows.append(values[failed < 0])
         labels += [label] * len(rows[-1])
         skips[0] += dropped.sum()
@@ -283,6 +282,11 @@ def cmd_train_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    config = ExplainConfig(
+        n_perturbations=args.n_perturbations,
+        kernel_width=args.kernel_width,
+        ridge_lambda=args.ridge_lambda,
+    )
     model = load_model(args.model)
     dataset = dataio.read_feature_csv(args.input)
     if tuple(model.feature_names) != tuple(dataset.feature_names):
@@ -292,11 +296,6 @@ def cmd_explain(args) -> int:
         raise ConfigError(
             f"--row {args.row} out of range for {dataset.n} rows")
     stats = FeatureStats.from_features(dataset.features)
-    config = ExplainConfig(
-        n_perturbations=args.n_perturbations,
-        kernel_width=args.kernel_width,
-        ridge_lambda=args.ridge_lambda,
-    )
     explanation = explain_instance(model, dataset.features[args.row],
                                    config, stats, seed=args.seed)
     label_name = model.label_names[explanation.predicted_class]

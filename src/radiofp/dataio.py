@@ -1,8 +1,8 @@
 """On-disk formats.
 
 IQ binary: headerless little-endian 32-bit floats, interleaved I,Q,I,Q,...
-(the file length must be a multiple of 8 bytes).  An etalon file is the same
-format with exactly 2L floats.
+(the file length must be a multiple of 8 bytes, and every float finite).  An
+etalon file is the same format with exactly 2L floats.
 
 CSV files use ``\\n`` line endings and shortest round-trip decimal floats, so
 a given dataset and seed always produce byte-identical output.  `write_csv`
@@ -30,6 +30,7 @@ from .features import FEATURE_NAMES
 from .pipeline import ImpairmentProfile
 
 FEATURE_CSV_HEADER = ["label", *FEATURE_NAMES]
+_IQ_BLOCK_SAMPLES = 1 << 18  # samples converted per read: 2 MB of the file
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -55,13 +56,44 @@ def write_iq(path, samples) -> None:
     atomic_write_bytes(path, inter.tobytes())
 
 
+class IqFile:
+    """The samples of an ``.iq`` file, read on demand.
+
+    ``size`` is the sample count; ``f[start:stop]`` reads that range as a
+    complex array, a block of at most ``_IQ_BLOCK_SAMPLES`` samples at a
+    time.  A file whose length is not a whole number of samples, or a
+    non-finite sample in a range read, raises `DataFormatError`.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        nbytes = os.path.getsize(path)
+        if nbytes % 8:
+            raise DataFormatError(
+                f"{path}: {nbytes} bytes is not a whole number of 8-byte "
+                "I/Q samples")
+        self.size = nbytes // 8
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        start, stop, _ = key.indices(self.size)
+        out = np.empty(max(0, stop - start), dtype=complex)
+        with open(self.path, "rb") as fh:
+            fh.seek(8 * start)
+            for lo in range(start, stop, _IQ_BLOCK_SAMPLES):
+                hi = min(stop, lo + _IQ_BLOCK_SAMPLES)
+                raw = np.fromfile(fh, dtype="<f4", count=2 * (hi - lo))
+                bad = np.flatnonzero(~np.isfinite(raw))
+                if bad.size:
+                    raise DataFormatError(f"{self.path}: sample "
+                                          f"{lo + bad[0] // 2} is not finite")
+                out[lo - start:hi - start] = (raw[0::2].astype(float)
+                                              + 1j * raw[1::2].astype(float))
+        return out
+
+
 def read_iq(path) -> np.ndarray:
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size % 2:
-        raise DataFormatError(
-            f"{path}: interleaved I/Q float count must be even, got {raw.size}"
-        )
-    return raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
+    """Every sample of an ``.iq`` file, as `IqFile` reads them."""
+    return IqFile(path)[:]
 
 
 def _cell(value) -> str:

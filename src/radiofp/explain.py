@@ -29,10 +29,13 @@ class ExplainConfig:
     def __post_init__(self):
         if self.n_perturbations < 100:
             raise ValueError("need at least 100 perturbations")
-        if self.kernel_width is not None and self.kernel_width <= 0:
-            raise ValueError("kernel_width must be positive")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be >= 0")
+        if self.kernel_width is not None and not (
+                math.isfinite(self.kernel_width) and self.kernel_width > 0):
+            raise ValueError("kernel_width must be finite and > 0, "
+                             f"not {self.kernel_width}")
+        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
+            raise ValueError("ridge_lambda must be finite and >= 0, "
+                             f"not {self.ridge_lambda}")
 
     def resolved_kernel_width(self, n_features: int) -> float:
         if self.kernel_width is None:

@@ -21,11 +21,17 @@ from .errors import (
     InvalidEtalonError,
     SyncNotFoundError,
 )
+from .features import feature_matrix
 from .pi_digits import PI_DIGITS
 
 DEFAULT_FRAME_LEN = 1024
 MIN_ETALON_LEN = 64
 DEFAULT_SYNC_THRESHOLD = 3.0
+
+# block sizes of the streamed extract; outputs do not depend on them
+_CORR_MIN_NFFT = 8192  # the correlation FFT: a power of two >= this and 2L
+_CORR_BATCH_BYTES = 4 << 20  # complex FFT windows per batch
+_FRAME_BLOCK_BYTES = 4 << 20  # complex frames phased and featurized at once
 
 
 def gen_transnoise(frame_index: int, length: int) -> np.ndarray:
@@ -140,14 +146,41 @@ def simulate_device(clean, profile: ImpairmentProfile, seed: int) -> np.ndarray:
     return x
 
 
-def _cross_correlation_mag(stream: np.ndarray, etalon: np.ndarray) -> np.ndarray:
-    """|c[k]| with c[k] = sum_m stream[k+m] * conj(etalon[m]), k = 0..n-L."""
-    n = stream.size
-    length = etalon.size
-    nfft = 1 << (n + length - 1).bit_length()
-    spec = np.fft.fft(stream, nfft) * np.conj(np.fft.fft(etalon, nfft))
-    corr = np.fft.ifft(spec)[: n - length + 1]
-    return np.abs(corr)
+def _as_stream(stream):
+    """The samples of a stream: a complex array, unless ``stream`` reads
+    them on demand (``size`` and slicing, as `dataio.IqFile` does)."""
+    if isinstance(stream, np.ndarray) or not hasattr(stream, "size"):
+        return np.asarray(stream, dtype=complex)
+    return stream
+
+
+def _cross_correlation_mag(stream, etalon: np.ndarray) -> np.ndarray:
+    """|c[k]| with c[k] = sum_m stream[k+m] * conj(etalon[m]), k = 0..n-L.
+
+    Overlap-save (Oppenheim & Schafer, *Discrete-Time Signal Processing*,
+    ch. 8): window b of the stream starts at sample b*step and holds nfft
+    samples, zero-padded past the end; its circular correlation with the
+    etalon is exact for the first ``step = nfft - L + 1`` lags, which are
+    lags b*step .. b*step + step - 1 of the stream.  The windows go through
+    the FFT in batches of about ``_CORR_BATCH_BYTES``, so memory stays
+    bounded whatever the stream length.
+    """
+    n, length = stream.size, etalon.size
+    nfft = 1 << (max(_CORR_MIN_NFFT, 2 * length) - 1).bit_length()
+    step = nfft - length + 1
+    taps = np.conj(np.fft.fft(etalon, nfft))
+    mag = np.empty(n - length + 1)
+    batch = step * max(1, _CORR_BATCH_BYTES // (16 * nfft))
+    for first in range(0, mag.size, batch):
+        lags = min(batch, mag.size - first)
+        blocks = -(-lags // step)
+        seg = np.zeros(blocks * step + length - 1, dtype=complex)
+        samples = stream[first:first + seg.size]
+        seg[:samples.size] = samples
+        windows = np.lib.stride_tricks.sliding_window_view(seg, nfft)[::step]
+        corr = np.fft.ifft(np.fft.fft(windows, axis=1) * taps, axis=1)
+        mag[first:first + lags] = np.abs(corr[:, :step]).reshape(-1)[:lags]
+    return mag
 
 
 def _check_etalon(etalon) -> np.ndarray:
@@ -171,13 +204,14 @@ def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
     (finite and > 0) times the mean correlation magnitude outside the peak's
     five-lag neighbourhood; the first peak that does not ends the search.
     The magnitudes are summed once, so the whole search is linear in the
-    stream length.
+    stream length.  ``stream`` is array-like or a block reader such as
+    `dataio.IqFile`; only the correlation reads it.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError("sync threshold must be finite and > 0, "
                          f"not {threshold}")
     e = _check_etalon(etalon)
-    x = np.asarray(stream, dtype=complex)
+    x = _as_stream(stream)
     length = e.size
     if x.size < length:
         raise SyncNotFoundError(
@@ -253,13 +287,31 @@ def error_phase(frames, etalon) -> tuple[np.ndarray, np.ndarray]:
 
 def run_capture_pipeline(stream, etalon,
                          threshold: float = DEFAULT_SYNC_THRESHOLD):
-    """synchronize + error_phase over a whole stream, in stream order.
+    """synchronize, error_phase and feature_matrix over a stream.
 
-    Returns ``(phases, dropped, lags)``: the `error_phase` result for the
-    matrix of synchronized frames, and the sample offset of each frame.
+    ``stream`` is array-like or a block reader such as `dataio.IqFile`.  The
+    synchronized frames are gathered, phased and featurized a block of
+    frames at a time (the rows are independent, so the result does not
+    depend on the block size), and only the correlation magnitudes and the
+    feature rows live for the whole stream.  Returns
+    ``(values, failed, dropped, lags)``: the `feature_matrix` result for the
+    frames `error_phase` keeps, in stream order, its ``dropped`` mask over
+    all synchronized frames, and the sample offset of each frame.
     """
     e = _check_etalon(etalon)
-    x = np.asarray(stream, dtype=complex)
+    x = _as_stream(stream)
     lags = synchronize(x, e, threshold=threshold)
-    phases, dropped = error_phase(x[lags[:, None] + np.arange(e.size)], e)
-    return phases, dropped, lags
+    per_block = max(1, _FRAME_BLOCK_BYTES // (16 * e.size))
+    values, failed, dropped = [], [], []
+    for first in range(0, lags.size, per_block):
+        block = lags[first:first + per_block]
+        span = x[block[0]:block[-1] + e.size]
+        offsets = block - block[0]
+        phases, drop = error_phase(span[offsets[:, None] + np.arange(e.size)],
+                                   e)
+        block_values, block_failed = feature_matrix(phases)
+        values.append(block_values)
+        failed.append(block_failed)
+        dropped.append(drop)
+    return (np.concatenate(values), np.concatenate(failed),
+            np.concatenate(dropped), lags)

@@ -24,7 +24,6 @@ from radiofp.classify import (
 )
 from radiofp.cli import DEFAULT_PROFILES, main
 from radiofp.dataset import FeatureStats, LabeledFeatureSet
-from radiofp.errors import FeatureError
 from radiofp.explain import ExplainConfig, explain_instance
 from radiofp.features import FEATURE_NAMES, extract_features
 from radiofp.pipeline import (
@@ -198,15 +197,11 @@ def synthetic_experiment():
     for dev, profile in enumerate(profiles):
         frames = [simulate_device(etalon, profile, derive_seed(0, dev, m))
                   for m in range(2000)]
-        phases, dropped, _ = run_capture_pipeline(np.concatenate(frames),
-                                                  etalon)
-        skipped += int(dropped.sum())
-        for seq in phases:
-            try:
-                rows.append(extract_features(seq).as_array())
-                labels.append(str(dev))
-            except FeatureError:
-                skipped += 1
+        values, failed, dropped, _ = run_capture_pipeline(
+            np.concatenate(frames), etalon)
+        skipped += int(dropped.sum()) + int((failed >= 0).sum())
+        rows += list(values[failed < 0])
+        labels += [str(dev)] * int((failed < 0).sum())
     dataset = LabeledFeatureSet.from_rows(labels, np.array(rows))
     return dataset, skipped, time.time() - started
 

@@ -134,6 +134,10 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys):
              "--trees", "2", "--no-timestamp", "--out-dir", str(tmp_path / "t")]
     stats = ["stats", "--input", str(features), "--out-dir",
              str(tmp_path / "s"), "--bins"]
+    # no model file: the flags are checked before anything is read
+    explain = ["explain", "--model", str(tmp_path / "no_model.txt"),
+               "--input", str(features), "--row", "0",
+               "--out", str(tmp_path / "e.csv")]
     # each is rejected before any work or write
     for argv in (extract + ["nan"], extract + ["-1"], extract + ["0"],
                  extract + ["inf"],
@@ -151,13 +155,20 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys):
                  train + ["--max-depth", "0"], train + ["--max-depth", "-1"],
                  # 80 rows in 4 folds leave 60 training rows
                  train + ["--classifiers", "forest,knn", "--knn-k", "61"],
-                 stats + ["0"], stats + ["-3"]):
+                 stats + ["0"], stats + ["-3"],
+                 explain + ["--kernel-width", "nan"],
+                 explain + ["--kernel-width", "inf"],
+                 explain + ["--kernel-width", "0"],
+                 explain + ["--ridge-lambda", "nan"],
+                 explain + ["--ridge-lambda", "inf"],
+                 explain + ["--ridge-lambda", "-1"],
+                 explain + ["--n-perturbations", "99"]):
         capsys.readouterr()
         assert main(argv) == 4, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "Traceback" not in err
-    for out in ("f.csv", "t", "s"):
+    for out in ("f.csv", "t", "s", "e.csv"):
         assert not (tmp_path / out).exists(), out
     assert main(train + ["--classifiers", "knn", "--knn-k", "60"]) == 0
 
@@ -463,6 +474,13 @@ MALFORMED_INPUTS = [
     ("profiles_dc_offset_nan", "profiles",
      lambda t: '[{}, {"dc_offset": [0, NaN]}]'),
     ("iq_shorter_than_one_frame", "iq", lambda b: b[:8 * 10]),
+    ("iq_trailing_bytes", "iq", lambda b: b + bytes(2)),
+    ("iq_nan_sample", "iq",  # after the last frame
+     lambda b: b + np.array([np.nan, 0.0], dtype="<f4").tobytes()),
+    ("iq_inf_sample", "iq",  # inside frame 3
+     lambda b: b[:8 * 1000] + np.array([np.inf], dtype="<f4").tobytes()
+     + b[8 * 1000 + 4:]),
+    ("iq_empty", "iq", lambda b: b""),
 ]
 
 

@@ -23,6 +23,36 @@ def test_iq_rejects_odd_float_count(tmp_path):
         dataio.read_iq(path)
 
 
+@pytest.mark.parametrize("tail, message", [
+    (bytes(2), "not a whole number"),
+    (np.array([0.0, np.nan], dtype="<f4").tobytes(), "sample 257 is not finite"),
+    (np.array([-np.inf, 1.0], dtype="<f4").tobytes(), "sample 257 is not finite"),
+])
+def test_iq_rejects_partial_and_non_finite_samples(tail, message, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 100)
+    path = tmp_path / "bad.iq"
+    dataio.write_iq(path, np.ones(257))
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(DataFormatError, match=message):
+        dataio.read_iq(path)
+    with pytest.raises(DataFormatError, match=message):
+        dataio.IqFile(path)[200:]
+
+
+def test_iq_file_blocks_equal_read_iq(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    path = tmp_path / "x.iq"
+    dataio.write_iq(path, rng.normal(size=1000) + 1j * rng.normal(size=1000))
+    whole = dataio.read_iq(path)
+    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 7)
+    f = dataio.IqFile(path)
+    assert f.size == 1000
+    assert f[:].tobytes() == whole.tobytes()
+    for start, stop in ((0, 1), (6, 8), (13, 700), (990, 2000), (500, 500)):
+        assert f[start:stop].tobytes() == whole[start:stop].tobytes()
+
+
 def test_feature_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(20, 10))

@@ -246,6 +246,32 @@ def test_synchronize_matches_quadratic_reference():
     assert min(seen.values()) > 50, seen
 
 
+@pytest.mark.parametrize("length", [64, 1024])
+@pytest.mark.parametrize("blocks_per_batch", [1, 2, None])
+def test_cross_correlation_matches_np_correlate(length, blocks_per_batch,
+                                                monkeypatch):
+    """Overlap-save |c| equals direct correlation at every block and batch
+    boundary: streams of L and L+1 samples, and streams whose lag count is
+    a multiple of the block step or one off it."""
+    nfft = 8192
+    step = nfft - length + 1
+    monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", nfft)
+    if blocks_per_batch is not None:
+        monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES",
+                            blocks_per_batch * 16 * nfft)
+    rng = np.random.default_rng(length)
+    etalon = rng.normal(size=length) + 1j * rng.normal(size=length)
+    lag_counts = [1, 2] + [k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    for lag_count in lag_counts + [5 * step + 77]:
+        n = lag_count + length - 1
+        stream = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = pipeline._cross_correlation_mag(stream, etalon)
+        want = np.abs(np.correlate(stream, etalon, "valid"))
+        assert got.shape == want.shape, n
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=1e-12 * want.max(), err_msg=str(n))
+
+
 def test_error_phase_pure_gain_absorbed():
     etalon = pipeline.transnoise_etalon(256)
     frame = 2.0 * np.exp(1j * np.pi / 3) * etalon
@@ -302,21 +328,81 @@ def test_error_phase_range():
 def test_capture_pipeline_clean_repetitions():
     etalon = pipeline.transnoise_etalon(128)
     stream = np.tile(etalon, 10)
-    phases, dropped, _ = pipeline.run_capture_pipeline(stream, etalon)
-    assert len(phases) == 10
+    values, failed, dropped, _ = pipeline.run_capture_pipeline(stream, etalon)
+    assert len(values) == 10
     assert not dropped.any()
-    for seq in phases:
-        np.testing.assert_array_equal(seq, np.zeros(128))
+    # every error phase is all zeros: mean (P1) 0, range (P2) 0, so each
+    # row fails at P2
+    np.testing.assert_array_equal(values[:, :2], np.zeros((10, 2)))
+    assert failed.tolist() == [1] * 10
 
 
 def test_capture_pipeline_simulated_devices():
     etalon = pipeline.transnoise_etalon(128)
     profile = ImpairmentProfile(quadrature_error=0.02, snr_db=20.0)
     parts = [pipeline.simulate_device(etalon, profile, seed=s) for s in range(10)]
-    phases, _, _ = pipeline.run_capture_pipeline(np.concatenate(parts), etalon)
-    assert len(phases) == 10
-    for seq in phases:
-        assert np.var(seq) > 0
+    values, _, _, _ = pipeline.run_capture_pipeline(np.concatenate(parts),
+                                                    etalon)
+    assert len(values) == 10
+    assert np.all(values[:, 1] > 0)  # no error phase is constant
+
+
+def _blocked_extract_stream(rng, etalon, kind):
+    """A noise lead-in, 30 frames (every 7th noise-free, which fails at
+    P2) and a partial frame.  ``gap`` puts noise that loses sync after frame
+    24; ``tiny`` scales it all down until every gain is numerically zero."""
+    length = etalon.size
+    parts = [0.3 * rng.normal(size=37) + 0j]
+    for m in range(30):
+        sigma = 0.0 if m % 7 == 3 else 0.05
+        gain = 1j ** m * 2.0 ** (m % 2)  # exact in float32
+        parts.append(gain * etalon + sigma * (
+            rng.normal(size=length) + 1j * rng.normal(size=length)))
+        if kind == "gap" and m == 23:
+            parts.append(0.3 * (rng.normal(size=3 * length)
+                                + 1j * rng.normal(size=3 * length)))
+    parts.append(etalon[:length // 3])
+    stream = np.concatenate(parts)
+    return 1e-14 * stream if kind == "tiny" else stream
+
+
+@pytest.mark.parametrize("kind", ["gap", "no_gap", "tiny"])
+def test_run_capture_pipeline_blocks_match_whole_matrix(kind, tmp_path,
+                                                        monkeypatch):
+    """Streamed from an .iq file in small correlation, read and frame
+    blocks, extract equals sync, error_phase and feature_matrix run once on
+    the whole stream and frame matrix, byte for byte."""
+    from radiofp import dataio
+    from radiofp.features import feature_matrix
+
+    dataio.write_iq(tmp_path / "etalon.iq", pipeline.transnoise_etalon(64))
+    etalon = dataio.read_iq(tmp_path / "etalon.iq")
+    path = tmp_path / "stream.iq"
+    dataio.write_iq(path, _blocked_extract_stream(np.random.default_rng(8),
+                                                  etalon, kind))
+    stream = dataio.read_iq(path)
+    lags = pipeline.synchronize(stream, etalon)
+    phases, dropped = pipeline.error_phase(
+        stream[lags[:, None] + np.arange(etalon.size)], etalon)
+    values, failed = feature_matrix(phases)
+
+    monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", 128)  # step 65 lags
+    monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES", 2 * 16 * 128)
+    monkeypatch.setattr(pipeline, "_FRAME_BLOCK_BYTES", 7 * 16 * 64)
+    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 100)
+    got = pipeline.run_capture_pipeline(dataio.IqFile(path), etalon)
+
+    assert stream.size - etalon.size + 1 > 3 * 2 * 65  # >= 3 batches
+    assert lags.size > 3 * 7  # >= 4 frame blocks
+    assert lags[-1] + 2 * etalon.size > stream.size or kind == "gap"
+    if kind == "gap":
+        assert lags.size == 24
+    assert failed.tolist().count(1) >= 3 or kind == "tiny"
+    assert dropped.all() == (kind == "tiny")
+    for name, want, have in zip(("values", "failed", "dropped", "lags"),
+                                (values, failed, dropped, lags), got):
+        assert have.dtype == want.dtype, name
+        assert have.tobytes() == want.tobytes(), name
 
 
 def test_error_phase_matrix_masks_zero_gain_row():

@@ -28,10 +28,12 @@ DEFAULT_FRAME_LEN = 1024
 MIN_ETALON_LEN = 64
 DEFAULT_SYNC_THRESHOLD = 3.0
 
-# block sizes of the streamed extract; outputs do not depend on them
-_CORR_MIN_NFFT = 8192  # the correlation FFT: a power of two >= this and 2L
-_CORR_BATCH_BYTES = 4 << 20  # complex FFT windows per batch
-_FRAME_BLOCK_BYTES = 4 << 20  # complex frames phased and featurized at once
+# block sizes of the streamed extract, in bytes of complex samples; 1 MB
+# stays in a core's L2 cache.  The frame blocks change no output byte, and
+# the correlation blocks only the rounding of the correlation magnitudes.
+_CORR_MIN_NFFT = 8192  # correlation FFT: a power of two, >= this and >= 2L
+_CORR_BATCH_BYTES = 1 << 20  # FFT windows per batch
+_FRAME_BLOCK_BYTES = 1 << 20  # frames phased and featurized at once
 
 
 def gen_transnoise(frame_index: int, length: int) -> np.ndarray:

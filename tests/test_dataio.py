@@ -23,10 +23,14 @@ def test_iq_rejects_odd_float_count(tmp_path):
         dataio.read_iq(path)
 
 
+def _floats(*values) -> bytes:
+    return np.array(values, dtype="<f4").tobytes()
+
+
 @pytest.mark.parametrize("tail, message", [
     (bytes(2), "not a whole number"),
-    (np.array([0.0, np.nan], dtype="<f4").tobytes(), "sample 257 is not finite"),
-    (np.array([-np.inf, 1.0], dtype="<f4").tobytes(), "sample 257 is not finite"),
+    (_floats(0.0, np.nan), "sample 257 is not finite"),
+    (_floats(-np.inf, 1.0), "sample 257 is not finite"),
 ])
 def test_iq_rejects_partial_and_non_finite_samples(tail, message, tmp_path,
                                                    monkeypatch):
@@ -45,6 +49,9 @@ def test_iq_file_blocks_equal_read_iq(tmp_path, monkeypatch):
     path = tmp_path / "x.iq"
     dataio.write_iq(path, rng.normal(size=1000) + 1j * rng.normal(size=1000))
     whole = dataio.read_iq(path)
+    raw = np.fromfile(path, dtype="<f4")
+    assert whole.tobytes() == (raw[0::2].astype(float)
+                               + 1j * raw[1::2].astype(float)).tobytes()
     monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 7)
     f = dataio.IqFile(path)
     assert f.size == 1000

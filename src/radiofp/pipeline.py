@@ -308,12 +308,11 @@ def run_capture_pipeline(stream, etalon,
     for first in range(0, lags.size, per_block):
         block = lags[first:first + per_block]
         span = x[block[0]:block[-1] + e.size]
-        offsets = block - block[0]
-        phases, drop = error_phase(span[offsets[:, None] + np.arange(e.size)],
-                                   e)
+        frames = span[(block - block[0])[:, None] + np.arange(e.size)]
+        phases, block_dropped = error_phase(frames, e)
         block_values, block_failed = feature_matrix(phases)
         values.append(block_values)
         failed.append(block_failed)
-        dropped.append(drop)
+        dropped.append(block_dropped)
     return (np.concatenate(values), np.concatenate(failed),
             np.concatenate(dropped), lags)

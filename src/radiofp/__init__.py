@@ -28,15 +28,7 @@ from .classify import (
 )
 from .dataset import FeatureStats, LabeledFeatureSet
 from .explain import ExplainConfig, Explanation, explain_instance, perturb
-from .features import (
-    FEATURE_NAMES,
-    FeatureVector,
-    RootLineFit,
-    extract_features,
-    feature_matrix,
-    find_roots,
-    fit_root_line,
-)
+from .features import FEATURE_NAMES, feature_matrix
 from .pipeline import (
     DEFAULT_FRAME_LEN,
     ImpairmentProfile,

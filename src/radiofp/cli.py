@@ -152,21 +152,24 @@ def cmd_extract(args) -> int:
     else:
         jobs = [(args.label, input_path, None)]
 
-    labels, rows = [], []
+    labels, rows, sync_notes = [], [], []
     reasons = ("zero gain",) + FEATURE_NAMES
     skips = np.zeros(len(reasons), dtype=np.int64)
     for label, path, expected in jobs:
         values, failed, dropped, lags = run_capture_pipeline(
             dataio.IqFile(path), etalon, threshold=args.sync_threshold)
         if expected is not None and lags.size < expected:
-            print(f"device {label}: sync found {lags.size} of {expected} "
-                  f"frames, lost after sample {lags[-1] + etalon.size}",
-                  file=sys.stderr)
+            sync_notes.append(
+                f"device {label}: sync found {lags.size} of {expected} "
+                f"frames, lost after sample {lags[-1] + etalon.size}")
         rows.append(values[failed < 0])
         labels += [label] * len(rows[-1])
         skips[0] += dropped.sum()
         skips[1:] += np.bincount(failed[failed >= 0], minlength=10)
 
+    # held until every stream is read, so an error stays the only line
+    for note in sync_notes:
+        print(note, file=sys.stderr)
     detail = ", ".join(f"{r}: {n}" for r, n in zip(reasons, skips) if n)
     print(f"skipped {skips.sum()} of {len(labels) + skips.sum()} frames"
           + (f" ({detail})" if detail else ""), file=sys.stderr)
@@ -185,17 +188,22 @@ def cmd_stats(args) -> int:
     if args.bins < 1:
         raise ConfigError("--bins must be at least 1")
     dataset = dataio.read_feature_csv(args.input)
+    # every report is computed before the first write
+    report = significance_report(dataset)
+    correlations = pearson_matrix(dataset)
+    try:
+        histograms = [histogram(column, args.bins)
+                      for column in dataset.features.T]
+    except (ValueError, MemoryError) as exc:  # numpy's array size limits
+        raise ConfigError(f"--bins {args.bins} is too large: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = not args.no_timestamp
 
-    report = significance_report(dataset)
     dataio.write_significance_csv(out_dir / "significance.csv", report, stamp)
     dataio.write_matrix_csv(out_dir / "pearson_matrix.csv",
-                            dataset.feature_names, pearson_matrix(dataset),
-                            stamp)
-    for i, name in enumerate(dataset.feature_names):
-        edges, counts = histogram(dataset.features[:, i], args.bins)
+                            dataset.feature_names, correlations, stamp)
+    for name, (edges, counts) in zip(dataset.feature_names, histograms):
         dataio.write_histogram_csv(out_dir / f"hist_{name}.csv",
                                    edges, counts, stamp)
     print(f"wrote reports for {dataset.n} rows to {out_dir}")

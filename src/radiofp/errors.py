@@ -1,9 +1,4 @@
-"""Exception taxonomy shared across the package.
-
-Feature extraction failures carry the name of the parameter that could not be
-computed (``parameter`` attribute) so batch callers can report which of the
-ten quantities rejected a frame.
-"""
+"""Exception taxonomy shared across the package."""
 
 
 class RadioFpError(Exception):
@@ -11,11 +6,7 @@ class RadioFpError(Exception):
 
 
 class FeatureError(RadioFpError):
-    """A fluctuation parameter cannot be computed for this sequence."""
-
-    def __init__(self, message, parameter=None):
-        super().__init__(message)
-        self.parameter = parameter
+    """A sequence is not valid input for the fluctuation parameters."""
 
 
 class NonFiniteInputError(FeatureError):
@@ -23,23 +14,7 @@ class NonFiniteInputError(FeatureError):
 
 
 class DegenerateSequenceError(FeatureError):
-    """Sequence is constant, too short, or otherwise has no usable range."""
-
-
-class OneSidedSequenceError(FeatureError):
-    """All deviations from the mean share one sign."""
-
-
-class DegenerateAsymmetryError(FeatureError):
-    """Vertical asymmetry ratio is undefined (mean equals the minimum)."""
-
-
-class InsufficientRootsError(FeatureError):
-    """Fewer than two zero crossings; no root line can be fitted."""
-
-
-class DegenerateFitError(FeatureError):
-    """Root-line fit produced a non-positive slope."""
+    """Sequence is shorter than the fluctuation parameters need."""
 
 
 class DigitTableExhaustedError(RadioFpError):

@@ -25,7 +25,7 @@ from radiofp.classify import (
 from radiofp.cli import DEFAULT_PROFILES, main
 from radiofp.dataset import FeatureStats, LabeledFeatureSet
 from radiofp.explain import ExplainConfig, explain_instance
-from radiofp.features import FEATURE_NAMES, extract_features
+from radiofp.features import FEATURE_NAMES, feature_matrix
 from radiofp.pipeline import (
     run_capture_pipeline,
     simulate_device,
@@ -37,6 +37,11 @@ from oracles import oracle_features, oracle_p_value
 
 def _report(criterion, detail):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
+
+
+def _params(y):
+    """The ten parameters of one sequence, a one-row `feature_matrix`."""
+    return feature_matrix([y])[0][0]
 
 
 # --- criterion 1: feature oracle suite --------------------------------------
@@ -52,7 +57,7 @@ def test_criterion_1_feature_oracle_suite():
             y = rng.normal(size=n)
         else:
             y = rng.uniform(-1.0, 1.0, size=n)
-        got = extract_features(y).as_array()
+        got = _params(y)
         want = oracle_features(y)
         for name, value in zip(FEATURE_NAMES, got):
             ref = want[name]
@@ -88,14 +93,14 @@ def test_criterion_2_sinusoid_recovery():
         # shift stays before the first crossing so no root enters or leaves
         s = int(rng.integers(1, max(2, int(first_root - 0.5))))
         y = np.sin(omega * (np.arange(n) + delta))
-        fy = extract_features(y)
-        fz = extract_features(y[s:])
-        worst_p9 = max(worst_p9, abs(fy.p9 - omega) / omega)
-        expected = (fy.p10 - omega * s) % math.pi
-        d = (fz.p10 - expected) % math.pi
+        fy = _params(y)
+        fz = _params(y[s:])
+        worst_p9 = max(worst_p9, abs(fy[8] - omega) / omega)
+        expected = (fy[9] - omega * s) % math.pi
+        d = (fz[9] - expected) % math.pi
         d = min(d, math.pi - d)
         worst_p10 = max(worst_p10, d)
-        assert abs(fy.p9 - omega) / omega < 1e-3
+        assert abs(fy[8] - omega) / omega < 1e-3
         assert d < 1e-6
     elapsed = time.time() - started
     assert elapsed < 5.0
@@ -107,12 +112,6 @@ def test_criterion_2_sinusoid_recovery():
 
 
 def test_criterion_3_invariance_suite():
-    from radiofp.features import (
-        p2_range,
-        p4_cumulative_range,
-        p8_normalized_integral_range,
-    )
-
     rng = np.random.default_rng(33)
 
     for _ in range(200):  # positive-affine invariance of p5, p8, p9, p10
@@ -120,17 +119,16 @@ def test_criterion_3_invariance_suite():
         c = float(rng.uniform(1e-3, 1e3))
         d = float(rng.normal(0.0, 50.0))
         z = c * y + d
-        fy, fz = extract_features(y), extract_features(z)
-        assert fz.p5 == pytest.approx(fy.p5, rel=1e-9)
-        assert fz.p8 == pytest.approx(fy.p8, rel=1e-9)
-        assert fz.p9 == pytest.approx(fy.p9, rel=1e-9)
-        assert fz.p10 == pytest.approx(fy.p10, rel=1e-9, abs=1e-9)
+        fy, fz = _params(y), _params(z)
+        assert fz[4] == pytest.approx(fy[4], rel=1e-9)
+        assert fz[7] == pytest.approx(fy[7], rel=1e-9)
+        assert fz[8] == pytest.approx(fy[8], rel=1e-9)
+        assert fz[9] == pytest.approx(fy[9], rel=1e-9, abs=1e-9)
 
     for _ in range(200):  # p8 == p4 / p2 exactly
         y = rng.normal(size=int(rng.integers(8, 600)))
-        assert p8_normalized_integral_range(y) == pytest.approx(
-            p4_cumulative_range(y) / p2_range(y), rel=1e-12
-        )
+        fy = _params(y)
+        assert fy[7] == pytest.approx(fy[3] / fy[1], rel=1e-12)
 
     for _ in range(200):  # point-biserial == pearson with 0/1 labels
         n = int(rng.integers(4, 300))

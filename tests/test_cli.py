@@ -6,7 +6,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from radiofp import dataio
+from radiofp import dataio, stats as stats_module
 from radiofp.cli import main
 from radiofp.pipeline import transnoise_etalon
 
@@ -94,6 +94,28 @@ def test_extract_reports_sync_loss(small_dataset, tmp_path, capsys):
     assert "skipped 0 of 50 frames" in err
 
 
+def test_extract_error_after_sync_loss_one_line(small_dataset, tmp_path,
+                                                capsys):
+    _, raw, _ = small_dataset
+    data = tmp_path / "gap_nan"
+    shutil.copytree(raw, data)
+    stream = dataio.read_iq(data / "device_0.iq")
+    cut = 10 * 256  # device 0 loses sync after frame 10 of 40
+    dataio.write_iq(data / "device_0.iq", np.concatenate(
+        [stream[:cut], np.zeros(300, dtype=complex), stream[cut:]]))
+    with open(data / "device_1.iq", "ab") as fh:  # a NaN after the last frame
+        fh.write(np.array([np.nan, 0.0], dtype="<f4").tobytes())
+    capsys.readouterr()
+    assert main([
+        "extract", "--input", str(data / "manifest.csv"),
+        "--etalon", str(data / "etalon.iq"),
+        "--out", str(tmp_path / "f.csv"), "--no-timestamp",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_extract_missing_file_exit_2(tmp_path):
     code = main([
         "extract", "--input", str(tmp_path / "missing.iq"),
@@ -103,7 +125,7 @@ def test_extract_missing_file_exit_2(tmp_path):
     assert code == 2
 
 
-def test_bad_flags_exit_4(small_dataset, tmp_path, capsys):
+def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
     assert main(["train-eval", "--input", "x.csv"]) == 4  # missing --out-dir
     assert main(["no-such-command"]) == 4
     gen = ["gen-dataset", "--out-dir", str(tmp_path / "g"),
@@ -134,6 +156,14 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys):
              "--trees", "2", "--no-timestamp", "--out-dir", str(tmp_path / "t")]
     stats = ["stats", "--input", str(features), "--out-dir",
              str(tmp_path / "s"), "--bins"]
+    real_histogram = stats_module.histogram
+
+    def histogram(xs, bins):  # an allocation that fails, without making it
+        if bins == 3_000_000_000:
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+        return real_histogram(xs, bins)
+
+    monkeypatch.setattr(stats_module, "histogram", histogram)
     # no model file: the flags are checked before anything is read
     explain = ["explain", "--model", str(tmp_path / "no_model.txt"),
                "--input", str(features), "--row", "0",
@@ -156,6 +186,8 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys):
                  # 80 rows in 4 folds leave 60 training rows
                  train + ["--classifiers", "forest,knn", "--knn-k", "61"],
                  stats + ["0"], stats + ["-3"],
+                 # numpy rejects this size before it allocates anything
+                 stats + ["99999999999999999999"], stats + ["3000000000"],
                  explain + ["--kernel-width", "nan"],
                  explain + ["--kernel-width", "inf"],
                  explain + ["--kernel-width", "0"],

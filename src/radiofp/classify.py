@@ -83,8 +83,9 @@ class Tree:
 
 
 def _value_ranks(features):
-    """Dense rank of every value within its column, and a table whose row f
-    holds column f's sorted distinct values (padded with its largest).
+    """Dense rank of every value within its column, laid out (feature,
+    sample), and a table whose row f holds column f's sorted distinct
+    values (padded with its largest).
 
     Equal values share a rank, so ``rank <= r`` selects exactly the samples
     whose value is at most the r-th distinct value.
@@ -93,7 +94,7 @@ def _value_ranks(features):
     width = max(values.size for values, _ in columns)
     table = np.array([np.pad(values, (0, width - values.size), mode="edge")
                       for values, _ in columns])
-    ranks = np.column_stack([inverse for _, inverse in columns])
+    ranks = np.array([inverse for _, inverse in columns])
     return ranks, table
 
 
@@ -147,41 +148,57 @@ def _level_splits(ranks, values, labels, rows, owner, counts, per_split,
     each and ``counts`` the class counts of the open nodes.  One
     ``rng.random((open nodes, features))`` call draws each node's features:
     the first ``per_split`` of its row's stable argsort, sorted.  Each
-    (sample, drawn feature) pair becomes one int64 key,
-    ``(segment * n_ranks + value rank) * n_classes + class``, with one
-    segment per (open node, drawn feature) in that order, so one sort lays
-    every segment out by value.  A node takes the first maximum gain in key
-    order (lowest feature, then lowest threshold) over the cuts between
-    distinct values, and splits at the midpoint of the values either side.
+    (drawn feature, sample) pair becomes one int64 key,
+    ``(segment * n_ranks + value rank) << bits | class``, with one segment
+    per (open node, drawn feature) in that order, so one sort lays every
+    segment out by value.  A node takes the first maximum gain in key order
+    (lowest feature, then lowest threshold) over the cuts between distinct
+    values, and splits at the midpoint of the values either side.
+
+    Only class-boundary cuts are scored: those with a different class on
+    either side, or a value of two classes next to them.  Along a run of
+    single-class values the gain is strictly convex in the number of
+    samples sent left, so a cut inside the run is never a node's maximum
+    (Fayyad & Irani, Machine Learning 8, 1992), and the winner is the one
+    a search over every cut finds.
 
     Returns the open nodes that split, ascending, with each one's feature,
     the value rank at or below which a sample goes left, and threshold; or
     None when no node has a cut.
     """
     n_open, n_classes = counts.shape
-    n_features, n_ranks = values.shape
+    n_ranks = values.shape[1]
+    n_features, n_samples = ranks.shape
     size = counts.sum(axis=1)
     drawn = np.argsort(rng.random((n_open, n_features)), axis=1,
                        kind="stable")[:, :per_split]
     drawn.sort(axis=1)
-    key = ranks.take(rows[:, None] * n_features + drawn[owner])
-    key += (owner[:, None] * per_split + np.arange(per_split)) * n_ranks
-    key *= n_classes
-    key += labels[rows][:, None]
+    drawn = drawn.T.copy()  # (per_split, n_open)
+    bits = (n_classes - 1).bit_length()
+    key = ranks.take((drawn * n_samples).take(owner, axis=1) + rows)
+    key += np.arange(per_split)[:, None] * n_ranks
+    key += owner * (per_split * n_ranks)
+    key <<= bits
+    key |= labels[rows]
     key = key.ravel()
     key.sort()
-    seg_rank = key // n_classes  # segment * n_ranks + value rank
-    cls = key - seg_rank * n_classes
+    seg_rank = key >> bits  # segment * n_ranks + value rank
+    cls = key & ((1 << bits) - 1)
     del key
 
-    seg_size = np.repeat(size, per_split)
-    seg_start = np.concatenate(([0], np.cumsum(seg_size)[:-1]))
-    is_cut = seg_rank[1:] != seg_rank[:-1]
-    is_cut[seg_start[1:] - 1] = False  # no cut across segments
-    cut = np.flatnonzero(is_cut)  # between sorted elements cut, cut+1
+    # value groups: equal keys but for the class, which orders each group
+    last = np.flatnonzero(seg_rank[1:] != seg_rank[:-1])  # all but the final
+    first_cls = cls[np.append(0, last + 1)]
+    last_cls = cls[np.append(last, cls.size - 1)]
+    mixed = first_cls != last_cls  # the group holds two classes
+    keep = (last_cls[:-1] != first_cls[1:]) | mixed[:-1] | mixed[1:]
+    seg_start = np.concatenate(([0], np.cumsum(np.repeat(size, per_split))))
+    # no cut across segments: every segment but the final ends a value group
+    keep[np.searchsorted(last, seg_start[1:-1] - 1)] = False
+    cut = last[keep]  # between sorted elements cut, cut+1
     if cut.size == 0:  # every drawn feature is constant in every node
         return None
-    seg = np.repeat(np.arange(seg_size.size), seg_size)[cut]
+    seg = seg_rank[cut] // n_ranks
     at = seg // per_split  # open node of each cut
     gains = _cut_gains(cls, cut, seg_start[seg], at, counts)
 
@@ -192,7 +209,7 @@ def _level_splits(ranks, values, labels, rows, owner, counts, per_split,
         np.append(group, cut.size))))
     win = hit[np.concatenate(([True], at[hit[1:]] != at[hit[:-1]]))]
     c = cut[win]
-    f = drawn[at[win], seg[win] % per_split]
+    f = drawn[seg[win] % per_split, at[win]]
     lo = seg_rank[c] % n_ranks
     x_lo, x_hi = values[f, lo], values[f, seg_rank[c + 1] % n_ranks]
     thr = (x_lo + x_hi) / 2.0
@@ -210,7 +227,7 @@ def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
     ``_level_splits`` splits the open nodes of each level.  Nodes are numbered level by level, then
     renumbered to pre-order, left child first.
     """
-    n_features = ranks.shape[1]
+    n_samples = ranks.shape[1]
     # each split leaves at least one sample on either side
     cap = 2 * rows.size - 1
     feature = np.full(cap, -1)
@@ -248,12 +265,13 @@ def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
         right[split] = left[split] + 1
         levels.append(split)
 
-        slot = np.full(n_open, -1)
-        slot[won] = np.arange(n_split)
-        owner = slot[owner]
-        keep = owner >= 0
-        rows, owner = rows[keep], owner[keep]
-        child = 2 * owner + (ranks.take(rows * n_features + f[owner])
+        if n_split < n_open:  # some open node has no cut
+            slot = np.full(n_open, -1)
+            slot[won] = np.arange(n_split)
+            owner = slot[owner]
+            keep = owner >= 0
+            rows, owner = rows[keep], owner[keep]
+        child = 2 * owner + (ranks.take(f[owner] * n_samples + rows)
                              > lo[owner])
         counts[n_nodes:n_nodes + 2 * n_split] = np.bincount(
             child * n_classes + labels[rows],
@@ -426,7 +444,10 @@ def feature_importances(model: RandomForestModel) -> np.ndarray:
 
 # --- kNN and logistic regression ---------------------------------------------
 
-_KNN_CHUNK_BYTES = 1 << 20
+# multiply-adds in one query block's matrix product.  OpenBLAS 0.3 runs a
+# product of up to about 10^6 on the calling thread, so kNN stays on one
+# core while blocks hold two rows or more.
+_KNN_BLOCK_MADDS = 1 << 19
 
 
 @dataclass
@@ -441,32 +462,51 @@ class KnnModel:
     def predict(self, features) -> np.ndarray:
         """Majority vote of the k nearest; ties go to the lowest label.
 
-        The k nearest are those a stable sort of the squared distances
-        would put first: every distance below the k-th smallest, then the
-        lowest-index training rows at it.  Rows are scored in chunks whose
-        (rows, training rows, features) difference array stays within
-        ``_KNN_CHUNK_BYTES``.
+        The k nearest are the first k training rows in (squared distance,
+        index) order, as a stable sort of ``sum((x - q)**2)`` puts them.
+        Queries go in blocks of ``_KNN_BLOCK_MADDS // x.size`` rows.  A
+        block's matrix product gives each distance less ``|q|^2`` as
+        ``|x|^2 - 2 q.x``, within ``delta`` of the exact one; a training row
+        can be among a query's k nearest only if that is at most the
+        query's k-th smallest plus ``2 delta``.  The exact distances of
+        those rows alone then decide.
         """
         rows = np.atleast_2d(self.stats.standardize(features))
+        x = self.features_std
+        n_train, n_features = x.shape
         n_classes = len(self.label_names)
         k = self.k
+        xt = np.ascontiguousarray(x.T)
+        x_sq = np.einsum("ij,ij->i", x, x)
+        # |approx - exact| <= 2 (F + 2) u (|q| + max|x|)^2 for unit roundoff
+        # u and any summation order (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., ch. 3); the eps = 2u below doubles
+        # it to cover the rounding of the bound and of the shortlist limit,
+        # and tiny covers underflow
+        scale = 2 * (n_features + 2) * np.finfo(float).eps
+        reach = np.sqrt(x_sq.max())
         out = np.empty(rows.shape[0], dtype=int)
-        chunk = max(1, _KNN_CHUNK_BYTES // self.features_std.nbytes)
-        buf = np.empty((min(chunk, rows.shape[0]), *self.features_std.shape))
-        for lo in range(0, rows.shape[0], chunk):
-            block = rows[lo:lo + chunk, None, :]
-            diff = np.subtract(self.features_std, block, out=buf[:len(block)])
-            d2 = np.sum(np.square(diff, out=diff), axis=2)
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
-            below = d2 < kth
-            at_kth = d2 == kth
-            room = k - np.count_nonzero(below, axis=1)
-            nearest = below | (at_kth & (np.cumsum(at_kth, axis=1)
-                                         <= room[:, None]))
-            votes = np.column_stack([
-                np.count_nonzero(nearest & (self.labels == c), axis=1)
-                for c in range(n_classes)])
-            out[lo:lo + chunk] = np.argmax(votes, axis=1)
+        block = max(1, _KNN_BLOCK_MADDS // x.size)
+        approx = np.empty((min(block, rows.shape[0]), n_train))
+        for lo in range(0, rows.shape[0], block):
+            q = rows[lo:lo + block]
+            b = q.shape[0]
+            a = np.matmul(-2.0 * q, xt, out=approx[:b])
+            a += x_sq
+            kth = np.partition(a, k - 1, axis=1)[:, k - 1]
+            delta = (scale * (np.sqrt(np.einsum("ij,ij->i", q, q)) + reach)**2
+                     + np.finfo(float).tiny)
+            # the negation also shortlists NaNs, for the exact pass to order
+            r, j = np.divmod(np.flatnonzero(
+                ~(a > (kth + 2 * delta)[:, None])), n_train)
+            d2 = np.sum(np.square(x[j] - q[r]), axis=1)
+            order = np.lexsort((d2, r))  # r, j ascending already
+            per_row = np.bincount(r, minlength=b)
+            start = np.cumsum(per_row) - per_row
+            near = order[np.arange(order.size) - start[r] < k]
+            votes = np.bincount(r[near] * n_classes + self.labels[j[near]],
+                                minlength=b * n_classes)
+            out[lo:lo + b] = np.argmax(votes.reshape(b, n_classes), axis=1)
         return out
 
 

@@ -236,6 +236,8 @@ def _trainers(args, params):
 
 
 def cmd_train_eval(args) -> int:
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError("--seed must be at least 0")
     if args.folds < 2:
         raise ConfigError("--folds must be at least 2")
     if args.knn_k < 1:
@@ -290,6 +292,8 @@ def cmd_train_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError("--seed must be at least 0")
     config = ExplainConfig(
         n_perturbations=args.n_perturbations,
         kernel_width=args.kernel_width,

@@ -24,7 +24,7 @@ from radiofp.classify import (
     train_knn,
     train_tree,
 )
-from radiofp.dataset import LabeledFeatureSet
+from radiofp.dataset import FeatureStats, LabeledFeatureSet
 from radiofp.errors import (
     EmptyDatasetError,
     NoSplitsError,
@@ -287,6 +287,80 @@ def test_forest_trees_match_level_order_reference():
     assert splits > 3000
 
 
+def _assert_forest_matches_level_order(ds, params, seed):
+    """Each tree of the forest equals the level-order reference; returns the
+    number of splits."""
+    model = train_forest(ds, params, seed=seed)
+    splits = 0
+    for t, tree in enumerate(model.trees):
+        tree_rng = np.random.default_rng(derive_seed(seed, t))
+        rows = (tree_rng.integers(0, ds.n, ds.n) if params.bootstrap
+                else np.arange(ds.n))
+        want = _grow_level_order(
+            ds.features, ds.labels, rows, params.max_depth,
+            params.min_samples_split, params.features_per_split,
+            tree_rng, ds.n_classes)
+        _assert_same_tree(tree, want)
+        splits += int(np.sum(tree.feature >= 0))
+    return splits
+
+
+def _run_table(rng, trial):
+    """200-600 rows whose classes follow a noisy score of two columns, so a
+    sorted column holds long single-class runs; rounded tables also hold
+    values of two classes where runs meet."""
+    n, n_feat = int(rng.integers(200, 601)), int(rng.integers(2, 7))
+    n_classes = 2 + trial % 2
+    x = rng.normal(size=(n, n_feat))
+    score = x[:, 0] + 0.5 * x[:, 1] + rng.normal(scale=0.3, size=n)
+    edges = np.quantile(score, np.arange(1, n_classes) / n_classes)
+    y = np.searchsorted(edges, score)
+    if trial % 4 >= 2:
+        x = x.round(1)
+    return LabeledFeatureSet(x, y, tuple("abc"[:n_classes]),
+                             tuple(f"F{i}" for i in range(n_feat)))
+
+
+def _runs_and_mixed_edges(ds):
+    """Longest run of one-class distinct values in a sorted column, and the
+    count of two-class values next to a one-class value."""
+    longest = edges = 0
+    for col in ds.features.T:
+        _, group = np.unique(col, return_inverse=True)
+        lo = np.full(group.max() + 1, ds.n_classes)
+        hi = np.full(group.max() + 1, -1)
+        np.minimum.at(lo, group, ds.labels)
+        np.maximum.at(hi, group, ds.labels)
+        pure = lo == hi
+        edges += int(np.sum(~pure[1:] & pure[:-1])
+                     + np.sum(~pure[:-1] & pure[1:]))
+        run = 1
+        for same in pure[1:] & pure[:-1] & (lo[1:] == lo[:-1]):
+            run = run + 1 if same else 1
+            longest = max(longest, run)
+    return longest, edges
+
+
+def test_boundary_cuts_match_reference_on_larger_tables():
+    # the split search scores only class-boundary cuts; these tables have
+    # the long one-class runs whose inner cuts it skips
+    rng = np.random.default_rng(33)
+    splits = longest = edges = 0
+    for trial in range(20):
+        ds = _run_table(rng, trial)
+        params = ForestParams(
+            n_trees=2,
+            max_depth=[None, None, None, 3][trial % 4],
+            min_samples_split=int(rng.integers(2, 5)),
+            features_per_split=int(rng.integers(1, ds.n_features + 1)),
+            bootstrap=bool(trial % 5 % 2),
+        )
+        splits += _assert_forest_matches_level_order(ds, params, trial)
+        run, edge = _runs_and_mixed_edges(ds)
+        longest, edges = max(longest, run), edges + edge
+    assert splits > 1500 and longest >= 50 and edges >= 200
+
+
 def test_full_feature_trees_match_depth_first_reference():
     rng = np.random.default_rng(32)
     splits = 0
@@ -482,10 +556,43 @@ def test_knn_predict_matches_row_loop(monkeypatch):
         model = train_knn(ds, int(rng.integers(1, n + 1)))
         # chunks of one, a few, and all query rows
         chunk_rows = [1, 7, 1000][trial % 3]
-        monkeypatch.setattr(classify, "_KNN_CHUNK_BYTES",
-                            chunk_rows * model.features_std.nbytes)
+        monkeypatch.setattr(classify, "_KNN_BLOCK_MADDS",
+                            chunk_rows * model.features_std.size)
         np.testing.assert_array_equal(model.predict(feats),
                                       _knn_row_loop(model, feats))
+
+
+def test_knn_predict_matches_row_loop_near_ties(monkeypatch):
+    # distances that tie or differ in their last bits, where the rounding of
+    # |q|^2 + |x|^2 - 2 q.x is as large as the gaps the shortlist must keep
+    rng = np.random.default_rng(24)
+    for trial in range(48):
+        n, n_feat = int(rng.integers(2, 80)), int(rng.integers(1, 6))
+        kind = trial % 4
+        if kind == 0:  # duplicated training rows
+            pool = rng.normal(size=(n // 4 + 1, n_feat))
+            x = pool[rng.integers(0, len(pool), n)]
+        elif kind == 1:  # rows one ulp apart
+            base = rng.normal(size=n_feat)
+            x = base + rng.integers(-1, 2, size=(n, n_feat)) * np.spacing(base)
+        elif kind == 2:  # far from the origin, where the expansion cancels
+            x = 300.0 + rng.integers(0, 3, size=(n, n_feat)) * 1e-9
+        else:  # an integer grid: many exact ties
+            x = rng.integers(0, 2, size=(n, n_feat)).astype(float)
+        k = [1, n, int(rng.integers(1, n + 1))][trial % 3]
+        model = classify.KnnModel(
+            features_std=x, labels=rng.integers(0, 3, size=n), k=k,
+            stats=FeatureStats(np.zeros(n_feat), np.ones(n_feat)),
+            label_names=("a", "b", "c"))
+        # each training row is a query too: its approximate distance to
+        # itself can come out below 0
+        near = x[rng.integers(0, n, 20)]
+        near += rng.integers(-1, 2, size=near.shape) * np.spacing(near)
+        queries = np.vstack([x, near])
+        chunk_rows = [1, 7, 1000][trial // 3 % 3]
+        monkeypatch.setattr(classify, "_KNN_BLOCK_MADDS", chunk_rows * x.size)
+        np.testing.assert_array_equal(model.predict(queries),
+                                      _knn_row_loop(model, queries))
 
 
 def test_knn_blobs_cv():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import shutil
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from radiofp import dataio, stats as stats_module
-from radiofp.cli import main
+from radiofp.cli import build_parser, main
 from radiofp.pipeline import transnoise_etalon
 
 
@@ -183,6 +184,7 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
                  train + ["--knn-k", "0"], train + ["--trees", "0"],
                  train + ["--folds", "1"],
                  train + ["--max-depth", "0"], train + ["--max-depth", "-1"],
+                 train + ["--seed", "-1"],
                  # 80 rows in 4 folds leave 60 training rows
                  train + ["--classifiers", "forest,knn", "--knn-k", "61"],
                  stats + ["0"], stats + ["-3"],
@@ -194,15 +196,76 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
                  explain + ["--ridge-lambda", "nan"],
                  explain + ["--ridge-lambda", "inf"],
                  explain + ["--ridge-lambda", "-1"],
-                 explain + ["--n-perturbations", "99"]):
+                 explain + ["--n-perturbations", "99"],
+                 explain + ["--seed", "-1"]):
         capsys.readouterr()
         assert main(argv) == 4, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "Traceback" not in err
+        if "--seed" in argv:  # numpy's own message names no flag
+            assert err == "error: --seed must be at least 0\n"
     for out in ("f.csv", "t", "s", "e.csv"):
         assert not (tmp_path / out).exists(), out
     assert main(train + ["--classifiers", "knn", "--knn-k", "60"]) == 0
+
+
+# every numeric flag, and whether a huge value is rejected before any work
+NUMERIC_FLAGS = {
+    "gen-dataset": {"--devices": True, "--frames-per-device": False,
+                    "--frame-len": True, "--snr-db": False, "--seed": False,
+                    "--lead-in": False},
+    "extract": {"--sync-threshold": False},
+    "stats": {"--bins": True},
+    "train-eval": {"--folds": True, "--seed": False, "--trees": False,
+                   "--max-depth": False, "--min-samples-split": False,
+                   "--features-per-split": False, "--knn-k": True,
+                   "--iterations": False},
+    "explain": {"--row": True, "--seed": False, "--n-perturbations": False,
+                "--kernel-width": False, "--ridge-lambda": False},
+}
+
+
+def test_numeric_flags_table(small_dataset, small_model, tmp_path, capsys):
+    # the table names every flag that takes a number
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert {name: {a.option_strings[0] for a in sub._actions
+                   if a.type not in (None, str)}
+            for name, sub in commands.items()} == {
+        name: set(flags) for name, flags in NUMERIC_FLAGS.items()}
+
+    _, raw, features = small_dataset
+    bases = {
+        "gen-dataset": ["--frames-per-device", "2", "--frame-len", "64"],
+        "extract": ["--input", raw / "manifest.csv",
+                    "--etalon", raw / "etalon.iq"],
+        "stats": ["--input", features],
+        "train-eval": ["--input", features, "--classifiers", "forest,knn",
+                       "--trees", "2"],
+        "explain": ["--model", small_model, "--input", features,
+                    "--row", "0", "--n-perturbations", "100"],
+    }
+    case = 0
+    for command, flags in NUMERIC_FLAGS.items():
+        for flag, huge_rejected in flags.items():
+            for value in ["0", "-1"] + ["99999999999999999999"] * huge_rejected:
+                case += 1
+                out = tmp_path / f"case{case}"
+                target = ["--out", out] if command in ("extract", "explain") \
+                    else ["--out-dir", out]
+                search = ["--search"] if flag == "--iterations" else []
+                argv = [command, *bases[command], *target, *search,
+                        "--no-timestamp", flag, value]
+                capsys.readouterr()
+                code = main([str(a) for a in argv])
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3, 4), argv
+                assert sum(ln.startswith("error:")
+                           for ln in err.splitlines()) <= 1, err
+                assert "Traceback" not in err, err
+    assert case > 40
 
 
 def test_stats_outputs(small_dataset, tmp_path):

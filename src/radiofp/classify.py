@@ -49,6 +49,12 @@ def derive_seed(master: int, *indices: int) -> int:
 
 # --- CART ------------------------------------------------------------------
 
+# sort keys in one level pass of a tree group.  A forest grows as many
+# trees at once as fit (at least one): the fewer passes, the less fixed
+# numpy cost per level, while the pass's arrays, and so the peak RSS, grow
+# with the keys.
+_GROUP_KEYS = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class Tree:
@@ -98,62 +104,97 @@ def _value_ranks(features):
     return ranks, table
 
 
-def _squared_counts(cls, cut, start, at, counts):
-    """Sums of squared class counts left and right of each cut, in int64.
+def _cut_gains(cls, cut, start, at, counts, work):
+    """Gini gain of each cut, in the float expression of a per-node search.
 
     A cut sends its segment's sorted elements ``start..cut`` left; ``cls``
     holds the class of every sorted element and ``counts[at]`` the class
     counts of the cut's node.  Class 0 counts are what the others leave.
+    The running class count and the per-cut arrays are float64 rows of
+    ``work``, exact for counts below 2^53, so the gains equal those of
+    int64 counts; they stay in ``work`` until the next call.
     """
-    l0 = cut + 1 - start
-    r0 = counts.sum(axis=1)[at] - l0
-    l_sq = np.zeros(cut.size, dtype=np.int64)
-    r_sq = np.zeros(cut.size, dtype=np.int64)
-    running = np.zeros(cls.size + 1, dtype=np.int64)
-    for k in range(1, counts.shape[1]):
-        np.cumsum(cls == k, out=running[1:])
-        lk = running[cut + 1] - running[start]
-        rk = counts[at, k] - lk
-        l0 -= lk
-        r0 -= rk
-        l_sq += lk * lk
-        r_sq += rk * rk
-    l_sq += l0 * l0
-    r_sq += r0 * r0
-    return l_sq, r_sq
-
-
-def _cut_gains(cls, cut, start, at, counts):
-    """Gini gain of each cut, in the float expression of a per-node search.
-
-    The arguments are those of ``_squared_counts``.
-    """
-    l_sq, r_sq = _squared_counts(cls, cut, start, at, counts)
-    size = counts.sum(axis=1)
+    size = counts.sum(axis=1).astype(np.float64)
     p = counts / size[:, None]
     parent_gini = 1.0 - (p[:, None, :] @ p[:, :, None])[:, 0, 0]  # p @ p
-    n = size.astype(np.float64)[at]
-    n_left = (cut + 1 - start).astype(np.float64)
-    n_right = n - n_left
-    gini_l = 1.0 - l_sq / n_left**2
-    gini_r = 1.0 - r_sq / n_right**2
-    return parent_gini[at] - (n_left * gini_l + n_right * gini_r) / n
+    n_left, l0, r0, l_sq, r_sq, lk, rk = work.cuts[:, :cut.size]
+    np.subtract(cut, start, out=n_left)
+    n_left += 1
+    l0[:] = n_left
+    np.take(size, at, out=r0, mode="clip")  # "clip": as in _level_splits
+    r0 -= n_left
+    l_sq[:] = 0
+    r_sq[:] = 0
+    # class k elements up to each; the packed keys are spent by now
+    running = work.key[:cls.size + 1].view(np.float64)
+    running[0] = 0
+    for k in range(1, counts.shape[1]):
+        np.equal(cls, k, out=running[1:])
+        np.cumsum(running[1:], out=running[1:])
+        np.take(running[1:], cut, out=lk, mode="clip")
+        lk -= np.take(running, start, out=rk, mode="clip")
+        np.take(counts[:, k].astype(np.float64), at, out=rk, mode="clip")
+        rk -= lk
+        l0 -= lk
+        r0 -= rk
+        lk *= lk
+        l_sq += lk
+        rk *= rk
+        r_sq += rk
+    l0 *= l0
+    l_sq += l0
+    r0 *= r0
+    r_sq += r0
+
+    # parent_gini - (n_left * gini_l + n_right * gini_r) / n, in the rows
+    # whose counts are spent
+    n = np.take(size, at, out=lk, mode="clip")
+    n_right = np.subtract(n, n_left, out=rk)
+    gini_l = np.divide(l_sq, np.square(n_left, out=l0), out=l0)
+    np.subtract(1.0, gini_l, out=gini_l)
+    gini_r = np.divide(r_sq, np.square(n_right, out=r0), out=r0)
+    np.subtract(1.0, gini_r, out=gini_r)
+    gini_l *= n_left
+    gini_r *= n_right
+    gini_l += gini_r
+    gini_l /= n
+    return np.subtract(np.take(parent_gini, at, out=l_sq, mode="clip"),
+                       gini_l, out=gini_l)
+
+
+class _LevelWork:
+    """The largest arrays of a level pass, allocated once per forest at the
+    size of a full group's root level, which no later level or group
+    exceeds, and reused by every pass.  Allocated and freed anew each
+    level, they had glibc hand their pages back to the kernel after one
+    level and fault them in again at the next."""
+
+    def __init__(self, n_keys):
+        # the packed keys, then the running class count of _cut_gains
+        self.key = np.empty(n_keys + 1, dtype=np.int64)
+        self.seg_rank = np.empty(n_keys, dtype=np.int64)
+        self.cls = np.empty(n_keys, dtype=np.int32)
+        self.edge = np.empty(n_keys, dtype=bool)
+        self.keep = np.empty(n_keys, dtype=bool)
+        self.cuts = np.empty((7, n_keys))  # per-cut counts, then gains
 
 
 def _level_splits(ranks, values, labels, rows, owner, counts, per_split,
-                  rng):
+                  draws, work):
     """Best split of every open node of one level, in one array pass.
 
     ``rows`` are the samples of the open nodes, ``owner`` the open node of
-    each and ``counts`` the class counts of the open nodes.  One
-    ``rng.random((open nodes, features))`` call draws each node's features:
-    the first ``per_split`` of its row's stable argsort, sorted.  Each
-    (drawn feature, sample) pair becomes one int64 key,
+    each and ``counts`` the class counts of the open nodes.  Row i of
+    ``draws`` (open nodes, features) picks open node i's features: the
+    first ``per_split`` of its stable argsort, sorted.  Each (drawn
+    feature, sample) pair becomes one int64 key,
     ``(segment * n_ranks + value rank) << bits | class``, with one segment
     per (open node, drawn feature) in that order, so one sort lays every
     segment out by value.  A node takes the first maximum gain in key order
     (lowest feature, then lowest threshold) over the cuts between distinct
-    values, and splits at the midpoint of the values either side.
+    values, and splits at the midpoint of the values either side.  The
+    keys, their split into segment rank and class, and the per-cut counts
+    and gains are slices of ``work``.
 
     Only class-boundary cuts are scored: those with a different class on
     either side, or a value of two classes next to them.  Along a run of
@@ -168,39 +209,50 @@ def _level_splits(ranks, values, labels, rows, owner, counts, per_split,
     """
     n_open, n_classes = counts.shape
     n_ranks = values.shape[1]
-    n_features, n_samples = ranks.shape
+    n_samples = ranks.shape[1]
     size = counts.sum(axis=1)
-    drawn = np.argsort(rng.random((n_open, n_features)), axis=1,
-                       kind="stable")[:, :per_split]
+    drawn = np.argsort(draws, axis=1, kind="stable")[:, :per_split]
     drawn.sort(axis=1)
     drawn = drawn.T.copy()  # (per_split, n_open)
     bits = (n_classes - 1).bit_length()
-    key = ranks.take((drawn * n_samples).take(owner, axis=1) + rows)
-    key += np.arange(per_split)[:, None] * n_ranks
-    key += owner * (per_split * n_ranks)
-    key <<= bits
-    key |= labels[rows]
-    key = key.ravel()
+    n_keys = per_split * rows.size
+    key, seg_rank = work.key[:n_keys], work.seg_rank[:n_keys]
+    # where each key's value rank sits in ranks, held in seg_rank until the
+    # sort; the indices are in range, and a mode other than "raise" writes
+    # straight to out instead of to a copy
+    flat = np.take(drawn * n_samples, owner, axis=1, mode="clip",
+                   out=seg_rank.reshape(per_split, rows.size))
+    flat += rows
+    ranks.take(seg_rank, mode="clip", out=key)
+    key2d = key.reshape(per_split, rows.size)
+    key2d += np.arange(per_split)[:, None] * n_ranks
+    key2d += owner * (per_split * n_ranks)
+    key2d <<= bits
+    key2d |= labels[rows]
     key.sort()
-    seg_rank = key >> bits  # segment * n_ranks + value rank
-    cls = key & ((1 << bits) - 1)
-    del key
+    np.right_shift(key, bits, out=seg_rank)  # segment * n_ranks + value rank
+    cls = np.bitwise_and(key, (1 << bits) - 1, out=work.cls[:n_keys])
 
-    # value groups: equal keys but for the class, which orders each group
-    last = np.flatnonzero(seg_rank[1:] != seg_rank[:-1])  # all but the final
-    first_cls = cls[np.append(0, last + 1)]
-    last_cls = cls[np.append(last, cls.size - 1)]
-    mixed = first_cls != last_cls  # the group holds two classes
-    keep = (last_cls[:-1] != first_cls[1:]) | mixed[:-1] | mixed[1:]
+    # value groups: equal keys but for the class, which orders each group.
+    # The cut after sorted element i is scored if a group ends at i and the
+    # class changes at i or inside either group next to it.
+    edge = np.not_equal(seg_rank[1:], seg_rank[:-1],
+                        out=work.edge[:n_keys - 1])
+    keep = np.not_equal(cls[1:], cls[:-1], out=work.keep[:n_keys - 1])
+    inner = seg_rank[np.flatnonzero(keep > edge)]  # a group of two classes
+    before = np.searchsorted(seg_rank, inner) - 1
+    end = np.searchsorted(seg_rank, inner, side="right") - 1
+    keep[before[before >= 0]] = True
+    keep[end[end < n_keys - 1]] = True
+    keep &= edge
     seg_start = np.concatenate(([0], np.cumsum(np.repeat(size, per_split))))
-    # no cut across segments: every segment but the final ends a value group
-    keep[np.searchsorted(last, seg_start[1:-1] - 1)] = False
-    cut = last[keep]  # between sorted elements cut, cut+1
+    keep[seg_start[1:-1] - 1] = False  # no cut across segments
+    cut = np.flatnonzero(keep)  # between sorted elements cut, cut+1
     if cut.size == 0:  # every drawn feature is constant in every node
         return None
     seg = seg_rank[cut] // n_ranks
     at = seg // per_split  # open node of each cut
-    gains = _cut_gains(cls, cut, seg_start[seg], at, counts)
+    gains = _cut_gains(cls, cut, seg_start[seg], at, counts, work)
 
     # each node's first maximum; a node without a cut does not split
     group = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
@@ -217,29 +269,46 @@ def _level_splits(ranks, values, labels, rows, owner, counts, per_split,
     return at[win], f, lo, thr
 
 
-def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
-               features_per_split, rng, n_classes) -> Tree:
-    """Grow one level at a time, splitting every open node in one pass.
+def _grow_trees(ranks, values, labels, rows, max_depth, min_samples_split,
+                per_split, rngs, n_classes, work) -> list:
+    """Grow a group of trees level by level, one split pass per level.
 
-    ``rows`` are the tree's training rows (a bootstrap sample repeats some).
-    A node is open while it holds at least ``min_samples_split`` samples,
-    not all of one class, fewer than ``max_depth`` levels below the root;
-    ``_level_splits`` splits the open nodes of each level.  Nodes are numbered level by level, then
-    renumbered to pre-order, left child first.
+    Tree t takes training rows ``rows[t]`` (a bootstrap sample repeats
+    some) and generator ``rngs[t]``.  A node is open while it holds at
+    least ``min_samples_split`` samples, not all of one class, fewer than
+    ``max_depth`` levels below the root.  Each level, every tree with an
+    open node draws ``rng.random((its open nodes, features))``, and one
+    ``_level_splits`` call splits the open nodes of every tree.  Nodes are
+    numbered level by level across the group, tree by tree within a level,
+    then each tree's are renumbered to pre-order, left child first.
     """
-    n_samples = ranks.shape[1]
-    # each split leaves at least one sample on either side
-    cap = 2 * rows.size - 1
-    feature = np.full(cap, -1)
-    threshold = np.full(cap, math.nan)
-    left = np.full(cap, -1)
-    right = np.full(cap, -1)
-    counts = np.zeros((cap, n_classes), dtype=np.int64)
-    counts[0] = np.bincount(labels[rows], minlength=n_classes)
+    n_trees = len(rngs)
+    n_features, n_samples = ranks.shape
+    # each split leaves at least one sample on either side; a node is
+    # filled in as a leaf when it is made, so the pages of nodes never made
+    # stay untouched
+    cap = sum(2 * r.size - 1 for r in rows)
+    feature = np.empty(cap, dtype=np.intp)
+    threshold = np.empty(cap)
+    left = np.empty(cap, dtype=np.intp)
+    right = np.empty(cap, dtype=np.intp)
+    counts = np.empty((cap, n_classes), dtype=np.int64)
+    tree = np.empty(cap, dtype=np.intp)  # the tree of each node
+
+    def make_leaves(made, trees):
+        feature[made] = left[made] = right[made] = -1
+        threshold[made] = math.nan
+        tree[made] = trees
+
+    make_leaves(slice(0, n_trees), np.arange(n_trees))
     # the node of each sample still in play, numbered from its level's first
-    node = np.zeros(rows.size, dtype=np.intp)
+    node = np.repeat(np.arange(n_trees), [r.size for r in rows])
+    rows = np.concatenate(rows)
+    counts[:n_trees] = np.bincount(
+        node * n_classes + labels[rows],
+        minlength=n_trees * n_classes).reshape(-1, n_classes)
     levels = []  # the split nodes of each level
-    first, n_nodes, depth = 0, 1, 0
+    first, n_nodes, depth = 0, n_trees, 0
     while max_depth is None or depth < max_depth:
         level_counts = counts[first:n_nodes]
         size = level_counts.sum(axis=1)
@@ -247,13 +316,16 @@ def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
         n_open = int(np.count_nonzero(is_open))
         if n_open == 0:
             break
+        per_tree = np.bincount(tree[first:n_nodes][is_open], minlength=n_trees)
+        draws = np.concatenate([rng.random((k, n_features))
+                                for rng, k in zip(rngs, per_tree) if k])
         slot = np.full(n_nodes - first, -1)
         slot[is_open] = np.arange(n_open)
         owner = slot[node]
         keep = owner >= 0
         rows, owner = rows[keep], owner[keep]
         found = _level_splits(ranks, values, labels, rows, owner,
-                              level_counts[is_open], features_per_split, rng)
+                              level_counts[is_open], per_split, draws, work)
         if found is None:
             break
         won, f, lo, thr = found
@@ -263,6 +335,8 @@ def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
         feature[split], threshold[split] = f, thr
         left[split] = n_nodes + 2 * np.arange(n_split)
         right[split] = left[split] + 1
+        make_leaves(slice(n_nodes, n_nodes + 2 * n_split),
+                    np.repeat(tree[split], 2))
         levels.append(split)
 
         if n_split < n_open:  # some open node has no cut
@@ -279,8 +353,9 @@ def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
         node = child
         first, n_nodes, depth = n_nodes, n_nodes + 2 * n_split, depth + 1
 
-    # renumber level order to pre-order: a left child follows its parent,
-    # a right child follows its parent and the left child's subtree
+    # renumber level order to pre-order within each tree: a left child
+    # follows its parent, a right child follows its parent and the left
+    # child's subtree
     subtree = np.ones(n_nodes, dtype=np.intp)
     for split in reversed(levels):
         subtree[split] += subtree[left[split]] + subtree[right[split]]
@@ -288,14 +363,19 @@ def _grow_tree(ranks, values, labels, rows, max_depth, min_samples_split,
     for split in levels:
         pre[left[split]] = pre[split] + 1
         pre[right[split]] = pre[split] + 1 + subtree[left[split]]
+    tree = tree[:n_nodes]
+    start = np.concatenate(([0], np.cumsum(subtree[:n_trees])))
     order = np.empty(n_nodes, dtype=np.intp)
-    order[pre] = np.arange(n_nodes)
-    feature = feature[order]
-    is_split = feature >= 0
-    return Tree(feature, threshold[order],
-                np.where(is_split, pre[left[order]], -1),
-                np.where(is_split, pre[right[order]], -1),
-                counts[order])
+    order[start[tree] + pre] = np.arange(n_nodes)
+    trees = []
+    for t in range(n_trees):
+        at = order[start[t]:start[t + 1]]
+        is_split = feature[at] >= 0
+        trees.append(Tree(feature[at], threshold[at],
+                          np.where(is_split, pre[left[at]], -1),
+                          np.where(is_split, pre[right[at]], -1),
+                          counts[at]))
+    return trees
 
 
 @dataclass
@@ -388,17 +468,18 @@ def train_forest(dataset: LabeledFeatureSet,
     per_split = min(per_split, dataset.n_features)
 
     ranks, values = _value_ranks(feats)
+    # a group's root level is its largest: n * per_split keys per tree
+    group = max(1, _GROUP_KEYS // (dataset.n * per_split))
+    work = _LevelWork(min(group, params.n_trees) * dataset.n * per_split)
     trees = []
-    for t in range(params.n_trees):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        if params.bootstrap:
-            rows = rng.integers(0, dataset.n, dataset.n)
-        else:
-            rows = np.arange(dataset.n)
-        trees.append(
-            _grow_tree(ranks, values, labels, rows, params.max_depth,
-                       params.min_samples_split, per_split, rng, n_classes)
-        )
+    for t0 in range(0, params.n_trees, group):
+        rngs = [np.random.default_rng(derive_seed(seed, t))
+                for t in range(t0, min(t0 + group, params.n_trees))]
+        rows = [rng.integers(0, dataset.n, dataset.n) if params.bootstrap
+                else np.arange(dataset.n) for rng in rngs]
+        trees += _grow_trees(ranks, values, labels, rows, params.max_depth,
+                             params.min_samples_split, per_split, rngs,
+                             n_classes, work)
 
     model = RandomForestModel(
         trees=trees,

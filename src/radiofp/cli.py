@@ -112,6 +112,8 @@ def cmd_gen_dataset(args) -> int:
         raise ConfigError("--frames-per-device must be at least 1")
     if args.lead_in < 0:
         raise ConfigError("--lead-in must be at least 0")
+    if args.seed < 0:  # derive_seed would alias -1 to 2^64 - 1
+        raise ConfigError("--seed must be at least 0")
     profiles = _load_profiles(args.profiles, args.devices)
     profiles = [dataclasses.replace(p, snr_db=args.snr_db) for p in profiles]
     out_dir = Path(args.out_dir)

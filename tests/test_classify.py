@@ -361,6 +361,66 @@ def test_boundary_cuts_match_reference_on_larger_tables():
     assert splits > 1500 and longest >= 50 and edges >= 200
 
 
+def _group_table():
+    """150 rows of 3 classes whose rounded values tie, so trees reach
+    different depths and drop out of their group at different levels."""
+    rng = np.random.default_rng(34)
+    x = rng.normal(size=(150, 4))
+    score = x[:, 0] - x[:, 2] + rng.normal(scale=0.8, size=150)
+    y = np.searchsorted(np.quantile(score, [1 / 3, 2 / 3]), score)
+    return LabeledFeatureSet(x.round(1), y, tuple("abc"),
+                             tuple(f"F{i}" for i in range(4)))
+
+
+def test_tree_groups_match_level_order_reference(monkeypatch):
+    # groups of 1, 2 and 3 trees (7 trees leave a remainder group) and one
+    # group of all 7 grow the same trees, each the level-order reference's
+    ds = _group_table()
+    per_split = 2
+    one_tree = ds.n * per_split  # a tree's root-level keys
+    splits = 0
+    for bootstrap in (True, False):
+        for max_depth in (None, 1, 3):
+            params = ForestParams(n_trees=7, max_depth=max_depth,
+                                  features_per_split=per_split,
+                                  bootstrap=bootstrap)
+            texts = set()
+            for budget in (one_tree, 2 * one_tree, 3 * one_tree + 1, 1 << 40):
+                monkeypatch.setattr(classify, "_GROUP_KEYS", budget)
+                model = train_forest(ds, params, seed=5)
+                texts.add(model_to_text(model))
+            assert len(texts) == 1, (bootstrap, max_depth)
+            splits += _assert_forest_matches_level_order(ds, params, seed=5)
+    assert splits > 500
+
+
+def test_level_pass_keys_within_budget(monkeypatch):
+    # the keys one level pass sorts, and so the size of its work arrays,
+    # stay within the budget unless one tree's root level alone exceeds it
+    assert classify._GROUP_KEYS <= 1 << 16  # the peak RSS rests on it
+    ds = _group_table()
+    per_split = 2
+    one_tree = ds.n * per_split
+    seen = []
+    real = classify._level_splits
+
+    def level_splits(ranks, values, labels, rows, owner, counts, per_split,
+                     *rest):
+        seen.append(rows.size * per_split)
+        return real(ranks, values, labels, rows, owner, counts, per_split,
+                    *rest)
+
+    monkeypatch.setattr(classify, "_level_splits", level_splits)
+    for budget, most in ((5 * one_tree - 1, 4 * one_tree),
+                         (one_tree // 3, one_tree)):  # one-tree groups
+        monkeypatch.setattr(classify, "_GROUP_KEYS", budget)
+        seen.clear()
+        train_forest(ds, ForestParams(n_trees=10,
+                                      features_per_split=per_split), seed=3)
+        assert max(seen) == most, budget  # a group's root level is its largest
+        assert all(keys <= max(budget, one_tree) for keys in seen)
+
+
 def test_full_feature_trees_match_depth_first_reference():
     rng = np.random.default_rng(32)
     splits = 0

@@ -53,6 +53,16 @@ def test_gen_dataset_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_gen_dataset_negative_seed_exit_4(tmp_path, capsys):
+    # seeds are mixed modulo 2^64: -1 would write the streams of 2^64 - 1
+    out = tmp_path / "g"
+    assert main(["gen-dataset", "--out-dir", str(out), "--frames-per-device",
+                 "2", "--frame-len", "64", "--no-timestamp",
+                 "--seed", "-1"]) == 4
+    assert capsys.readouterr().err == "error: --seed must be at least 0\n"
+    assert not out.exists()
+
+
 def test_extract_output(small_dataset):
     _, _, features = small_dataset
     ds = dataio.read_feature_csv(features)

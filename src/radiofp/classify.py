@@ -55,6 +55,10 @@ def derive_seed(master: int, *indices: int) -> int:
 # with the keys.
 _GROUP_KEYS = 1 << 16
 
+# a level pass whose keys all lie below this sorts them as int32, which is
+# twice as fast as int64 on AVX-512; any other pass sorts int64 keys
+_INT32_KEYS = 1 << 31
+
 
 @dataclass(frozen=True, eq=False)
 class Tree:
@@ -104,35 +108,46 @@ def _value_ranks(features):
     return ranks, table
 
 
-def _cut_gains(cls, cut, start, at, counts, work):
+def _cut_gains(cls, weight, cut, start, at, counts, work):
     """Gini gain of each cut, in the float expression of a per-node search.
 
     A cut sends its segment's sorted elements ``start..cut`` left; ``cls``
-    holds the class of every sorted element and ``counts[at]`` the class
-    counts of the cut's node.  Class 0 counts are what the others leave.
-    The running class count and the per-cut arrays are float64 rows of
-    ``work``, exact for counts below 2^53, so the gains equal those of
+    and ``weight`` hold the class and the multiplicity of every sorted
+    element, and ``counts[at]`` the class counts of the cut's node.  For
+    each class k > 0 one int64 cumulative sum of
+    ``weight * ((class == k) << 32 | 1)`` holds, below bit 32, the weight
+    of the elements up to each and, from bit 32 up, their class k weight,
+    so two classes take a single running sum.  Both halves are exact while
+    the pass's total weight is below 2^31, which ``_level_splits`` asserts.
+    Class 0 counts are what the others leave.  The per-cut counts are
+    float64 rows of ``work``, exact below 2^53, so the gains equal those of
     int64 counts; they stay in ``work`` until the next call.
     """
     size = counts.sum(axis=1).astype(np.float64)
     p = counts / size[:, None]
     parent_gini = 1.0 - (p[:, None, :] @ p[:, :, None])[:, 0, 0]  # p @ p
     n_left, l0, r0, l_sq, r_sq, lk, rk = work.cuts[:, :cut.size]
-    np.subtract(cut, start, out=n_left)
-    n_left += 1
-    l0[:] = n_left
+    packed, spare = lk.view(np.int64), rk.view(np.int64)
     np.take(size, at, out=r0, mode="clip")  # "clip": as in _level_splits
-    r0 -= n_left
     l_sq[:] = 0
     r_sq[:] = 0
-    # class k elements up to each; the packed keys are spent by now
-    running = work.key[:cls.size + 1].view(np.float64)
+    running = work.running[:cls.size + 1]
     running[0] = 0
     for k in range(1, counts.shape[1]):
         np.equal(cls, k, out=running[1:])
+        running[1:] <<= 32
+        running[1:] += 1
+        running[1:] *= weight
         np.cumsum(running[1:], out=running[1:])
-        np.take(running[1:], cut, out=lk, mode="clip")
-        lk -= np.take(running, start, out=rk, mode="clip")
+        np.take(running[1:], cut, out=packed, mode="clip")
+        packed -= np.take(running, start, out=spare, mode="clip")
+        if k == 1:  # the weight sent left, below bit 32
+            np.bitwise_and(packed, 0xFFFFFFFF, out=spare)
+            n_left[:] = spare
+            l0[:] = n_left
+            r0 -= n_left
+        np.right_shift(packed, 32, out=spare)
+        lk[:] = spare
         np.take(counts[:, k].astype(np.float64), at, out=rk, mode="clip")
         rk -= lk
         l0 -= lk
@@ -164,37 +179,43 @@ def _cut_gains(cls, cut, start, at, counts, work):
 
 class _LevelWork:
     """The largest arrays of a level pass, allocated once per forest at the
-    size of a full group's root level, which no later level or group
-    exceeds, and reused by every pass.  Allocated and freed anew each
-    level, they had glibc hand their pages back to the kernel after one
-    level and fault them in again at the next."""
+    most keys any of its passes sorts, and reused by every pass.  Allocated
+    and freed anew each level, they had glibc hand their pages back to the
+    kernel after one level and fault them in again at the next.  A pass of
+    int32 keys sorts an int32 view of ``key``."""
 
     def __init__(self, n_keys):
-        # the packed keys, then the running class count of _cut_gains
-        self.key = np.empty(n_keys + 1, dtype=np.int64)
-        self.seg_rank = np.empty(n_keys, dtype=np.int64)
+        # where each key's value rank sits in ranks, then the packed keys,
+        # then their segment ranks
+        self.key = np.empty(n_keys, dtype=np.int64)
+        # the value ranks, then the running sums of _cut_gains
+        self.running = np.empty(n_keys + 1, dtype=np.int64)
         self.cls = np.empty(n_keys, dtype=np.int32)
+        self.weight = np.empty(n_keys, dtype=np.int32)
         self.edge = np.empty(n_keys, dtype=bool)
         self.keep = np.empty(n_keys, dtype=bool)
         self.cuts = np.empty((7, n_keys))  # per-cut counts, then gains
 
 
-def _level_splits(ranks, values, labels, rows, owner, counts, per_split,
-                  draws, work):
+def _level_splits(ranks, values, labels, rows, weight, owner, counts,
+                  per_split, draws, work):
     """Best split of every open node of one level, in one array pass.
 
-    ``rows`` are the samples of the open nodes, ``owner`` the open node of
-    each and ``counts`` the class counts of the open nodes.  Row i of
+    ``rows`` are the distinct samples of the open nodes, ``weight`` how
+    often each was drawn, ``owner`` the open node of each and ``counts``
+    the class counts of the open nodes, every draw counted.  Row i of
     ``draws`` (open nodes, features) picks open node i's features: the
     first ``per_split`` of its stable argsort, sorted.  Each (drawn
-    feature, sample) pair becomes one int64 key,
-    ``(segment * n_ranks + value rank) << bits | class``, with one segment
-    per (open node, drawn feature) in that order, so one sort lays every
-    segment out by value.  A node takes the first maximum gain in key order
-    (lowest feature, then lowest threshold) over the cuts between distinct
-    values, and splits at the midpoint of the values either side.  The
-    keys, their split into segment rank and class, and the per-cut counts
-    and gains are slices of ``work``.
+    feature, row) pair becomes one key,
+    ``((segment * n_ranks + value rank) << bits | class) << wbits | weight``,
+    with one segment per (open node, drawn feature) in that order, so one
+    sort lays every segment out by value.  The keys are int32 when
+    ``(segments * n_ranks) << (bits + wbits)`` is below ``_INT32_KEYS``,
+    else int64.  A node takes the first maximum gain in key order (lowest
+    feature, then lowest threshold) over the cuts between distinct values,
+    and splits at the midpoint of the values either side.  The keys, their
+    split into segment rank, class and weight, and the per-cut counts and
+    gains are slices of ``work``.
 
     Only class-boundary cuts are scored: those with a different class on
     either side, or a value of two classes next to them.  Along a run of
@@ -211,31 +232,41 @@ def _level_splits(ranks, values, labels, rows, owner, counts, per_split,
     n_ranks = values.shape[1]
     n_samples = ranks.shape[1]
     size = counts.sum(axis=1)
+    # the running sums of _cut_gains hold the pass's total weight in 31 bits
+    assert per_split * int(size.sum()) < 1 << 31
     drawn = np.argsort(draws, axis=1, kind="stable")[:, :per_split]
     drawn.sort(axis=1)
     drawn = drawn.T.copy()  # (per_split, n_open)
     bits = (n_classes - 1).bit_length()
+    wbits = int(weight.max()).bit_length()
+    shift = bits + wbits
+    narrow = (n_open * per_split * n_ranks) << shift < _INT32_KEYS
+    width = np.int32 if narrow else np.int64
     n_keys = per_split * rows.size
-    key, seg_rank = work.key[:n_keys], work.seg_rank[:n_keys]
-    # where each key's value rank sits in ranks, held in seg_rank until the
-    # sort; the indices are in range, and a mode other than "raise" writes
-    # straight to out instead of to a copy
+    # where each key's value rank sits in ranks; the indices are in range,
+    # and a mode other than "raise" writes straight to out instead of to a
+    # copy
     flat = np.take(drawn * n_samples, owner, axis=1, mode="clip",
-                   out=seg_rank.reshape(per_split, rows.size))
+                   out=work.key[:n_keys].reshape(per_split, rows.size))
     flat += rows
-    ranks.take(seg_rank, mode="clip", out=key)
+    rank = ranks.take(flat, mode="clip",
+                      out=work.running[:n_keys].reshape(per_split, rows.size))
+    # the keys take the place of the indices, then their segment ranks do
+    key = work.key.view(width)[:n_keys]
     key2d = key.reshape(per_split, rows.size)
-    key2d += np.arange(per_split)[:, None] * n_ranks
+    np.add(rank, (np.arange(per_split) * n_ranks)[:, None], out=key2d)
     key2d += owner * (per_split * n_ranks)
-    key2d <<= bits
-    key2d |= labels[rows]
+    key2d <<= shift
+    key2d |= (labels[rows] << wbits) | weight
     key.sort()
-    np.right_shift(key, bits, out=seg_rank)  # segment * n_ranks + value rank
-    cls = np.bitwise_and(key, (1 << bits) - 1, out=work.cls[:n_keys])
+    cls = np.right_shift(key, wbits, out=work.cls[:n_keys])
+    cls &= (1 << bits) - 1
+    w = np.bitwise_and(key, (1 << wbits) - 1, out=work.weight[:n_keys])
+    seg_rank = np.right_shift(key, shift, out=key)  # segment * n_ranks + rank
 
-    # value groups: equal keys but for the class, which orders each group.
-    # The cut after sorted element i is scored if a group ends at i and the
-    # class changes at i or inside either group next to it.
+    # value groups: equal keys but for the class and weight, which order
+    # each group.  The cut after sorted element i is scored if a group ends
+    # at i and the class changes at i or inside either group next to it.
     edge = np.not_equal(seg_rank[1:], seg_rank[:-1],
                         out=work.edge[:n_keys - 1])
     keep = np.not_equal(cls[1:], cls[:-1], out=work.keep[:n_keys - 1])
@@ -245,14 +276,16 @@ def _level_splits(ranks, values, labels, rows, owner, counts, per_split,
     keep[before[before >= 0]] = True
     keep[end[end < n_keys - 1]] = True
     keep &= edge
-    seg_start = np.concatenate(([0], np.cumsum(np.repeat(size, per_split))))
+    # a segment holds its node's distinct rows
+    seg_start = np.concatenate(([0], np.cumsum(np.repeat(
+        np.bincount(owner, minlength=n_open), per_split))))
     keep[seg_start[1:-1] - 1] = False  # no cut across segments
     cut = np.flatnonzero(keep)  # between sorted elements cut, cut+1
     if cut.size == 0:  # every drawn feature is constant in every node
         return None
     seg = seg_rank[cut] // n_ranks
     at = seg // per_split  # open node of each cut
-    gains = _cut_gains(cls, cut, seg_start[seg], at, counts, work)
+    gains = _cut_gains(cls, w, cut, seg_start[seg], at, counts, work)
 
     # each node's first maximum; a node without a cut does not split
     group = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
@@ -269,22 +302,24 @@ def _level_splits(ranks, values, labels, rows, owner, counts, per_split,
     return at[win], f, lo, thr
 
 
-def _grow_trees(ranks, values, labels, rows, max_depth, min_samples_split,
-                per_split, rngs, n_classes, work) -> list:
+def _grow_trees(ranks, values, labels, rows, weights, max_depth,
+                min_samples_split, per_split, rngs, n_classes, work) -> list:
     """Grow a group of trees level by level, one split pass per level.
 
-    Tree t takes training rows ``rows[t]`` (a bootstrap sample repeats
-    some) and generator ``rngs[t]``.  A node is open while it holds at
-    least ``min_samples_split`` samples, not all of one class, fewer than
-    ``max_depth`` levels below the root.  Each level, every tree with an
-    open node draws ``rng.random((its open nodes, features))``, and one
-    ``_level_splits`` call splits the open nodes of every tree.  Nodes are
-    numbered level by level across the group, tree by tree within a level,
-    then each tree's are renumbered to pre-order, left child first.
+    Tree t takes the distinct training rows ``rows[t]``, row ``rows[t][i]``
+    drawn ``weights[t][i]`` times (a bootstrap sample repeats some), and
+    generator ``rngs[t]``; a node's sample and class counts count every
+    draw.  A node is open while it holds at least ``min_samples_split``
+    samples, not all of one class, fewer than ``max_depth`` levels below
+    the root.  Each level, every tree with an open node draws
+    ``rng.random((its open nodes, features))``, and one ``_level_splits``
+    call splits the open nodes of every tree.  Nodes are numbered level by
+    level across the group, tree by tree within a level, then each tree's
+    are renumbered to pre-order, left child first.
     """
     n_trees = len(rngs)
     n_features, n_samples = ranks.shape
-    # each split leaves at least one sample on either side; a node is
+    # each split leaves at least one distinct row on either side; a node is
     # filled in as a leaf when it is made, so the pages of nodes never made
     # stay untouched
     cap = sum(2 * r.size - 1 for r in rows)
@@ -300,13 +335,15 @@ def _grow_trees(ranks, values, labels, rows, max_depth, min_samples_split,
         threshold[made] = math.nan
         tree[made] = trees
 
+    def class_counts(node, n_nodes):  # weighted, so exact float64 integers
+        return np.bincount(node * n_classes + labels[rows], weights=weight,
+                           minlength=n_nodes * n_classes).reshape(-1, n_classes)
+
     make_leaves(slice(0, n_trees), np.arange(n_trees))
-    # the node of each sample still in play, numbered from its level's first
+    # the node of each row still in play, numbered from its level's first
     node = np.repeat(np.arange(n_trees), [r.size for r in rows])
-    rows = np.concatenate(rows)
-    counts[:n_trees] = np.bincount(
-        node * n_classes + labels[rows],
-        minlength=n_trees * n_classes).reshape(-1, n_classes)
+    rows, weight = np.concatenate(rows), np.concatenate(weights)
+    counts[:n_trees] = class_counts(node, n_trees)
     levels = []  # the split nodes of each level
     first, n_nodes, depth = 0, n_trees, 0
     while max_depth is None or depth < max_depth:
@@ -323,8 +360,8 @@ def _grow_trees(ranks, values, labels, rows, max_depth, min_samples_split,
         slot[is_open] = np.arange(n_open)
         owner = slot[node]
         keep = owner >= 0
-        rows, owner = rows[keep], owner[keep]
-        found = _level_splits(ranks, values, labels, rows, owner,
+        rows, weight, owner = rows[keep], weight[keep], owner[keep]
+        found = _level_splits(ranks, values, labels, rows, weight, owner,
                               level_counts[is_open], per_split, draws, work)
         if found is None:
             break
@@ -344,13 +381,10 @@ def _grow_trees(ranks, values, labels, rows, max_depth, min_samples_split,
             slot[won] = np.arange(n_split)
             owner = slot[owner]
             keep = owner >= 0
-            rows, owner = rows[keep], owner[keep]
-        child = 2 * owner + (ranks.take(f[owner] * n_samples + rows)
-                             > lo[owner])
-        counts[n_nodes:n_nodes + 2 * n_split] = np.bincount(
-            child * n_classes + labels[rows],
-            minlength=2 * n_split * n_classes).reshape(-1, n_classes)
-        node = child
+            rows, weight, owner = rows[keep], weight[keep], owner[keep]
+        node = 2 * owner + (ranks.take(f[owner] * n_samples + rows)
+                            > lo[owner])
+        counts[n_nodes:n_nodes + 2 * n_split] = class_counts(node, 2 * n_split)
         first, n_nodes, depth = n_nodes, n_nodes + 2 * n_split, depth + 1
 
     # renumber level order to pre-order within each tree: a left child
@@ -468,18 +502,34 @@ def train_forest(dataset: LabeledFeatureSet,
     per_split = min(per_split, dataset.n_features)
 
     ranks, values = _value_ranks(feats)
-    # a group's root level is its largest: n * per_split keys per tree
-    group = max(1, _GROUP_KEYS // (dataset.n * per_split))
-    work = _LevelWork(min(group, params.n_trees) * dataset.n * per_split)
-    trees = []
-    for t0 in range(0, params.n_trees, group):
-        rngs = [np.random.default_rng(derive_seed(seed, t))
-                for t in range(t0, min(t0 + group, params.n_trees))]
-        rows = [rng.integers(0, dataset.n, dataset.n) if params.bootstrap
-                else np.arange(dataset.n) for rng in rngs]
-        trees += _grow_trees(ranks, values, labels, rows, params.max_depth,
-                             params.min_samples_split, per_split, rngs,
-                             n_classes, work)
+    n = dataset.n
+
+    def grow(group):
+        rows, weights, rngs = zip(*group)
+        return _grow_trees(ranks, values, labels, rows, weights,
+                           params.max_depth, params.min_samples_split,
+                           per_split, rngs, n_classes, work)
+
+    # a group's root level is its largest: per_split keys per distinct row.
+    # A group takes trees while their keys fit in _GROUP_KEYS, and at least
+    # one tree, which has at most n distinct rows
+    work = _LevelWork(min(max(_GROUP_KEYS, n * per_split),
+                          params.n_trees * n * per_split))
+    trees, group, keys = [], [], 0
+    for t in range(params.n_trees):
+        rng = np.random.default_rng(derive_seed(seed, t))
+        if params.bootstrap:
+            drawn = np.bincount(rng.integers(0, n, n), minlength=n)
+            rows = np.flatnonzero(drawn)
+            weight = drawn[rows]
+        else:
+            rows, weight = np.arange(n), np.ones(n, dtype=np.intp)
+        if group and keys + rows.size * per_split > _GROUP_KEYS:
+            trees += grow(group)
+            group, keys = [], 0
+        group.append((rows, weight, rng))
+        keys += rows.size * per_split
+    trees += grow(group)
 
     model = RandomForestModel(
         trees=trees,
@@ -840,7 +890,11 @@ def _tree_from_lines(lines: list, first_line: int, n_classes: int,
         if not (nid < lo < n_nodes and nid < hi < n_nodes):
             raise DataFormatError(
                 f"{where}: child ids must lie in ({nid}, {n_nodes})")
-        feature[nid], threshold[nid] = f, float(parts[3])
+        thr = float(parts[3])
+        if not math.isfinite(thr):  # training writes finite midpoints only
+            raise DataFormatError(f"{where}: threshold {parts[3]} is not "
+                                  "finite")
+        feature[nid], threshold[nid] = f, thr
         left[nid], right[nid] = lo, hi
     split = feature >= 0
     children = np.sort(np.concatenate([left[split], right[split]]))
@@ -856,7 +910,8 @@ def model_from_text(text: str) -> RandomForestModel:
     """Parse a model file; any malformed content raises DataFormatError.
 
     Node ids run 0..n_nodes-1 in order, each child id lies above its
-    parent's, and every node but the root has exactly one parent.
+    parent's, every node but the root has exactly one parent, and split
+    thresholds are finite.
     """
     lines = text.splitlines()
     try:

@@ -256,6 +256,9 @@ def cmd_train_eval(args) -> int:
     if "knn" in dict(trainers) and args.knn_k > smallest_train:
         raise ConfigError(f"--knn-k {args.knn_k} exceeds the smallest "
                           f"training fold ({smallest_train} rows)")
+    if "logreg" in dict(trainers) and dataset.n_classes != 2:
+        raise ConfigError("logistic regression needs exactly 2 classes, "
+                          f"the table has {dataset.n_classes}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = not args.no_timestamp

@@ -26,6 +26,7 @@ from radiofp.classify import (
 )
 from radiofp.dataset import FeatureStats, LabeledFeatureSet
 from radiofp.errors import (
+    DataFormatError,
     EmptyDatasetError,
     NoSplitsError,
     SingleClassError,
@@ -394,6 +395,22 @@ def test_tree_groups_match_level_order_reference(monkeypatch):
     assert splits > 500
 
 
+def _distinct_row_groups(n, n_trees, seed, per_split, budget):
+    """[trees, root-level keys] of each group train_forest makes: a group
+    takes trees while per_split keys per distinct bootstrap row fit in the
+    budget, and at least one tree."""
+    groups = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(derive_seed(seed, t))
+        keys = np.unique(rng.integers(0, n, n)).size * per_split
+        if groups and groups[-1][1] + keys <= budget:
+            groups[-1][0] += 1
+            groups[-1][1] += keys
+        else:
+            groups.append([1, keys])
+    return groups
+
+
 def test_level_pass_keys_within_budget(monkeypatch):
     # the keys one level pass sorts, and so the size of its work arrays,
     # stay within the budget unless one tree's root level alone exceeds it
@@ -401,24 +418,60 @@ def test_level_pass_keys_within_budget(monkeypatch):
     ds = _group_table()
     per_split = 2
     one_tree = ds.n * per_split
-    seen = []
+    seen, roots = [], []
     real = classify._level_splits
 
-    def level_splits(ranks, values, labels, rows, owner, counts, per_split,
-                     *rest):
+    def level_splits(ranks, values, labels, rows, weight, owner, counts,
+                     per_split, *rest):
         seen.append(rows.size * per_split)
-        return real(ranks, values, labels, rows, owner, counts, per_split,
-                    *rest)
+        if np.all(counts.sum(axis=1) == ds.n):  # only a root holds every draw
+            roots.append(counts.shape[0])
+        return real(ranks, values, labels, rows, weight, owner, counts,
+                    per_split, *rest)
 
     monkeypatch.setattr(classify, "_level_splits", level_splits)
-    for budget, most in ((5 * one_tree - 1, 4 * one_tree),
-                         (one_tree // 3, one_tree)):  # one-tree groups
+    for budget in (5 * one_tree - 1, one_tree // 3):  # then one-tree groups
         monkeypatch.setattr(classify, "_GROUP_KEYS", budget)
         seen.clear()
+        roots.clear()
         train_forest(ds, ForestParams(n_trees=10,
                                       features_per_split=per_split), seed=3)
-        assert max(seen) == most, budget  # a group's root level is its largest
+        groups = _distinct_row_groups(ds.n, 10, 3, per_split, budget)
+        assert roots == [trees for trees, _ in groups], budget
+        # a group's root level is its largest
+        assert max(seen) == max(keys for _, keys in groups), budget
         assert all(keys <= max(budget, one_tree) for keys in seen)
+
+
+def test_weighted_pass_matches_level_order_reference(monkeypatch):
+    # trees grow on their distinct bootstrap rows with the multiplicity in
+    # the low key bits; in these small tables some row is drawn 6 times or
+    # more, so the weight fills 3 bits or more.  Forcing int64 keys in every
+    # pass changes no byte.
+    rng = np.random.default_rng(35)
+    splits = most = 0
+    for trial in range(12):
+        n, n_feat, n_classes = int(rng.integers(12, 41)), 3, 2 + trial % 2
+        x = (rng.normal(size=(n, n_feat)) * 2).round() / 2  # values tie
+        y = rng.integers(0, n_classes, size=n)
+        ds = LabeledFeatureSet(x, y, tuple("abc"[:n_classes]),
+                               tuple(f"F{i}" for i in range(n_feat)))
+        params = ForestParams(
+            n_trees=40,
+            max_depth=[None, None, 3][trial % 3],
+            min_samples_split=int(rng.integers(2, 5)),
+            features_per_split=int(rng.integers(1, n_feat + 1)),
+        )
+        splits += _assert_forest_matches_level_order(ds, params, trial)
+        for t in range(params.n_trees):
+            drawn = np.random.default_rng(derive_seed(trial, t)).integers(
+                0, n, n)
+            most = max(most, int(np.bincount(drawn).max()))
+        text = model_to_text(train_forest(ds, params, seed=trial))
+        with monkeypatch.context() as m:
+            m.setattr(classify, "_INT32_KEYS", 0)
+            assert model_to_text(train_forest(ds, params, seed=trial)) == text
+    assert most >= 6 and splits > 2000
 
 
 def test_full_feature_trees_match_depth_first_reference():
@@ -869,6 +922,24 @@ def test_save_model_failed_rename_keeps_old_file(tmp_path, monkeypatch):
 def test_serialization_rejects_garbage():
     with pytest.raises(ValueError):
         model_from_text("not a model\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_model_load_rejects_non_finite_threshold(bad):
+    # training writes finite midpoints only; a nan threshold would send
+    # every row right at its node
+    ds = blobs(n_per_class=20, seed=23)
+    lines = model_to_text(train_forest(ds, ForestParams(n_trees=2),
+                                       seed=4)).splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.split()[1:2] == ["split"])
+    fields = lines[at].split()
+    fields[3] = bad
+    lines[at] = " ".join(fields)
+    with pytest.raises(DataFormatError,
+                       match=rf"line {at + 1}: node {fields[0]}: threshold "
+                             rf"{bad} is not finite$"):
+        model_from_text("\n".join(lines) + "\n")
 
 
 def test_derive_seed_spread():

@@ -220,6 +220,27 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
     assert main(train + ["--classifiers", "knn", "--knn-k", "60"]) == 0
 
 
+def test_train_eval_logreg_needs_two_classes(small_dataset, tmp_path, capsys):
+    # the default classifiers include logreg: a 3-device table is rejected
+    # before the forest, tree and kNN are cross-validated or anything written
+    _, _, features = small_dataset
+    header, *rows = features.read_text().splitlines()
+    three = tmp_path / "three.csv"
+    three.write_text("\n".join(
+        [header] + ["2," + row.split(",", 1)[1] if i % 3 == 0 else row
+                    for i, row in enumerate(rows)]) + "\n")
+    train = ["train-eval", "--input", str(three), "--trees", "2",
+             "--no-timestamp"]
+    capsys.readouterr()
+    assert main(train + ["--out-dir", str(tmp_path / "t")]) == 4
+    err = capsys.readouterr().err
+    assert err == ("error: logistic regression needs exactly 2 classes, "
+                   "the table has 3\n")
+    assert not (tmp_path / "t").exists()
+    assert main(train + ["--out-dir", str(tmp_path / "u"),
+                         "--classifiers", "forest,tree,knn"]) == 0
+
+
 # every numeric flag, and whether a huge value is rejected before any work
 NUMERIC_FLAGS = {
     "gen-dataset": {"--devices": True, "--frames-per-device": False,
@@ -552,6 +573,8 @@ MALFORMED_INPUTS = [
     ("model_non_ascii", "model", lambda t: t.replace("forest", "f\u00f6rest")),
     ("model_max_depth_zero", "model",
      lambda t: t.replace('"max_depth": null', '"max_depth": 0')),
+    ("model_threshold_nan", "model",
+     lambda t: _first_node(t, "split", lambda f: f[:3] + ["nan"] + f[4:])),
     ("csv_nan", "csv", lambda t: _first_row(t, lambda r: [r[0], "nan"] + r[2:])),
     ("csv_ragged", "csv", lambda t: _first_row(t, lambda r: r[:-1])),
     ("stats_three_classes", "csv",

@@ -89,6 +89,18 @@ def _parse_feature_mask(text: str) -> list:
     return [p - 1 for p in numbers]
 
 
+def _check_out_file(path) -> None:
+    """Raise an `OSError` (exit 2) naming ``--out`` unless its directory
+    exists and it is not a directory itself; called before any input is
+    read, so a bad path costs no work."""
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(
+            f"--out {path}: {out.parent} is not an existing directory")
+
+
 def _load_profiles(path, n_devices: int) -> list:
     """--profiles if given, else the first --devices built-in profiles."""
     if path is not None:
@@ -146,6 +158,7 @@ def cmd_gen_dataset(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    _check_out_file(args.out)
     etalon = dataio.read_iq(args.etalon)
     input_path = Path(args.input)
     if input_path.suffix == ".csv":
@@ -304,6 +317,7 @@ def cmd_explain(args) -> int:
         kernel_width=args.kernel_width,
         ridge_lambda=args.ridge_lambda,
     )
+    _check_out_file(args.out)
     model = load_model(args.model)
     dataset = dataio.read_feature_csv(args.input)
     if tuple(model.feature_names) != tuple(dataset.feature_names):

@@ -61,8 +61,9 @@ class IqFile:
 
     ``size`` is the sample count; ``f[start:stop]`` reads that range as a
     complex array, a block of at most ``_IQ_BLOCK_SAMPLES`` samples at a
-    time.  A file whose length is not a whole number of samples, or a
-    non-finite sample in a range read, raises `DataFormatError`.
+    time; a step other than 1 raises `ValueError` and any other key
+    `TypeError`.  A file whose length is not a whole number of samples, or
+    a non-finite sample in a range read, raises `DataFormatError`.
     """
 
     def __init__(self, path):
@@ -75,6 +76,11 @@ class IqFile:
         self.size = nbytes // 8
 
     def __getitem__(self, key: slice) -> np.ndarray:
+        if not isinstance(key, slice):
+            raise TypeError(f"IqFile indices must be slices, not "
+                            f"{type(key).__name__}")
+        if key.step not in (None, 1):
+            raise ValueError(f"IqFile slices take no step, got {key.step}")
         start, stop, _ = key.indices(self.size)
         out = np.empty(max(0, stop - start), dtype=complex)
         with open(self.path, "rb") as fh:
@@ -86,8 +92,11 @@ class IqFile:
                 if bad.size:
                     raise DataFormatError(f"{self.path}: sample "
                                           f"{lo + bad[0] // 2} is not finite")
-                out[lo - start:hi - start] = (raw[0::2].astype(float)
-                                              + 1j * raw[1::2].astype(float))
+                # I + 1j*Q without full-size temporaries; addition commutes,
+                # so the bits, signed zeros included, are that expression's
+                seg = out[lo - start:hi - start]
+                np.multiply(raw[1::2], 1j, out=seg)
+                seg += raw[0::2]
         return out
 
 

@@ -58,11 +58,16 @@ def _roots(dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first[:, 1:] &= ~zero[:, :-1]
     cross = np.zeros_like(zero)
     cross[:, :-1] = dy[:, :-1] * dy[:, 1:] < 0
-    rows, cols = np.nonzero(first | cross)
+    # flat gathers: a crossing's right neighbour is the next flat index,
+    # since a crossing is never in a row's last column
+    idx = np.flatnonzero(first | cross)
+    rows, cols = np.divmod(idx, dy.shape[1])
     pos = cols.astype(float)
-    at = cross[rows, cols]
-    r, c = rows[at], cols[at]
-    pos[at] += dy[r, c] / (dy[r, c] - dy[r, c + 1])
+    at = cross.ravel().take(idx)
+    left = idx[at]
+    flat = dy.ravel()
+    y0, y1 = flat.take(left), flat.take(left + 1)
+    pos[at] += y0 / (y0 - y1)
     return pos, rows
 
 
@@ -77,20 +82,27 @@ def _root_line(roots: np.ndarray) -> tuple[float, float] | None:
     choice of which crossing counts as the first shifts the phase by pi.
     None when there are fewer than 2 roots or the slope is not positive.
     """
-    if roots.size < 2:
+    n = roots.size
+    if n < 2:
         return None
-    k = np.arange(1, roots.size + 1, dtype=float)
-    k_mean, r_mean = k.mean(), roots.mean()
-    sxx = float(((k - k_mean) ** 2).sum())
-    sxy = float(((k - k_mean) * (roots - r_mean)).sum())
-    a = sxy / sxx
+    # k = 1..n has mean (n+1)/2 and sum((k - mean)^2) = n(n^2-1)/12, and
+    # so only the sums over the roots stay per row.  numpy's float sums of
+    # k give exactly these while 4 * n(n^2-1)/12 < 2^53, n <= 300079, as
+    # every term and partial sum is then an exact multiple of 1/4; past
+    # that the closed forms are still the exact values
+    k_mean = (n + 1) / 2
+    sxx = n * (n * n - 1) / 12
+    r_mean = float(np.add.reduce(roots)) / n
+    dev = roots - r_mean
+    dev *= np.arange((1 - n) / 2, k_mean)  # k - k_mean, exact half-integers
+    a = float(np.add.reduce(dev)) / sxx
     if a <= 0:
         return None
     b = r_mean - a * k_mean
     p10 = (np.pi * b / a - np.pi / 2.0) % np.pi
     if p10 >= np.pi:  # float wrap guard
         p10 -= np.pi
-    return float(np.pi / a), float(p10)
+    return np.pi / a, p10
 
 
 def _features(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,9 +131,9 @@ def _features(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ])
 
     roots, rows = _roots(dy)
-    bounds = np.searchsorted(rows, np.arange(len(y) + 1))
-    for i in range(len(y)):
-        p9_p10 = _root_line(roots[bounds[i]:bounds[i + 1]])
+    bounds = np.searchsorted(rows, np.arange(len(y) + 1)).tolist()
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        p9_p10 = _root_line(roots[lo:hi])
         if p9_p10 is not None:
             values[i, 8:] = p9_p10
 

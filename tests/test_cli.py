@@ -136,6 +136,34 @@ def test_extract_missing_file_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("case", ["missing_dir", "is_dir"])
+@pytest.mark.parametrize("command", ["extract", "explain"])
+def test_bad_out_path_exit_2_before_reading(command, case, small_dataset,
+                                            small_model, tmp_path, capsys,
+                                            monkeypatch):
+    _, raw, features = small_dataset
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read before --out was checked")
+
+    for name in ("read_iq", "read_manifest", "read_feature_csv"):
+        monkeypatch.setattr(dataio, name, no_read)
+    monkeypatch.setattr("radiofp.cli.load_model", no_read)
+    out = tmp_path / "missing" / "f.csv" if case == "missing_dir" else tmp_path
+    argv = {
+        "extract": ["extract", "--input", str(raw / "manifest.csv"),
+                    "--etalon", str(raw / "etalon.iq")],
+        "explain": ["explain", "--model", str(small_model),
+                    "--input", str(features), "--row", "0"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert f"--out {out}" in err
+    assert not list(tmp_path.rglob("*.tmp*"))
+
+
 def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
     assert main(["train-eval", "--input", "x.csv"]) == 4  # missing --out-dir
     assert main(["no-such-command"]) == 4

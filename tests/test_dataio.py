@@ -60,6 +60,36 @@ def test_iq_file_blocks_equal_read_iq(tmp_path, monkeypatch):
         assert f[start:stop].tobytes() == whole[start:stop].tobytes()
 
 
+def test_iq_file_signed_zeros_match_i_plus_1j_q(tmp_path, monkeypatch):
+    # every I/Q pairing of +-0.0 and +-1.5, either side of a block boundary
+    values = np.array([0.0, -0.0, 1.5, -1.5], dtype="<f4")
+    pairs = np.stack(np.meshgrid(values, values), axis=-1).reshape(-1)
+    raw = np.concatenate([pairs, pairs[::-1]])
+    path = tmp_path / "zeros.iq"
+    path.write_bytes(raw.tobytes())
+    expected = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
+    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 5)
+    f = dataio.IqFile(path)
+    assert f.size == 32
+    for start, stop in ((0, 32), (3, 12), (5, 6), (4, 31)):
+        np.testing.assert_array_equal(f[start:stop].view(np.uint64),
+                                      expected[start:stop].view(np.uint64))
+
+
+def test_iq_file_rejects_step_and_non_slice(tmp_path):
+    path = tmp_path / "x.iq"
+    dataio.write_iq(path, np.arange(10.0))
+    f = dataio.IqFile(path)
+    for key in (slice(None, None, 2), slice(None, None, -1),
+                slice(0, 5, 0)):
+        with pytest.raises(ValueError, match="no step"):
+            f[key]
+    for key in (3, (slice(0, 2),), [0, 1]):
+        with pytest.raises(TypeError, match="must be slices"):
+            f[key]
+    assert f[2:5:1].tobytes() == f[2:5].tobytes()
+
+
 def test_feature_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(20, 10))

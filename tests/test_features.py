@@ -212,6 +212,97 @@ def test_p10_in_range():
         assert 0.0 <= p10 < np.pi
 
 
+def reference_roots(dy):
+    """`_roots` by 2-D fancy indexing, its bitwise reference."""
+    zero = dy == 0.0
+    first = zero.copy()
+    first[:, 1:] &= ~zero[:, :-1]
+    cross = np.zeros_like(zero)
+    cross[:, :-1] = dy[:, :-1] * dy[:, 1:] < 0
+    rows, cols = np.nonzero(first | cross)
+    pos = cols.astype(float)
+    at = cross[rows, cols]
+    r, c = rows[at], cols[at]
+    pos[at] += dy[r, c] / (dy[r, c] - dy[r, c + 1])
+    return pos, rows
+
+
+def reference_root_line(roots):
+    """`_root_line` with float sums over the indices, its bitwise reference."""
+    if roots.size < 2:
+        return None
+    k = np.arange(1, roots.size + 1, dtype=float)
+    k_mean, r_mean = k.mean(), roots.mean()
+    sxx = float(((k - k_mean) ** 2).sum())
+    sxy = float(((k - k_mean) * (roots - r_mean)).sum())
+    a = sxy / sxx
+    if a <= 0:
+        return None
+    b = r_mean - a * k_mean
+    p10 = (np.pi * b / a - np.pi / 2.0) % np.pi
+    if p10 >= np.pi:
+        p10 -= np.pi
+    return float(np.pi / a), float(p10)
+
+
+def test_root_line_bitwise_equals_reference():
+    rng = np.random.default_rng(53)
+    cases = []
+    for n in range(1101):
+        cases.append(np.sort(rng.uniform(0.0, 1024.0, n)))  # crossings
+        cases.append(rng.normal(size=n))  # any sign of slope
+    cases += [line(a, b, n) for a in (0.5, 8.0, np.pi) for b in (0.0, -3.25)
+              for n in (2, 3, 500)]
+    cases += [np.array([3.0, 5.0]), np.array([5.0, 3.0]),
+              np.array([2.0, 2.0]), line(-2.0, 100.0, 50)]
+    fitted = 0
+    for r in cases:
+        got, expected = features._root_line(r), reference_root_line(r)
+        assert (got is None) == (expected is None), r.size
+        if got is not None:
+            fitted += 1
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert 1100 < fitted < len(cases) - 500
+
+
+def test_root_line_closed_forms_equal_float_sums_up_to_300079():
+    # n(n^2-1) < 3 * 2^53 holds up to n = 300079 and no further
+    assert 300079 * (300079 ** 2 - 1) < 3 << 53 <= 300080 * (300080 ** 2 - 1)
+    for n in (2, 3, 7, 8, 9, 128, 129, 1100, 65537, 300079):
+        k = np.arange(1, n + 1, dtype=float)
+        k_mean = k.mean()
+        assert k_mean == (n + 1) / 2, n
+        assert ((k - k_mean) ** 2).sum() == n * (n * n - 1) / 12, n
+        assert (k - k_mean).tobytes() == \
+            np.arange((1 - n) / 2, (n + 1) / 2).tobytes(), n
+
+
+def test_roots_bitwise_equals_reference():
+    rng = np.random.default_rng(59)
+    rows = [
+        np.array([1.0, 0.0, -2.0, 0.0, 0.0, 3.0, -1.0, 0.0, 0.0, 0.0,
+                  2.0, -2.0, 0.5, 0.0, -0.5, 1.0]),  # zeros and zero runs
+        np.array([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 1.0, 0.0, -1.0,
+                  1.0, -1.0, 1.0, 0.0, 0.0, 0.0]),  # runs at both ends
+        np.zeros(16),
+        np.array([1e-200, -1e-200, 1.0, -1.0, 1e-200, -1e-200, -1.0, 0.0,
+                  1.0, -1e-200, 1e-200, 2.0, -3.0, 1.0, 1.0, 0.0]),  # underflow
+        np.tile([1.0, -1.0], 8),  # most roots
+        np.repeat([-1.0, 1.0], 8),  # one root
+        rng.normal(size=16),
+    ]
+    for matrix in (np.array(rows), np.array(rows[::-1]),
+                   rng.normal(size=(64, 1024)),
+                   np.round(rng.normal(size=(40, 100)))):  # many exact zeros
+        pos, at_row = features._roots(matrix)
+        ref_pos, ref_row = reference_roots(matrix)
+        assert pos.tobytes() == ref_pos.tobytes()
+        assert at_row.tobytes() == ref_row.tobytes()
+    # a product that underflows to -0.0 is no crossing
+    assert roots([1e-200, -1e-200]).size == 0
+
+
 def test_extract_sinusoid():
     j = np.arange(256)
     y = np.sin(np.pi * (j + 0.5) / 8)

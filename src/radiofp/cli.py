@@ -46,6 +46,7 @@ from .pipeline import (
     DEFAULT_SYNC_THRESHOLD,
     MIN_ETALON_LEN,
     ImpairmentProfile,
+    frames_per_block,
     run_capture_pipeline,
     simulate_device,
     transnoise_etalon,
@@ -117,6 +118,22 @@ def _load_profiles(path, n_devices: int) -> list:
     return profiles
 
 
+def _device_blocks(etalon, profile, seed: int, dev: int, frames: int,
+                   lead_in: int):
+    """The stream of device ``dev`` in blocks of about 1 MB: ``lead_in``
+    zeros, then frame m = `simulate_device` of the etalon with seed
+    ``derive_seed(seed, dev, m)``, for m = 0 .. frames - 1."""
+    per_block = frames_per_block(etalon.size)
+    block = per_block * etalon.size
+    zeros = np.zeros(min(lead_in, block), dtype=complex)
+    for lo in range(0, lead_in, block):
+        yield zeros[:lead_in - lo]
+    for first in range(0, frames, per_block):
+        yield np.concatenate([
+            simulate_device(etalon, profile, derive_seed(seed, dev, m))
+            for m in range(first, min(frames, first + per_block))])
+
+
 def cmd_gen_dataset(args) -> int:
     if not MIN_ETALON_LEN <= args.frame_len <= PI_DIGIT_COUNT:
         raise ConfigError(f"--frame-len not in {MIN_ETALON_LEN}..{PI_DIGIT_COUNT}")
@@ -135,16 +152,10 @@ def cmd_gen_dataset(args) -> int:
 
     entries = []
     for dev, profile in enumerate(profiles):
-        frames = [
-            simulate_device(etalon, profile, derive_seed(args.seed, dev, m))
-            for m in range(args.frames_per_device)
-        ]
-        stream = np.concatenate(frames)
-        if args.lead_in:
-            stream = np.concatenate([np.zeros(args.lead_in, dtype=complex),
-                                     stream])
         name = f"device_{dev}.iq"
-        dataio.write_iq(out_dir / name, stream)
+        dataio.write_iq_blocks(out_dir / name, _device_blocks(
+            etalon, profile, args.seed, dev, args.frames_per_device,
+            args.lead_in))
         entries.append(dataio.ManifestEntry(
             label=str(dev), file=name,
             frames=args.frames_per_device, profile=profile,

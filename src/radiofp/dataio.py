@@ -7,17 +7,18 @@ etalon file is the same format with exactly 2L floats.
 CSV files use ``\\n`` line endings and shortest round-trip decimal floats, so
 a given dataset and seed always produce byte-identical output.  `write_csv`
 renders every CSV; readers skip its ``#`` comment lines.  Every output file,
-``model.txt`` and ``best_params.json`` included, is written to a temp file
-and renamed over the target, so a crash never leaves a torn file.
+``model.txt`` and ``best_params.json`` included, is written through
+`_atomic_file`: into a temp file as it is produced, then renamed over the
+target, so a crash never leaves a torn file.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,29 +32,48 @@ from .pipeline import ImpairmentProfile
 
 FEATURE_CSV_HEADER = ["label", *FEATURE_NAMES]
 _IQ_BLOCK_SAMPLES = 1 << 18  # samples converted per read: 2 MB of the file
+_CSV_BLOCK_ROWS = 1 << 12  # feature rows turned into Python floats at once
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+@contextmanager
+def _atomic_file(path, mode: str = "wb", **kwargs):
+    """Yield ``<name>.tmp<pid>`` opened with ``mode`` and ``kwargs``; rename
+    it over ``path`` once the block ends, or remove it on any exception,
+    so ``path`` is either the whole new file or left as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def atomic_write_bytes(path, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def write_iq_blocks(path, blocks) -> None:
+    """Atomically write the samples of each complex block in turn, so only
+    one block is held as float32 pairs at a time."""
+    with _atomic_file(path) as fh:
+        for block in blocks:
+            x = np.asarray(block, dtype=complex)
+            inter = np.empty(2 * x.size, dtype="<f4")
+            inter[0::2] = x.real
+            inter[1::2] = x.imag
+            fh.write(inter)
+
+
 def write_iq(path, samples) -> None:
-    x = np.asarray(samples, dtype=complex)
-    inter = np.empty(2 * x.size, dtype="<f4")
-    inter[0::2] = x.real
-    inter[1::2] = x.imag
-    atomic_write_bytes(path, inter.tobytes())
+    write_iq_blocks(path, [samples])
 
 
 class IqFile:
@@ -117,16 +137,16 @@ def _cell(value) -> str:
 
 
 def write_csv(path, rows, timestamp: bool = False, comments=()) -> None:
-    """Atomically write ``# generated <iso-utc>``, ``# <comment>``s, rows."""
-    buf = io.StringIO()
-    if timestamp:
-        now = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        buf.write(f"# generated {now}\n")
-    for comment in comments:
-        buf.write(f"# {comment}\n")
-    csv.writer(buf, lineterminator="\n").writerows(
-        [_cell(v) for v in row] for row in rows)
-    atomic_write_text(path, buf.getvalue())
+    """Atomically write ``# generated <iso-utc>``, ``# <comment>``s, rows;
+    each row goes to the file as ``rows`` yields it."""
+    with _atomic_file(path, "w", encoding="utf-8", newline="") as fh:
+        if timestamp:
+            now = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            fh.write(f"# generated {now}\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
+        csv.writer(fh, lineterminator="\n").writerows(
+            [_cell(v) for v in row] for row in rows)
 
 
 def _read_csv_rows(path) -> list:
@@ -136,9 +156,16 @@ def _read_csv_rows(path) -> list:
 
 
 def write_feature_csv(path, labels, features, timestamp: bool = False) -> None:
-    feats = np.asarray(features, dtype=float).tolist()
-    rows = [[label, *row] for label, row in zip(labels, feats)]
-    write_csv(path, [FEATURE_CSV_HEADER, *rows], timestamp)
+    feats = np.asarray(features, dtype=float)
+
+    def rows():
+        yield FEATURE_CSV_HEADER
+        for lo in range(0, len(feats), _CSV_BLOCK_ROWS):
+            block = feats[lo:lo + _CSV_BLOCK_ROWS].tolist()
+            for label, row in zip(labels[lo:lo + len(block)], block):
+                yield [label, *row]
+
+    write_csv(path, rows(), timestamp)
 
 
 def read_feature_csv(path) -> LabeledFeatureSet:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,12 +29,19 @@ DEFAULT_FRAME_LEN = 1024
 MIN_ETALON_LEN = 64
 DEFAULT_SYNC_THRESHOLD = 3.0
 
-# block sizes of the streamed extract, in bytes of complex samples; 1 MB
-# stays in a core's L2 cache.  The frame blocks change no output byte, and
-# the correlation blocks only the rounding of the correlation magnitudes.
+# block sizes of the streamed extract and gen-dataset, in bytes of complex
+# samples; 1 MB stays in a core's L2 cache.  The frame blocks change no
+# output byte, and the correlation batches only the rounding of the
+# correlation magnitudes and of their sum.
 _CORR_MIN_NFFT = 8192  # correlation FFT: a power of two, >= this and >= 2L
 _CORR_BATCH_BYTES = 1 << 20  # FFT windows per batch
-_FRAME_BLOCK_BYTES = 1 << 20  # frames phased and featurized at once
+_FRAME_BLOCK_BYTES = 1 << 20  # frames simulated, or phased and featurized
+
+
+def frames_per_block(length: int) -> int:
+    """Frames of ``length`` complex samples in one block of about
+    ``_FRAME_BLOCK_BYTES``, at least 1."""
+    return max(1, _FRAME_BLOCK_BYTES // (16 * length))
 
 
 def gen_transnoise(frame_index: int, length: int) -> np.ndarray:
@@ -156,8 +164,9 @@ def _as_stream(stream):
     return stream
 
 
-def _cross_correlation_mag(stream, etalon: np.ndarray) -> np.ndarray:
-    """|c[k]| with c[k] = sum_m stream[k+m] * conj(etalon[m]), k = 0..n-L.
+def _cross_correlation_mag(stream, etalon: np.ndarray):
+    """Yield ``(first, mag)`` batches: ``mag[i] = |c[first + i]|`` with
+    c[k] = sum_m stream[k+m] * conj(etalon[m]), k = 0..n-L, in lag order.
 
     Overlap-save (Oppenheim & Schafer, *Discrete-Time Signal Processing*,
     ch. 8): window b of the stream starts at sample b*step and holds nfft
@@ -171,18 +180,17 @@ def _cross_correlation_mag(stream, etalon: np.ndarray) -> np.ndarray:
     nfft = 1 << (max(_CORR_MIN_NFFT, 2 * length) - 1).bit_length()
     step = nfft - length + 1
     taps = np.conj(np.fft.fft(etalon, nfft))
-    mag = np.empty(n - length + 1)
+    size = n - length + 1
     batch = step * max(1, _CORR_BATCH_BYTES // (16 * nfft))
-    for first in range(0, mag.size, batch):
-        lags = min(batch, mag.size - first)
+    for first in range(0, size, batch):
+        lags = min(batch, size - first)
         blocks = -(-lags // step)
         seg = np.zeros(blocks * step + length - 1, dtype=complex)
         samples = stream[first:first + seg.size]
         seg[:samples.size] = samples
         windows = np.lib.stride_tricks.sliding_window_view(seg, nfft)[::step]
         corr = np.fft.ifft(np.fft.fft(windows, axis=1) * taps, axis=1)
-        mag[first:first + lags] = np.abs(corr[:, :step]).reshape(-1)[:lags]
-    return mag
+        yield first, np.abs(corr[:, :step]).reshape(-1)[:lags]
 
 
 def _check_etalon(etalon) -> np.ndarray:
@@ -205,56 +213,74 @@ def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
     offset cannot accumulate.  Each accepted peak must exceed ``threshold``
     (finite and > 0) times the mean correlation magnitude outside the peak's
     five-lag neighbourhood; the first peak that does not ends the search.
-    The magnitudes are summed once, so the whole search is linear in the
-    stream length.  ``stream`` is array-like or a block reader such as
-    `dataio.IqFile`; only the correlation reads it.
+
+    The candidate peaks do not depend on that mean, so they are found as
+    the correlation batches arrive, keeping only the lags the next search
+    window and its neighbourhood can reach; each candidate keeps its
+    magnitude and its neighbourhood sum.  The magnitudes are summed once,
+    batch by batch, and the threshold is applied to the candidates in order
+    after the last batch.  So the search is linear in the stream length, and
+    its memory grows only with the frame count.  ``stream`` is array-like or
+    a block reader such as `dataio.IqFile`; only the correlation reads it.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError("sync threshold must be finite and > 0, "
                          f"not {threshold}")
     e = _check_etalon(etalon)
     x = _as_stream(stream)
-    length = e.size
-    if x.size < length:
+    n, length = x.size, e.size
+    if n < length:
         raise SyncNotFoundError(
-            f"stream of {x.size} samples is shorter than one frame ({length})")
+            f"stream of {n} samples is shorter than one frame ({length})")
 
-    mag = _cross_correlation_mag(x, e)
-    total = float(mag.sum())
+    size = n - length + 1  # lags
+    ks, peaks, sums = array("q"), array("d"), array("d")  # the candidates
+    total = 0.0
+    held, base = np.empty(0), 0  # |c| of lags base .. base + held.size - 1
+    lo, hi = 0, min(length, size)  # the next candidate's search window
+    walking = True
+    for first, mag in _cross_correlation_mag(x, e):
+        total += float(mag.sum())
+        if not walking:
+            continue
+        held = np.concatenate([held, mag])
+        end = first + mag.size
+        # take each candidate once its window and the five-lag
+        # neighbourhood of any lag in it have arrived
+        while walking and min(size, hi + 2) <= end:
+            k = lo + int(np.argmax(held[lo - base:hi - base]))
+            near = held[max(0, k - 2) - base:min(size, k + 3) - base]
+            ks.append(k)
+            peaks.append(float(held[k - base]))
+            sums.append(float(near.sum()))
+            expected = k + length
+            walking = expected + length <= n
+            lo = max(0, expected - search_width)
+            hi = min(size, expected + search_width + 1)
+        # keep the lags from the next window's neighbourhood on
+        keep = min(end, max(base, lo - 2))
+        held, base = held[keep - base:], keep
 
-    def ratio(k: int) -> float:
-        # mean magnitude outside mag[lo:hi], the peak's immediate
-        # neighbourhood; with no outside lags left (stream barely longer
-        # than one frame) the test degenerates and any non-zero peak is
-        # accepted.  Where every outside lag is zero, the subtraction can
-        # leave a rounding residue of either sign, hence <= 0.
-        lo, hi = max(0, k - 2), min(mag.size, k + 3)
-        count = mag.size - (hi - lo)
+    def ratio(i: int) -> float:
+        # mean magnitude outside the peak's immediate neighbourhood; with
+        # no outside lags left (stream barely longer than one frame) the
+        # test degenerates and any non-zero peak is accepted.  Where every
+        # outside lag is zero, the subtraction can leave a rounding residue
+        # of either sign, hence <= 0.
+        k = ks[i]
+        count = size - (min(size, k + 3) - max(0, k - 2))
         if count == 0:
-            return math.inf if mag[k] > 0 else 0.0
-        mean_mag = (total - float(mag[lo:hi].sum())) / count
-        return math.inf if mean_mag <= 0.0 else float(mag[k]) / mean_mag
+            return math.inf if peaks[i] > 0 else 0.0
+        mean_mag = (total - sums[i]) / count
+        return math.inf if mean_mag <= 0.0 else peaks[i] / mean_mag
 
-    k0 = int(np.argmax(mag[: min(length, mag.size)]))
-    first = ratio(k0)
-    if first < threshold:
+    first_ratio = ratio(0)
+    if first_ratio < threshold:
         raise SyncNotFoundError(
-            f"peak-to-mean ratio {first:.2f} below {threshold}")
-
-    lags = []
-    k = k0
-    while k + length <= x.size:
-        lags.append(k)
-        expected = k + length
-        if expected + length > x.size:
-            break
-        lo = max(0, expected - search_width)
-        hi = min(mag.size, expected + search_width + 1)
-        k_next = lo + int(np.argmax(mag[lo:hi]))
-        if ratio(k_next) < threshold:
-            break
-        k = k_next
-    return np.array(lags, dtype=np.int64)
+            f"peak-to-mean ratio {first_ratio:.2f} below {threshold}")
+    found = next((i for i in range(1, len(ks)) if ratio(i) < threshold),
+                 len(ks))
+    return np.frombuffer(ks, dtype=np.int64, count=found).copy()
 
 
 def error_phase(frames, etalon) -> tuple[np.ndarray, np.ndarray]:
@@ -294,8 +320,8 @@ def run_capture_pipeline(stream, etalon,
     ``stream`` is array-like or a block reader such as `dataio.IqFile`.  The
     synchronized frames are gathered, phased and featurized a block of
     frames at a time (the rows are independent, so the result does not
-    depend on the block size), and only the correlation magnitudes and the
-    feature rows live for the whole stream.  Returns
+    depend on the block size), and only the frame offsets, sync's
+    candidate peaks and the feature rows live for the whole stream.  Returns
     ``(values, failed, dropped, lags)``: the `feature_matrix` result for the
     frames `error_phase` keeps, in stream order, its ``dropped`` mask over
     all synchronized frames, and the sample offset of each frame.
@@ -303,7 +329,7 @@ def run_capture_pipeline(stream, etalon,
     e = _check_etalon(etalon)
     x = _as_stream(stream)
     lags = synchronize(x, e, threshold=threshold)
-    per_block = max(1, _FRAME_BLOCK_BYTES // (16 * e.size))
+    per_block = frames_per_block(e.size)
     values, failed, dropped = [], [], []
     for first in range(0, lags.size, per_block):
         block = lags[first:first + per_block]

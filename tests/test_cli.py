@@ -7,7 +7,8 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from radiofp import dataio, stats as stats_module
+from radiofp import dataio, pipeline, stats as stats_module
+from radiofp.classify import derive_seed
 from radiofp.cli import build_parser, main
 from radiofp.pipeline import transnoise_etalon
 
@@ -51,6 +52,31 @@ def test_gen_dataset_deterministic(tmp_path):
     for name in ("etalon.iq", "device_0.iq", "device_1.iq", "manifest.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("lead_in", [0, 1500])
+@pytest.mark.parametrize("per_block", [1, 7, 20])
+def test_gen_dataset_blocks_equal_whole_array_write(per_block, lead_in,
+                                                    tmp_path, monkeypatch):
+    """Each stream, simulated and written per_block frames at a time (20 is
+    all of them), has the bytes of the whole stream built in memory and
+    written at once; 1500 lead-in zeros span more than one block."""
+    monkeypatch.setattr(pipeline, "_FRAME_BLOCK_BYTES", per_block * 16 * 64)
+    out = tmp_path / "g"
+    assert main(["gen-dataset", "--out-dir", str(out), "--frames-per-device",
+                 "20", "--frame-len", "64", "--seed", "5", "--lead-in",
+                 str(lead_in), "--no-timestamp"]) == 0
+    etalon = transnoise_etalon(64)
+    entries = dataio.read_manifest(out / "manifest.csv")
+    assert len(entries) == 2
+    for dev, entry in enumerate(entries):
+        frames = [pipeline.simulate_device(etalon, entry.profile,
+                                           derive_seed(5, dev, m))
+                  for m in range(20)]
+        stream = np.concatenate([np.zeros(lead_in, dtype=complex), *frames])
+        dataio.write_iq(tmp_path / "whole.iq", stream)
+        assert (out / entry.file).read_bytes() == \
+            (tmp_path / "whole.iq").read_bytes(), entry.file
 
 
 def test_gen_dataset_negative_seed_exit_4(tmp_path, capsys):

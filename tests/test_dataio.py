@@ -1,3 +1,8 @@
+import csv
+import io
+import math
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -141,3 +146,103 @@ def test_atomic_write_replaces_existing(tmp_path):
     dataio.atomic_write_text(path, "new")
     assert path.read_text() == "new"
     assert list(tmp_path.iterdir()) == [path]  # no temp litter
+
+
+def _render_csv_reference(rows, timestamp=False, comments=()) -> bytes:
+    """The whole-table renderer: every row into one string, then encoded."""
+    buf = io.StringIO()
+    if timestamp:
+        now = dataio.datetime.now(timezone.utc).isoformat(timespec="seconds")
+        buf.write(f"# generated {now}\n")
+    for comment in comments:
+        buf.write(f"# {comment}\n")
+    csv.writer(buf, lineterminator="\n").writerows(
+        [dataio._cell(v) for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+class _FrozenClock(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+
+@pytest.mark.parametrize("timestamp", [False, True])
+def test_write_csv_matches_whole_table_renderer(timestamp, tmp_path,
+                                                monkeypatch):
+    monkeypatch.setattr(dataio, "datetime", _FrozenClock)
+    rows = [["name", "value", "flag"],
+            ["plain", 0.1, True],
+            ["a,comma", float("nan"), False],
+            ['a "quote"', None, None],
+            ["new\nline", np.float64(-2.5e-310), 7],
+            ["\u00b5s", math.inf, np.int64(-3)],
+            ["", 1e22, "undefined"]]
+    comments = ["seed 4", "predicted_class=1 fidelity=0.5"]
+    path = tmp_path / "t.csv"
+    dataio.write_csv(path, iter(rows), timestamp, comments)
+    want = _render_csv_reference(rows, timestamp, comments)
+    assert path.read_bytes() == want
+    assert b"undefined" in want
+    assert want.startswith(b"# generated 2026-01-02T03:04:05+00:00\n") \
+        == timestamp
+
+
+def test_write_feature_csv_blocks_match_whole_table(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_CSV_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(6)
+    feats = rng.normal(size=(30, 10))
+    feats[3, 4] = np.nan
+    labels = [f"dev{i % 3}" for i in range(30)]
+    path = tmp_path / "features.csv"
+    dataio.write_feature_csv(path, labels, feats)
+    rows = [[label, *row] for label, row in zip(labels, feats.tolist())]
+    assert path.read_bytes() == _render_csv_reference(
+        [dataio.FEATURE_CSV_HEADER, *rows])
+
+
+class _Boom(Exception):
+    pass
+
+
+def _failing_after(items, exc):
+    yield from items
+    raise exc
+
+
+@pytest.mark.parametrize("exc", [_Boom("row 3"), KeyboardInterrupt()])
+def test_failed_streamed_writes_keep_target(exc, tmp_path, monkeypatch):
+    """An exception between the rows or blocks of a write leaves the old
+    target and no temp file."""
+    monkeypatch.setattr(dataio, "_CSV_BLOCK_ROWS", 2)
+    target = tmp_path / "out"
+    target.write_bytes(b"old")
+
+    class BadLabel:
+        def __str__(self):
+            raise exc
+
+    writes = [
+        lambda: dataio.write_csv(target, _failing_after(
+            [["a", 1.0], ["b", 2.0]], exc), comments=["c"]),
+        lambda: dataio.write_iq_blocks(target, _failing_after(
+            [np.ones(5), np.zeros(3)], exc)),
+        lambda: dataio.write_feature_csv(
+            target, ["0"] * 4 + [BadLabel()], np.ones((5, 10))),
+    ]
+    for write in writes:
+        with pytest.raises(type(exc)):
+            write()
+        assert target.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [target]
+
+
+def test_write_iq_blocks_equal_write_iq(tmp_path):
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=300) + 1j * rng.normal(size=300)
+    x[7] = complex(-0.0, 0.0)
+    dataio.write_iq(tmp_path / "whole.iq", x)
+    dataio.write_iq_blocks(tmp_path / "blocks.iq",
+                           (x[i:i + 64] for i in range(0, 300, 64)))
+    assert (tmp_path / "blocks.iq").read_bytes() == \
+        (tmp_path / "whole.iq").read_bytes()

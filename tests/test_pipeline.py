@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,16 @@ def test_synchronize_rejects_noise():
         pipeline.synchronize(etalon[:255], etalon)
 
 
+def _correlation_mag(stream, etalon):
+    """Every |c| of a stream: the correlation batches, concatenated."""
+    mags, lags = [], 0
+    for first, mag in pipeline._cross_correlation_mag(stream, etalon):
+        assert first == lags
+        mags.append(mag)
+        lags += mag.size
+    return np.concatenate(mags)
+
+
 def _synchronize_reference(stream, etalon, threshold):
     """The quadratic search: every test re-averages the outside lags."""
     e = pipeline._check_etalon(etalon)
@@ -165,7 +176,7 @@ def _synchronize_reference(stream, etalon, threshold):
     if x.size < length:
         raise SyncNotFoundError(
             f"stream of {x.size} samples is shorter than one frame ({length})")
-    mag = pipeline._cross_correlation_mag(x, e)
+    mag = _correlation_mag(x, e)
 
     def ratio(k):
         outside = np.concatenate([mag[: max(0, k - 2)], mag[k + 3 :]])
@@ -246,6 +257,173 @@ def test_synchronize_matches_quadratic_reference():
     assert min(seen.values()) > 50, seen
 
 
+def _synchronize_whole_array(stream, etalon, threshold, ratios=None):
+    """The linear search over every |c| of the stream at once: one pairwise
+    sum of the magnitudes, then the peak walk with its threshold tests.
+    Each ratio tested is appended to ``ratios`` when given."""
+    e = pipeline._check_etalon(etalon)
+    x = np.asarray(stream, dtype=complex)
+    length = e.size
+    if x.size < length:
+        raise SyncNotFoundError(
+            f"stream of {x.size} samples is shorter than one frame ({length})")
+    mag = _correlation_mag(x, e)
+    total = float(mag.sum())
+
+    def ratio(k):
+        lo, hi = max(0, k - 2), min(mag.size, k + 3)
+        count = mag.size - (hi - lo)
+        if count == 0:
+            return math.inf if mag[k] > 0 else 0.0
+        mean_mag = (total - float(mag[lo:hi].sum())) / count
+        r = math.inf if mean_mag <= 0.0 else float(mag[k]) / mean_mag
+        if ratios is not None:
+            ratios.append(r)
+        return r
+
+    k0 = int(np.argmax(mag[: min(length, mag.size)]))
+    first = ratio(k0)
+    if first < threshold:
+        raise SyncNotFoundError(
+            f"peak-to-mean ratio {first:.2f} below {threshold}")
+    lags = []
+    k = k0
+    while k + length <= x.size:
+        lags.append(k)
+        expected = k + length
+        if expected + length > x.size:
+            break
+        lo = max(0, expected - 8)
+        hi = min(mag.size, expected + 9)
+        k_next = lo + int(np.argmax(mag[lo:hi]))
+        if ratio(k_next) < threshold:
+            break
+        k = k_next
+    return np.array(lags, dtype=np.int64)
+
+
+def _sync_outcome(sync, stream, etalon, threshold):
+    try:
+        return sync(stream, etalon, threshold).tobytes()
+    except SyncNotFoundError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("windows_per_batch", [1, 2])
+def test_synchronize_streamed_equals_whole_array_walker(windows_per_batch,
+                                                        monkeypatch):
+    """With 65-lag correlation windows, one or two to a batch, the streamed
+    walk gives the whole-array walk's lags byte for byte, and its errors.
+    Search windows and five-lag neighbourhoods straddle batch ends, and the
+    streams include ones that end mid-batch, lose sync in a noise gap, fail
+    at the first peak, or hold exactly L samples."""
+    monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", 128)  # step 65 lags
+    monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES",
+                        windows_per_batch * 16 * 128)
+    batch = windows_per_batch * 65
+    rng = np.random.default_rng(77)
+    etalon = pipeline.transnoise_etalon(64)
+
+    def frames(count, sigma=0.05):
+        return np.concatenate([etalon + sigma * (rng.normal(size=64)
+                                                 + 1j * rng.normal(size=64))
+                               for _ in range(count)])
+
+    noise = 0.5 * (rng.normal(size=400) + 1j * rng.normal(size=400))
+    cases = {
+        "exactly L": (etalon, 3.0),
+        "mid-batch end": (np.concatenate([noise[:5], frames(9),
+                                          etalon[:20]]), 3.0),
+        "gap": (np.concatenate([noise[:11], frames(6), noise, frames(5)]),
+                3.0),
+        "first peak fails": (np.concatenate([noise, frames(3)]), 3.0),
+        "noise": (noise, 2.5),
+    }
+    for trial in range(120):
+        cases[f"random {trial}"] = (_random_sync_stream(rng, etalon,
+                                                        trial % 4),
+                                    float(rng.uniform(1.5, 5.0)))
+    outcomes = {}
+    for name, (stream, threshold) in cases.items():
+        got = _sync_outcome(pipeline.synchronize, stream, etalon, threshold)
+        want = _sync_outcome(_synchronize_whole_array, stream, etalon,
+                             threshold)
+        assert got == want, name
+        outcomes[name] = got
+    assert outcomes["exactly L"] == bytes(8)
+    assert outcomes["gap"] == np.arange(11, 11 + 6 * 64, 64).tobytes()
+    assert isinstance(outcomes["first peak fails"], tuple)
+    lags = np.frombuffer(b"".join(v for v in outcomes.values()
+                                  if not isinstance(v, tuple)), np.int64)
+    # search windows (+-8 lags) and neighbourhoods (+-2) across batch ends
+    straddles = np.count_nonzero((lags - 10) // batch != (lags + 10) // batch)
+    errors = sum(isinstance(v, tuple) for v in outcomes.values())
+    assert straddles > 30 and errors > 20, (straddles, errors)
+
+
+@pytest.mark.parametrize("windows_per_batch", [1, 2])
+def test_synchronize_streamed_ratios_at_window_edges(windows_per_batch,
+                                                     monkeypatch):
+    """Frames spaced L - 8 .. L + 8 apart put each next peak at or near an
+    edge of its search window, so its five-lag neighbourhood reaches past
+    the window, often across a batch end.  A threshold a relative 1e-9
+    either side of each peak-to-mean ratio of the whole-array walk gives
+    the same outcome streamed: every candidate's neighbourhood sum is the
+    whole-array one, only the sum of all lags may round apart."""
+    monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", 128)  # step 65 lags
+    monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES",
+                        windows_per_batch * 16 * 128)
+    rng = np.random.default_rng(31)
+    etalon = pipeline.transnoise_etalon(64)
+    tested = 0
+    for spacing in (56, 57, 61, 67, 71, 72):
+        for sigma in (0.1, 0.4):
+            n = 5 + 7 * spacing + 64 + 20
+            stream = sigma * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            for m in range(8):
+                stream[5 + m * spacing:5 + m * spacing + 64] += etalon
+            ratios = []
+            _synchronize_whole_array(stream, etalon, 1e-9, ratios)
+            for r in ratios:
+                if not 0 < r < math.inf:
+                    continue
+                for threshold in (r * (1 - 1e-9), r * (1 + 1e-9)):
+                    assert _sync_outcome(pipeline.synchronize, stream,
+                                         etalon, threshold) == \
+                        _sync_outcome(_synchronize_whole_array, stream,
+                                      etalon, threshold), (spacing, sigma)
+                    tested += 1
+    assert tested > 150, tested
+
+
+def test_synchronize_memory_does_not_grow_with_stream(tmp_path):
+    """Sync of an .iq file of 4N samples peaks within 1 MB of sync of N
+    samples (L=64): it keeps no |c| array of the whole stream, which
+    would take 8 bytes per sample, 3 MB more at 4N."""
+    from radiofp import dataio
+
+    etalon = pipeline.transnoise_etalon(64)
+    n = 1 << 17
+    rng = np.random.default_rng(4)
+    paths = [tmp_path / "n.iq", tmp_path / "4n.iq"]
+    for path, frames in zip(paths, (n // 64, 4 * n // 64)):
+        stream = np.tile(etalon, frames)
+        dataio.write_iq(path, stream + 0.05 * rng.normal(size=stream.size))
+    del stream
+    peaks = []
+    tracemalloc.start()
+    try:
+        for path in paths:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lags = pipeline.synchronize(dataio.IqFile(path), etalon)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            assert lags.size == dataio.IqFile(path).size // 64
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
 @pytest.mark.parametrize("length", [64, 1024])
 @pytest.mark.parametrize("blocks_per_batch", [1, 2, None])
 def test_cross_correlation_matches_np_correlate(length, blocks_per_batch,
@@ -265,7 +443,7 @@ def test_cross_correlation_matches_np_correlate(length, blocks_per_batch,
     for lag_count in lag_counts + [5 * step + 77]:
         n = lag_count + length - 1
         stream = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = pipeline._cross_correlation_mag(stream, etalon)
+        got = _correlation_mag(stream, etalon)
         want = np.abs(np.correlate(stream, etalon, "valid"))
         assert got.shape == want.shape, n
         np.testing.assert_allclose(got, want, rtol=1e-10,

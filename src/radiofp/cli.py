@@ -120,9 +120,9 @@ def _load_profiles(path, n_devices: int) -> list:
 
 def _device_blocks(etalon, profile, seed: int, dev: int, frames: int,
                    lead_in: int):
-    """The stream of device ``dev`` in blocks of about 1 MB: ``lead_in``
-    zeros, then frame m = `simulate_device` of the etalon with seed
-    ``derive_seed(seed, dev, m)``, for m = 0 .. frames - 1."""
+    """The stream of device ``dev`` in blocks of `frames_per_block` frames:
+    ``lead_in`` zeros, then frame m = `simulate_device` of the etalon with
+    seed ``derive_seed(seed, dev, m)``, for m = 0 .. frames - 1."""
     per_block = frames_per_block(etalon.size)
     block = per_block * etalon.size
     zeros = np.zeros(min(lead_in, block), dtype=complex)

@@ -15,6 +15,7 @@ target, so a crash never leaves a torn file.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -80,10 +81,12 @@ class IqFile:
     """The samples of an ``.iq`` file, read on demand.
 
     ``size`` is the sample count; ``f[start:stop]`` reads that range as a
-    complex array, a block of at most ``_IQ_BLOCK_SAMPLES`` samples at a
-    time; a step other than 1 raises `ValueError` and any other key
-    `TypeError`.  A file whose length is not a whole number of samples, or
-    a non-finite sample in a range read, raises `DataFormatError`.
+    complex array, and ``f.read_into(start, out)`` fills a complex array
+    with the samples from ``start`` on; either converts a block of at most
+    ``_IQ_BLOCK_SAMPLES`` samples at a time.  A slice step other than 1
+    raises `ValueError` and any other key `TypeError`.  A file whose length
+    is not a whole number of samples, a non-finite sample in a range read,
+    or a file that ends before a range read, raises `DataFormatError`.
     """
 
     def __init__(self, path):
@@ -103,21 +106,29 @@ class IqFile:
             raise ValueError(f"IqFile slices take no step, got {key.step}")
         start, stop, _ = key.indices(self.size)
         out = np.empty(max(0, stop - start), dtype=complex)
+        self.read_into(start, out)
+        return out
+
+    def read_into(self, start: int, out: np.ndarray) -> None:
         with open(self.path, "rb") as fh:
             fh.seek(8 * start)
-            for lo in range(start, stop, _IQ_BLOCK_SAMPLES):
-                hi = min(stop, lo + _IQ_BLOCK_SAMPLES)
+            for lo in range(0, out.size, _IQ_BLOCK_SAMPLES):
+                hi = min(out.size, lo + _IQ_BLOCK_SAMPLES)
                 raw = np.fromfile(fh, dtype="<f4", count=2 * (hi - lo))
+                if raw.size < 2 * (hi - lo):
+                    raise DataFormatError(
+                        f"{self.path}: file ended at sample "
+                        f"{start + lo + raw.size // 2}, expected {self.size}")
                 bad = np.flatnonzero(~np.isfinite(raw))
                 if bad.size:
-                    raise DataFormatError(f"{self.path}: sample "
-                                          f"{lo + bad[0] // 2} is not finite")
+                    raise DataFormatError(
+                        f"{self.path}: sample {start + lo + bad[0] // 2} "
+                        "is not finite")
                 # I + 1j*Q without full-size temporaries; addition commutes,
                 # so the bits, signed zeros included, are that expression's
-                seg = out[lo - start:hi - start]
+                seg = out[lo:hi]
                 np.multiply(raw[1::2], 1j, out=seg)
                 seg += raw[0::2]
-        return out
 
 
 def read_iq(path) -> np.ndarray:
@@ -136,17 +147,32 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, rows, timestamp: bool = False, comments=()) -> None:
-    """Atomically write ``# generated <iso-utc>``, ``# <comment>``s, rows;
-    each row goes to the file as ``rows`` yields it."""
+@contextmanager
+def _csv_file(path, timestamp: bool = False, comments=()):
+    """Yield the atomic text file of a CSV table, after its ``# generated
+    <iso-utc>`` and ``# <comment>`` lines."""
     with _atomic_file(path, "w", encoding="utf-8", newline="") as fh:
         if timestamp:
             now = datetime.now(timezone.utc).isoformat(timespec="seconds")
             fh.write(f"# generated {now}\n")
         for comment in comments:
             fh.write(f"# {comment}\n")
+        yield fh
+
+
+def write_csv(path, rows, timestamp: bool = False, comments=()) -> None:
+    """Atomically write ``# generated <iso-utc>``, ``# <comment>``s, rows;
+    each row goes to the file as ``rows`` yields it."""
+    with _csv_file(path, timestamp, comments) as fh:
         csv.writer(fh, lineterminator="\n").writerows(
             [_cell(v) for v in row] for row in rows)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as `csv.writer` writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def _read_csv_rows(path) -> list:
@@ -156,16 +182,23 @@ def _read_csv_rows(path) -> list:
 
 
 def write_feature_csv(path, labels, features, timestamp: bool = False) -> None:
+    """The feature table, rows as `write_csv` renders them: the label cell,
+    rendered once for each run of the same label object, then the shortest
+    round-trip ``repr`` of each value, NaN as ``undefined``."""
     feats = np.asarray(features, dtype=float)
-
-    def rows():
-        yield FEATURE_CSV_HEADER
+    with _csv_file(path, timestamp) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(FEATURE_CSV_HEADER)
+        label = cell = None
         for lo in range(0, len(feats), _CSV_BLOCK_ROWS):
             block = feats[lo:lo + _CSV_BLOCK_ROWS].tolist()
-            for label, row in zip(labels[lo:lo + len(block)], block):
-                yield [label, *row]
-
-    write_csv(path, rows(), timestamp)
+            lines = []
+            for row_label, row in zip(labels[lo:lo + len(block)], block):
+                if cell is None or row_label is not label:
+                    label, cell = row_label, _csv_field(_cell(row_label))
+                # no other float repr holds "nan"
+                values = ",".join(map(repr, row)).replace("nan", "undefined")
+                lines.append(f"{cell},{values}\n")
+            fh.write("".join(lines))
 
 
 def read_feature_csv(path) -> LabeledFeatureSet:

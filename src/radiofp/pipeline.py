@@ -28,14 +28,18 @@ from .pi_digits import PI_DIGITS
 DEFAULT_FRAME_LEN = 1024
 MIN_ETALON_LEN = 64
 DEFAULT_SYNC_THRESHOLD = 3.0
+_SEARCH_WIDTH = 8  # lags either side of where the next frame is expected
 
 # block sizes of the streamed extract and gen-dataset, in bytes of complex
-# samples; 1 MB stays in a core's L2 cache.  The frame blocks change no
-# output byte, and the correlation batches only the rounding of the
-# correlation magnitudes and of their sum.
+# samples.  The frame blocks change no output byte, and the correlation
+# batches only the rounding of the correlation magnitudes and of their sum.
+# The feature stage's temporaries take a few times its block: at 512 KB
+# they are reused from block to block, where 1 MB blocks had them handed
+# back to the OS and faulted in again (about 13k minor page faults per
+# 2000-frame stream at L=1024, a quarter or more of the stage's time).
 _CORR_MIN_NFFT = 8192  # correlation FFT: a power of two, >= this and >= 2L
 _CORR_BATCH_BYTES = 1 << 20  # FFT windows per batch
-_FRAME_BLOCK_BYTES = 1 << 20  # frames simulated, or phased and featurized
+_FRAME_BLOCK_BYTES = 1 << 19  # frames simulated, or phased and featurized
 
 
 def frames_per_block(length: int) -> int:
@@ -158,15 +162,25 @@ def simulate_device(clean, profile: ImpairmentProfile, seed: int) -> np.ndarray:
 
 def _as_stream(stream):
     """The samples of a stream: a complex array, unless ``stream`` reads
-    them on demand (``size`` and slicing, as `dataio.IqFile` does)."""
+    them on demand (``size`` and ``read_into``, as `dataio.IqFile` does)."""
     if isinstance(stream, np.ndarray) or not hasattr(stream, "size"):
         return np.asarray(stream, dtype=complex)
     return stream
 
 
+def _read_into(stream, start: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the samples of ``stream`` from ``start`` on."""
+    if isinstance(stream, np.ndarray):
+        out[:] = stream[start:start + out.size]
+    else:
+        stream.read_into(start, out)
+
+
 def _cross_correlation_mag(stream, etalon: np.ndarray):
-    """Yield ``(first, mag)`` batches: ``mag[i] = |c[first + i]|`` with
-    c[k] = sum_m stream[k+m] * conj(etalon[m]), k = 0..n-L, in lag order.
+    """Yield ``(first, samples, mag)`` batches: ``mag[i] = |c[first + i]|``
+    with c[k] = sum_m stream[k+m] * conj(etalon[m]), k = 0..n-L, in lag
+    order, and ``samples`` the stream samples ``first .. first + mag.size +
+    L - 2`` that those lags reach.
 
     Overlap-save (Oppenheim & Schafer, *Discrete-Time Signal Processing*,
     ch. 8): window b of the stream starts at sample b*step and holds nfft
@@ -174,7 +188,10 @@ def _cross_correlation_mag(stream, etalon: np.ndarray):
     etalon is exact for the first ``step = nfft - L + 1`` lags, which are
     lags b*step .. b*step + step - 1 of the stream.  The windows go through
     the FFT in batches of about ``_CORR_BATCH_BYTES``, so memory stays
-    bounded whatever the stream length.
+    bounded whatever the stream length.  Every batch's samples go into one
+    buffer, so ``samples`` holds only until the next batch; consecutive
+    batches share L - 1 samples, which are moved rather than read again,
+    so each sample is read once.
     """
     n, length = stream.size, etalon.size
     nfft = 1 << (max(_CORR_MIN_NFFT, 2 * length) - 1).bit_length()
@@ -182,15 +199,22 @@ def _cross_correlation_mag(stream, etalon: np.ndarray):
     taps = np.conj(np.fft.fft(etalon, nfft))
     size = n - length + 1
     batch = step * max(1, _CORR_BATCH_BYTES // (16 * nfft))
+    buf = np.empty(-(-min(batch, size) // step) * step + length - 1,
+                   dtype=complex)
     for first in range(0, size, batch):
         lags = min(batch, size - first)
-        blocks = -(-lags // step)
-        seg = np.zeros(blocks * step + length - 1, dtype=complex)
-        samples = stream[first:first + seg.size]
-        seg[:samples.size] = samples
+        seg = buf[:-(-lags // step) * step + length - 1]
+        stop = lags + length - 1  # samples of the stream; zeros after them
+        # the previous (whole) batch ends with this one's first L - 1
+        shared = 0 if first == 0 else length - 1
+        seg[:shared] = buf[batch:batch + shared]
+        _read_into(stream, first + shared, seg[shared:stop])
+        seg[stop:] = 0.0
         windows = np.lib.stride_tricks.sliding_window_view(seg, nfft)[::step]
-        corr = np.fft.ifft(np.fft.fft(windows, axis=1) * taps, axis=1)
-        yield first, np.abs(corr[:, :step]).reshape(-1)[:lags]
+        # no FFT temporary outlives the expression
+        yield first, seg[:stop], np.abs(np.fft.ifft(
+            np.fft.fft(windows, axis=1) * taps, axis=1)[:, :step]
+        ).reshape(-1)[:lags]
 
 
 def _check_etalon(etalon) -> np.ndarray:
@@ -203,31 +227,23 @@ def _check_etalon(etalon) -> np.ndarray:
     return e
 
 
-def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
-                search_width: int = 8) -> np.ndarray:
-    """Sample offsets (``int64``) of the etalon-aligned frames of a stream.
-
-    The first repetition is located by the strongest correlation peak within
-    the first L lags; subsequent frames re-synchronize inside a
-    ``search_width`` window around last lag + L so a slow sampling-clock
-    offset cannot accumulate.  Each accepted peak must exceed ``threshold``
-    (finite and > 0) times the mean correlation magnitude outside the peak's
-    five-lag neighbourhood; the first peak that does not ends the search.
-
-    The candidate peaks do not depend on that mean, so they are found as
-    the correlation batches arrive, keeping only the lags the next search
-    window and its neighbourhood can reach; each candidate keeps its
-    magnitude and its neighbourhood sum.  The magnitudes are summed once,
-    batch by batch, and the threshold is applied to the candidates in order
-    after the last batch.  So the search is linear in the stream length, and
-    its memory grows only with the frame count.  ``stream`` is array-like or
-    a block reader such as `dataio.IqFile`; only the correlation reads it.
-    """
+def _check_threshold(threshold: float) -> None:
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError("sync threshold must be finite and > 0, "
                          f"not {threshold}")
-    e = _check_etalon(etalon)
-    x = _as_stream(stream)
+
+
+def _candidate_walk(x, e: np.ndarray, search_width: int):
+    """The candidate frames of a stream, found one correlation batch at a
+    time (see `synchronize`).
+
+    Yields ``(first, samples, new, lo)`` per batch: the batch's samples
+    from `_cross_correlation_mag`, which start at sample ``first``; the
+    offsets of the candidates the batch completed; and the lag before
+    which no later candidate starts.  Returns ``(ks, peaks, sums,
+    total)``: each candidate's offset, |c| and five-lag neighbourhood sum,
+    and the sum of |c| over every lag.
+    """
     n, length = x.size, e.size
     if n < length:
         raise SyncNotFoundError(
@@ -239,27 +255,37 @@ def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
     held, base = np.empty(0), 0  # |c| of lags base .. base + held.size - 1
     lo, hi = 0, min(length, size)  # the next candidate's search window
     walking = True
-    for first, mag in _cross_correlation_mag(x, e):
+    for first, samples, mag in _cross_correlation_mag(x, e):
         total += float(mag.sum())
-        if not walking:
-            continue
-        held = np.concatenate([held, mag])
-        end = first + mag.size
-        # take each candidate once its window and the five-lag
-        # neighbourhood of any lag in it have arrived
-        while walking and min(size, hi + 2) <= end:
-            k = lo + int(np.argmax(held[lo - base:hi - base]))
-            near = held[max(0, k - 2) - base:min(size, k + 3) - base]
-            ks.append(k)
-            peaks.append(float(held[k - base]))
-            sums.append(float(near.sum()))
-            expected = k + length
-            walking = expected + length <= n
-            lo = max(0, expected - search_width)
-            hi = min(size, expected + search_width + 1)
-        # keep the lags from the next window's neighbourhood on
-        keep = min(end, max(base, lo - 2))
-        held, base = held[keep - base:], keep
+        done = len(ks)
+        if walking:
+            held = np.concatenate([held, mag])
+            end = first + mag.size
+            # take each candidate once its window and the five-lag
+            # neighbourhood of any lag in it have arrived
+            while walking and min(size, hi + 2) <= end:
+                k = lo + int(held[lo - base:hi - base].argmax())
+                ks.append(k)
+                peaks.append(float(held[k - base]))
+                sums.append(float(
+                    held[max(0, k - 2) - base:min(size, k + 3) - base].sum()))
+                expected = k + length
+                walking = expected + length <= n
+                lo = max(0, expected - search_width)
+                hi = min(size, expected + search_width + 1)
+            # keep the lags from the next window's neighbourhood on, as a
+            # copy, so the batch's magnitudes are not held past the batch
+            keep = min(end, max(base, lo - 2))
+            held, base = held[keep - base:].copy(), keep
+        yield first, samples, ks[done:], lo
+    return ks, peaks, sums, total
+
+
+def _synced_count(walked, size: int, threshold: float) -> int:
+    """How many of the walked candidates, in order, pass the threshold
+    test of `synchronize`; a failing first one raises `SyncNotFoundError`.
+    ``size`` is the stream's lag count."""
+    ks, peaks, sums, total = walked
 
     def ratio(i: int) -> float:
         # mean magnitude outside the peak's immediate neighbourhood; with
@@ -278,9 +304,47 @@ def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
     if first_ratio < threshold:
         raise SyncNotFoundError(
             f"peak-to-mean ratio {first_ratio:.2f} below {threshold}")
-    found = next((i for i in range(1, len(ks)) if ratio(i) < threshold),
-                 len(ks))
-    return np.frombuffer(ks, dtype=np.int64, count=found).copy()
+    return next((i for i in range(1, len(ks)) if ratio(i) < threshold),
+                len(ks))
+
+
+def _drain(walk):
+    """Run a candidate walk to its end; return its result."""
+    while True:
+        try:
+            next(walk)
+        except StopIteration as stop:
+            return stop.value
+
+
+def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
+                search_width: int = _SEARCH_WIDTH) -> np.ndarray:
+    """Sample offsets (``int64``) of the etalon-aligned frames of a stream.
+
+    The first repetition is located by the strongest correlation peak within
+    the first L lags; subsequent frames re-synchronize inside a
+    ``search_width`` window around last lag + L so a slow sampling-clock
+    offset cannot accumulate.  Each accepted peak must exceed ``threshold``
+    (finite and > 0) times the mean correlation magnitude outside the peak's
+    five-lag neighbourhood; the first peak that does not ends the search.
+
+    The candidate peaks do not depend on that mean, so they are found as
+    the correlation batches arrive, keeping only the lags the next search
+    window and its neighbourhood can reach; each candidate keeps its
+    magnitude and its neighbourhood sum.  The magnitudes are summed once,
+    batch by batch, and the threshold is applied to the candidates in order
+    after the last batch.  So the search is linear in the stream length, and
+    its memory grows only with the frame count.  ``stream`` is array-like or
+    a block reader such as `dataio.IqFile`; each sample is read once, a
+    correlation batch at a time.  `run_capture_pipeline` takes its frames
+    from the same walk's batches.
+    """
+    _check_threshold(threshold)
+    e = _check_etalon(etalon)
+    x = _as_stream(stream)
+    walked = _drain(_candidate_walk(x, e, search_width))
+    found = _synced_count(walked, x.size - e.size + 1, threshold)
+    return np.frombuffer(walked[0], dtype=np.int64, count=found).copy()
 
 
 def error_phase(frames, etalon) -> tuple[np.ndarray, np.ndarray]:
@@ -302,43 +366,88 @@ def error_phase(frames, etalon) -> tuple[np.ndarray, np.ndarray]:
     energy = float(np.vdot(e, e).real)
     # one vdot per row: a matrix product rounds the gains differently
     gain = np.array([np.vdot(e, row) / energy for row in f], dtype=complex)
-    etalon_rms = math.sqrt(energy / e.size)
-    dropped = np.abs(gain) < 1e-12 * etalon_rms
-    err = f[~dropped] / gain[~dropped, None] - e
+    floor = 1e-12 * math.sqrt(energy / e.size)  # of the etalon RMS
+    dropped = np.abs(gain) < floor
+    if dropped.any():
+        f, gain = f[~dropped], gain[~dropped]
+    err = f / gain[:, None]
+    err -= e
     phases = np.angle(err)
     # np.angle maps a negative-real value with -0.0 imaginary part to -pi;
     # fold it back into (-pi, pi]
     phases[phases == -np.pi] = np.pi
-    phases[np.abs(err) <= 1e-12 * etalon_rms] = 0.0
+    # |err| <= floor only where |re| and |im| are (hypot(x, y) >= max(|x|,
+    # |y|)), so the magnitude is taken only there
+    parts = err.view(float).reshape(-1)
+    small = (parts <= floor) & (parts >= -floor)
+    near = np.flatnonzero(small[0::2] & small[1::2])
+    phases.flat[near[np.abs(err.flat[near]) <= floor]] = 0.0
     return phases, dropped
 
 
 def run_capture_pipeline(stream, etalon,
                          threshold: float = DEFAULT_SYNC_THRESHOLD):
-    """synchronize, error_phase and feature_matrix over a stream.
+    """synchronize, error_phase and feature_matrix over a stream, in one
+    pass over its samples.
 
     ``stream`` is array-like or a block reader such as `dataio.IqFile`.  The
-    synchronized frames are gathered, phased and featurized a block of
-    frames at a time (the rows are independent, so the result does not
-    depend on the block size), and only the frame offsets, sync's
-    candidate peaks and the feature rows live for the whole stream.  Returns
+    `synchronize` walk reads each sample once; each candidate frame is
+    gathered from the correlation batch that completed it (or from the few
+    samples carried over from the batch before), and the candidates are
+    phased and featurized a block of frames at a time (the rows are
+    independent, so the result does not depend on the block size).  After
+    the last batch the threshold test of `synchronize` picks the frames,
+    and the rows of any candidates after a sync loss are dropped.  Only the
+    candidates and their feature rows live for the whole stream.  Returns
     ``(values, failed, dropped, lags)``: the `feature_matrix` result for the
     frames `error_phase` keeps, in stream order, its ``dropped`` mask over
     all synchronized frames, and the sample offset of each frame.
     """
+    _check_threshold(threshold)
     e = _check_etalon(etalon)
     x = _as_stream(stream)
-    lags = synchronize(x, e, threshold=threshold)
-    per_block = frames_per_block(e.size)
+    length = e.size
+    frames = np.empty((frames_per_block(length), length), dtype=complex)
+    filled = 0
     values, failed, dropped = [], [], []
-    for first in range(0, lags.size, per_block):
-        block = lags[first:first + per_block]
-        span = x[block[0]:block[-1] + e.size]
-        frames = span[(block - block[0])[:, None] + np.arange(e.size)]
-        phases, block_dropped = error_phase(frames, e)
+
+    def featurize(block):
+        phases, block_dropped = error_phase(block, e)
         block_values, block_failed = feature_matrix(phases)
         values.append(block_values)
         failed.append(block_failed)
         dropped.append(block_dropped)
-    return (np.concatenate(values), np.concatenate(failed),
-            np.concatenate(dropped), lags)
+
+    # samples tail_first .. of the batch before, for a frame that starts
+    # before the current batch
+    tail, tail_first = None, 0
+    walk = _candidate_walk(x, e, _SEARCH_WIDTH)
+    while True:
+        try:
+            first, samples, new, lo = next(walk)
+        except StopIteration as stop:
+            walked = stop.value
+            break
+        for k in new:
+            src, at = (samples, k - first) if k >= first \
+                else (tail, k - tail_first)
+            frames[filled] = src[at:at + length]
+            filled += 1
+            if filled == len(frames):
+                featurize(frames)
+                filled = 0
+        # a next candidate starts at lag lo or after, and lo is in this
+        # batch or after it: a window still open when a batch ends reaches
+        # to within two lags of that end, and it spans at most L lags (2 *
+        # _SEARCH_WIDTH + 1 <= L) of the batch's at least L + 1.  A frame
+        # that starts before the next batch ends within this batch's
+        # samples.
+        tail, tail_first = samples[lo - first:].copy(), lo
+    found = _synced_count(walked, x.size - length + 1, threshold)
+    if filled:
+        featurize(frames[:filled])
+    dropped = np.concatenate(dropped)[:found]
+    kept = found - np.count_nonzero(dropped)
+    return (np.concatenate(values)[:kept], np.concatenate(failed)[:kept],
+            dropped, np.frombuffer(walked[0], dtype=np.int64,
+                                   count=found).copy())

@@ -153,6 +153,64 @@ def test_extract_error_after_sync_loss_one_line(small_dataset, tmp_path,
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_extract_reads_each_sample_once(tmp_path, monkeypatch):
+    """A 2-device extract reads every sample of each stream once, and the
+    etalon once: the correlation batches carry the samples they share, and
+    the frames come from the batches."""
+    from collections import Counter
+    from pathlib import Path
+
+    raw = tmp_path / "raw"
+    assert main(["gen-dataset", "--out-dir", str(raw), "--frames-per-device",
+                 "30", "--frame-len", "64", "--snr-db", "20", "--seed", "2",
+                 "--lead-in", "50", "--no-timestamp"]) == 0
+    reads = Counter()
+
+    class CountingIqFile(dataio.IqFile):
+        def read_into(self, start, out):
+            reads[Path(self.path).name] += out.size
+            super().read_into(start, out)
+
+    # 65-lag correlation windows, one to a batch, and 100-sample reads
+    monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", 128)
+    monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES", 16 * 128)
+    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 100)
+    monkeypatch.setattr(dataio, "IqFile", CountingIqFile)
+    assert main(["extract", "--input", str(raw / "manifest.csv"),
+                 "--etalon", str(raw / "etalon.iq"),
+                 "--out", str(tmp_path / "f.csv"), "--no-timestamp"]) == 0
+    sizes = {p.name: p.stat().st_size // 8 for p in raw.glob("*.iq")}
+    assert sizes["device_0.iq"] == 50 + 30 * 64
+    assert reads == sizes
+
+
+def test_extract_stream_truncated_after_open_exit_2(small_dataset, tmp_path,
+                                                    monkeypatch, capsys):
+    """A stream that shrinks between IqFile measuring it and the read exits
+    2 with one line naming where the file ended."""
+    _, raw, _ = small_dataset
+    data = tmp_path / "short"
+    shutil.copytree(raw, data)
+    device = data / "device_1.iq"
+    size = device.stat().st_size // 8
+
+    class ShrinkingIqFile(dataio.IqFile):
+        def __init__(self, path):
+            super().__init__(path)
+            if path == device:
+                device.write_bytes(device.read_bytes()[:8 * 3000])
+
+    monkeypatch.setattr(dataio, "IqFile", ShrinkingIqFile)
+    capsys.readouterr()
+    assert main(["extract", "--input", str(data / "manifest.csv"),
+                 "--etalon", str(data / "etalon.iq"),
+                 "--out", str(tmp_path / "f.csv"), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {device}: file ended at sample 3000, "
+                   f"expected {size}"]
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_extract_missing_file_exit_2(tmp_path):
     code = main([
         "extract", "--input", str(tmp_path / "missing.iq"),

@@ -49,6 +49,24 @@ def test_iq_rejects_partial_and_non_finite_samples(tail, message, tmp_path,
         dataio.IqFile(path)[200:]
 
 
+def test_iq_file_truncated_after_open(tmp_path, monkeypatch):
+    """A file that shrinks after IqFile measured it raises DataFormatError
+    where the read runs out, not numpy's broadcast error."""
+    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 100)
+    path = tmp_path / "x.iq"
+    dataio.write_iq(path, np.arange(1000.0))
+    f = dataio.IqFile(path)
+    path.write_bytes(path.read_bytes()[:8 * 450 + 4])  # and half a sample
+    assert f[100:450].tobytes() == np.arange(100.0, 450.0).astype(
+        complex).tobytes()
+    for key in (slice(None), slice(300, 460), slice(449, 451)):
+        with pytest.raises(DataFormatError,
+                           match="file ended at sample 450, expected 1000"):
+            f[key]
+    with pytest.raises(DataFormatError, match="ended at sample 450"):
+        f.read_into(440, np.empty(20, dtype=complex))
+
+
 def test_iq_file_blocks_equal_read_iq(tmp_path, monkeypatch):
     rng = np.random.default_rng(2)
     path = tmp_path / "x.iq"
@@ -199,6 +217,31 @@ def test_write_feature_csv_blocks_match_whole_table(tmp_path, monkeypatch):
     rows = [[label, *row] for label, row in zip(labels, feats.tolist())]
     assert path.read_bytes() == _render_csv_reference(
         [dataio.FEATURE_CSV_HEADER, *rows])
+
+
+def test_write_feature_csv_matches_csv_writer_cells(tmp_path, monkeypatch):
+    """Labels that csv quotes, an empty label, labels of other types and
+    equal labels that are distinct objects; NaN, +-inf, -0.0 and extreme
+    floats: the rows are the csv.writer + _cell rendering, byte for byte."""
+    monkeypatch.setattr(dataio, "datetime", _FrozenClock)
+    monkeypatch.setattr(dataio, "_CSV_BLOCK_ROWS", 4)
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+              1e22, 1 / 3, 1e16]
+    labels = ["a,b", "a,b", "".join(["a", ",b"]), '"q"', "", "", "banana",
+              "new\nline", "\u00b5", 1, True, 1.5, np.nan]
+    rng = np.random.default_rng(3)
+    feats = rng.choice(values, size=(len(labels), 10))
+    feats[0] = values
+    for timestamp in (False, True):
+        path = tmp_path / "features.csv"
+        dataio.write_feature_csv(path, labels, feats, timestamp)
+        rows = [[label, *row] for label, row in zip(labels, feats.tolist())]
+        want = _render_csv_reference([dataio.FEATURE_CSV_HEADER, *rows],
+                                     timestamp)
+        assert path.read_bytes() == want
+    for cell in (b'\n"a,b",undefined,inf,-inf,-0.0,', b'\n"""q""",',
+                 b'\n,', b'\nbanana,', b'\ntrue,', b'\nundefined,'):
+        assert cell in want
 
 
 class _Boom(Exception):

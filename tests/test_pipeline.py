@@ -161,7 +161,7 @@ def test_synchronize_rejects_noise():
 def _correlation_mag(stream, etalon):
     """Every |c| of a stream: the correlation batches, concatenated."""
     mags, lags = [], 0
-    for first, mag in pipeline._cross_correlation_mag(stream, etalon):
+    for first, _, mag in pipeline._cross_correlation_mag(stream, etalon):
         assert first == lags
         mags.append(mag)
         lags += mag.size
@@ -596,3 +596,204 @@ def test_error_phase_matrix_masks_zero_gain_row():
         one, one_dropped = pipeline.error_phase(row[None], etalon)
         assert not one_dropped.any()
         assert got.tobytes() == one[0].tobytes()
+
+
+def _two_pass(stream, etalon, threshold=pipeline.DEFAULT_SYNC_THRESHOLD):
+    """extract in two passes over the stream: synchronize, then error_phase
+    and feature_matrix on the whole frame matrix, read again by lag; or the
+    sync error."""
+    from radiofp.features import feature_matrix
+
+    try:
+        lags = pipeline.synchronize(stream, etalon, threshold)
+    except SyncNotFoundError as exc:
+        return type(exc), str(exc)
+    phases, dropped = pipeline.error_phase(
+        stream[lags[:, None] + np.arange(etalon.size)], etalon)
+    values, failed = feature_matrix(phases)
+    return values, failed, dropped, lags
+
+
+def _one_pass(stream, etalon, threshold=pipeline.DEFAULT_SYNC_THRESHOLD):
+    try:
+        return pipeline.run_capture_pipeline(stream, etalon, threshold)
+    except SyncNotFoundError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("windows_per_batch", [1, 2])
+def test_run_capture_pipeline_one_pass_equals_two_pass(windows_per_batch,
+                                                       tmp_path,
+                                                       monkeypatch):
+    """extract's single pass, from an .iq file and from an array, gives the
+    two-pass result byte for byte, or its sync error.  With 65-lag
+    correlation windows, one or two to a batch, many frames start in one
+    batch and are completed in the next, so they come from the samples
+    carried over; the streams also hold lead-ins, a sync loss mid-stream
+    (whose later candidates are featurized, then dropped), a failing first
+    peak, frames at the edges of their search windows, and random ones."""
+    from radiofp import dataio
+
+    monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", 128)  # step 65 lags
+    monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES",
+                        windows_per_batch * 16 * 128)
+    monkeypatch.setattr(pipeline, "_FRAME_BLOCK_BYTES", 5 * 16 * 64)
+    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 100)
+    batch = windows_per_batch * 65
+    rng = np.random.default_rng(15)
+    etalon = pipeline.transnoise_etalon(64)
+
+    def frames(count, sigma=0.05):
+        return np.concatenate([etalon + sigma * (rng.normal(size=64)
+                                                 + 1j * rng.normal(size=64))
+                               for _ in range(count)])
+
+    def noise(n):
+        return 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    def jittered(count):  # 0-8 noise samples after each frame
+        return np.concatenate([np.concatenate([frame, 0.05 * noise(gap)])
+                               for frame, gap in zip(
+                                   frames(count).reshape(count, 64),
+                                   rng.integers(0, 9, size=count))])
+
+    spaced = 0.1 * noise(5 + 7 * 71 + 84)
+    for m in range(8):
+        spaced[5 + m * 71:5 + m * 71 + 64] += etalon
+    cases = {
+        "exactly L": (etalon, 3.0),
+        "--lead-in zeros": (np.concatenate([np.zeros(40), frames(20),
+                                         etalon[:30]]), 3.0),
+        "noise lead-in": (np.concatenate([noise(63), frames(20)]), 3.0),
+        "short lead-in": (np.concatenate([noise(3), frames(20)]), 3.0),
+        "sync lost": (np.concatenate([noise(11), frames(12), noise(300),
+                                      frames(10)]), 3.0),
+        "first peak fails": (np.concatenate([noise(400), frames(3)]), 3.0),
+        "window edges": (spaced, 2.0),
+        "jittered": (np.concatenate([noise(20), jittered(60)]), 3.0),
+        "jittered, sync lost": (np.concatenate([jittered(50), noise(500),
+                                                jittered(30)]), 3.0),
+    }
+    for trial in range(40):
+        cases[f"random {trial}"] = (_random_sync_stream(rng, etalon,
+                                                        trial % 4),
+                                    float(rng.uniform(1.5, 5.0)))
+    carried = errors = 0
+    for name, (samples, threshold) in cases.items():
+        path = tmp_path / "stream.iq"
+        dataio.write_iq(path, samples)
+        stream = dataio.read_iq(path)
+        want = _two_pass(stream, etalon, threshold)
+        for got in (_one_pass(dataio.IqFile(path), etalon, threshold),
+                    _one_pass(stream, etalon, threshold)):
+            assert len(got) == len(want), name
+            for have, expect in zip(got, want):
+                if isinstance(expect, np.ndarray):
+                    assert have.dtype == expect.dtype, name
+                    assert have.tobytes() == expect.tobytes(), name
+                else:
+                    assert have == expect, name
+        if len(want) == 2:
+            errors += 1
+            continue
+        # the lag whose arrival completes frame i's search window
+        lags, size = want[3], stream.size - 63
+        ends = np.minimum(size - 1, np.append(64, lags[:-1] + 64 + 9) + 1)
+        carried += np.count_nonzero(lags // batch < ends // batch)
+    assert len(_two_pass(cases["sync lost"][0], etalon)[3]) == 12
+    assert len(_two_pass(cases["jittered, sync lost"][0], etalon)[3]) == 50
+    assert isinstance(_two_pass(cases["first peak fails"][0], etalon)[0],
+                      type)
+    assert carried >= 10 and errors > 5, (carried, errors)
+
+
+def test_run_capture_pipeline_memory_does_not_grow_with_stream(tmp_path):
+    """extract of an .iq file of 4N samples peaks within 1 MB of extract of
+    N samples (L=256): it holds no array of the whole stream, which would
+    take 16 bytes per sample, 6 MB more at 4N.  Only the per-frame state
+    grows: the candidates and the feature rows, about 0.3 MB more at 4N."""
+    from radiofp import dataio
+
+    etalon = pipeline.transnoise_etalon(256)
+    n = 1 << 17
+    rng = np.random.default_rng(5)
+    paths = [tmp_path / "n.iq", tmp_path / "4n.iq"]
+    for path, frames in zip(paths, (n // 256, 4 * n // 256)):
+        stream = np.tile(etalon, frames)
+        dataio.write_iq(path, stream + 0.05 * rng.normal(size=stream.size))
+    del stream
+    peaks = []
+    tracemalloc.start()
+    try:
+        for path in paths:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = pipeline.run_capture_pipeline(dataio.IqFile(path),
+                                                   etalon)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            assert result[3].size == dataio.IqFile(path).size // 256
+            del result
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+def _error_phase_reference(frames, etalon):
+    """error_phase as first written: a copy of the kept rows, a new array
+    for the subtraction, and |err| of every sample."""
+    e = np.asarray(etalon, dtype=complex)
+    f = np.asarray(frames, dtype=complex)
+    energy = float(np.vdot(e, e).real)
+    gain = np.array([np.vdot(e, row) / energy for row in f], dtype=complex)
+    etalon_rms = math.sqrt(energy / e.size)
+    dropped = np.abs(gain) < 1e-12 * etalon_rms
+    err = f[~dropped] / gain[~dropped, None] - e
+    phases = np.angle(err)
+    phases[phases == -np.pi] = np.pi
+    phases[np.abs(err) <= 1e-12 * etalon_rms] = 0.0
+    return phases, dropped
+
+
+def test_error_phase_matches_reference_formula():
+    """Bit for bit, with and without dropped rows: noisy frames, exact
+    multiples of the etalon (every error sample zero or a rounding
+    residue), and error samples whose parts sit either side of the 1e-12
+    RMS floor, alone or together, with either sign."""
+    rng = np.random.default_rng(9)
+    etalon = pipeline.transnoise_etalon(256)
+    floor = 1e-12 * math.sqrt(float(np.vdot(etalon, etalon).real) / 256)
+    noisy = etalon + 0.1 * (rng.normal(size=(4, 256))
+                            + 1j * rng.normal(size=(4, 256)))
+    exact = np.array([etalon, -etalon, (0.3 - 2j) * etalon, 1e-9 * etalon])
+    near = np.tile(etalon, (3, 1)).astype(complex)
+    steps = rng.choice([0.5, 0.999, 1.0, 1.001, 2.0, 0.0], size=(3, 256, 2))
+    signs = rng.choice([-1.0, 1.0], size=(3, 256, 2))
+    near += floor * (steps * signs) @ np.array([1.0, 1j])
+    cases = [noisy, exact, near, np.concatenate([noisy, exact, near])]
+    with_zero = np.concatenate([noisy[:2], np.zeros((1, 256)), near])
+    for frames in cases + [with_zero]:
+        got = pipeline.error_phase(frames, etalon)
+        want = _error_phase_reference(frames, etalon)
+        for have, expect in zip(got, want):
+            assert have.dtype == expect.dtype
+            assert have.tobytes() == expect.tobytes()
+    # an etalon with zero samples: where the frame equals it elsewhere, the
+    # gain is exactly 1, so each error sample there is the frame's own,
+    # with parts at, just above and just below the floor
+    holes = etalon.copy()
+    holes[::4] = 0.0
+    floor = 1e-12 * math.sqrt(float(np.vdot(holes, holes).real) / 256)
+    parts = floor * np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0,
+                              np.nextafter(1.0, 2.0)])
+    parts = np.concatenate([parts, -parts])
+    re, im = np.meshgrid(parts, parts)
+    frames = np.tile(holes, (2, 1))
+    frames[:, ::4] = np.resize(re + 1j * im, (2, 64))  # all 100 pairs
+    got = pipeline.error_phase(frames, holes)
+    assert got[0].tobytes() == _error_phase_reference(frames,
+                                                      holes)[0].tobytes()
+    assert 0 < np.count_nonzero(got[0][:, ::4] == 0.0) < 128
+    assert pipeline.error_phase(with_zero, etalon)[1].tolist() == \
+        [False, False, True, False, False, False]
+    phases = pipeline.error_phase(near, etalon)[0]
+    assert 0 < np.count_nonzero(phases == 0.0) < phases.size

@@ -36,7 +36,6 @@ from .pipeline import (
     gen_transnoise,
     run_capture_pipeline,
     simulate_device,
-    synchronize,
     transnoise_etalon,
 )
 from .stats import (

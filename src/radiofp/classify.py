@@ -673,10 +673,11 @@ def logistic_loss(weights, bias, features_std, labels01, l2):
     return float(loss + 0.5 * l2 * (weights @ weights))
 
 
-def _logistic_gradient(weights, bias, features_std, labels01, l2):
+def _logistic_gradient(weights, bias, features_std, labels01):
+    """Gradient of the unregularized mean cross-entropy."""
     p = _sigmoid(features_std @ weights + bias)
     resid = p - labels01
-    grad_w = features_std.T @ resid / labels01.size + l2 * weights
+    grad_w = features_std.T @ resid / labels01.size
     grad_b = float(resid.mean())
     return grad_w, grad_b
 
@@ -718,7 +719,7 @@ def logistic_regression_train(dataset: LabeledFeatureSet, l2: float = 1e-4,
     w = rng.normal(0.0, 0.01, dataset.n_features)
     b = 0.0
     for _ in range(epochs):
-        grad_w, grad_b = _logistic_gradient(w, b, z, y, 0.0)
+        grad_w, grad_b = _logistic_gradient(w, b, z, y)
         w = (w - lr * grad_w) / (1.0 + lr * l2)
         b -= lr * grad_b
     return LogisticModel(weights=w, bias=b, stats=stats,

@@ -80,13 +80,11 @@ def write_iq(path, samples) -> None:
 class IqFile:
     """The samples of an ``.iq`` file, read on demand.
 
-    ``size`` is the sample count; ``f[start:stop]`` reads that range as a
-    complex array, and ``f.read_into(start, out)`` fills a complex array
-    with the samples from ``start`` on; either converts a block of at most
-    ``_IQ_BLOCK_SAMPLES`` samples at a time.  A slice step other than 1
-    raises `ValueError` and any other key `TypeError`.  A file whose length
-    is not a whole number of samples, a non-finite sample in a range read,
-    or a file that ends before a range read, raises `DataFormatError`.
+    ``size`` is the sample count, and ``f.read_into(start, out)`` fills a
+    complex array with the samples from ``start`` on, converting a block of
+    at most ``_IQ_BLOCK_SAMPLES`` samples at a time.  A file whose length is
+    not a whole number of samples, a non-finite sample in a range read, or
+    a file that ends before a range read, raises `DataFormatError`.
     """
 
     def __init__(self, path):
@@ -97,17 +95,6 @@ class IqFile:
                 f"{path}: {nbytes} bytes is not a whole number of 8-byte "
                 "I/Q samples")
         self.size = nbytes // 8
-
-    def __getitem__(self, key: slice) -> np.ndarray:
-        if not isinstance(key, slice):
-            raise TypeError(f"IqFile indices must be slices, not "
-                            f"{type(key).__name__}")
-        if key.step not in (None, 1):
-            raise ValueError(f"IqFile slices take no step, got {key.step}")
-        start, stop, _ = key.indices(self.size)
-        out = np.empty(max(0, stop - start), dtype=complex)
-        self.read_into(start, out)
-        return out
 
     def read_into(self, start: int, out: np.ndarray) -> None:
         with open(self.path, "rb") as fh:
@@ -133,7 +120,10 @@ class IqFile:
 
 def read_iq(path) -> np.ndarray:
     """Every sample of an ``.iq`` file, as `IqFile` reads them."""
-    return IqFile(path)[:]
+    f = IqFile(path)
+    out = np.empty(f.size, dtype=complex)
+    f.read_into(0, out)
+    return out
 
 
 def _cell(value) -> str:

@@ -5,7 +5,8 @@ linearly onto DAC amplitude levels, digit 0 at -1 and digit 9 at +1.  A
 received stream is aligned to the etalon by cross-correlation, normalized by
 a complex least-squares gain, and the etalon is subtracted; the per-sample
 phase of the remaining error signal is the trendless sequence handed to
-feature extraction.
+feature extraction.  `run_capture_pipeline` runs the sync, the error
+phase and feature extraction in one pass over a stream.
 """
 
 from __future__ import annotations
@@ -233,59 +234,13 @@ def _check_threshold(threshold: float) -> None:
                          f"not {threshold}")
 
 
-def _candidate_walk(x, e: np.ndarray, search_width: int):
-    """The candidate frames of a stream, found one correlation batch at a
-    time (see `synchronize`).
-
-    Yields ``(first, samples, new, lo)`` per batch: the batch's samples
-    from `_cross_correlation_mag`, which start at sample ``first``; the
-    offsets of the candidates the batch completed; and the lag before
-    which no later candidate starts.  Returns ``(ks, peaks, sums,
-    total)``: each candidate's offset, |c| and five-lag neighbourhood sum,
-    and the sum of |c| over every lag.
-    """
-    n, length = x.size, e.size
-    if n < length:
-        raise SyncNotFoundError(
-            f"stream of {n} samples is shorter than one frame ({length})")
-
-    size = n - length + 1  # lags
-    ks, peaks, sums = array("q"), array("d"), array("d")  # the candidates
-    total = 0.0
-    held, base = np.empty(0), 0  # |c| of lags base .. base + held.size - 1
-    lo, hi = 0, min(length, size)  # the next candidate's search window
-    walking = True
-    for first, samples, mag in _cross_correlation_mag(x, e):
-        total += float(mag.sum())
-        done = len(ks)
-        if walking:
-            held = np.concatenate([held, mag])
-            end = first + mag.size
-            # take each candidate once its window and the five-lag
-            # neighbourhood of any lag in it have arrived
-            while walking and min(size, hi + 2) <= end:
-                k = lo + int(held[lo - base:hi - base].argmax())
-                ks.append(k)
-                peaks.append(float(held[k - base]))
-                sums.append(float(
-                    held[max(0, k - 2) - base:min(size, k + 3) - base].sum()))
-                expected = k + length
-                walking = expected + length <= n
-                lo = max(0, expected - search_width)
-                hi = min(size, expected + search_width + 1)
-            # keep the lags from the next window's neighbourhood on, as a
-            # copy, so the batch's magnitudes are not held past the batch
-            keep = min(end, max(base, lo - 2))
-            held, base = held[keep - base:].copy(), keep
-        yield first, samples, ks[done:], lo
-    return ks, peaks, sums, total
-
-
-def _synced_count(walked, size: int, threshold: float) -> int:
-    """How many of the walked candidates, in order, pass the threshold
-    test of `synchronize`; a failing first one raises `SyncNotFoundError`.
-    ``size`` is the stream's lag count."""
-    ks, peaks, sums, total = walked
+def _synced_count(ks, peaks, sums, total: float, size: int,
+                  threshold: float) -> int:
+    """How many of the candidates, in order, pass the threshold test of
+    `run_capture_pipeline`; a failing first one raises `SyncNotFoundError`.
+    ``ks``, ``peaks`` and ``sums`` are each candidate's offset, |c| and
+    five-lag neighbourhood sum, ``total`` the sum of |c| over all ``size``
+    lags of the stream."""
 
     def ratio(i: int) -> float:
         # mean magnitude outside the peak's immediate neighbourhood; with
@@ -306,45 +261,6 @@ def _synced_count(walked, size: int, threshold: float) -> int:
             f"peak-to-mean ratio {first_ratio:.2f} below {threshold}")
     return next((i for i in range(1, len(ks)) if ratio(i) < threshold),
                 len(ks))
-
-
-def _drain(walk):
-    """Run a candidate walk to its end; return its result."""
-    while True:
-        try:
-            next(walk)
-        except StopIteration as stop:
-            return stop.value
-
-
-def synchronize(stream, etalon, threshold: float = DEFAULT_SYNC_THRESHOLD,
-                search_width: int = _SEARCH_WIDTH) -> np.ndarray:
-    """Sample offsets (``int64``) of the etalon-aligned frames of a stream.
-
-    The first repetition is located by the strongest correlation peak within
-    the first L lags; subsequent frames re-synchronize inside a
-    ``search_width`` window around last lag + L so a slow sampling-clock
-    offset cannot accumulate.  Each accepted peak must exceed ``threshold``
-    (finite and > 0) times the mean correlation magnitude outside the peak's
-    five-lag neighbourhood; the first peak that does not ends the search.
-
-    The candidate peaks do not depend on that mean, so they are found as
-    the correlation batches arrive, keeping only the lags the next search
-    window and its neighbourhood can reach; each candidate keeps its
-    magnitude and its neighbourhood sum.  The magnitudes are summed once,
-    batch by batch, and the threshold is applied to the candidates in order
-    after the last batch.  So the search is linear in the stream length, and
-    its memory grows only with the frame count.  ``stream`` is array-like or
-    a block reader such as `dataio.IqFile`; each sample is read once, a
-    correlation batch at a time.  `run_capture_pipeline` takes its frames
-    from the same walk's batches.
-    """
-    _check_threshold(threshold)
-    e = _check_etalon(etalon)
-    x = _as_stream(stream)
-    walked = _drain(_candidate_walk(x, e, search_width))
-    found = _synced_count(walked, x.size - e.size + 1, threshold)
-    return np.frombuffer(walked[0], dtype=np.int64, count=found).copy()
 
 
 def error_phase(frames, etalon) -> tuple[np.ndarray, np.ndarray]:
@@ -387,26 +303,45 @@ def error_phase(frames, etalon) -> tuple[np.ndarray, np.ndarray]:
 
 def run_capture_pipeline(stream, etalon,
                          threshold: float = DEFAULT_SYNC_THRESHOLD):
-    """synchronize, error_phase and feature_matrix over a stream, in one
-    pass over its samples.
+    """Synchronize a stream to the etalon, then error_phase and
+    feature_matrix over its frames, in one pass over its samples.
 
-    ``stream`` is array-like or a block reader such as `dataio.IqFile`.  The
-    `synchronize` walk reads each sample once; each candidate frame is
-    gathered from the correlation batch that completed it (or from the few
+    The first frame is located by the strongest correlation peak within the
+    first L lags; each next frame re-synchronizes inside a window of
+    ``_SEARCH_WIDTH`` (8) lags either side of last lag + L, so a slow
+    sampling-clock offset cannot accumulate.  Each accepted peak must exceed
+    ``threshold`` (finite and > 0) times the mean correlation magnitude
+    outside the peak's five-lag neighbourhood; the first peak that does not
+    ends the search.
+
+    The candidate peaks do not depend on that mean, so they are found as
+    the correlation batches arrive, keeping only the lags the next search
+    window and its neighbourhood can reach; each candidate keeps its
+    magnitude and its neighbourhood sum.  The magnitudes are summed once,
+    batch by batch, and the threshold is applied to the candidates in order
+    after the last batch.  So the search is linear in the stream length, and
+    its memory grows only with the frame count.
+
+    ``stream`` is array-like or a block reader such as `dataio.IqFile`; each
+    sample is read once, a correlation batch at a time.  Each candidate
+    frame is copied from the batch that completed it (or from the few
     samples carried over from the batch before), and the candidates are
     phased and featurized a block of frames at a time (the rows are
-    independent, so the result does not depend on the block size).  After
-    the last batch the threshold test of `synchronize` picks the frames,
-    and the rows of any candidates after a sync loss are dropped.  Only the
-    candidates and their feature rows live for the whole stream.  Returns
+    independent, so the result does not depend on the block size); the
+    rows of any candidates after a sync loss are dropped.  Returns
     ``(values, failed, dropped, lags)``: the `feature_matrix` result for the
     frames `error_phase` keeps, in stream order, its ``dropped`` mask over
-    all synchronized frames, and the sample offset of each frame.
+    all synchronized frames, and the sample offset (``int64``) of each
+    frame.
     """
     _check_threshold(threshold)
     e = _check_etalon(etalon)
     x = _as_stream(stream)
-    length = e.size
+    n, length = x.size, e.size
+    if n < length:
+        raise SyncNotFoundError(
+            f"stream of {n} samples is shorter than one frame ({length})")
+    size = n - length + 1  # lags
     frames = np.empty((frames_per_block(length), length), dtype=complex)
     filled = 0
     values, failed, dropped = [], [], []
@@ -418,17 +353,28 @@ def run_capture_pipeline(stream, etalon,
         failed.append(block_failed)
         dropped.append(block_dropped)
 
+    ks, peaks, sums = array("q"), array("d"), array("d")  # the candidates
+    total = 0.0
+    held, base = np.empty(0), 0  # |c| of lags base .. base + held.size - 1
+    lo, hi = 0, min(length, size)  # the next candidate's search window
+    walking = True
     # samples tail_first .. of the batch before, for a frame that starts
     # before the current batch
     tail, tail_first = None, 0
-    walk = _candidate_walk(x, e, _SEARCH_WIDTH)
-    while True:
-        try:
-            first, samples, new, lo = next(walk)
-        except StopIteration as stop:
-            walked = stop.value
-            break
-        for k in new:
+    for first, samples, mag in _cross_correlation_mag(x, e):
+        total += float(mag.sum())
+        if not walking:
+            continue
+        held = np.concatenate([held, mag])
+        end = first + mag.size
+        # take each candidate once its window and the five-lag
+        # neighbourhood of any lag in it have arrived
+        while walking and min(size, hi + 2) <= end:
+            k = lo + int(held[lo - base:hi - base].argmax())
+            ks.append(k)
+            peaks.append(float(held[k - base]))
+            sums.append(float(
+                held[max(0, k - 2) - base:min(size, k + 3) - base].sum()))
             src, at = (samples, k - first) if k >= first \
                 else (tail, k - tail_first)
             frames[filled] = src[at:at + length]
@@ -436,6 +382,14 @@ def run_capture_pipeline(stream, etalon,
             if filled == len(frames):
                 featurize(frames)
                 filled = 0
+            expected = k + length
+            walking = expected + length <= n
+            lo = max(0, expected - _SEARCH_WIDTH)
+            hi = min(size, expected + _SEARCH_WIDTH + 1)
+        # keep the lags from the next window's neighbourhood on, as a copy,
+        # so the batch's magnitudes are not held past the batch
+        keep = min(end, max(base, lo - 2))
+        held, base = held[keep - base:].copy(), keep
         # a next candidate starts at lag lo or after, and lo is in this
         # batch or after it: a window still open when a batch ends reaches
         # to within two lags of that end, and it spans at most L lags (2 *
@@ -443,11 +397,10 @@ def run_capture_pipeline(stream, etalon,
         # that starts before the next batch ends within this batch's
         # samples.
         tail, tail_first = samples[lo - first:].copy(), lo
-    found = _synced_count(walked, x.size - length + 1, threshold)
+    found = _synced_count(ks, peaks, sums, total, size, threshold)
     if filled:
         featurize(frames[:filled])
     dropped = np.concatenate(dropped)[:found]
     kept = found - np.count_nonzero(dropped)
     return (np.concatenate(values)[:kept], np.concatenate(failed)[:kept],
-            dropped, np.frombuffer(walked[0], dtype=np.int64,
-                                   count=found).copy())
+            dropped, np.frombuffer(ks, dtype=np.int64, count=found).copy())

@@ -104,10 +104,15 @@ def test_profile_json_round_trip():
     assert ImpairmentProfile.from_json_dict(p.to_json_dict()) == p
 
 
+def _sync(stream, etalon, threshold=pipeline.DEFAULT_SYNC_THRESHOLD):
+    """The sample offsets of the frames `run_capture_pipeline` syncs to."""
+    return pipeline.run_capture_pipeline(stream, etalon, threshold)[3]
+
+
 def test_synchronize_delay_17():
     etalon = pipeline.transnoise_etalon(256)
     stream = np.concatenate([np.zeros(17, dtype=complex), etalon])
-    lags = pipeline.synchronize(stream, etalon)
+    lags = _sync(stream, etalon)
     assert len(lags) == 1
     assert lags[0] == 17
     np.testing.assert_array_equal(stream[lags[0]:lags[0] + 256], etalon)
@@ -115,7 +120,7 @@ def test_synchronize_delay_17():
 
 def test_synchronize_zero_delay():
     etalon = pipeline.transnoise_etalon(256)
-    lags = pipeline.synchronize(etalon, etalon)
+    lags = _sync(etalon, etalon)
     assert len(lags) == 1
     assert lags[0] == 0
 
@@ -125,7 +130,7 @@ def test_synchronize_recovers_all_integer_delays():
     etalon = pipeline.transnoise_etalon(length)
     for delay in range(length):
         stream = np.concatenate([np.zeros(delay, dtype=complex), etalon])
-        lags = pipeline.synchronize(stream, etalon)
+        lags = _sync(stream, etalon)
         assert lags[0] == delay, delay
 
 
@@ -136,14 +141,14 @@ def test_synchronize_noisy_delay_40():
     for trial in range(100):
         noisy = pipeline.simulate_device(etalon, profile, seed=trial)
         stream = np.concatenate([np.zeros(40, dtype=complex), noisy])
-        lags = pipeline.synchronize(stream, etalon)
+        lags = _sync(stream, etalon)
         assert lags[0] == 40
 
 
 def test_synchronize_multiple_repetitions():
     etalon = pipeline.transnoise_etalon(128)
     stream = np.tile(etalon, 7)
-    lags = pipeline.synchronize(stream, etalon)
+    lags = _sync(stream, etalon)
     assert len(lags) == 7
     assert lags.tolist() == [128 * i for i in range(7)]
 
@@ -153,9 +158,9 @@ def test_synchronize_rejects_noise():
     etalon = pipeline.transnoise_etalon(256)
     noise = rng.normal(size=4096) + 1j * rng.normal(size=4096)
     with pytest.raises(SyncNotFoundError):
-        pipeline.synchronize(noise, etalon, threshold=20.0)
+        _sync(noise, etalon, threshold=20.0)
     with pytest.raises(SyncNotFoundError, match="shorter than one frame"):
-        pipeline.synchronize(etalon[:255], etalon)
+        _sync(etalon[:255], etalon)
 
 
 def _correlation_mag(stream, etalon):
@@ -242,7 +247,7 @@ def test_synchronize_matches_quadratic_reference():
         stream = _random_sync_stream(rng, etalon, trial % 4)
         threshold = float(rng.uniform(1.5, 5.0))
         outcomes = []
-        for sync in (pipeline.synchronize, _synchronize_reference):
+        for sync in (_sync, _synchronize_reference):
             try:
                 outcomes.append(sync(stream, etalon, threshold).tolist())
             except SyncNotFoundError as exc:
@@ -345,7 +350,7 @@ def test_synchronize_streamed_equals_whole_array_walker(windows_per_batch,
                                     float(rng.uniform(1.5, 5.0)))
     outcomes = {}
     for name, (stream, threshold) in cases.items():
-        got = _sync_outcome(pipeline.synchronize, stream, etalon, threshold)
+        got = _sync_outcome(_sync, stream, etalon, threshold)
         want = _sync_outcome(_synchronize_whole_array, stream, etalon,
                              threshold)
         assert got == want, name
@@ -388,40 +393,12 @@ def test_synchronize_streamed_ratios_at_window_edges(windows_per_batch,
                 if not 0 < r < math.inf:
                     continue
                 for threshold in (r * (1 - 1e-9), r * (1 + 1e-9)):
-                    assert _sync_outcome(pipeline.synchronize, stream,
-                                         etalon, threshold) == \
+                    assert _sync_outcome(_sync, stream, etalon,
+                                         threshold) == \
                         _sync_outcome(_synchronize_whole_array, stream,
                                       etalon, threshold), (spacing, sigma)
                     tested += 1
     assert tested > 150, tested
-
-
-def test_synchronize_memory_does_not_grow_with_stream(tmp_path):
-    """Sync of an .iq file of 4N samples peaks within 1 MB of sync of N
-    samples (L=64): it keeps no |c| array of the whole stream, which
-    would take 8 bytes per sample, 3 MB more at 4N."""
-    from radiofp import dataio
-
-    etalon = pipeline.transnoise_etalon(64)
-    n = 1 << 17
-    rng = np.random.default_rng(4)
-    paths = [tmp_path / "n.iq", tmp_path / "4n.iq"]
-    for path, frames in zip(paths, (n // 64, 4 * n // 64)):
-        stream = np.tile(etalon, frames)
-        dataio.write_iq(path, stream + 0.05 * rng.normal(size=stream.size))
-    del stream
-    peaks = []
-    tracemalloc.start()
-    try:
-        for path in paths:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            lags = pipeline.synchronize(dataio.IqFile(path), etalon)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            assert lags.size == dataio.IqFile(path).size // 64
-    finally:
-        tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
 @pytest.mark.parametrize("length", [64, 1024])
@@ -548,8 +525,9 @@ def _blocked_extract_stream(rng, etalon, kind):
 def test_run_capture_pipeline_blocks_match_whole_matrix(kind, tmp_path,
                                                         monkeypatch):
     """Streamed from an .iq file in small correlation, read and frame
-    blocks, extract equals sync, error_phase and feature_matrix run once on
-    the whole stream and frame matrix, byte for byte."""
+    blocks, extract equals the whole-array sync, error_phase and
+    feature_matrix run once on the whole stream and frame matrix, byte for
+    byte."""
     from radiofp import dataio
     from radiofp.features import feature_matrix
 
@@ -559,7 +537,8 @@ def test_run_capture_pipeline_blocks_match_whole_matrix(kind, tmp_path,
     dataio.write_iq(path, _blocked_extract_stream(np.random.default_rng(8),
                                                   etalon, kind))
     stream = dataio.read_iq(path)
-    lags = pipeline.synchronize(stream, etalon)
+    lags = _synchronize_whole_array(stream, etalon,
+                                    pipeline.DEFAULT_SYNC_THRESHOLD)
     phases, dropped = pipeline.error_phase(
         stream[lags[:, None] + np.arange(etalon.size)], etalon)
     values, failed = feature_matrix(phases)
@@ -599,13 +578,13 @@ def test_error_phase_matrix_masks_zero_gain_row():
 
 
 def _two_pass(stream, etalon, threshold=pipeline.DEFAULT_SYNC_THRESHOLD):
-    """extract in two passes over the stream: synchronize, then error_phase
-    and feature_matrix on the whole frame matrix, read again by lag; or the
-    sync error."""
+    """extract in two passes over the stream: the whole-array sync, then
+    error_phase and feature_matrix on the whole frame matrix, read again by
+    lag; or the sync error."""
     from radiofp.features import feature_matrix
 
     try:
-        lags = pipeline.synchronize(stream, etalon, threshold)
+        lags = _synchronize_whole_array(stream, etalon, threshold)
     except SyncNotFoundError as exc:
         return type(exc), str(exc)
     phases, dropped = pipeline.error_phase(
@@ -707,18 +686,21 @@ def test_run_capture_pipeline_one_pass_equals_two_pass(windows_per_batch,
     assert carried >= 10 and errors > 5, (carried, errors)
 
 
-def test_run_capture_pipeline_memory_does_not_grow_with_stream(tmp_path):
+@pytest.mark.parametrize("length", [64, 256])
+def test_run_capture_pipeline_memory_does_not_grow_with_stream(length,
+                                                              tmp_path):
     """extract of an .iq file of 4N samples peaks within 1 MB of extract of
-    N samples (L=256): it holds no array of the whole stream, which would
-    take 16 bytes per sample, 6 MB more at 4N.  Only the per-frame state
-    grows: the candidates and the feature rows, about 0.3 MB more at 4N."""
+    N samples: it holds no array of the whole stream, which would take 16
+    bytes per sample, 6 MB more at 4N, nor a |c| array of it, 3 MB more.
+    Only the per-frame state grows: the candidates and the feature rows,
+    about 0.2 MB more at 4N with L=256 and 0.6 MB with L=64."""
     from radiofp import dataio
 
-    etalon = pipeline.transnoise_etalon(256)
+    etalon = pipeline.transnoise_etalon(length)
     n = 1 << 17
     rng = np.random.default_rng(5)
     paths = [tmp_path / "n.iq", tmp_path / "4n.iq"]
-    for path, frames in zip(paths, (n // 256, 4 * n // 256)):
+    for path, frames in zip(paths, (n // length, 4 * n // length)):
         stream = np.tile(etalon, frames)
         dataio.write_iq(path, stream + 0.05 * rng.normal(size=stream.size))
     del stream
@@ -731,7 +713,7 @@ def test_run_capture_pipeline_memory_does_not_grow_with_stream(tmp_path):
             result = pipeline.run_capture_pipeline(dataio.IqFile(path),
                                                    etalon)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            assert result[3].size == dataio.IqFile(path).size // 256
+            assert result[3].size == dataio.IqFile(path).size // length
             del result
     finally:
         tracemalloc.stop()

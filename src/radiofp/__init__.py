@@ -14,7 +14,6 @@ from .classify import (
     RandomForestModel,
     evaluate,
     feature_importances,
-    knn_classify,
     load_model,
     logistic_regression_train,
     model_from_text,

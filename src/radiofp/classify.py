@@ -28,7 +28,6 @@ from .errors import (
     NoSplitsError,
     SingleClassError,
     TooFewSamplesError,
-    UntrainedModelError,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -412,7 +411,7 @@ def _grow_trees(ranks, values, labels, rows, weights, max_depth,
     return trees
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForestParams:
     """Forest hyperparameters; features_per_split None means ceil(sqrt(F))."""
 
@@ -432,11 +431,6 @@ class ForestParams:
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
 
-    def resolved_features_per_split(self, n_features: int) -> int:
-        if self.features_per_split is None:
-            return math.ceil(math.sqrt(n_features))
-        return self.features_per_split
-
 
 @dataclass
 class RandomForestModel:
@@ -453,8 +447,6 @@ class RandomForestModel:
         return len(self.label_names)
 
     def predict_proba(self, features) -> np.ndarray:
-        if not self.trees:
-            raise UntrainedModelError("model has no trees")
         rows = np.atleast_2d(np.asarray(features, dtype=float))
         out = np.zeros((rows.shape[0], self.n_classes))
         for tree in self.trees:
@@ -494,8 +486,9 @@ def train_forest(dataset: LabeledFeatureSet,
     feats = dataset.features
     labels = dataset.labels
     n_classes = dataset.n_classes
-    per_split = params.resolved_features_per_split(dataset.n_features)
-    if per_split < 1:
+    per_split = (params.features_per_split
+                 or math.ceil(math.sqrt(dataset.n_features)))
+    if per_split < 1:  # a table with no feature columns
         raise ValueError("features_per_split must be at least 1")
     # a node cannot draw more than n_features; a full draw is every
     # feature, whatever the rng state
@@ -552,8 +545,6 @@ def feature_importances(model: RandomForestModel) -> np.ndarray:
     the Gini decrease it achieves; contributions are accumulated per feature
     within a tree, averaged over trees, then normalized.
     """
-    if not model.trees:
-        raise UntrainedModelError("model has no trees")
     n_features = len(model.feature_names)
     total = np.zeros(n_features)
     for tree in model.trees:
@@ -588,7 +579,6 @@ class KnnModel:
     k: int
     stats: FeatureStats
     label_names: tuple
-    kind: str = "knn"
 
     def predict(self, features) -> np.ndarray:
         """Majority vote of the k nearest; ties go to the lowest label.
@@ -656,11 +646,6 @@ def train_knn(dataset: LabeledFeatureSet, k: int) -> KnnModel:
     )
 
 
-def knn_classify(dataset: LabeledFeatureSet, query, k: int) -> int:
-    """Majority vote among the k nearest (z-scored Euclidean) neighbours."""
-    return int(train_knn(dataset, k).predict(np.atleast_2d(query))[0])
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
@@ -688,7 +673,6 @@ class LogisticModel:
     bias: float
     stats: FeatureStats
     label_names: tuple
-    kind: str = "logreg"
 
     def predict_proba(self, features) -> np.ndarray:
         z = np.atleast_2d(self.stats.standardize(features)) @ self.weights
@@ -910,9 +894,10 @@ def _tree_from_lines(lines: list, first_line: int, n_classes: int,
 def model_from_text(text: str) -> RandomForestModel:
     """Parse a model file; any malformed content raises DataFormatError.
 
-    Node ids run 0..n_nodes-1 in order, each child id lies above its
-    parent's, every node but the root has exactly one parent, and split
-    thresholds are finite.
+    The kind is forest or tree, with at least one tree; label and feature
+    names are distinct.  Node ids run 0..n_nodes-1 in order, each child id
+    lies above its parent's, every node but the root has exactly one
+    parent, and split thresholds are finite.
     """
     lines = text.splitlines()
     try:
@@ -925,6 +910,12 @@ def model_from_text(text: str) -> RandomForestModel:
         meta = json.loads(meta_text)
         n_classes = len(meta["label_names"])
         n_features = len(meta["feature_names"])
+        if kind not in ("forest", "tree") or int(n_trees) < 1:
+            raise DataFormatError(f"kind {kind!r}, trees {n_trees}: need kind "
+                                  "forest or tree and at least 1 tree")
+        for key in ("label_names", "feature_names"):
+            if len(set(meta[key])) != len(meta[key]):
+                raise DataFormatError(f"{key} repeat a name: {meta[key]}")
         trees, pos = [], 4
         for t in range(int(n_trees)):
             head = lines[pos].split() if pos < len(lines) else []

@@ -37,7 +37,7 @@ from .classify import (
     train_tree,
 )
 from .dataset import FeatureStats
-from .errors import RadioFpError
+from .errors import DataFormatError, RadioFpError
 from .explain import ExplainConfig, explain_instance
 from .features import FEATURE_NAMES
 from .pi_digits import PI_DIGIT_COUNT
@@ -90,6 +90,15 @@ def _parse_feature_mask(text: str) -> list:
     return [p - 1 for p in numbers]
 
 
+def _at_least(args, **least) -> None:
+    """Raise a `ConfigError` for the first flag below its least value; the
+    keyword ``knn_k=1`` checks ``--knn-k``."""
+    for name, n in least.items():
+        if getattr(args, name) < n:
+            raise ConfigError(
+                f"--{name.replace('_', '-')} must be at least {n}")
+
+
 def _check_out_file(path) -> None:
     """Raise an `OSError` (exit 2) naming ``--out`` unless its directory
     exists and it is not a directory itself; called before any input is
@@ -137,12 +146,8 @@ def _device_blocks(etalon, profile, seed: int, dev: int, frames: int,
 def cmd_gen_dataset(args) -> int:
     if not MIN_ETALON_LEN <= args.frame_len <= PI_DIGIT_COUNT:
         raise ConfigError(f"--frame-len not in {MIN_ETALON_LEN}..{PI_DIGIT_COUNT}")
-    if args.frames_per_device < 1:
-        raise ConfigError("--frames-per-device must be at least 1")
-    if args.lead_in < 0:
-        raise ConfigError("--lead-in must be at least 0")
-    if args.seed < 0:  # derive_seed would alias -1 to 2^64 - 1
-        raise ConfigError("--seed must be at least 0")
+    # derive_seed would alias seed -1 to 2^64 - 1
+    _at_least(args, frames_per_device=1, lead_in=0, seed=0)
     profiles = _load_profiles(args.profiles, args.devices)
     profiles = [dataclasses.replace(p, snr_db=args.snr_db) for p in profiles]
     out_dir = Path(args.out_dir)
@@ -211,8 +216,7 @@ def cmd_extract(args) -> int:
 def cmd_stats(args) -> int:
     from .stats import histogram, pearson_matrix, significance_report
 
-    if args.bins < 1:
-        raise ConfigError("--bins must be at least 1")
+    _at_least(args, bins=1)
     dataset = dataio.read_feature_csv(args.input)
     # every report is computed before the first write
     report = significance_report(dataset)
@@ -258,16 +262,15 @@ def _trainers(args, params):
     bad = [c for c in chosen if c not in available]
     if bad:
         raise ConfigError(f"unknown classifiers: {', '.join(bad)}")
+    if not chosen or len(set(chosen)) < len(chosen):
+        raise ConfigError(f"--classifiers {args.classifiers!r} must name "
+                          "one or more classifiers, each once")
     return [(name, available[name]) for name in chosen]
 
 
 def cmd_train_eval(args) -> int:
-    if args.seed < 0:  # numpy's generators take no negative seed
-        raise ConfigError("--seed must be at least 0")
-    if args.folds < 2:
-        raise ConfigError("--folds must be at least 2")
-    if args.knn_k < 1:
-        raise ConfigError("--knn-k must be at least 1")
+    # numpy's generators take no negative seed
+    _at_least(args, seed=0, folds=2, knn_k=1)
     params = _forest_params(args)
     trainers = _trainers(args, params)
     grid = HyperparamGrid(iterations=args.iterations) if args.search else None
@@ -321,8 +324,7 @@ def cmd_train_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    if args.seed < 0:  # numpy's generators take no negative seed
-        raise ConfigError("--seed must be at least 0")
+    _at_least(args, seed=0)  # numpy's generators take no negative seed
     config = ExplainConfig(
         n_perturbations=args.n_perturbations,
         kernel_width=args.kernel_width,
@@ -332,6 +334,11 @@ def cmd_explain(args) -> int:
     model = load_model(args.model)
     dataset = dataio.read_feature_csv(args.input)
     if tuple(model.feature_names) != tuple(dataset.feature_names):
+        absent = [n for n in model.feature_names
+                  if n not in dataset.feature_names]
+        if absent:
+            raise DataFormatError(f"{args.input} lacks the model's feature "
+                                  f"column {absent[0]}")
         columns = [dataset.feature_names.index(n) for n in model.feature_names]
         dataset = dataset.select_features(columns)
     if not 0 <= args.row < dataset.n:

@@ -5,15 +5,11 @@ class RadioFpError(Exception):
     """Base class for all package errors."""
 
 
-class FeatureError(RadioFpError):
-    """A sequence is not valid input for the fluctuation parameters."""
-
-
-class NonFiniteInputError(FeatureError):
+class NonFiniteInputError(RadioFpError):
     """Input contains NaN or infinite samples."""
 
 
-class DegenerateSequenceError(FeatureError):
+class DegenerateSequenceError(RadioFpError):
     """Sequence is shorter than the fluctuation parameters need."""
 
 
@@ -45,23 +41,15 @@ class EmptyInputError(StatsError):
     """Empty data where at least one value is required."""
 
 
-class ClassifyError(RadioFpError):
-    """Base class for classifier errors."""
-
-
-class EmptyDatasetError(ClassifyError):
+class EmptyDatasetError(RadioFpError):
     """Training data is empty."""
 
 
-class TooFewSamplesError(ClassifyError):
+class TooFewSamplesError(RadioFpError):
     """Not enough samples per class for the requested fold count."""
 
 
-class UntrainedModelError(ClassifyError):
-    """Model has no trees / weights yet."""
-
-
-class NoSplitsError(ClassifyError):
+class NoSplitsError(RadioFpError):
     """Every tree is a single leaf; importances are undefined."""
 
 

@@ -37,11 +37,6 @@ class ExplainConfig:
             raise ValueError("ridge_lambda must be finite and >= 0, "
                              f"not {self.ridge_lambda}")
 
-    def resolved_kernel_width(self, n_features: int) -> float:
-        if self.kernel_width is None:
-            return 0.75 * math.sqrt(n_features)
-        return self.kernel_width
-
 
 @dataclass(frozen=True)
 class Explanation:
@@ -126,7 +121,7 @@ def explain_instance(model, instance, config: ExplainConfig,
     z_instance = training_stats.standardize(x[None, :])[0]
     weights, intercept, fidelity = _fit_local_linear(
         z_samples, z_instance, target,
-        config.resolved_kernel_width(x.size), config.ridge_lambda,
+        config.kernel_width or 0.75 * math.sqrt(x.size), config.ridge_lambda,
     )
     return Explanation(
         weights=weights,

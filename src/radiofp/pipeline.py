@@ -49,31 +49,26 @@ def frames_per_block(length: int) -> int:
     return max(1, _FRAME_BLOCK_BYTES // (16 * length))
 
 
-def gen_transnoise(frame_index: int, length: int) -> np.ndarray:
-    """Real amplitude sequence from one frame's worth of pi digits.
+def gen_transnoise(length: int) -> np.ndarray:
+    """Real amplitude sequence from the first ``length`` digits of pi.
 
-    ``frame_index`` 0 takes digits 1..L, 1 takes digits L+1..2L (the digit
-    stream starts "3, 1, 4, 1, 5, ..." with the decimal point skipped).
-    Digit d maps to amplitude ``-1 + 2*d/9``.
+    The digit stream starts "3, 1, 4, 1, 5, ..." with the decimal point
+    skipped.  Digit d maps to amplitude ``-1 + 2*d/9``.
     """
-    if frame_index not in (0, 1):
-        raise ValueError("frame_index must be 0 or 1")
     if length < 1:
         raise ValueError("length must be positive")
-    stop = (frame_index + 1) * length
-    if stop > len(PI_DIGITS):
+    if length > len(PI_DIGITS):
         raise DigitTableExhaustedError(
-            f"need {stop} digits, table holds {len(PI_DIGITS)}"
+            f"need {length} digits, table holds {len(PI_DIGITS)}"
         )
-    chunk = PI_DIGITS[frame_index * length : stop]
-    digits = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8) - ord("0")
+    digits = np.frombuffer(PI_DIGITS[:length].encode("ascii"),
+                           dtype=np.uint8) - ord("0")
     return -1.0 + 2.0 * digits / 9.0
 
 
-def transnoise_etalon(length: int = DEFAULT_FRAME_LEN,
-                      frame_index: int = 0) -> np.ndarray:
+def transnoise_etalon(length: int = DEFAULT_FRAME_LEN) -> np.ndarray:
     """Complex baseband etalon carrying the trans-noise amplitudes."""
-    return gen_transnoise(frame_index, length).astype(complex)
+    return gen_transnoise(length).astype(complex)
 
 
 @dataclass(frozen=True)

@@ -199,8 +199,6 @@ class FeatureSignificance:
 @dataclass(frozen=True)
 class SignificanceReport:
     rows: tuple[FeatureSignificance, ...]
-    n: int
-    alpha: float = SIGNIFICANCE_ALPHA
 
     def significant_features(self) -> tuple[str, ...]:
         return tuple(r.feature for r in self.rows if r.significant)
@@ -234,4 +232,4 @@ def significance_report(dataset: LabeledFeatureSet) -> SignificanceReport:
         )
     rows.sort(key=lambda fr: -1.0 if fr.pbcc is None else abs(fr.pbcc),
               reverse=True)
-    return SignificanceReport(rows=tuple(rows), n=dataset.n)
+    return SignificanceReport(rows=tuple(rows))

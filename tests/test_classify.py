@@ -11,7 +11,6 @@ from radiofp.classify import (
     derive_seed,
     evaluate,
     feature_importances,
-    knn_classify,
     load_model,
     logistic_loss,
     logistic_regression_train,
@@ -637,10 +636,10 @@ def test_importances_no_splits():
 def test_knn_examples():
     ds = blobs(n_per_class=20, seed=9)
     # query equal to a training point, k=1
-    assert knn_classify(ds, ds.features[5], 1) == ds.labels[5]
-    assert knn_classify(ds, ds.features[25], 1) == ds.labels[25]
+    nearest = train_knn(ds, 1).predict(ds.features[[5, 25]])
+    assert nearest.tolist() == ds.labels[[5, 25]].tolist()
     # k=n on a balanced set: tie -> label index 0
-    assert knn_classify(ds, [10.0, 10.0], ds.n) == 0
+    assert train_knn(ds, ds.n).predict([[10.0, 10.0]]).tolist() == [0]
 
 
 def _knn_row_loop(model, features):

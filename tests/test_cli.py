@@ -332,6 +332,20 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
     assert main(train + ["--classifiers", "knn", "--knn-k", "60"]) == 0
 
 
+@pytest.mark.parametrize("classifiers", ["", ",", "forest,forest",
+                                         "knn, tree,knn"])
+def test_train_eval_classifiers_each_once_exit_4(classifiers, tmp_path,
+                                                 capsys):
+    # the input does not exist: the list is checked before it is read
+    assert main(["train-eval", "--input", str(tmp_path / "missing.csv"),
+                 "--out-dir", str(tmp_path / "t"),
+                 "--classifiers", classifiers]) == 4
+    assert capsys.readouterr().err == (
+        f"error: --classifiers {classifiers!r} must name one or more "
+        "classifiers, each once\n")
+    assert not (tmp_path / "t").exists()
+
+
 def test_train_eval_logreg_needs_two_classes(small_dataset, tmp_path, capsys):
     # the default classifiers include logreg: a 3-device table is rejected
     # before the forest, tree and kNN are cross-validated or anything written
@@ -687,6 +701,17 @@ MALFORMED_INPUTS = [
      lambda t: t.replace('"max_depth": null', '"max_depth": 0')),
     ("model_threshold_nan", "model",
      lambda t: _first_node(t, "split", lambda f: f[:3] + ["nan"] + f[4:])),
+    ("model_kind_unknown", "model",
+     lambda t: t.replace("kind forest", "kind banana")),
+    ("model_zero_trees", "model",
+     lambda t: "\n".join(t.splitlines()[:3] + ["trees 0"]) + "\n"),
+    ("model_feature_name_repeated", "model",
+     lambda t: t.replace('"P2"', '"P1"')),
+    ("model_label_name_repeated", "model",
+     lambda t: t.replace('"label_names": ["0", "1"]',
+                         '"label_names": ["0", "0"]')),
+    ("model_feature_not_in_input", "model",
+     lambda t: t.replace('"P1"', '"PX"')),
     ("csv_nan", "csv", lambda t: _first_row(t, lambda r: [r[0], "nan"] + r[2:])),
     ("csv_ragged", "csv", lambda t: _first_row(t, lambda r: r[:-1])),
     ("stats_three_classes", "csv",
@@ -765,5 +790,8 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
     assert code == 2, err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert "Traceback" not in err
+    assert err.count("bad model file:") <= 1, err
+    if case == "model_feature_not_in_input":
+        assert "PX" in err, err
     # rejected before any write
     assert not (tmp_path / "g").exists() and not (tmp_path / "t").exists()

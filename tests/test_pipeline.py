@@ -10,14 +10,14 @@ from radiofp.pipeline import ImpairmentProfile
 
 
 def test_transnoise_first_digits():
-    first16 = pipeline.gen_transnoise(0, 16)
+    first16 = pipeline.gen_transnoise(16)
     digits = np.round((first16 + 1.0) * 9 / 2).astype(int)
     assert digits.tolist() == [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3]
 
 
 def test_transnoise_example_values():
     np.testing.assert_allclose(
-        pipeline.gen_transnoise(0, 4),
+        pipeline.gen_transnoise(4),
         [-1 / 3, -7 / 9, -1 / 9, -7 / 9],
         rtol=1e-15,
     )
@@ -26,23 +26,21 @@ def test_transnoise_example_values():
 def test_transnoise_endpoint_mapping():
     # digit 0 -> -1, digit 9 -> +1; pi's digit stream contains both within
     # the first 50 digits (0 at position 33, 9 at position 5, 1-based)
-    seq = pipeline.gen_transnoise(0, 50)
+    seq = pipeline.gen_transnoise(50)
     assert seq.min() == -1.0
     assert seq.max() == 1.0
 
 
-def test_transnoise_frames_distinct_and_deterministic():
-    a = pipeline.gen_transnoise(0, 256)
-    b = pipeline.gen_transnoise(0, 256)
+def test_transnoise_deterministic():
+    a = pipeline.gen_transnoise(256)
+    b = pipeline.gen_transnoise(256)
     np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, pipeline.gen_transnoise(1, 256))
 
 
 def test_transnoise_table_exhaustion():
+    assert pipeline.gen_transnoise(8192).size == 8192
     with pytest.raises(DigitTableExhaustedError):
-        pipeline.gen_transnoise(1, 5000)
-    with pytest.raises(ValueError):
-        pipeline.gen_transnoise(2, 8)
+        pipeline.gen_transnoise(8193)
 
 
 def test_simulate_identity_profile():

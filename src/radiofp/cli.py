@@ -111,22 +111,6 @@ def _check_out_file(path) -> None:
             f"--out {path}: {out.parent} is not an existing directory")
 
 
-def _load_profiles(path, n_devices: int) -> list:
-    """--profiles if given, else the first --devices built-in profiles."""
-    if path is not None:
-        profiles = dataio.read_profiles(path)
-    elif n_devices > len(DEFAULT_PROFILES):
-        raise ConfigError(
-            f"only {len(DEFAULT_PROFILES)} built-in device profiles; "
-            "pass --profiles for more"
-        )
-    else:
-        profiles = list(DEFAULT_PROFILES[:n_devices])
-    if len(profiles) < 2:
-        raise ConfigError("need at least 2 devices (--devices or --profiles)")
-    return profiles
-
-
 def _device_blocks(etalon, profile, seed: int, dev: int, frames: int,
                    lead_in: int):
     """The stream of device ``dev`` in blocks of `frames_per_block` frames:
@@ -148,7 +132,10 @@ def cmd_gen_dataset(args) -> int:
         raise ConfigError(f"--frame-len not in {MIN_ETALON_LEN}..{PI_DIGIT_COUNT}")
     # derive_seed would alias seed -1 to 2^64 - 1
     _at_least(args, frames_per_device=1, lead_in=0, seed=0)
-    profiles = _load_profiles(args.profiles, args.devices)
+    profiles = (DEFAULT_PROFILES if args.profiles is None
+                else dataio.read_profiles(args.profiles))
+    if len(profiles) < 2:
+        raise ConfigError("need at least 2 device profiles (--profiles)")
     profiles = [dataclasses.replace(p, snr_db=args.snr_db) for p in profiles]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,10 +260,12 @@ def cmd_train_eval(args) -> int:
     _at_least(args, seed=0, folds=2, knn_k=1)
     params = _forest_params(args)
     trainers = _trainers(args, params)
+    mask = (None if args.features_mask is None
+            else _parse_feature_mask(args.features_mask))
     grid = HyperparamGrid(iterations=args.iterations) if args.search else None
     dataset = dataio.read_feature_csv(args.input)
-    if args.features_mask:
-        dataset = dataset.select_features(_parse_feature_mask(args.features_mask))
+    if mask is not None:
+        dataset = dataset.select_features(mask)
     # the flags checked against the data, before any work or write
     folds = stratified_kfold(dataset, args.folds, args.seed)
     smallest_train = dataset.n - max(f.size for f in folds)
@@ -363,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-dataset", help="simulate device captures")
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--devices", type=int, default=2)
     g.add_argument("--frames-per-device", type=int, default=15000)
     g.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
     g.add_argument("--snr-db", type=float, default=20.0)

@@ -1,6 +1,7 @@
 """On-disk formats.
 
-IQ binary: headerless little-endian 32-bit floats, interleaved I,Q,I,Q,...
+IQ binary: headerless little-endian 32-bit floats, interleaved I,Q,I,Q,...,
+which is numpy's little-endian complex64 (``<c8``) read and written as is
 (the file length must be a multiple of 8 bytes, and every float finite).  An
 etalon file is the same format with exactly 2L floats.
 
@@ -32,7 +33,6 @@ from .features import FEATURE_NAMES
 from .pipeline import ImpairmentProfile
 
 FEATURE_CSV_HEADER = ["label", *FEATURE_NAMES]
-_IQ_BLOCK_SAMPLES = 1 << 18  # samples converted per read: 2 MB of the file
 _CSV_BLOCK_ROWS = 1 << 12  # feature rows turned into Python floats at once
 
 
@@ -63,14 +63,10 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_iq_blocks(path, blocks) -> None:
     """Atomically write the samples of each complex block in turn, so only
-    one block is held as float32 pairs at a time."""
+    one block is held as ``<c8`` at a time."""
     with _atomic_file(path) as fh:
         for block in blocks:
-            x = np.asarray(block, dtype=complex)
-            inter = np.empty(2 * x.size, dtype="<f4")
-            inter[0::2] = x.real
-            inter[1::2] = x.imag
-            fh.write(inter)
+            fh.write(np.asarray(block, dtype="<c8"))
 
 
 def write_iq(path, samples) -> None:
@@ -81,10 +77,9 @@ class IqFile:
     """The samples of an ``.iq`` file, read on demand.
 
     ``size`` is the sample count, and ``f.read_into(start, out)`` fills a
-    complex array with the samples from ``start`` on, converting a block of
-    at most ``_IQ_BLOCK_SAMPLES`` samples at a time.  A file whose length is
-    not a whole number of samples, a non-finite sample in a range read, or
-    a file that ends before a range read, raises `DataFormatError`.
+    complex array with the samples from ``start`` on.  A file whose length
+    is not a whole number of samples, a non-finite sample in a range read,
+    or a file that ends before a range read, raises `DataFormatError`.
     """
 
     def __init__(self, path):
@@ -99,23 +94,18 @@ class IqFile:
     def read_into(self, start: int, out: np.ndarray) -> None:
         with open(self.path, "rb") as fh:
             fh.seek(8 * start)
-            for lo in range(0, out.size, _IQ_BLOCK_SAMPLES):
-                hi = min(out.size, lo + _IQ_BLOCK_SAMPLES)
-                raw = np.fromfile(fh, dtype="<f4", count=2 * (hi - lo))
-                if raw.size < 2 * (hi - lo):
-                    raise DataFormatError(
-                        f"{self.path}: file ended at sample "
-                        f"{start + lo + raw.size // 2}, expected {self.size}")
-                bad = np.flatnonzero(~np.isfinite(raw))
-                if bad.size:
-                    raise DataFormatError(
-                        f"{self.path}: sample {start + lo + bad[0] // 2} "
-                        "is not finite")
-                # I + 1j*Q without full-size temporaries; addition commutes,
-                # so the bits, signed zeros included, are that expression's
-                seg = out[lo:hi]
-                np.multiply(raw[1::2], 1j, out=seg)
-                seg += raw[0::2]
+            raw = np.fromfile(fh, dtype="<c8", count=out.size)
+        if raw.size < out.size:
+            raise DataFormatError(f"{self.path}: file ended at sample "
+                                  f"{start + raw.size}, expected {self.size}")
+        bad = np.flatnonzero(~np.isfinite(raw))
+        if bad.size:
+            raise DataFormatError(
+                f"{self.path}: sample {start + bad[0]} is not finite")
+        # I + 1j*Q without full-size temporaries; addition commutes, so
+        # the bits, signed zeros included, are that expression's
+        np.multiply(raw.imag, 1j, out=out)
+        out += raw.real
 
 
 def read_iq(path) -> np.ndarray:

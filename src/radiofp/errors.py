@@ -54,7 +54,8 @@ class NoSplitsError(RadioFpError):
 
 
 class SingularFitError(RadioFpError):
-    """Local surrogate fit received non-finite inputs."""
+    """Local surrogate fit received non-finite inputs, or its ridge
+    system is singular."""
 
 
 class DataFormatError(RadioFpError, ValueError):

@@ -83,7 +83,11 @@ def _fit_local_linear(z_samples, z_instance, target, kernel_width,
     gram = design.T @ weighted
     gram[1:, 1:] += ridge_lambda * np.eye(n_features)
     rhs = weighted.T @ target
-    beta = np.linalg.solve(gram, rhs)
+    try:
+        beta = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFitError("local surrogate fit is singular: a constant "
+                               "feature column needs ridge_lambda > 0") from exc
 
     fitted = design @ beta
     w_sum = sample_w.sum()

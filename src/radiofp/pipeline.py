@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -96,26 +96,24 @@ class ImpairmentProfile:
             raise ValueError("phase_noise_rms must be >= 0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "gain_imbalance": self.gain_imbalance,
-            "quadrature_error": self.quadrature_error,
-            "phase_noise_rms": self.phase_noise_rms,
-            "cubic_nonlinearity": self.cubic_nonlinearity,
-            "dc_offset": [self.dc_offset.real, self.dc_offset.imag],
-            "snr_db": self.snr_db,
-        }
+        d = asdict(self)
+        d["dc_offset"] = [self.dc_offset.real, self.dc_offset.imag]
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ImpairmentProfile":
-        dc = d.get("dc_offset", [0.0, 0.0])
-        return cls(
-            gain_imbalance=float(d.get("gain_imbalance", 0.0)),
-            quadrature_error=float(d.get("quadrature_error", 0.0)),
-            phase_noise_rms=float(d.get("phase_noise_rms", 0.0)),
-            cubic_nonlinearity=float(d.get("cubic_nonlinearity", 0.0)),
-            dc_offset=complex(dc[0], dc[1]),
-            snr_db=None if d.get("snr_db") is None else float(d["snr_db"]),
-        )
+        """The profile of a `to_json_dict` object.  A missing field takes
+        its default; an unknown one raises `TypeError`."""
+        kw = dict(d)
+        for field in fields(cls):
+            if field.name not in kw:
+                continue
+            value = kw[field.name]
+            if field.name == "dc_offset":
+                kw[field.name] = complex(value[0], value[1])
+            elif field.name != "snr_db" or value is not None:
+                kw[field.name] = float(value)
+        return cls(**kw)
 
 
 def simulate_device(clean, profile: ImpairmentProfile, seed: int) -> np.ndarray:

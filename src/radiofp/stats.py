@@ -210,13 +210,15 @@ class SignificanceReport:
 def significance_report(dataset: LabeledFeatureSet) -> SignificanceReport:
     """Point-biserial coefficient and p-value per feature, |pbcc| descending.
 
-    Needs binary labels.  Features with a constant column are reported as
-    undefined and sort after every defined row.
+    Needs binary labels and at least 3 rows.  Features with a constant
+    column are reported as undefined and sort after every defined row.
     """
     if dataset.n_classes < 2:
         raise SingleClassError("dataset has a single class")
     if dataset.n_classes > 2:
         raise StatsError("point-biserial significance needs binary labels")
+    if dataset.n < 3:
+        raise StatsError(f"p-values need at least 3 rows, not {dataset.n}")
     labels01 = dataset.labels
     rows = []
     for i, name in enumerate(dataset.feature_names):

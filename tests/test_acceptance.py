@@ -314,7 +314,7 @@ def test_criterion_8_explainer_sanity():
 def _criterion_9_run(base):
     """The criterion-9 CLI run: every command, fixed seeds, no timestamps."""
     raw = base / "raw"
-    assert main(["gen-dataset", "--out-dir", str(raw), "--devices", "2",
+    assert main(["gen-dataset", "--out-dir", str(raw),
                  "--frames-per-device", "15", "--frame-len", "256",
                  "--seed", "21", "--no-timestamp"]) == 0
     features = base / "features.csv"

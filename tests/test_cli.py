@@ -19,7 +19,7 @@ def small_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_data")
     raw = root / "raw"
     assert main([
-        "gen-dataset", "--out-dir", str(raw), "--devices", "2",
+        "gen-dataset", "--out-dir", str(raw),
         "--frames-per-device", "40", "--frame-len", "256",
         "--snr-db", "20", "--seed", "7", "--no-timestamp",
     ]) == 0
@@ -45,7 +45,7 @@ def test_gen_dataset_outputs(small_dataset):
 
 
 def test_gen_dataset_deterministic(tmp_path):
-    args = ["gen-dataset", "--devices", "2", "--frames-per-device", "5",
+    args = ["gen-dataset", "--frames-per-device", "5",
             "--frame-len", "256", "--seed", "3", "--no-timestamp"]
     assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
     assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
@@ -171,10 +171,9 @@ def test_extract_reads_each_sample_once(tmp_path, monkeypatch):
             reads[Path(self.path).name] += out.size
             super().read_into(start, out)
 
-    # 65-lag correlation windows, one to a batch, and 100-sample reads
+    # 65-lag correlation windows, one to a batch
     monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", 128)
     monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES", 16 * 128)
-    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 100)
     monkeypatch.setattr(dataio, "IqFile", CountingIqFile)
     assert main(["extract", "--input", str(raw / "manifest.csv"),
                  "--etalon", str(raw / "etalon.iq"),
@@ -259,8 +258,7 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
     # needs 2 devices and a frame per device
     for flags in (["--frame-len", "10"], ["--frame-len", "63"],
                   ["--frame-len", "8193"], ["--frame-len", "9000"],
-                  ["--profiles", str(one)], ["--devices", "0"],
-                  ["--devices", "1"], ["--devices", "-1"],
+                  ["--profiles", str(one)],
                   ["--frames-per-device", "0"], ["--frames-per-device", "-3"],
                   ["--lead-in", "-1"]):
         capsys.readouterr()
@@ -369,9 +367,8 @@ def test_train_eval_logreg_needs_two_classes(small_dataset, tmp_path, capsys):
 
 # every numeric flag, and whether a huge value is rejected before any work
 NUMERIC_FLAGS = {
-    "gen-dataset": {"--devices": True, "--frames-per-device": False,
-                    "--frame-len": True, "--snr-db": False, "--seed": False,
-                    "--lead-in": False},
+    "gen-dataset": {"--frames-per-device": False, "--frame-len": True,
+                    "--snr-db": False, "--seed": False, "--lead-in": False},
     "extract": {"--sync-threshold": False},
     "stats": {"--bins": True},
     "train-eval": {"--folds": True, "--seed": False, "--trees": False,
@@ -503,6 +500,38 @@ def test_train_eval_bad_mask_exit_4(small_dataset, tmp_path):
     ]) == 4
 
 
+@pytest.mark.parametrize("mask", ["", " ", ","])
+def test_train_eval_empty_mask_exit_4_before_reading(mask, tmp_path, capsys):
+    # the input does not exist: the mask is checked before it is read
+    assert main(["train-eval", "--input", str(tmp_path / "missing.csv"),
+                 "--out-dir", str(tmp_path / "t"), "--features", mask]) == 4
+    assert capsys.readouterr().err == (
+        "error: --features must list parameter numbers in 1..10\n")
+    assert not (tmp_path / "t").exists()
+
+
+def test_explain_singular_fit_exit_2_one_line(small_dataset, small_model,
+                                              tmp_path, capsys):
+    # P1 constant: the perturbations leave it fixed, so with no ridge
+    # penalty the surrogate's normal equations are singular
+    _, _, features = small_dataset
+    header, *rows = features.read_text().splitlines()
+    table = tmp_path / "constant_p1.csv"
+    table.write_text("\n".join([header] + [
+        ",".join([r.split(",")[0], "0.5"] + r.split(",")[2:]) for r in rows])
+        + "\n")
+    argv = ["explain", "--model", str(small_model), "--input", str(table),
+            "--row", "0", "--n-perturbations", "100",
+            "--out", str(tmp_path / "e.csv")]
+    capsys.readouterr()
+    assert main(argv + ["--ridge-lambda", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: local surrogate fit is singular: a constant "
+                   "feature column needs ridge_lambda > 0\n"), err
+    assert not (tmp_path / "e.csv").exists()
+    assert main(argv) == 0
+
+
 def test_explain_cli(small_dataset, tmp_path):
     _, _, features = small_dataset
     out = tmp_path / "ml2"
@@ -557,7 +586,7 @@ def test_pipeline_reproducibility_end_to_end(tmp_path):
     for run in ("r1", "r2"):
         base = tmp_path / run
         raw = base / "raw"
-        main(["gen-dataset", "--out-dir", str(raw), "--devices", "2",
+        main(["gen-dataset", "--out-dir", str(raw),
               "--frames-per-device", "12", "--frame-len", "256",
               "--seed", "11", "--no-timestamp"])
         features = base / "features.csv"
@@ -614,10 +643,10 @@ def test_timestamped_layout(small_dataset, tmp_path):
 
 
 def test_default_dataset_size_is_30000_frames():
-    from radiofp.cli import build_parser
+    from radiofp.cli import DEFAULT_PROFILES, build_parser
 
     args = build_parser().parse_args(["gen-dataset", "--out-dir", "x"])
-    assert args.devices * args.frames_per_device == 30000
+    assert len(DEFAULT_PROFILES) * args.frames_per_device == 30000
     assert args.frame_len == 1024
 
 
@@ -716,6 +745,8 @@ MALFORMED_INPUTS = [
     ("csv_ragged", "csv", lambda t: _first_row(t, lambda r: r[:-1])),
     ("stats_three_classes", "csv",
      lambda t: _first_row(t, lambda r: ["2"] + r[1:])),
+    ("stats_two_rows", "csv",  # one of each class: no p-value is defined
+     lambda t: _few_rows_of_label(_few_rows_of_label(t, "0", 1), "1", 1)),
     ("train_class_smaller_than_folds", "train_csv",
      lambda t: _few_rows_of_label(t, "1", 3)),
     ("manifest_short_row", "manifest",
@@ -726,6 +757,9 @@ MALFORMED_INPUTS = [
      lambda t: _manifest_row(t, lambda f: f[:2] + ["-1"] + f[3:])),
     ("manifest_profile_not_object", "manifest",
      lambda t: _manifest_row(t, lambda f: f[:3] + ["[1, 2]"])),
+    ("manifest_profile_field_misspelled", "manifest",
+     lambda t: _manifest_row(t, lambda f: f[:3] + [
+         f[3].replace("gain_imbalance", "gain_imbalence")])),
     ("iq_odd_float_count", "iq", lambda b: b[:-4]),
     ("etalon_too_short", "etalon", lambda b: b[:8 * 63]),
     ("etalon_zero_energy", "etalon", lambda b: bytes(len(b))),
@@ -738,6 +772,8 @@ MALFORMED_INPUTS = [
      lambda t: '[{"gain_imbalance": 1e999}, {}]'),
     ("profiles_dc_offset_nan", "profiles",
      lambda t: '[{}, {"dc_offset": [0, NaN]}]'),
+    ("profiles_field_misspelled", "profiles",
+     lambda t: '[{"gain_imbalence": 0.5}, {}]'),
     ("iq_shorter_than_one_frame", "iq", lambda b: b[:8 * 10]),
     ("iq_trailing_bytes", "iq", lambda b: b + bytes(2)),
     ("iq_nan_sample", "iq",  # after the last frame
@@ -793,5 +829,9 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
     assert err.count("bad model file:") <= 1, err
     if case == "model_feature_not_in_input":
         assert "PX" in err, err
+    if case.endswith("_field_misspelled"):
+        assert "gain_imbalence" in err, err
+    if case == "stats_two_rows":
+        assert err == "error: p-values need at least 3 rows, not 2\n", err
     # rejected before any write
     assert not (tmp_path / "g").exists() and not (tmp_path / "t").exists()

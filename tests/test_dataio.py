@@ -21,6 +21,44 @@ def test_iq_round_trip(tmp_path):
     np.testing.assert_allclose(back, x, atol=1e-6)  # float32 quantization
 
 
+# a float64 value and the little-endian float32 bytes it rounds to (nearest,
+# ties to even), written out by hand
+_FLOAT32_BYTES = [
+    (0.0, "00000000"),
+    (-0.0, "00000080"),
+    (2.0 ** -149, "01000000"),  # the smallest subnormal
+    (-3 * 2.0 ** -149, "03000080"),
+    (2.0 ** -126 - 2.0 ** -149, "ffff7f00"),  # the largest subnormal
+    (1.5 * 2.0 ** -149, "02000000"),  # a subnormal tie, rounded up to even
+    (2.0 ** -150, "00000000"),  # a tie rounded down to zero
+    (-(2.0 ** -150), "00000080"),  # and to minus zero
+    (0.1, "cdcccc3d"),
+    (1 + 2.0 ** -24, "0000803f"),  # a tie, rounded down to even
+    (1 + 3 * 2.0 ** -24, "0200803f"),  # a tie, rounded up to even
+    (3.4028234663852886e38, "ffff7f7f"),  # the largest finite float32
+    (-3.4028234663852886e38, "ffff7fff"),
+]
+
+
+def test_write_iq_bytes_equal_hand_interleaved_float32(tmp_path):
+    values = [v for v, _ in _FLOAT32_BYTES]
+    hexes = [h for _, h in _FLOAT32_BYTES]
+    # every value as I, and as Q next to each other value as I
+    i_vals = values + values[::-1]
+    q_vals = values[::-1] + values
+    expected = bytes.fromhex("".join(
+        hi + hq for hi, hq in zip(hexes + hexes[::-1], hexes[::-1] + hexes)))
+    samples = [complex(i, q) for i, q in zip(i_vals, q_vals)]
+    path = tmp_path / "x.iq"
+    dataio.write_iq(path, np.array(samples))
+    assert path.read_bytes() == expected
+    # blocks of a list, a complex array and a real array with Q all +0.0
+    dataio.write_iq_blocks(path, [samples[:5], np.array(samples[5:13]),
+                                  np.array(values)])
+    assert path.read_bytes() == expected[:8 * 13] + bytes.fromhex(
+        "".join(h + "00000000" for h in hexes))
+
+
 def test_iq_rejects_odd_float_count(tmp_path):
     path = tmp_path / "bad.iq"
     path.write_bytes(b"\x00" * 12)  # 3 floats
@@ -44,9 +82,7 @@ def _floats(*values) -> bytes:
     (_floats(0.0, np.nan), "sample 257 is not finite"),
     (_floats(-np.inf, 1.0), "sample 257 is not finite"),
 ])
-def test_iq_rejects_partial_and_non_finite_samples(tail, message, tmp_path,
-                                                   monkeypatch):
-    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 100)
+def test_iq_rejects_partial_and_non_finite_samples(tail, message, tmp_path):
     path = tmp_path / "bad.iq"
     dataio.write_iq(path, np.ones(257))
     path.write_bytes(path.read_bytes() + tail)
@@ -57,10 +93,9 @@ def test_iq_rejects_partial_and_non_finite_samples(tail, message, tmp_path,
         _read(f, 200, f.size)
 
 
-def test_iq_file_truncated_after_open(tmp_path, monkeypatch):
+def test_iq_file_truncated_after_open(tmp_path):
     """A file that shrinks after IqFile measured it raises DataFormatError
     where the read runs out, not numpy's broadcast error."""
-    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 100)
     path = tmp_path / "x.iq"
     dataio.write_iq(path, np.arange(1000.0))
     f = dataio.IqFile(path)
@@ -75,7 +110,7 @@ def test_iq_file_truncated_after_open(tmp_path, monkeypatch):
         f.read_into(440, np.empty(20, dtype=complex))
 
 
-def test_iq_file_blocks_equal_read_iq(tmp_path, monkeypatch):
+def test_iq_file_blocks_equal_read_iq(tmp_path):
     rng = np.random.default_rng(2)
     path = tmp_path / "x.iq"
     dataio.write_iq(path, rng.normal(size=1000) + 1j * rng.normal(size=1000))
@@ -83,7 +118,6 @@ def test_iq_file_blocks_equal_read_iq(tmp_path, monkeypatch):
     raw = np.fromfile(path, dtype="<f4")
     assert whole.tobytes() == (raw[0::2].astype(float)
                                + 1j * raw[1::2].astype(float)).tobytes()
-    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 7)
     f = dataio.IqFile(path)
     assert f.size == 1000
     assert _read(f, 0, f.size).tobytes() == whole.tobytes()
@@ -91,15 +125,14 @@ def test_iq_file_blocks_equal_read_iq(tmp_path, monkeypatch):
         assert _read(f, start, stop).tobytes() == whole[start:stop].tobytes()
 
 
-def test_iq_file_signed_zeros_match_i_plus_1j_q(tmp_path, monkeypatch):
-    # every I/Q pairing of +-0.0 and +-1.5, either side of a block boundary
+def test_iq_file_signed_zeros_match_i_plus_1j_q(tmp_path):
+    # every I/Q pairing of +-0.0 and +-1.5, read whole and in ranges
     values = np.array([0.0, -0.0, 1.5, -1.5], dtype="<f4")
     pairs = np.stack(np.meshgrid(values, values), axis=-1).reshape(-1)
     raw = np.concatenate([pairs, pairs[::-1]])
     path = tmp_path / "zeros.iq"
     path.write_bytes(raw.tobytes())
     expected = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
-    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 5)
     f = dataio.IqFile(path)
     assert f.size == 32
     for start, stop in ((0, 32), (3, 12), (5, 6), (4, 31)):

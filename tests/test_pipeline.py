@@ -544,7 +544,6 @@ def test_run_capture_pipeline_blocks_match_whole_matrix(kind, tmp_path,
     monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", 128)  # step 65 lags
     monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES", 2 * 16 * 128)
     monkeypatch.setattr(pipeline, "_FRAME_BLOCK_BYTES", 7 * 16 * 64)
-    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 100)
     got = pipeline.run_capture_pipeline(dataio.IqFile(path), etalon)
 
     assert stream.size - etalon.size + 1 > 3 * 2 * 65  # >= 3 batches
@@ -615,7 +614,6 @@ def test_run_capture_pipeline_one_pass_equals_two_pass(windows_per_batch,
     monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES",
                         windows_per_batch * 16 * 128)
     monkeypatch.setattr(pipeline, "_FRAME_BLOCK_BYTES", 5 * 16 * 64)
-    monkeypatch.setattr(dataio, "_IQ_BLOCK_SAMPLES", 100)
     batch = windows_per_batch * 65
     rng = np.random.default_rng(15)
     etalon = pipeline.transnoise_etalon(64)

@@ -38,7 +38,6 @@ from .pipeline import (
     transnoise_etalon,
 )
 from .stats import (
-    SignificanceReport,
     histogram,
     p_value_two_sided,
     pearson,

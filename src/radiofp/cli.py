@@ -130,8 +130,10 @@ def _device_blocks(etalon, profile, seed: int, dev: int, frames: int,
 def cmd_gen_dataset(args) -> int:
     if not MIN_ETALON_LEN <= args.frame_len <= PI_DIGIT_COUNT:
         raise ConfigError(f"--frame-len not in {MIN_ETALON_LEN}..{PI_DIGIT_COUNT}")
-    # derive_seed would alias seed -1 to 2^64 - 1
-    _at_least(args, frames_per_device=1, lead_in=0, seed=0)
+    # derive_seed would alias seed -1 to 2^64 - 1.  The --snr-db floor
+    # keeps the noise finite: near -760 dB it overflows the float32
+    # samples, below about -3080 dB its power overflows a float
+    _at_least(args, frames_per_device=1, lead_in=0, seed=0, snr_db=-300)
     profiles = (DEFAULT_PROFILES if args.profiles is None
                 else dataio.read_profiles(args.profiles))
     if len(profiles) < 2:

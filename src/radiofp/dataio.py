@@ -260,7 +260,8 @@ def read_manifest(path) -> list:
 
 
 def write_significance_csv(path, report, timestamp: bool = False) -> None:
-    rows = [[r.feature, r.pbcc, r.p_value, r.significant] for r in report.rows]
+    """``report``: the `stats.FeatureSignificance` rows, in order."""
+    rows = [[r.feature, r.pbcc, r.p_value, r.significant] for r in report]
     write_csv(path, [["feature", "pbcc", "p_value", "significant"], *rows],
               timestamp)
 

@@ -81,9 +81,19 @@ class LabeledFeatureSet:
         )
 
 
+def is_constant(values) -> np.ndarray:
+    """Whether each column of a 2-D array, or a 1-D array itself, holds a
+    single value: its maximum equals its minimum.  The one rule for a
+    feature without spread; a computed std or sum of squares is not exact
+    zero for a constant column whose mean rounds, such as 100 rows of 0.1."""
+    values = np.asarray(values, dtype=float)
+    return values.max(axis=0) == values.min(axis=0)
+
+
 @dataclass(frozen=True)
 class FeatureStats:
-    """Per-feature mean and population standard deviation."""
+    """Per-feature mean and population standard deviation; a constant
+    column (`is_constant`) has its own value as mean and std 0."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -91,9 +101,13 @@ class FeatureStats:
     @classmethod
     def from_features(cls, features) -> "FeatureStats":
         feats = np.asarray(features, dtype=float)
-        return cls(mean=feats.mean(axis=0), std=feats.std(axis=0))
+        constant = is_constant(feats)
+        return cls(mean=np.where(constant, feats[0], feats.mean(axis=0)),
+                   std=np.where(constant, 0.0, feats.std(axis=0)))
 
     def standardize(self, features) -> np.ndarray:
-        """Z-score; features with zero spread map to 0."""
+        """Z-score; a constant column maps to exactly 0."""
+        # division guard: a column whose deviations underflow when squared
+        # has std 0 without being constant
         std = np.where(self.std > 0, self.std, 1.0)
         return (np.asarray(features, dtype=float) - self.mean) / std

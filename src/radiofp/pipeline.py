@@ -103,17 +103,24 @@ class ImpairmentProfile:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ImpairmentProfile":
         """The profile of a `to_json_dict` object.  A missing field takes
-        its default; an unknown one raises `TypeError`."""
+        its default.  An unknown field, a value that is not a JSON number
+        (a boolean is not), or a ``dc_offset`` that is not a list of two
+        numbers raises `TypeError` naming the field."""
         kw = dict(d)
-        for field in fields(cls):
-            if field.name not in kw:
-                continue
-            value = kw[field.name]
-            if field.name == "dc_offset":
-                kw[field.name] = complex(value[0], value[1])
-            elif field.name != "snr_db" or value is not None:
-                kw[field.name] = float(value)
+        for name, value in d.items():
+            if name == "dc_offset":
+                if not (isinstance(value, list) and len(value) == 2):
+                    raise TypeError("dc_offset must be a list of 2 numbers")
+                kw[name] = complex(*(_json_number(name, v) for v in value))
+            elif name != "snr_db" or value is not None:
+                kw[name] = _json_number(name, value)
         return cls(**kw)
+
+
+def _json_number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, not {value!r}")
+    return float(value)
 
 
 def simulate_device(clean, profile: ImpairmentProfile, seed: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledFeatureSet
+from .dataset import LabeledFeatureSet, is_constant
 from .errors import (
     ConstantInputError,
     EmptyInputError,
@@ -35,12 +35,11 @@ def pearson(xs, ys) -> float:
         raise ValueError("need at least 2 points")
     dx = x - x.mean()
     dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0 or syy == 0:
+    scale = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    # scale == 0 is a division guard, for deviations whose squares underflow
+    if is_constant(x) or is_constant(y) or scale == 0:
         raise ConstantInputError("correlation undefined for a constant input")
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
+    return min(1.0, max(-1.0, float(dx @ dy) / scale))
 
 
 def point_biserial(xs, labels) -> float:
@@ -63,7 +62,8 @@ def point_biserial(xs, labels) -> float:
     if n1 == 0 or n0 == 0:
         raise SingleClassError("both classes must be present")
     s = float(x.std())  # population std
-    if s == 0:
+    # s == 0 is a division guard, for deviations whose squares underflow
+    if is_constant(x) or s == 0:
         raise ConstantInputError("correlation undefined for a constant input")
     n = x.size
     r = (x[ones].mean() - x[zeros].mean()) / s * math.sqrt(n1 * n0 / n**2)
@@ -77,38 +77,31 @@ _LENTZ_FPMIN = 1e-300
 _LENTZ_MAX_ITER = 300
 
 
+def _clamp(v: float) -> float:
+    """``v``, or ``_LENTZ_FPMIN`` if it is nearer zero, so no division by
+    it overflows."""
+    return _LENTZ_FPMIN if abs(v) < _LENTZ_FPMIN else v
+
+
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+    """Continued fraction for the incomplete beta (modified Lentz; Press et
+    al., *Numerical Recipes*, 6.4).  Step m takes the even then the odd
+    coefficient, and converges when its odd half-step changes h by less
+    than ``_LENTZ_EPS``."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _LENTZ_FPMIN:
-        d = _LENTZ_FPMIN
-    d = 1.0 / d
+    d = 1.0 / _clamp(1.0 - qab * x / qap)
     h = d
     for m in range(1, _LENTZ_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_FPMIN:
-            d = _LENTZ_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_FPMIN:
-            c = _LENTZ_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_FPMIN:
-            d = _LENTZ_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_FPMIN:
-            c = _LENTZ_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _clamp(1.0 + aa * d)
+            c = _clamp(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _LENTZ_EPS:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -170,19 +163,21 @@ def histogram(xs, bins: int):
 
 def pearson_matrix(dataset: LabeledFeatureSet) -> np.ndarray:
     """Symmetric unit-diagonal ``(f, f)`` correlation matrix of the features,
-    NaN off the diagonal where either column is constant.  Pairs go through
-    `pearson`: ``np.corrcoef`` rounds differently and moves report bytes."""
+    NaN off the diagonal where `pearson` is undefined, as for a constant
+    column.  Pairs go through `pearson`: ``np.corrcoef`` rounds differently
+    and moves report bytes."""
     feats = dataset.features
     if dataset.n < 2:
         raise ValueError("need at least 2 rows")
     f = feats.shape[1]
     values = np.eye(f)
-    constant = feats.std(axis=0) == 0
     for i in range(f):
         for j in range(i + 1, f):
-            values[i, j] = values[j, i] = (
-                np.nan if constant[i] or constant[j]
-                else pearson(feats[:, i], feats[:, j]))
+            try:
+                r = pearson(feats[:, i], feats[:, j])
+            except ConstantInputError:
+                r = np.nan
+            values[i, j] = values[j, i] = r
     return values
 
 
@@ -196,18 +191,8 @@ class FeatureSignificance:
     significant: bool | None
 
 
-@dataclass(frozen=True)
-class SignificanceReport:
-    rows: tuple[FeatureSignificance, ...]
-
-    def significant_features(self) -> tuple[str, ...]:
-        return tuple(r.feature for r in self.rows if r.significant)
-
-    def insignificant_features(self) -> tuple[str, ...]:
-        return tuple(r.feature for r in self.rows if r.significant is False)
-
-
-def significance_report(dataset: LabeledFeatureSet) -> SignificanceReport:
+def significance_report(dataset: LabeledFeatureSet
+                        ) -> tuple[FeatureSignificance, ...]:
     """Point-biserial coefficient and p-value per feature, |pbcc| descending.
 
     Needs binary labels and at least 3 rows.  Features with a constant
@@ -219,19 +204,15 @@ def significance_report(dataset: LabeledFeatureSet) -> SignificanceReport:
         raise StatsError("point-biserial significance needs binary labels")
     if dataset.n < 3:
         raise StatsError(f"p-values need at least 3 rows, not {dataset.n}")
-    labels01 = dataset.labels
     rows = []
-    for i, name in enumerate(dataset.feature_names):
-        xs = dataset.features[:, i]
+    for name, xs in zip(dataset.feature_names, dataset.features.T):
         try:
-            r = point_biserial(xs, labels01)
+            r = point_biserial(xs, dataset.labels)
         except ConstantInputError:
             rows.append(FeatureSignificance(name, None, None, None))
             continue
         p = p_value_two_sided(r, dataset.n)
-        rows.append(
-            FeatureSignificance(name, r, p, p < SIGNIFICANCE_ALPHA)
-        )
+        rows.append(FeatureSignificance(name, r, p, p < SIGNIFICANCE_ALPHA))
     rows.sort(key=lambda fr: -1.0 if fr.pbcc is None else abs(fr.pbcc),
               reverse=True)
-    return SignificanceReport(rows=tuple(rows))
+    return tuple(rows)

@@ -226,7 +226,7 @@ def test_criterion_5_end_to_end_synthetic(synthetic_experiment):
 def test_criterion_6_feature_subset(synthetic_experiment):
     dataset, _, _ = synthetic_experiment
     report = stats.significance_report(dataset)
-    top3 = [row.feature for row in report.rows[:3] if row.pbcc is not None]
+    top3 = [row.feature for row in report[:3] if row.pbcc is not None]
     assert len(top3) == 3
     columns = [dataset.feature_names.index(name) for name in top3]
 
@@ -253,9 +253,10 @@ def test_criterion_7_published_dataset():
 
     dataset = read_feature_csv(os.environ["RADIOFP_DATASET"])
     report = stats.significance_report(dataset)
-    top3 = {row.feature for row in report.rows[:3]}
+    top3 = {row.feature for row in report[:3]}
     assert top3 == {"P8", "P9", "P2"}
-    assert set(report.insignificant_features()) == {"P4", "P3", "P10"}
+    insignificant = {row.feature for row in report if row.significant is False}
+    assert insignificant == {"P4", "P3", "P10"}
     result = evaluate(dataset, lambda d, s: train_forest(d, ForestParams(), s),
                       k=4, seed=0)
     assert result.mean_accuracy >= 0.98

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import json
 import shutil
 from datetime import datetime, timedelta
 
@@ -77,6 +78,18 @@ def test_gen_dataset_blocks_equal_whole_array_write(per_block, lead_in,
         dataio.write_iq(tmp_path / "whole.iq", stream)
         assert (out / entry.file).read_bytes() == \
             (tmp_path / "whole.iq").read_bytes(), entry.file
+
+
+@pytest.mark.parametrize("snr_db", ["-800", "-4000"])
+def test_gen_dataset_snr_overflow_exit_4(snr_db, tmp_path, capsys):
+    # -800 dB overflowed the float32 samples to inf, -4000 dB the noise
+    # power itself
+    out = tmp_path / "g"
+    assert main(["gen-dataset", "--out-dir", str(out), "--frames-per-device",
+                 "2", "--frame-len", "64", "--no-timestamp",
+                 f"--snr-db={snr_db}"]) == 4
+    assert capsys.readouterr().err == "error: --snr-db must be at least -300\n"
+    assert not out.exists()
 
 
 def test_gen_dataset_negative_seed_exit_4(tmp_path, capsys):
@@ -513,23 +526,30 @@ def test_train_eval_empty_mask_exit_4_before_reading(mask, tmp_path, capsys):
 def test_explain_singular_fit_exit_2_one_line(small_dataset, small_model,
                                               tmp_path, capsys):
     # P1 constant: the perturbations leave it fixed, so with no ridge
-    # penalty the surrogate's normal equations are singular
+    # penalty the surrogate's normal equations are singular.  The mean of
+    # a column of 0.1 rounds, so its computed std is not 0
     _, _, features = small_dataset
     header, *rows = features.read_text().splitlines()
-    table = tmp_path / "constant_p1.csv"
-    table.write_text("\n".join([header] + [
-        ",".join([r.split(",")[0], "0.5"] + r.split(",")[2:]) for r in rows])
-        + "\n")
-    argv = ["explain", "--model", str(small_model), "--input", str(table),
-            "--row", "0", "--n-perturbations", "100",
-            "--out", str(tmp_path / "e.csv")]
-    capsys.readouterr()
-    assert main(argv + ["--ridge-lambda", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: local surrogate fit is singular: a constant "
-                   "feature column needs ridge_lambda > 0\n"), err
-    assert not (tmp_path / "e.csv").exists()
-    assert main(argv) == 0
+    for value in ("0.5", "0.1"):
+        table = tmp_path / f"constant_p1_{value}.csv"
+        table.write_text("\n".join([header] + [
+            ",".join([r.split(",")[0], value] + r.split(",")[2:])
+            for r in rows]) + "\n")
+        argv = ["explain", "--model", str(small_model), "--input", str(table),
+                "--row", "0", "--n-perturbations", "100",
+                "--out", str(tmp_path / "e.csv")]
+        capsys.readouterr()
+        assert main(argv + ["--ridge-lambda", "0"]) == 2, value
+        err = capsys.readouterr().err
+        assert err == ("error: local surrogate fit is singular: a constant "
+                       "feature column needs ridge_lambda > 0\n"), err
+        assert not (tmp_path / "e.csv").exists()
+        assert main(argv) == 0
+        weights = dict(line.split(",") for line in
+                       (tmp_path / "e.csv").read_text().splitlines()
+                       if not line.startswith("#"))
+        assert float(weights["P1"]) == 0.0, value
+        (tmp_path / "e.csv").unlink()
 
 
 def test_explain_cli(small_dataset, tmp_path):
@@ -760,6 +780,12 @@ MALFORMED_INPUTS = [
     ("manifest_profile_field_misspelled", "manifest",
      lambda t: _manifest_row(t, lambda f: f[:3] + [
          f[3].replace("gain_imbalance", "gain_imbalence")])),
+    ("manifest_dc_offset_three_numbers", "manifest",
+     lambda t: _manifest_row(t, lambda f: f[:3] + [json.dumps(
+         {**json.loads(f[3]), "dc_offset": [0.1, 0.2, 99]})])),
+    ("manifest_gain_imbalance_boolean", "manifest",
+     lambda t: _manifest_row(t, lambda f: f[:3] + [json.dumps(
+         {**json.loads(f[3]), "gain_imbalance": True})])),
     ("iq_odd_float_count", "iq", lambda b: b[:-4]),
     ("etalon_too_short", "etalon", lambda b: b[:8 * 63]),
     ("etalon_zero_energy", "etalon", lambda b: bytes(len(b))),
@@ -774,6 +800,10 @@ MALFORMED_INPUTS = [
      lambda t: '[{}, {"dc_offset": [0, NaN]}]'),
     ("profiles_field_misspelled", "profiles",
      lambda t: '[{"gain_imbalence": 0.5}, {}]'),
+    ("profiles_dc_offset_three_numbers", "profiles",
+     lambda t: '[{"dc_offset": [0.1, 0.2, 99]}, {}]'),
+    ("profiles_gain_imbalance_boolean", "profiles",
+     lambda t: '[{}, {"gain_imbalance": true}]'),
     ("iq_shorter_than_one_frame", "iq", lambda b: b[:8 * 10]),
     ("iq_trailing_bytes", "iq", lambda b: b + bytes(2)),
     ("iq_nan_sample", "iq",  # after the last frame
@@ -831,6 +861,9 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
         assert "PX" in err, err
     if case.endswith("_field_misspelled"):
         assert "gain_imbalence" in err, err
+    for field in ("dc_offset", "gain_imbalance"):
+        if case.endswith((f"{field}_three_numbers", f"{field}_boolean")):
+            assert f"({field} must be" in err, err
     if case == "stats_two_rows":
         assert err == "error: p-values need at least 3 rows, not 2\n", err
     # rejected before any write

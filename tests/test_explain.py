@@ -62,6 +62,19 @@ def test_perturb_zero_spread_feature_fixed():
     np.testing.assert_array_equal(out[:, 4], np.full(500, feats[0, 4]))
 
 
+def test_feature_stats_constant_column_of_rounding_mean():
+    # 100 rows of 0.1 have a mean that rounds and a computed std of 2.8e-17
+    stats, feats = make_stats(2)
+    feats[:100, 4] = 0.1
+    feats = feats[:100]
+    assert feats[:, 4].std() > 0
+    fstats = FeatureStats.from_features(feats)
+    assert fstats.std[4] == 0.0 and fstats.mean[4] == 0.1
+    assert np.all(fstats.standardize(feats)[:, 4] == 0.0)
+    out = perturb(feats[0], fstats, 500, seed=3)
+    np.testing.assert_array_equal(out[:, 4], np.full(500, 0.1))
+
+
 def test_perturb_deterministic():
     stats, feats = make_stats(3)
     a = perturb(feats[1], stats, 300, seed=11)

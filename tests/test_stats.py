@@ -12,6 +12,45 @@ from radiofp.errors import (
 from oracles import oracle_p_value
 
 
+def _betacf_reference(a, b, x):
+    """`stats._betacf` before its Lentz step was written once, kept to
+    show the loop computes the same bits."""
+    fpmin, eps = 1e-300, 3e-16
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, 301):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            return h
+    raise ArithmeticError("incomplete beta continued fraction did not converge")
+
+
 def make_set(features, labels, names=None):
     features = np.asarray(features, dtype=float)
     if names is None:
@@ -106,6 +145,16 @@ def test_p_value_published_anchor_points():
     assert stats.p_value_two_sided(0.3025, 30000) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_p_value_bitwise_equals_reference_betacf(monkeypatch):
+    rs = np.concatenate([np.linspace(0.0, 0.999, 334), [1e-9, 1e-5, 0.9999],
+                         np.random.default_rng(12).uniform(-1, 1, 200)])
+    ns = [3, 4, 5, 7, 10, 30, 101, 1000, 4000, 30000, 123457, 200000]
+    new = [stats.p_value_two_sided(float(r), n) for r in rs for n in ns]
+    monkeypatch.setattr(stats, "_betacf", _betacf_reference)
+    ref = [stats.p_value_two_sided(float(r), n) for r in rs for n in ns]
+    assert np.array(new).tobytes() == np.array(ref).tobytes()
+
+
 def test_p_value_monotonicity():
     # lattice kept inside the range where the tail stays representable,
     # so strict float comparisons are meaningful
@@ -169,11 +218,11 @@ def test_significance_report_sorted_and_flagged():
     feats[:, 2] = labels  # feature equal to label
     ds = make_set(feats, labels)
     rep = stats.significance_report(ds)
-    assert rep.rows[0].feature == "P3"
-    assert rep.rows[0].pbcc == pytest.approx(1.0)
-    assert rep.rows[0].p_value == 0.0
-    assert rep.rows[0].significant
-    mags = [abs(r.pbcc) for r in rep.rows if r.pbcc is not None]
+    assert rep[0].feature == "P3"
+    assert rep[0].pbcc == pytest.approx(1.0)
+    assert rep[0].p_value == 0.0
+    assert rep[0].significant
+    mags = [abs(r.pbcc) for r in rep if r.pbcc is not None]
     assert mags == sorted(mags, reverse=True)
 
 
@@ -185,9 +234,31 @@ def test_significance_report_undefined_rows_last():
     feats[:, 9] = -1.0
     ds = make_set(feats, labels)
     rep = stats.significance_report(ds)
-    assert rep.rows[-1].feature == "P10"
-    assert rep.rows[-1].pbcc is None
-    assert rep.rows[-1].significant is None
+    assert rep[-1].feature == "P10"
+    assert rep[-1].pbcc is None
+    assert rep[-1].significant is None
+
+
+def test_constant_column_of_rounding_mean_is_constant():
+    # np.full(100, 0.1).std() is 2.8e-17, not 0: only max == min is exact
+    rng = np.random.default_rng(10)
+    labels = np.arange(100) % 2
+    feats = rng.normal(size=(100, 10))
+    feats[:, 0] = 0.1
+    assert feats[:, 0].std() > 0
+    with pytest.raises(ConstantInputError):
+        stats.pearson(feats[:, 0], feats[:, 1])
+    with pytest.raises(ConstantInputError):
+        stats.pearson(feats[:, 1], feats[:, 0])
+    with pytest.raises(ConstantInputError):
+        stats.point_biserial(feats[:, 0], labels)
+    ds = make_set(feats, labels)
+    rep = stats.significance_report(ds)
+    assert rep[-1] == stats.FeatureSignificance("P1", None, None, None)
+    assert all(r.pbcc is not None for r in rep[:-1])
+    mat = stats.pearson_matrix(ds)
+    assert np.isnan(mat[0, 1:]).all() and np.isnan(mat[1:, 0]).all()
+    assert mat[0, 0] == 1.0 and not np.isnan(mat[1:, 1:]).any()
 
 
 def test_significance_report_single_class():
@@ -209,7 +280,7 @@ def test_significance_false_positive_rate_near_alpha():
             labels[0] = 1 - labels[0]
         feats = rng.normal(size=(n, 10))
         rep = stats.significance_report(make_set(feats, labels))
-        flags += len(rep.significant_features())
+        flags += sum(bool(r.significant) for r in rep)
         total += 10
     rate = flags / total
     assert 0.02 < rate < 0.09

@@ -125,9 +125,8 @@ def _cut_gains(cls, weight, cut, start, at, counts, work):
     size = counts.sum(axis=1).astype(np.float64)
     p = counts / size[:, None]
     parent_gini = 1.0 - (p[:, None, :] @ p[:, :, None])[:, 0, 0]  # p @ p
-    n_left, l0, r0, l_sq, r_sq, lk, rk = work.cuts[:, :cut.size]
+    n_left, l0, l_sq, r_sq, lk, rk = work.cuts[:6 * cut.size].reshape(6, -1)
     packed, spare = lk.view(np.int64), rk.view(np.int64)
-    np.take(size, at, out=r0, mode="clip")  # "clip": as in _level_splits
     l_sq[:] = 0
     r_sq[:] = 0
     running = work.running[:cls.size + 1]
@@ -138,23 +137,26 @@ def _cut_gains(cls, weight, cut, start, at, counts, work):
         running[1:] += 1
         running[1:] *= weight
         np.cumsum(running[1:], out=running[1:])
+        # "clip": as in _level_splits
         np.take(running[1:], cut, out=packed, mode="clip")
         packed -= np.take(running, start, out=spare, mode="clip")
         if k == 1:  # the weight sent left, below bit 32
             np.bitwise_and(packed, 0xFFFFFFFF, out=spare)
             n_left[:] = spare
             l0[:] = n_left
-            r0 -= n_left
         np.right_shift(packed, 32, out=spare)
         lk[:] = spare
         np.take(counts[:, k].astype(np.float64), at, out=rk, mode="clip")
         rk -= lk
         l0 -= lk
-        r0 -= rk
         lk *= lk
         l_sq += lk
         rk *= rk
         r_sq += rk
+    # class 0 sent right: the node's class 0 count less the one sent left,
+    # exact like every count here
+    r0 = np.take(counts[:, 0].astype(np.float64), at, out=rk, mode="clip")
+    r0 -= l0
     l0 *= l0
     l_sq += l0
     r0 *= r0
@@ -166,13 +168,13 @@ def _cut_gains(cls, weight, cut, start, at, counts, work):
     n_right = np.subtract(n, n_left, out=rk)
     gini_l = np.divide(l_sq, np.square(n_left, out=l0), out=l0)
     np.subtract(1.0, gini_l, out=gini_l)
-    gini_r = np.divide(r_sq, np.square(n_right, out=r0), out=r0)
+    gini_r = np.divide(r_sq, np.square(n_right, out=l_sq), out=l_sq)
     np.subtract(1.0, gini_r, out=gini_r)
     gini_l *= n_left
     gini_r *= n_right
     gini_l += gini_r
     gini_l /= n
-    return np.subtract(np.take(parent_gini, at, out=l_sq, mode="clip"),
+    return np.subtract(np.take(parent_gini, at, out=r_sq, mode="clip"),
                        gini_l, out=gini_l)
 
 
@@ -193,7 +195,9 @@ class _LevelWork:
         self.weight = np.empty(n_keys, dtype=np.int32)
         self.edge = np.empty(n_keys, dtype=bool)
         self.keep = np.empty(n_keys, dtype=bool)
-        self.cuts = np.empty((7, n_keys))  # per-cut counts, then gains
+        # the 6 per-cut rows of _cut_gains, laid end to end at the front,
+        # so a pass touches only as many pages as it scores cuts
+        self.cuts = np.empty(6 * n_keys)
 
 
 def _level_splits(ranks, values, labels, rows, weight, owner, counts,
@@ -739,7 +743,10 @@ class CVResult:
 
 
 def evaluate(dataset: LabeledFeatureSet, trainer, k: int, seed: int) -> CVResult:
-    """Stratified k-fold CV of ``trainer(train_set, fold_seed) -> model``."""
+    """Stratified k-fold CV of ``trainer(train_set, fold_seed) -> model``.
+
+    Each fold's model and training set are dropped before the next fold's
+    fit, so two models are never alive together."""
     folds = stratified_kfold(dataset, k, seed)
     n_classes = dataset.n_classes
     confusion = np.zeros((n_classes, n_classes), dtype=int)
@@ -754,6 +761,7 @@ def evaluate(dataset: LabeledFeatureSet, trainer, k: int, seed: int) -> CVResult
         )
         model = trainer(train_set, derive_seed(seed, i + 1))
         predicted = model.predict(dataset.features[test_idx])
+        del model, train_set
         truth = dataset.labels[test_idx]
         accuracies.append(float(np.mean(predicted == truth)))
         np.add.at(confusion, (truth, predicted), 1)

@@ -15,6 +15,7 @@ target, so a crash never leaves a torn file.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import json
@@ -63,10 +64,21 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_iq_blocks(path, blocks) -> None:
     """Atomically write the samples of each complex block in turn, so only
-    one block is held as ``<c8`` at a time."""
+    one block is held as ``<c8`` at a time.  A sample that is not finite as
+    ``<c8`` (a finite complex beyond float32's range becomes inf) raises
+    `DataFormatError`, and ``path`` is left as it was."""
     with _atomic_file(path) as fh:
+        written = 0
         for block in blocks:
-            fh.write(np.asarray(block, dtype="<c8"))
+            with np.errstate(over="ignore"):  # the check below reports it
+                samples = np.asarray(block, dtype="<c8")
+            bad = np.flatnonzero(~np.isfinite(samples))
+            if bad.size:
+                raise DataFormatError(
+                    f"{path}: sample {written + bad[0]} is not finite as "
+                    "32-bit floats")
+            fh.write(samples)
+            written += samples.size
 
 
 def write_iq(path, samples) -> None:
@@ -182,20 +194,42 @@ def write_feature_csv(path, labels, features, timestamp: bool = False) -> None:
 
 
 def read_feature_csv(path) -> LabeledFeatureSet:
-    rows = _read_csv_rows(path)
-    if not rows or rows[0] != FEATURE_CSV_HEADER:
+    """The table `write_feature_csv` writes, read in one pass: each value
+    goes through `float` into one float64 buffer, and a run of rows of one
+    label shares one label string, so no list per row is kept.
+
+    The whole file is read before a check fails, and the checks keep the
+    order of checking a table read whole: a missing header, no rows, the
+    first row of other than 11 fields, the first value `float` rejects,
+    then a non-finite value."""
+    width = len(FEATURE_CSV_HEADER)
+    labels, values = [], array.array("d")
+    label = short = bad = None
+    n_rows = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        header = next(rows, None)
+        for n_rows, r in enumerate(rows, start=1):
+            if len(r) != width:
+                short = short or (f"{path}: data row {n_rows} has {len(r)} "
+                                  f"fields, expected {width}")
+            elif short is None and bad is None:
+                try:
+                    values.extend(map(float, r[1:]))
+                except ValueError as exc:
+                    bad = exc
+                if r[0] != label:
+                    label = r[0]
+                labels.append(label)
+    if header != FEATURE_CSV_HEADER:
         raise DataFormatError(f"{path}: missing feature CSV header")
-    if len(rows) < 2:
+    if n_rows == 0:
         raise DataFormatError(f"{path}: no feature rows")
-    for i, r in enumerate(rows[1:], start=1):
-        if len(r) != len(FEATURE_CSV_HEADER):
-            raise DataFormatError(f"{path}: data row {i} has {len(r)} fields, "
-                                  f"expected {len(FEATURE_CSV_HEADER)}")
-    labels = [r[0] for r in rows[1:]]
-    try:
-        feats = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: bad feature value ({exc})") from exc
+    if short is not None:
+        raise DataFormatError(short)
+    if bad is not None:
+        raise DataFormatError(f"{path}: bad feature value ({bad})") from bad
+    feats = np.frombuffer(values).reshape(n_rows, width - 1)
     if not np.all(np.isfinite(feats)):
         raise DataFormatError(f"{path}: non-finite feature value")
     return LabeledFeatureSet.from_rows(labels, feats)

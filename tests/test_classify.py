@@ -1,4 +1,5 @@
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -823,6 +824,21 @@ def test_evaluate_confusion_conservation():
     assert np.trace(res.confusion) / ds.n == pytest.approx(
         np.mean(res.fold_accuracies), abs=0.02
     )
+
+
+def test_evaluate_drops_each_fold_model_before_the_next_fit():
+    ds = blobs(n_per_class=40, seed=15)
+    models = []
+
+    def trainer(d, s):
+        # the previous fold's model must be gone before this fit
+        assert all(ref() is None for ref in models)
+        model = train_forest(d, ForestParams(n_trees=3), s)
+        models.append(weakref.ref(model))
+        return model
+
+    evaluate(ds, trainer, k=4, seed=2)
+    assert len(models) == 4 and models[-1]() is None
 
 
 def test_evaluate_shuffled_labels_near_prior():

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import shutil
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -90,6 +91,25 @@ def test_gen_dataset_snr_overflow_exit_4(snr_db, tmp_path, capsys):
                  f"--snr-db={snr_db}"]) == 4
     assert capsys.readouterr().err == "error: --snr-db must be at least -300\n"
     assert not out.exists()
+
+
+def test_gen_dataset_float32_overflow_exit_2(tmp_path, capsys):
+    # a finite profile whose samples overflow float32: the .iq format holds
+    # finite floats only, so the stream is refused, not written as inf
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text('[{"cubic_nonlinearity": 1e40}, {}]')
+    out = tmp_path / "g"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["gen-dataset", "--out-dir", str(out), "--profiles",
+                     str(profiles), "--frames-per-device", "2",
+                     "--frame-len", "64", "--no-timestamp"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {out / 'device_0.iq'}: sample 0 is not finite as 32-bit "
+        "floats\n")
+    assert [str(w.message) for w in caught] == []
+    assert sorted(p.name for p in out.iterdir()) == ["etalon.iq"]
 
 
 def test_gen_dataset_negative_seed_exit_4(tmp_path, capsys):

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -79,16 +80,29 @@ class Tree:
     def n_nodes(self) -> int:
         return self.feature.size
 
-    def apply(self, rows: np.ndarray) -> np.ndarray:
-        """Leaf id reached by each row; all rows descend one level per step."""
-        node = np.zeros(rows.shape[0], dtype=np.intp)
-        active = np.flatnonzero(self.feature[node] >= 0)
-        while active.size:
-            at = node[active]
-            go_left = rows[active, self.feature[at]] <= self.threshold[at]
-            node[active] = np.where(go_left, self.left[at], self.right[at])
-            active = active[self.feature[node[active]] >= 0]
-        return node
+
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "counts")
+
+
+def _node_table(trees) -> tuple:
+    """The node table of ``trees``: their arrays laid end to end, and the
+    first node of each tree followed by the node count."""
+    start = np.concatenate(([0], np.cumsum([tree.n_nodes for tree in trees])))
+    return Tree(*(np.concatenate([getattr(tree, name) for tree in trees])
+                  for name in _TREE_FIELDS)), start
+
+
+def _tree_views(nodes: Tree, start) -> list:
+    """Tree t of a node table is its nodes start[t] to start[t + 1], as
+    views."""
+    bounds = start.tolist()
+    return [Tree(*(getattr(nodes, name)[a:b] for name in _TREE_FIELDS))
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _tree_of(start, node) -> np.ndarray:
+    """The tree of each id in ``node`` of a node table."""
+    return np.searchsorted(start, node, side="right") - 1
 
 
 def _value_ranks(features):
@@ -286,7 +300,8 @@ def _level_splits(ranks, values, labels, rows, weight, owner, counts,
     cut = np.flatnonzero(keep)  # between sorted elements cut, cut+1
     if cut.size == 0:  # every drawn feature is constant in every node
         return None
-    seg = seg_rank[cut] // n_ranks
+    # intp once per pass: np.take copies narrower indices on every call
+    seg = (seg_rank[cut] // n_ranks).astype(np.intp)
     at = seg // per_split  # open node of each cut
     gains = _cut_gains(cls, w, cut, seg_start[seg], at, counts, work)
 
@@ -318,7 +333,8 @@ def _grow_trees(ranks, values, labels, rows, weights, max_depth,
     ``rng.random((its open nodes, features))``, and one ``_level_splits``
     call splits the open nodes of every tree.  Nodes are numbered level by
     level across the group, tree by tree within a level, then each tree's
-    are renumbered to pre-order, left child first.
+    are renumbered to pre-order, left child first.  The trees are views of
+    one node table, laid out tree by tree.
     """
     n_trees = len(rngs)
     n_features, n_samples = ranks.shape
@@ -400,19 +416,14 @@ def _grow_trees(ranks, values, labels, rows, weights, max_depth,
     for split in levels:
         pre[left[split]] = pre[split] + 1
         pre[right[split]] = pre[split] + 1 + subtree[left[split]]
-    tree = tree[:n_nodes]
     start = np.concatenate(([0], np.cumsum(subtree[:n_trees])))
     order = np.empty(n_nodes, dtype=np.intp)
-    order[start[tree] + pre] = np.arange(n_nodes)
-    trees = []
-    for t in range(n_trees):
-        at = order[start[t]:start[t + 1]]
-        is_split = feature[at] >= 0
-        trees.append(Tree(feature[at], threshold[at],
-                          np.where(is_split, pre[left[at]], -1),
-                          np.where(is_split, pre[right[at]], -1),
-                          counts[at]))
-    return trees
+    order[start[tree[:n_nodes]] + pre] = np.arange(n_nodes)
+    is_split = feature[order] >= 0
+    nodes = Tree(feature[order], threshold[order],
+                 np.where(is_split, pre[left[order]], -1),
+                 np.where(is_split, pre[right[order]], -1), counts[order])
+    return _tree_views(nodes, start)
 
 
 @dataclass(frozen=True)
@@ -436,27 +447,105 @@ class ForestParams:
             raise ValueError("max_depth must be at least 1")
 
 
+# (tree, row) pairs that descend together in predict_proba: a chunk of rows
+# takes max(1, _PREDICT_PAIRS // n_trees) of them, which bounds the
+# descent's arrays whatever the row count
+_PREDICT_PAIRS = 1 << 13
+
+# levels the pairs of a chunk descend between two gathers of those still
+# at a split node
+_PREDICT_STEPS = 4
+
+
 @dataclass
 class RandomForestModel:
-    trees: list
+    """A forest whose nodes exist once, in one node table: ``nodes`` holds
+    every tree's arrays laid end to end, child ids local to their tree,
+    tree t taking nodes ``start[t]`` to ``start[t + 1]``, and each of
+    ``trees`` is a view of its part.  Given no table, the model lays out
+    the one of ``trees``."""
+
+    trees: list | None
     label_names: tuple
     feature_names: tuple
     params: ForestParams
     seed: int
     importances: np.ndarray | None = None
     kind: str = "forest"
+    nodes: Tree | None = field(default=None, repr=False)
+    start: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.nodes is None:
+            self.nodes, self.start = _node_table(self.trees)
+        self.trees = _tree_views(self.nodes, self.start)
 
     @property
     def n_classes(self) -> int:
         return len(self.label_names)
 
     def predict_proba(self, features) -> np.ndarray:
+        """Mean over the trees of the class distribution of the leaf each
+        row reaches, a row going left where its value is at most the
+        threshold.
+
+        Every (tree, row) pair of a chunk of rows descends at once, one
+        gather per level, and every ``_PREDICT_STEPS`` levels the pairs
+        still at a split node are gathered anew.  The leaves'
+        distributions are then summed in tree order, as one tree at a time
+        sums them.
+        """
         rows = np.atleast_2d(np.asarray(features, dtype=float))
-        out = np.zeros((rows.shape[0], self.n_classes))
-        for tree in self.trees:
-            proba = tree.counts / tree.counts.sum(axis=1, keepdims=True)
-            out += proba[tree.apply(rows)]
-        return out / len(self.trees)
+        nodes, start = self.nodes, self.start
+        n_rows, n_features = rows.shape
+        # a pair's value is read from the rows laid end to end, where a
+        # column beyond a row would read the next row
+        if nodes.feature.max() >= n_features:
+            raise ValueError(f"rows of {n_features} features; the forest "
+                             f"splits on feature {nodes.feature.max()}")
+        n_trees = start.size - 1
+        is_split = nodes.feature >= 0
+        # node i's next node is step[2 i] if the row's value is above the
+        # threshold, else step[2 i + 1], as ids in the table; both entries
+        # of a leaf are the leaf, whatever value its feature -1 reads
+        step = np.repeat(np.arange(nodes.n_nodes), 2).reshape(-1, 2)
+        split = np.flatnonzero(is_split)
+        root = start[_tree_of(start, split)]
+        step[split, 0] = nodes.right[split] + root
+        step[split, 1] = nodes.left[split] + root
+        step = step.ravel()
+        out = np.empty((n_rows, self.n_classes))
+        chunk = max(1, _PREDICT_PAIRS // n_trees)
+        for lo in range(0, n_rows, chunk):
+            x = rows[lo:lo + chunk].ravel()
+            m = min(chunk, n_rows - lo)
+            if lo == 0 or m < chunk:
+                # pair p is tree p // m and row p % m: its root, and where
+                # its row starts in x
+                roots = np.repeat(start[:-1], m)
+                offset = np.tile(np.arange(m) * n_features, n_trees)
+                open_roots = np.flatnonzero(is_split.take(roots))
+            node, active = roots.copy(), open_roots
+            while active.size:
+                at, row = node.take(active), offset.take(active)
+                for _ in range(_PREDICT_STEPS):
+                    go_left = (x.take(row + nodes.feature.take(at))
+                               <= nodes.threshold.take(at))
+                    at *= 2
+                    at += go_left
+                    at = step.take(at)
+                node[active] = at
+                active = active[is_split.take(at)]
+            # each pair's leaf distribution; the class counts are summed a
+            # class at a time, as numpy sums a short axis slowly
+            leaf = nodes.counts.take(node, axis=0)
+            total = leaf[:, 0].copy()
+            for k in range(1, leaf.shape[1]):
+                total += leaf[:, k]
+            leaf = (leaf / total[:, None]).reshape(n_trees, m, -1)
+            np.cumsum(leaf, axis=0, out=leaf)
+            np.divide(leaf[-1], n_trees, out=out[lo:lo + m])
+        return out
 
     def predict(self, features) -> np.ndarray:
         return np.argmax(self.predict_proba(features), axis=1)
@@ -528,12 +617,19 @@ def train_forest(dataset: LabeledFeatureSet,
         keys += rows.size * per_split
     trees += grow(group)
 
+    # the level pass's arrays go before the groups' trees are laid out in
+    # one node table, and the groups' tables after
+    work = None
+    nodes, start = _node_table(trees)
+    trees = None
     model = RandomForestModel(
-        trees=trees,
+        trees=None,
         label_names=tuple(dataset.label_names),
         feature_names=tuple(dataset.feature_names),
         params=params,
         seed=seed,
+        nodes=nodes,
+        start=start,
     )
     try:
         model.importances = feature_importances(model)
@@ -545,23 +641,28 @@ def train_forest(dataset: LabeledFeatureSet,
 def feature_importances(model: RandomForestModel) -> np.ndarray:
     """Mean decrease in impurity per feature, normalized to sum 1.
 
-    Each split contributes (samples reaching node / samples at root) times
-    the Gini decrease it achieves; contributions are accumulated per feature
-    within a tree, averaged over trees, then normalized.
+    Each split contributes (samples reaching node / samples at its root)
+    times the Gini decrease it achieves; contributions are accumulated per
+    feature within a tree, in node order, summed over the trees in tree
+    order, averaged, then normalized.
     """
-    n_features = len(model.feature_names)
-    total = np.zeros(n_features)
-    for tree in model.trees:
-        n = tree.counts.sum(axis=1)
-        p = tree.counts / n[:, None]
-        gini = 1.0 - np.einsum("ij,ij->i", p, p)
-        split = np.flatnonzero(tree.feature >= 0)
-        lo, hi = tree.left[split], tree.right[split]
-        child_gini = (n[lo] * gini[lo] + n[hi] * gini[hi]) / n[split]
-        decrease = (n[split] / n[0]) * (gini[split] - child_gini)
-        total += np.bincount(tree.feature[split], weights=decrease,
-                             minlength=n_features)
-    total /= len(model.trees)
+    nodes, start = model.nodes, model.start
+    n_trees, n_features = start.size - 1, len(model.feature_names)
+    n = nodes.counts.sum(axis=1)
+    p = nodes.counts / n[:, None]
+    gini = 1.0 - np.einsum("ij,ij->i", p, p)
+    split = np.flatnonzero(nodes.feature >= 0)
+    tree = _tree_of(start, split)
+    root = start[tree]
+    lo, hi = nodes.left[split] + root, nodes.right[split] + root
+    child_gini = (n[lo] * gini[lo] + n[hi] * gini[hi]) / n[split]
+    decrease = (n[split] / n[root]) * (gini[split] - child_gini)
+    per_tree = np.bincount(tree * n_features + nodes.feature[split],
+                           weights=decrease, minlength=n_trees * n_features)
+    # float64 also when no tree splits, where bincount counts as int64
+    total = np.cumsum(per_tree.reshape(n_trees, n_features), axis=0,
+                      dtype=np.float64)[-1]
+    total /= n_trees
     s = total.sum()
     if s == 0:
         raise NoSplitsError("no split in any tree; importances undefined")
@@ -830,7 +931,11 @@ MODEL_FORMAT_HEADER = "radiofp-model v1"
 
 
 def model_to_text(model: RandomForestModel) -> str:
-    """Versioned plain-text serialization sufficient for bit-exact reload."""
+    """Versioned plain-text serialization sufficient for bit-exact reload.
+
+    Each tree's node lines are formatted a column at a time from its part
+    of the node table, and joined into one block.
+    """
     meta = {
         "label_names": list(model.label_names),
         "feature_names": list(model.feature_names),
@@ -841,62 +946,134 @@ def model_to_text(model: RandomForestModel) -> str:
     }
     lines = [MODEL_FORMAT_HEADER, f"kind {model.kind}",
              "meta " + json.dumps(meta), f"trees {len(model.trees)}"]
-    for i, tree in enumerate(model.trees):
-        lines.append(f"tree {i} {tree.n_nodes}")
-        nodes = zip(tree.feature.tolist(), tree.threshold.tolist(),
-                    tree.left.tolist(), tree.right.tolist(),
-                    tree.counts.tolist())
-        for nid, (feature, threshold, left, right, counts) in enumerate(nodes):
-            if feature < 0:
-                lines.append(f"{nid} leaf " + " ".join(map(str, counts)))
-            else:
-                lines.append(
-                    f"{nid} split {feature} {threshold!r} {left} {right}")
-    return "\n".join(lines) + "\n"
+    # ids are looked up in a table of their decimals, faster than str()
+    nodes = model.nodes
+    decimal = list(map(str, range(max(int(np.diff(model.start).max()),
+                                      int(nodes.feature.max()) + 1))))
+
+    def decimals(ids):
+        return map(decimal.__getitem__, ids.tolist())
+
+    for t, tree in enumerate(model.trees):
+        split = tree.feature >= 0
+        nid = np.arange(tree.n_nodes)
+        node_lines = np.empty(tree.n_nodes, dtype=object)
+        node_lines[split] = list(map(" ".join, zip(
+            decimals(nid[split]), itertools.repeat("split"),
+            decimals(tree.feature[split]),
+            map(repr, tree.threshold[split].tolist()),
+            decimals(tree.left[split]), decimals(tree.right[split]))))
+        node_lines[~split] = list(map(" ".join, zip(
+            decimals(nid[~split]), itertools.repeat("leaf"),
+            *(map(str, column) for column in tree.counts[~split].T.tolist()))))
+        lines.append("\n".join([f"tree {t} {tree.n_nodes}",
+                                 *node_lines.tolist()]))
+    lines.append("")  # the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
-def _tree_from_lines(lines: list, first_line: int, n_classes: int,
-                     n_features: int) -> Tree:
-    """Fill the arrays from node lines, then rebuild split-node counts."""
-    n_nodes = len(lines)
-    feature = np.full(n_nodes, -1)
-    threshold = np.full(n_nodes, math.nan)
-    left = np.full(n_nodes, -1)
-    right = np.full(n_nodes, -1)
-    counts = np.zeros((n_nodes, n_classes), dtype=int)
-    for nid, line in enumerate(lines):
-        where = f"line {first_line + nid}: node {nid}"
-        parts = line.split()
-        if parts[:2] == [str(nid), "leaf"]:
-            leaf = [int(v) for v in parts[2:]]
-            if len(leaf) != n_classes or min(leaf) < 0 or sum(leaf) == 0:
-                raise DataFormatError(f"{where}: a leaf needs {n_classes} "
-                                      "non-negative counts, not all zero")
-            counts[nid] = leaf
-            continue
-        if parts[:2] != [str(nid), "split"] or len(parts) != 6:
-            raise DataFormatError(
-                f"{where}: expected '{nid} leaf ...' or '{nid} split ...'")
-        f, lo, hi = int(parts[2]), int(parts[4]), int(parts[5])
-        if not 0 <= f < n_features:
-            raise DataFormatError(f"{where}: feature {f} out of range")
-        if not (nid < lo < n_nodes and nid < hi < n_nodes):
-            raise DataFormatError(
-                f"{where}: child ids must lie in ({nid}, {n_nodes})")
-        thr = float(parts[3])
-        if not math.isfinite(thr):  # training writes finite midpoints only
-            raise DataFormatError(f"{where}: threshold {parts[3]} is not "
-                                  "finite")
-        feature[nid], threshold[nid] = f, thr
-        left[nid], right[nid] = lo, hi
-    split = feature >= 0
-    children = np.sort(np.concatenate([left[split], right[split]]))
-    if not np.array_equal(children, np.arange(1, n_nodes)):
+def _check_node_line(parts, nid, n_nodes, n_classes, n_features, where):
+    """Raise the error of a malformed node line, split into ``parts``."""
+    if parts[:2] == [str(nid), "leaf"]:
+        leaf = [int(v) for v in parts[2:]]
+        if len(leaf) != n_classes or min(leaf) < 0 or sum(leaf) == 0:
+            raise DataFormatError(f"{where}: a leaf needs {n_classes} "
+                                  "non-negative counts, not all zero")
+        np.array(leaf, dtype=np.int64)  # a count above int64 overflows
+        return
+    if parts[:2] != [str(nid), "split"] or len(parts) != 6:
+        raise DataFormatError(
+            f"{where}: expected '{nid} leaf ...' or '{nid} split ...'")
+    f, lo, hi = int(parts[2]), int(parts[4]), int(parts[5])
+    if not 0 <= f < n_features:
+        raise DataFormatError(f"{where}: feature {f} out of range")
+    if not (nid < lo < n_nodes and nid < hi < n_nodes):
+        raise DataFormatError(
+            f"{where}: child ids must lie in ({nid}, {n_nodes})")
+    thr = float(parts[3])
+    if not math.isfinite(thr):  # training writes finite midpoints only
+        raise DataFormatError(f"{where}: threshold {parts[3]} is not "
+                              "finite")
+
+
+def _read_node_columns(parts, n_classes, n_features, ids: list,
+                       out: Tree) -> bool:
+    """Fill ``out``, one tree's part of a node table, from its node lines
+    split into ``parts``, a column at a time, split-node counts 0.  False
+    if some line is malformed, which the column reads may also raise.
+    ``ids`` holds str(i) for every node id i of the tree, and more."""
+    n_nodes = len(parts)
+    if list(map(itemgetter(0), parts)) != ids[:n_nodes]:
+        return False
+    kind = list(map(itemgetter(1), parts))
+    is_split = list(map("split".__eq__, kind))
+    is_leaf = list(map("leaf".__eq__, kind))
+    splits = list(itertools.compress(parts, is_split))
+    leaves = list(itertools.compress(parts, is_leaf))
+    if (len(splits) + len(leaves) < n_nodes or set(map(len, splits)) - {6}
+            or set(map(len, leaves)) - {2 + n_classes}):
+        return False
+    split = np.flatnonzero(is_split)
+    # each str read by int or float, an int above int64 overflowing
+    f, thr, lo, hi = (np.array(list(map(read, column)), dtype=dtype)
+                      for column, read, dtype in zip(
+                          list(zip(*splits))[2:] or [()] * 4,
+                          (int, float, int, int),
+                          (np.int64, np.float64, np.int64, np.int64)))
+    counts = np.array([list(map(int, column))
+                       for column in list(zip(*leaves))[2:]],
+                      dtype=np.int64).T
+    if (np.any((f < 0) | (f >= n_features))
+            or np.any((lo <= split) | (lo >= n_nodes)
+                      | (hi <= split) | (hi >= n_nodes))
+            or not np.all(np.isfinite(thr))
+            or np.any(counts < 0) or not np.all(np.any(counts > 0, axis=1))):
+        return False
+    out.feature[:] = out.left[:] = out.right[:] = -1
+    out.threshold[:] = math.nan
+    out.counts[:] = 0
+    out.feature[split], out.threshold[split] = f, thr
+    out.left[split], out.right[split] = lo, hi
+    out.counts[np.flatnonzero(is_leaf)] = counts
+    return True
+
+
+def _read_tree(lines: list, first_line: int, n_classes: int,
+               n_features: int, ids: list, out: Tree) -> None:
+    """Fill ``out`` from a tree's node lines, each split once and read a
+    column at a time, split-node counts 0.  If some line is malformed, the
+    lines are checked one at a time, and the first malformed one raises."""
+    parts = [line.split() for line in lines]
+    try:
+        read = _read_node_columns(parts, n_classes, n_features, ids, out)
+    except (IndexError, OverflowError, ValueError):
+        read = False
+    if not read:
+        for nid, fields in enumerate(parts):
+            _check_node_line(fields, nid, len(parts), n_classes, n_features,
+                             f"line {first_line + nid}: node {nid}")
+        raise AssertionError("the column reads found no malformed line")
+    split = out.feature >= 0
+    children = np.sort(np.concatenate([out.left[split], out.right[split]]))
+    if not np.array_equal(children, np.arange(1, out.n_nodes)):
         raise DataFormatError(f"line {first_line}: some node other than the "
                               "root is not the child of exactly one node")
-    for nid in np.flatnonzero(split)[::-1]:
-        counts[nid] = counts[left[nid]] + counts[right[nid]]
-    return Tree(feature, threshold, left, right, counts)
+
+
+def _sum_split_counts(nodes: Tree, start) -> None:
+    """Set the class counts of every split node of a node table to the sum
+    of its children's, children first: the split nodes of each depth,
+    across every tree, in one round."""
+    node = base = start[:-1]  # each node's tree's root
+    levels = []
+    while node.size:
+        is_split = nodes.feature[node] >= 0
+        node, base = node[is_split], base[is_split]
+        lo, hi = nodes.left[node] + base, nodes.right[node] + base
+        levels.append((node, lo, hi))
+        node, base = np.concatenate((lo, hi)), np.concatenate((base, base))
+    for node, lo, hi in reversed(levels):
+        nodes.counts[node] = nodes.counts[lo] + nodes.counts[hi]
 
 
 def model_from_text(text: str) -> RandomForestModel:
@@ -924,24 +1101,43 @@ def model_from_text(text: str) -> RandomForestModel:
         for key in ("label_names", "feature_names"):
             if len(set(meta[key])) != len(meta[key]):
                 raise DataFormatError(f"{key} repeat a name: {meta[key]}")
-        trees, pos = [], 4
+        # the tree lines first, up to the first bad one, whose error is
+        # raised after the node lines of the trees before it
+        first, sizes, pos, error = [], [], 4, None
         for t in range(int(n_trees)):
             head = lines[pos].split() if pos < len(lines) else []
-            if len(head) != 3 or head[:2] != ["tree", str(t)]:
-                raise DataFormatError(
-                    f"line {pos + 1}: expected 'tree {t} <n_nodes>'")
-            body = lines[pos + 1:pos + 1 + int(head[2])]
-            if not body or len(body) != int(head[2]):
-                raise DataFormatError(f"tree {t}: expected {head[2]} node "
-                                      f"lines, found {len(body)}")
-            trees.append(_tree_from_lines(body, pos + 2, n_classes,
-                                          n_features))
+            try:
+                if len(head) != 3 or head[:2] != ["tree", str(t)]:
+                    raise DataFormatError(
+                        f"line {pos + 1}: expected 'tree {t} <n_nodes>'")
+                body = lines[pos + 1:pos + 1 + int(head[2])]
+                if not body or len(body) != int(head[2]):
+                    raise DataFormatError(f"tree {t}: expected {head[2]} "
+                                          f"node lines, found {len(body)}")
+            except ValueError as exc:  # DataFormatError too
+                error = exc
+                break
+            first.append(pos + 1)
+            sizes.append(len(body))
             pos += 1 + len(body)
+        start = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        nodes = Tree(np.empty(start[-1], dtype=np.int64),
+                     np.empty(start[-1]), np.empty(start[-1], dtype=np.int64),
+                     np.empty(start[-1], dtype=np.int64),
+                     np.empty((start[-1], n_classes), dtype=np.int64))
+        ids = list(map(str, range(max(sizes, default=0))))
+        for at, tree in zip(first, _tree_views(nodes, start)):
+            _read_tree(lines[at:at + tree.n_nodes], at + 1, n_classes,
+                       n_features, ids, tree)
+        if error is not None:
+            raise error
         if pos != len(lines):
             raise DataFormatError(f"line {pos + 1}: text after the last tree")
+        del lines  # before the counts' arrays are made
+        _sum_split_counts(nodes, start)
         importances = meta["importances"]
         return RandomForestModel(
-            trees=trees,
+            trees=None,
             label_names=tuple(meta["label_names"]),
             feature_names=tuple(meta["feature_names"]),
             params=ForestParams(**meta["params"]),
@@ -949,6 +1145,8 @@ def model_from_text(text: str) -> RandomForestModel:
             importances=(None if importances is None
                          else np.array(importances, dtype=float)),
             kind=kind,
+            nodes=nodes,
+            start=start,
         )
     except KeyError as exc:
         raise DataFormatError(f"bad model file: meta lacks {exc}") from None

@@ -170,7 +170,10 @@ def _csv_field(text: str) -> str:
 def _read_csv_rows(path) -> list:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.reader(lines))
+    try:
+        return list(csv.reader(lines))
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def write_feature_csv(path, labels, features, timestamp: bool = False) -> None:
@@ -208,19 +211,22 @@ def read_feature_csv(path) -> LabeledFeatureSet:
     n_rows = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
-        header = next(rows, None)
-        for n_rows, r in enumerate(rows, start=1):
-            if len(r) != width:
-                short = short or (f"{path}: data row {n_rows} has {len(r)} "
-                                  f"fields, expected {width}")
-            elif short is None and bad is None:
-                try:
-                    values.extend(map(float, r[1:]))
-                except ValueError as exc:
-                    bad = exc
-                if r[0] != label:
-                    label = r[0]
-                labels.append(label)
+        try:
+            header = next(rows, None)
+            for n_rows, r in enumerate(rows, start=1):
+                if len(r) != width:
+                    short = short or (f"{path}: data row {n_rows} has "
+                                      f"{len(r)} fields, expected {width}")
+                elif short is None and bad is None:
+                    try:
+                        values.extend(map(float, r[1:]))
+                    except ValueError as exc:
+                        bad = exc
+                    if r[0] != label:
+                        label = r[0]
+                    labels.append(label)
+        except csv.Error as exc:  # a field over csv.field_size_limit(), say
+            raise DataFormatError(f"{path}: {exc}") from exc
     if header != FEATURE_CSV_HEADER:
         raise DataFormatError(f"{path}: missing feature CSV header")
     if n_rows == 0:

@@ -1,4 +1,6 @@
 import os
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -550,6 +552,74 @@ def test_predict_proba_matches_row_walk():
                                   _row_walk_proba(model, queries))
 
 
+def _mixed_forest():
+    """Trees of different sizes and depths in one forest: deep ones, stumps,
+    and a single leaf."""
+    base = blobs(n_per_class=60, spread=1.2, seed=11, n_features=3)
+    ds = LabeledFeatureSet.from_rows(base.labels, np.round(base.features))
+    deep = train_forest(ds, ForestParams(n_trees=4), seed=2)
+    stumps = train_forest(ds, ForestParams(n_trees=2, max_depth=1), seed=3)
+    shallow = train_forest(ds, ForestParams(n_trees=2, max_depth=3), seed=4)
+    single = classify.Tree(np.array([-1]), np.array([np.nan]),
+                           np.array([-1]), np.array([-1]),
+                           np.array([[3, 1]]))
+    trees = [deep.trees[0], stumps.trees[0], single, *shallow.trees,
+             *deep.trees[1:], stumps.trees[1]]
+    assert len({tree.n_nodes for tree in trees}) >= 5
+    return classify.RandomForestModel(
+        trees=trees, label_names=ds.label_names,
+        feature_names=ds.feature_names, params=ForestParams(), seed=0)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 4])
+def test_predict_proba_chunks_match_row_walk(monkeypatch, steps):
+    # chunks of 5 rows; every row count around and across a chunk boundary
+    model = _mixed_forest()
+    n_trees = len(model.trees)
+    monkeypatch.setattr(classify, "_PREDICT_PAIRS", 5 * n_trees + 1)
+    monkeypatch.setattr(classify, "_PREDICT_STEPS", steps)
+    rng = np.random.default_rng(12)
+    # half-integer queries land on thresholds, which go left; NaN goes right
+    queries = np.round(rng.normal(1.5, 2.0, size=(23, 3)) * 2) / 2
+    queries[[2, 19], [0, 2]] = np.nan
+    for n_rows in (1, 4, 5, 6, 23):
+        rows = queries[:n_rows]
+        np.testing.assert_array_equal(model.predict_proba(rows),
+                                      _row_walk_proba(model, rows))
+
+
+def test_predict_proba_default_chunk_matches_row_walk():
+    model = _mixed_forest()
+    chunk = classify._PREDICT_PAIRS // len(model.trees)
+    rows = np.random.default_rng(13).normal(1.5, 2.0, size=(2 * chunk + 3, 3))
+    np.testing.assert_array_equal(model.predict_proba(rows),
+                                  _row_walk_proba(model, rows))
+
+
+def test_predict_proba_rejects_rows_without_a_split_feature():
+    model = _mixed_forest()
+    used = int(max(tree.feature.max() for tree in model.trees))
+    rows = np.zeros((4, used))
+    with pytest.raises(ValueError, match=f"rows of {used} features"):
+        model.predict_proba(rows)
+
+
+def test_predict_proba_memory_bounded_by_chunk():
+    # the descent's arrays hold one chunk of (tree, row) pairs whatever the
+    # row count: the peak is about 0.8 MB at 2^13 pairs, where the 5000
+    # rows in one chunk take some 33 MB
+    ds = blobs(n_per_class=100, spread=1.0, seed=14)
+    model = train_forest(ds, ForestParams(n_trees=100), seed=1)
+    rows = np.random.default_rng(15).normal(1.5, 2.0, size=(5000, 2))
+    tracemalloc.start()
+    try:
+        model.predict_proba(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
+
+
 def _node_walk_importances(model):
     """Reference: mean decrease in impurity accumulated node by node."""
     def gini(counts):
@@ -595,6 +665,9 @@ def test_two_tree_tie_breaks_to_lowest_label():
     proba = model.predict_proba(np.array([[0.0]]))
     np.testing.assert_allclose(proba, [[0.5, 0.5]])
     assert model.predict(np.array([[0.0]]))[0] == 0
+    rows = np.array([[0.0], [np.nan], [-3.0]])
+    np.testing.assert_array_equal(model.predict_proba(rows),
+                                  _row_walk_proba(model, rows))
 
 
 def test_importances_single_split():
@@ -919,6 +992,132 @@ def test_serialization_round_trip(tmp_path):
                                   loaded.predict_proba(queries))
     assert model_to_text(loaded) == model_to_text(model)
     np.testing.assert_array_equal(loaded.importances, model.importances)
+
+
+def test_trees_are_views_of_one_node_table():
+    ds = blobs(n_per_class=60, spread=0.8, seed=20, n_features=4)
+    model = train_forest(ds, ForestParams(n_trees=12), seed=9)
+    for forest in (model, model_from_text(model_to_text(model))):
+        nodes, start = forest.nodes, forest.start
+        assert start[-1] == nodes.n_nodes == sum(t.n_nodes
+                                                 for t in forest.trees)
+        for t, tree in enumerate(forest.trees):
+            for name in ("feature", "threshold", "left", "right", "counts"):
+                part = getattr(nodes, name)[start[t]:start[t + 1]]
+                assert getattr(tree, name).base is getattr(nodes, name)
+                np.testing.assert_array_equal(getattr(tree, name), part)
+
+
+@pytest.mark.parametrize("kind", ["forest", "tree"])
+def test_model_text_round_trip_and_rebuilt_counts(kind):
+    # a 100-tree forest of some 30 nodes a tree, and a one-tree "tree" model
+    ds = blobs(n_per_class=150, spread=1.5, seed=24, n_features=3)
+    model = (train_forest(ds, ForestParams(n_trees=100), seed=5)
+             if kind == "forest" else train_tree(ds, seed=5))
+    text = model_to_text(model)
+    loaded = model_from_text(text)
+    assert loaded.kind == kind and len(loaded.trees) == len(model.trees)
+    assert model_to_text(loaded) == text
+    # the loader sums the split nodes' counts from the leaves' counts
+    for name in ("feature", "threshold", "left", "right", "counts"):
+        got, want = getattr(loaded.nodes, name), getattr(model.nodes, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(loaded.start, model.start)
+
+
+def _node_line_at(lines, tree, nid):
+    """Index in ``lines`` of node ``nid`` of tree ``tree``."""
+    return lines.index(next(ln for ln in lines
+                            if ln.startswith(f"tree {tree} "))) + 1 + nid
+
+
+def test_model_load_reports_first_malformed_line():
+    ds = blobs(n_per_class=40, spread=1.0, seed=25)
+    model = train_forest(ds, ForestParams(n_trees=3), seed=6)
+    assert min(tree.n_nodes for tree in model.trees) >= 3
+    lines = model_to_text(model).splitlines()
+    # the last node line of the last tree, a leaf in pre-order
+    last = len(lines) - 1
+    fields = lines[last].split()
+    assert fields[1] == "leaf"
+    bad = lines[:last] + [" ".join(fields[:2] + ["-1", "2"])]
+    with pytest.raises(DataFormatError,
+                       match=rf"^bad model file: line {last + 1}: "
+                             rf"node {fields[0]}: a leaf needs 2 "
+                             r"non-negative counts, not all zero$"):
+        model_from_text("\n".join(bad) + "\n")
+    # a defect in tree 1 is reported ahead of one in tree 2, whatever the
+    # node ids, and ahead of a malformed line "tree 2 ..."
+    for nid_1, edit_2 in ((2, 1), (1, 0), (1, "head")):
+        bad = list(lines)
+        if edit_2 == "head":
+            at = _node_line_at(bad, 2, -1)
+            bad[at] = "tree 2 x"
+        else:
+            at = _node_line_at(bad, 2, edit_2)
+            bad[at] = bad[at].replace(str(edit_2), "x", 1)
+        at = _node_line_at(bad, 1, nid_1)
+        bad[at] = bad[at].replace(str(nid_1), "x", 1)
+        with pytest.raises(DataFormatError,
+                           match=rf"^bad model file: line {at + 1}: "
+                                 rf"node {nid_1}: expected '{nid_1} leaf"):
+            model_from_text("\n".join(bad) + "\n")
+
+
+# (node line edit, message after "line <n>: node <id>: "); each message is
+# the one a line-by-line read gives
+NODE_LINE_DEFECTS = [
+    ("0 leaf 3", "a leaf needs 2 non-negative counts, not all zero"),
+    ("0 leaf 3 1 1", "a leaf needs 2 non-negative counts, not all zero"),
+    ("0 leaf 0 0", "a leaf needs 2 non-negative counts, not all zero"),
+    ("0 leaf -1 4", "a leaf needs 2 non-negative counts, not all zero"),
+    ("0 leaf", "a leaf needs 2 non-negative counts, not all zero"),
+    ("1 leaf 3 1", "expected '0 leaf ...' or '0 split ...'"),
+    ("0 stem 3 1", "expected '0 leaf ...' or '0 split ...'"),
+    ("0", "expected '0 leaf ...' or '0 split ...'"),
+    ("", "expected '0 leaf ...' or '0 split ...'"),
+    ("0 split 0 0.5 1", "expected '0 leaf ...' or '0 split ...'"),
+    ("0 split 7 0.5 1 2", "feature 7 out of range"),
+    ("0 split -1 0.5 1 2", "feature -1 out of range"),
+    ("0 split 0 0.5 0 2", "child ids must lie in (0, 3)"),
+    ("0 split 0 0.5 1 3", "child ids must lie in (0, 3)"),
+    ("0 split 0 inf 1 2", "threshold inf is not finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, message", NODE_LINE_DEFECTS,
+    ids=[line or "empty" for line, _ in NODE_LINE_DEFECTS])
+def test_model_load_node_line_messages(line, message):
+    # tree 0 is a stump, tree 1 a leaf; tree 0's root line is replaced
+    lines = ["radiofp-model v1", "kind forest",
+             'meta {"label_names": ["a", "b"], "feature_names": ["F1", "F2"], '
+             '"seed": 0, "params": {}, "importances": null}',
+             "trees 2", "tree 0 3", "0 split 1 0.5 1 2", "1 leaf 2 0",
+             "2 leaf 0 2", "tree 1 1", "0 leaf 1 1"]
+    model_from_text("\n".join(lines) + "\n")  # valid as it stands
+    lines[5] = line
+    with pytest.raises(DataFormatError,
+                       match=f"^bad model file: line 6: node 0: "
+                             f"{re.escape(message)}$"):
+        model_from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("token, message", [
+    ("x", "invalid literal for int() with base 10: 'x'"),
+    ("1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("9" * 20, "Python int too large to convert to C long"),
+])
+def test_model_load_bad_leaf_count_messages(token, message):
+    ds = blobs(n_per_class=20, seed=26)
+    lines = model_to_text(train_forest(ds, ForestParams(n_trees=2),
+                                       seed=4)).splitlines()
+    at = next(i for i, line in enumerate(lines) if " leaf " in line)
+    fields = lines[at].split()
+    lines[at] = " ".join(fields[:2] + [token] + fields[3:])
+    with pytest.raises(DataFormatError,
+                       match=f"^bad model file: {re.escape(message)}$"):
+        model_from_text("\n".join(lines) + "\n")
 
 
 def test_save_model_failed_rename_keeps_old_file(tmp_path, monkeypatch):

@@ -783,6 +783,9 @@ MALFORMED_INPUTS = [
      lambda t: t.replace('"P1"', '"PX"')),
     ("csv_nan", "csv", lambda t: _first_row(t, lambda r: [r[0], "nan"] + r[2:])),
     ("csv_ragged", "csv", lambda t: _first_row(t, lambda r: r[:-1])),
+    # a field longer than the csv module's field_size_limit (131072)
+    ("csv_field_over_limit", "csv",
+     lambda t: _first_row(t, lambda r: ["x" * 140000] + r[1:])),
     ("stats_three_classes", "csv",
      lambda t: _first_row(t, lambda r: ["2"] + r[1:])),
     ("stats_two_rows", "csv",  # one of each class: no p-value is defined
@@ -791,6 +794,8 @@ MALFORMED_INPUTS = [
      lambda t: _few_rows_of_label(t, "1", 3)),
     ("manifest_short_row", "manifest",
      lambda t: _manifest_row(t, lambda f: f[:3])),
+    ("manifest_field_over_limit", "manifest",
+     lambda t: _manifest_row(t, lambda f: ["x" * 140000] + f[1:])),
     ("manifest_frames_not_integer", "manifest",
      lambda t: _manifest_row(t, lambda f: f[:2] + ["4.5"] + f[3:])),
     ("manifest_frames_negative", "manifest",
@@ -879,6 +884,8 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
     assert err.count("bad model file:") <= 1, err
     if case == "model_feature_not_in_input":
         assert "PX" in err, err
+    if case.endswith("_field_over_limit"):
+        assert f"{bad}: field larger than field limit" in err, err
     if case.endswith("_field_misspelled"):
         assert "gain_imbalence" in err, err
     for field in ("dc_offset", "gain_imbalance"):

@@ -461,24 +461,21 @@ _PREDICT_STEPS = 4
 class RandomForestModel:
     """A forest whose nodes exist once, in one node table: ``nodes`` holds
     every tree's arrays laid end to end, child ids local to their tree,
-    tree t taking nodes ``start[t]`` to ``start[t + 1]``, and each of
-    ``trees`` is a view of its part.  Given no table, the model lays out
-    the one of ``trees``."""
+    tree t taking nodes ``start[t]`` to ``start[t + 1]``."""
 
-    trees: list | None
+    nodes: Tree = field(repr=False)
+    start: np.ndarray = field(repr=False)
     label_names: tuple
     feature_names: tuple
     params: ForestParams
     seed: int
     importances: np.ndarray | None = None
     kind: str = "forest"
-    nodes: Tree | None = field(default=None, repr=False)
-    start: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.nodes is None:
-            self.nodes, self.start = _node_table(self.trees)
-        self.trees = _tree_views(self.nodes, self.start)
+    @property
+    def trees(self) -> list:
+        """Each tree, as views of its part of the node table."""
+        return _tree_views(self.nodes, self.start)
 
     @property
     def n_classes(self) -> int:
@@ -623,13 +620,12 @@ def train_forest(dataset: LabeledFeatureSet,
     nodes, start = _node_table(trees)
     trees = None
     model = RandomForestModel(
-        trees=None,
+        nodes=nodes,
+        start=start,
         label_names=tuple(dataset.label_names),
         feature_names=tuple(dataset.feature_names),
         params=params,
         seed=seed,
-        nodes=nodes,
-        start=start,
     )
     try:
         model.importances = feature_importances(model)
@@ -944,8 +940,9 @@ def model_to_text(model: RandomForestModel) -> str:
         "importances": (None if model.importances is None
                         else list(model.importances)),
     }
+    trees = model.trees
     lines = [MODEL_FORMAT_HEADER, f"kind {model.kind}",
-             "meta " + json.dumps(meta), f"trees {len(model.trees)}"]
+             "meta " + json.dumps(meta), f"trees {len(trees)}"]
     # ids are looked up in a table of their decimals, faster than str()
     nodes = model.nodes
     decimal = list(map(str, range(max(int(np.diff(model.start).max()),
@@ -954,7 +951,7 @@ def model_to_text(model: RandomForestModel) -> str:
     def decimals(ids):
         return map(decimal.__getitem__, ids.tolist())
 
-    for t, tree in enumerate(model.trees):
+    for t, tree in enumerate(trees):
         split = tree.feature >= 0
         nid = np.arange(tree.n_nodes)
         node_lines = np.empty(tree.n_nodes, dtype=object)
@@ -972,92 +969,102 @@ def model_to_text(model: RandomForestModel) -> str:
     return "\n".join(lines)
 
 
-def _check_node_line(parts, nid, n_nodes, n_classes, n_features, where):
-    """Raise the error of a malformed node line, split into ``parts``."""
-    if parts[:2] == [str(nid), "leaf"]:
-        leaf = [int(v) for v in parts[2:]]
-        if len(leaf) != n_classes or min(leaf) < 0 or sum(leaf) == 0:
-            raise DataFormatError(f"{where}: a leaf needs {n_classes} "
-                                  "non-negative counts, not all zero")
-        np.array(leaf, dtype=np.int64)  # a count above int64 overflows
-        return
-    if parts[:2] != [str(nid), "split"] or len(parts) != 6:
-        raise DataFormatError(
-            f"{where}: expected '{nid} leaf ...' or '{nid} split ...'")
-    f, lo, hi = int(parts[2]), int(parts[4]), int(parts[5])
-    if not 0 <= f < n_features:
-        raise DataFormatError(f"{where}: feature {f} out of range")
-    if not (nid < lo < n_nodes and nid < hi < n_nodes):
-        raise DataFormatError(
-            f"{where}: child ids must lie in ({nid}, {n_nodes})")
-    thr = float(parts[3])
-    if not math.isfinite(thr):  # training writes finite midpoints only
-        raise DataFormatError(f"{where}: threshold {parts[3]} is not "
-                              "finite")
-
-
-def _read_node_columns(parts, n_classes, n_features, ids: list,
-                       out: Tree) -> bool:
-    """Fill ``out``, one tree's part of a node table, from its node lines
-    split into ``parts``, a column at a time, split-node counts 0.  False
-    if some line is malformed, which the column reads may also raise.
-    ``ids`` holds str(i) for every node id i of the tree, and more."""
-    n_nodes = len(parts)
-    if list(map(itemgetter(0), parts)) != ids[:n_nodes]:
-        return False
-    kind = list(map(itemgetter(1), parts))
-    is_split = list(map("split".__eq__, kind))
-    is_leaf = list(map("leaf".__eq__, kind))
-    splits = list(itertools.compress(parts, is_split))
-    leaves = list(itertools.compress(parts, is_leaf))
-    if (len(splits) + len(leaves) < n_nodes or set(map(len, splits)) - {6}
-            or set(map(len, leaves)) - {2 + n_classes}):
-        return False
-    split = np.flatnonzero(is_split)
-    # each str read by int or float, an int above int64 overflowing
-    f, thr, lo, hi = (np.array(list(map(read, column)), dtype=dtype)
-                      for column, read, dtype in zip(
-                          list(zip(*splits))[2:] or [()] * 4,
-                          (int, float, int, int),
-                          (np.int64, np.float64, np.int64, np.int64)))
-    counts = np.array([list(map(int, column))
-                       for column in list(zip(*leaves))[2:]],
-                      dtype=np.int64).T
-    if (np.any((f < 0) | (f >= n_features))
-            or np.any((lo <= split) | (lo >= n_nodes)
-                      | (hi <= split) | (hi >= n_nodes))
-            or not np.all(np.isfinite(thr))
-            or np.any(counts < 0) or not np.all(np.any(counts > 0, axis=1))):
-        return False
-    out.feature[:] = out.left[:] = out.right[:] = -1
-    out.threshold[:] = math.nan
-    out.counts[:] = 0
-    out.feature[split], out.threshold[split] = f, thr
-    out.left[split], out.right[split] = lo, hi
-    out.counts[np.flatnonzero(is_leaf)] = counts
-    return True
-
-
-def _read_tree(lines: list, first_line: int, n_classes: int,
-               n_features: int, ids: list, out: Tree) -> None:
-    """Fill ``out`` from a tree's node lines, each split once and read a
-    column at a time, split-node counts 0.  If some line is malformed, the
-    lines are checked one at a time, and the first malformed one raises."""
-    parts = [line.split() for line in lines]
+def _read_numbers(tokens, read, missing) -> np.ndarray:
+    """``tokens`` read by ``read`` into an array of the type of ``missing``,
+    a token that ``read`` rejects or the type cannot hold reading as
+    ``missing``.  A column is read whole; only one that fails is read token
+    by token."""
+    dtype = type(missing)
     try:
-        read = _read_node_columns(parts, n_classes, n_features, ids, out)
-    except (IndexError, OverflowError, ValueError):
-        read = False
-    if not read:
-        for nid, fields in enumerate(parts):
-            _check_node_line(fields, nid, len(parts), n_classes, n_features,
-                             f"line {first_line + nid}: node {nid}")
-        raise AssertionError("the column reads found no malformed line")
-    split = out.feature >= 0
-    children = np.sort(np.concatenate([out.left[split], out.right[split]]))
-    if not np.array_equal(children, np.arange(1, out.n_nodes)):
-        raise DataFormatError(f"line {first_line}: some node other than the "
+        return np.array(list(map(read, tokens)), dtype=dtype)
+    except (OverflowError, ValueError):
+        pass
+
+    def one(token):
+        try:
+            return dtype(read(token))
+        except (OverflowError, ValueError):
+            return missing
+
+    return np.array(list(map(one, tokens)), dtype=dtype)
+
+
+# the kind code of a node line
+_KINDS = {"leaf": 1, "split": 2}
+
+
+def _read_tree(lines: list, head: int, t: int, n_classes: int,
+               n_features: int, ids: list) -> Tree:
+    """Tree t from its node lines, which follow line ``head`` of the file,
+    split-node counts 0.
+
+    Each line is split once and the lines are read a column at a time.
+    Each rule pairs the lines that break it with its message; the first
+    line that breaks one raises the message of the first rule it breaks.
+    A token that int or float rejects, or an integer beyond int64, reads as
+    a value its field's rule rejects: -1, or NaN for a threshold.  ``ids``
+    holds str(i) for every node id i of the tree, and more.
+    """
+    n = len(lines)
+    parts = list(map(str.split, lines))
+    width = np.fromiter(map(len, parts), dtype=np.intp, count=n)
+    if width.min() < 2:  # such a line names no node
+        parts = [fields if len(fields) > 1 else ["", ""] for fields in parts]
+    heads = list(map(itemgetter(0), parts))
+    named = heads == ids[:n] or np.array(list(map(str.__eq__, heads, ids)))
+    kind = np.fromiter(map(_KINDS.get, map(itemgetter(1), parts),
+                           itertools.repeat(0)), dtype=np.int8, count=n)
+    is_leaf = named & (kind == 1)
+    is_split = named & (kind == 2) & (width == 6)
+    leaf = np.flatnonzero(is_leaf & (width == 2 + n_classes))
+    split = np.flatnonzero(is_split)
+
+    def columns(rows, n_columns):  # the fields after the kind of some lines
+        return (list(zip(*map(parts.__getitem__, rows.tolist())))[2:]
+                or [()] * n_columns)
+
+    counts = np.array([_read_numbers(column, int, np.int64(-1))
+                       for column in columns(leaf, n_classes)],
+                      dtype=np.int64).reshape(n_classes, leaf.size).T
+    f, thr, lo, hi = map(_read_numbers, columns(split, 4),
+                         (int, float, int, int),
+                         (np.int64(-1), np.float64(math.nan), np.int64(-1),
+                          np.int64(-1)))
+    rules = (
+        (np.flatnonzero(~(is_leaf | is_split)),
+         "expected '{i} leaf ...' or '{i} split ...'"),
+        (np.concatenate((
+            np.flatnonzero(is_leaf & (width != 2 + n_classes)),
+            leaf[np.any(counts < 0, axis=1) | ~np.any(counts, axis=1)])),
+         "a leaf needs {n_classes} non-negative counts, not all zero"),
+        (split[(f < 0) | (f >= n_features)],
+         "feature {fields[2]} out of range"),
+        (split[(np.minimum(lo, hi) <= split) | (np.maximum(lo, hi) >= n)],
+         "child ids must lie in ({i}, {n})"),
+        # training writes finite midpoints only
+        (split[~np.isfinite(thr)], "threshold {fields[3]} is not finite"),
+    )
+    broken = [(int(rows.min()), k) for k, (rows, _) in enumerate(rules)
+              if rows.size]
+    if broken:
+        i, k = min(broken)
+        raise DataFormatError(f"line {head + 1 + i}: node {i}: " + rules[k][1]
+                              .format(i=i, n=n, n_classes=n_classes,
+                                      fields=parts[i]))
+    if not np.array_equal(np.sort(np.concatenate((lo, hi))), np.arange(1, n)):
+        raise DataFormatError(f"line {head + 1}: some node other than the "
                               "root is not the child of exactly one node")
+    # every node's counts, and their sums, then fit in int64
+    if sum(counts.ravel().tolist()) >> 63:
+        raise DataFormatError(f"line {head}: tree {t}: the leaf counts sum "
+                              "to 2^63 or more")
+    tree = Tree(np.full(n, -1, dtype=np.int64), np.full(n, math.nan),
+                np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64),
+                np.zeros((n, n_classes), dtype=np.int64))
+    tree.feature[split], tree.threshold[split] = f, thr
+    tree.left[split], tree.right[split] = lo, hi
+    tree.counts[leaf] = counts
+    return tree
 
 
 def _sum_split_counts(nodes: Tree, start) -> None:
@@ -1080,9 +1087,12 @@ def model_from_text(text: str) -> RandomForestModel:
     """Parse a model file; any malformed content raises DataFormatError.
 
     The kind is forest or tree, with at least one tree; label and feature
-    names are distinct.  Node ids run 0..n_nodes-1 in order, each child id
-    lies above its parent's, every node but the root has exactly one
-    parent, and split thresholds are finite.
+    names are JSON lists of distinct strings, and importances null or one
+    finite number per feature.  Node ids run 0..n_nodes-1 in order, each
+    child id lies above its parent's, every node but the root has exactly
+    one parent, split thresholds are finite, and a tree's leaf counts sum
+    to less than 2^63.  The trees are read one at a time, so the first
+    malformed line in the file raises.
     """
     lines = text.splitlines()
     try:
@@ -1091,53 +1101,54 @@ def model_from_text(text: str) -> RandomForestModel:
         keyed = [line.partition(" ") for line in lines[1:4]]
         if [key for key, _, _ in keyed] != ["kind", "meta", "trees"]:
             raise DataFormatError("expected 'kind', 'meta', 'trees' lines")
-        (_, _, kind), (_, _, meta_text), (_, _, n_trees) = keyed
+        (_, _, kind), (_, _, meta_text), (_, _, trees_text) = keyed
         meta = json.loads(meta_text)
+        n_trees = int(_read_numbers([trees_text], int, np.int64(0))[0])
+        if kind not in ("forest", "tree") or n_trees < 1:
+            raise DataFormatError(f"kind {kind!r}, trees {trees_text}: need "
+                                  "kind forest or tree and at least 1 tree")
+        for key in ("label_names", "feature_names"):
+            names = meta[key]
+            if not (isinstance(names, list)
+                    and all(isinstance(name, str) for name in names)):
+                raise DataFormatError(f"{key} must be a JSON list of strings")
+            if len(set(names)) != len(names):
+                raise DataFormatError(f"{key} repeat a name: {names}")
         n_classes = len(meta["label_names"])
         n_features = len(meta["feature_names"])
-        if kind not in ("forest", "tree") or int(n_trees) < 1:
-            raise DataFormatError(f"kind {kind!r}, trees {n_trees}: need kind "
-                                  "forest or tree and at least 1 tree")
-        for key in ("label_names", "feature_names"):
-            if len(set(meta[key])) != len(meta[key]):
-                raise DataFormatError(f"{key} repeat a name: {meta[key]}")
-        # the tree lines first, up to the first bad one, whose error is
-        # raised after the node lines of the trees before it
-        first, sizes, pos, error = [], [], 4, None
-        for t in range(int(n_trees)):
+        importances = meta["importances"]
+        if importances is not None and not (
+                isinstance(importances, list)
+                and len(importances) == n_features
+                and all(type(v) in (int, float) for v in importances)
+                and np.isfinite(_read_numbers(importances, float,
+                                              np.float64(math.nan))).all()):
+            raise DataFormatError("importances must be null or one finite "
+                                  f"number per feature ({n_features})")
+        trees, pos, ids = [], 4, []
+        for t in range(n_trees):
             head = lines[pos].split() if pos < len(lines) else []
-            try:
-                if len(head) != 3 or head[:2] != ["tree", str(t)]:
-                    raise DataFormatError(
-                        f"line {pos + 1}: expected 'tree {t} <n_nodes>'")
-                body = lines[pos + 1:pos + 1 + int(head[2])]
-                if not body or len(body) != int(head[2]):
-                    raise DataFormatError(f"tree {t}: expected {head[2]} "
-                                          f"node lines, found {len(body)}")
-            except ValueError as exc:  # DataFormatError too
-                error = exc
-                break
-            first.append(pos + 1)
-            sizes.append(len(body))
-            pos += 1 + len(body)
-        start = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-        nodes = Tree(np.empty(start[-1], dtype=np.int64),
-                     np.empty(start[-1]), np.empty(start[-1], dtype=np.int64),
-                     np.empty(start[-1], dtype=np.int64),
-                     np.empty((start[-1], n_classes), dtype=np.int64))
-        ids = list(map(str, range(max(sizes, default=0))))
-        for at, tree in zip(first, _tree_views(nodes, start)):
-            _read_tree(lines[at:at + tree.n_nodes], at + 1, n_classes,
-                       n_features, ids, tree)
-        if error is not None:
-            raise error
+            size = (int(_read_numbers(head[2:], int, np.int64(0))[0])
+                    if len(head) == 3 and head[:2] == ["tree", str(t)] else 0)
+            if size < 1:
+                raise DataFormatError(
+                    f"line {pos + 1}: expected 'tree {t} <n_nodes>'")
+            body = lines[pos + 1:pos + 1 + size]
+            if len(body) != size:
+                raise DataFormatError(f"tree {t}: expected {head[2]} "
+                                      f"node lines, found {len(body)}")
+            ids.extend(map(str, range(len(ids), size)))
+            trees.append(_read_tree(body, pos + 1, t, n_classes, n_features,
+                                    ids))
+            pos += 1 + size
         if pos != len(lines):
             raise DataFormatError(f"line {pos + 1}: text after the last tree")
-        del lines  # before the counts' arrays are made
+        del lines  # before the node table is made
+        nodes, start = _node_table(trees)
         _sum_split_counts(nodes, start)
-        importances = meta["importances"]
         return RandomForestModel(
-            trees=None,
+            nodes=nodes,
+            start=start,
             label_names=tuple(meta["label_names"]),
             feature_names=tuple(meta["feature_names"]),
             params=ForestParams(**meta["params"]),
@@ -1145,8 +1156,6 @@ def model_from_text(text: str) -> RandomForestModel:
             importances=(None if importances is None
                          else np.array(importances, dtype=float)),
             kind=kind,
-            nodes=nodes,
-            start=start,
         )
     except KeyError as exc:
         raise DataFormatError(f"bad model file: meta lacks {exc}") from None

@@ -90,6 +90,18 @@ def _parse_feature_mask(text: str) -> list:
     return [p - 1 for p in numbers]
 
 
+def _max_depth(text: str):
+    """``--max-depth``: an integer, or ``none`` for no limit; the forest
+    checks that the integer is at least 1."""
+    if text == "none":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1 or 'none', not {text!r}") from None
+
+
 def _at_least(args, **least) -> None:
     """Raise a `ConfigError` for the first flag below its least value; the
     keyword ``knn_k=1`` checks ``--knn-k``."""
@@ -390,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--classifiers", default="forest,tree,knn,logreg")
     t.add_argument("--trees", type=int, default=100)
-    t.add_argument("--max-depth", type=lambda v: None if v == "none" else int(v),
-                   default=None)
+    t.add_argument("--max-depth", type=_max_depth, default=None)
     t.add_argument("--min-samples-split", type=int, default=2)
     t.add_argument("--features-per-split", type=int, default=None)
     t.add_argument("--knn-k", type=int, default=5)

@@ -113,3 +113,94 @@ def oracle_p_value(r, n):
             return c * (1 + x * x / df) ** (-(df + 1) / mp.mpf(2))
 
         return float(2 * mp.quad(pdf, [t, mp.inf]))
+
+
+def _oracle_int(token):
+    """int(token), or None where int rejects the token."""
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
+def _oracle_node_line(fields, nid, n_nodes, n_classes, n_features):
+    """One node line of a model file, split into ``fields``, checked rule
+    by rule: ``("leaf", counts)``, ``("split", feature, threshold, left,
+    right)``, or the message of the first rule it breaks.  A number that
+    int or float rejects, or an int64 count cannot hold, breaks the rule of
+    its field."""
+    if fields[:2] == [str(nid), "leaf"]:
+        counts = [_oracle_int(v) for v in fields[2:]]
+        if (len(counts) != n_classes or None in counts
+                or not all(0 <= c < 2**63 for c in counts)
+                or sum(counts) == 0):
+            return (f"a leaf needs {n_classes} non-negative counts, "
+                    "not all zero")
+        return ("leaf", counts)
+    if fields[:2] != [str(nid), "split"] or len(fields) != 6:
+        return f"expected '{nid} leaf ...' or '{nid} split ...'"
+    feature, left, right = (_oracle_int(fields[k]) for k in (2, 4, 5))
+    if feature is None or not 0 <= feature < n_features:
+        return f"feature {fields[2]} out of range"
+    if (left is None or right is None
+            or not (nid < left < n_nodes and nid < right < n_nodes)):
+        return f"child ids must lie in ({nid}, {n_nodes})"
+    try:
+        threshold = float(fields[3])
+    except ValueError:
+        threshold = math.nan
+    if not math.isfinite(threshold):
+        return f"threshold {fields[3]} is not finite"
+    return ("split", feature, threshold, left, right)
+
+
+def oracle_model_trees(lines, n_trees, n_classes, n_features):
+    """The tree and node lines of a model file (``lines``, the tree lines
+    starting at index 4) read line by line.
+
+    Returns the message of the first malformed line, or the lines as the
+    writer puts them and every node's class counts, a split node's the sum
+    of its children's.
+    """
+    out, counts, pos = [], [], 4
+    for t in range(n_trees):
+        head = lines[pos].split() if pos < len(lines) else []
+        size = (_oracle_int(head[2])
+                if len(head) == 3 and head[:2] == ["tree", str(t)] else None)
+        if size is None or not 1 <= size < 2**63:
+            return f"line {pos + 1}: expected 'tree {t} <n_nodes>'"
+        body = lines[pos + 1:pos + 1 + size]
+        if len(body) != size:
+            return (f"tree {t}: expected {head[2]} node lines, "
+                    f"found {len(body)}")
+        nodes = []
+        for nid, line in enumerate(body):
+            node = _oracle_node_line(line.split(), nid, size, n_classes,
+                                    n_features)
+            if isinstance(node, str):
+                return f"line {pos + 2 + nid}: node {nid}: {node}"
+            nodes.append(node)
+        children = sorted(c for node in nodes if node[0] == "split"
+                          for c in node[3:])
+        if children != list(range(1, size)):
+            return (f"line {pos + 2}: some node other than the root is not "
+                    "the child of exactly one node")
+        if sum(sum(node[1]) for node in nodes if node[0] == "leaf") >= 2**63:
+            return (f"line {pos + 1}: tree {t}: the leaf counts sum to 2^63 "
+                    "or more")
+        tree_counts = [None] * size
+        for nid in reversed(range(size)):  # children have larger ids
+            node = nodes[nid]
+            tree_counts[nid] = (node[1] if node[0] == "leaf" else
+                                [a + b for a, b in zip(tree_counts[node[3]],
+                                                       tree_counts[node[4]])])
+        out.append(f"tree {t} {size}")
+        out += [" ".join([str(nid), "leaf", *map(str, node[1])])
+                if node[0] == "leaf" else
+                f"{nid} split {node[1]} {node[2]!r} {node[3]} {node[4]}"
+                for nid, node in enumerate(nodes)]
+        counts += tree_counts
+        pos += 1 + size
+    if pos != len(lines):
+        return f"line {pos + 1}: text after the last tree"
+    return out, counts

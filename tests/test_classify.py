@@ -35,6 +35,8 @@ from radiofp.errors import (
     TooFewSamplesError,
 )
 
+from oracles import oracle_model_trees
+
 
 def blobs(n_per_class=100, spread=0.3, centers=((0.0, 0.0), (3.0, 3.0)),
           seed=0, n_features=2):
@@ -566,8 +568,9 @@ def _mixed_forest():
     trees = [deep.trees[0], stumps.trees[0], single, *shallow.trees,
              *deep.trees[1:], stumps.trees[1]]
     assert len({tree.n_nodes for tree in trees}) >= 5
+    nodes, start = classify._node_table(trees)
     return classify.RandomForestModel(
-        trees=trees, label_names=ds.label_names,
+        nodes=nodes, start=start, label_names=ds.label_names,
         feature_names=ds.feature_names, params=ForestParams(), seed=0)
 
 
@@ -657,9 +660,8 @@ def test_two_tree_tie_breaks_to_lowest_label():
                     left=np.array([-1]), right=np.array([-1]),
                     counts=np.array([counts]))
 
-    t0 = leaf([5, 0])
-    t1 = leaf([0, 5])
-    model = RandomForestModel(trees=[t0, t1], label_names=("a", "b"),
+    nodes, start = classify._node_table([leaf([5, 0]), leaf([0, 5])])
+    model = RandomForestModel(nodes=nodes, start=start, label_names=("a", "b"),
                               feature_names=("F1",), params=ForestParams(),
                               seed=0)
     proba = model.predict_proba(np.array([[0.0]]))
@@ -1082,6 +1084,19 @@ NODE_LINE_DEFECTS = [
     ("0 split 0 0.5 0 2", "child ids must lie in (0, 3)"),
     ("0 split 0 0.5 1 3", "child ids must lie in (0, 3)"),
     ("0 split 0 inf 1 2", "threshold inf is not finite"),
+    # a number that int or float rejects, or that int64 cannot hold, breaks
+    # the rule of its field; the first field's rule comes first
+    ("0 leaf x 1", "a leaf needs 2 non-negative counts, not all zero"),
+    ("0 leaf 1 99999999999999999999",
+     "a leaf needs 2 non-negative counts, not all zero"),
+    ("0 split x 0.5 1 2", "feature x out of range"),
+    ("0 split 1.0 0.5 1 2", "feature 1.0 out of range"),
+    ("0 split 99999999999999999999 0.5 1 2",
+     "feature 99999999999999999999 out of range"),
+    ("0 split 7 0.5 x 2", "feature 7 out of range"),
+    ("0 split 0 0.5 x 2", "child ids must lie in (0, 3)"),
+    ("0 split 0 abc 1 2.0", "child ids must lie in (0, 3)"),
+    ("0 split 0 abc 1 2", "threshold abc is not finite"),
 ]
 
 
@@ -1103,12 +1118,9 @@ def test_model_load_node_line_messages(line, message):
         model_from_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("token, message", [
-    ("x", "invalid literal for int() with base 10: 'x'"),
-    ("1.5", "invalid literal for int() with base 10: '1.5'"),
-    ("9" * 20, "Python int too large to convert to C long"),
-])
-def test_model_load_bad_leaf_count_messages(token, message):
+@pytest.mark.parametrize("token", ["x", "1.5", "9" * 20])
+def test_model_load_bad_leaf_count_messages(token):
+    # a count that int rejects or int64 cannot hold breaks the leaf rule
     ds = blobs(n_per_class=20, seed=26)
     lines = model_to_text(train_forest(ds, ForestParams(n_trees=2),
                                        seed=4)).splitlines()
@@ -1116,8 +1128,122 @@ def test_model_load_bad_leaf_count_messages(token, message):
     fields = lines[at].split()
     lines[at] = " ".join(fields[:2] + [token] + fields[3:])
     with pytest.raises(DataFormatError,
-                       match=f"^bad model file: {re.escape(message)}$"):
+                       match=rf"^bad model file: line {at + 1}: "
+                             rf"node {fields[0]}: a leaf needs 2 "
+                             r"non-negative counts, not all zero$"):
         model_from_text("\n".join(lines) + "\n")
+
+
+def test_model_load_rejects_leaf_counts_beyond_int64():
+    # a tree's counts are summed into its split nodes as int64: leaf counts
+    # that sum to 2^63 would wrap there and in each leaf's own total
+    lines = ["radiofp-model v1", "kind forest",
+             'meta {"label_names": ["a", "b"], "feature_names": ["F1"], '
+             '"seed": 0, "params": {}, "importances": null}',
+             "trees 2", "tree 0 1", "0 leaf 1 1", "tree 1 3",
+             "0 split 0 0.5 1 2", f"1 leaf {2**62} {2**62}", "2 leaf 0 0"]
+    with pytest.raises(DataFormatError, match=r"^bad model file: line 10: "
+                       r"node 2: a leaf needs"):
+        model_from_text("\n".join(lines) + "\n")
+    lines[-1] = "2 leaf 0 1"
+    with pytest.raises(DataFormatError,
+                       match=r"^bad model file: line 7: tree 1: the leaf "
+                             r"counts sum to 2\^63 or more$"):
+        model_from_text("\n".join(lines) + "\n")
+    lines[-2] = f"1 leaf {2**62} {2**62 - 2}"  # 2^63 - 1 in all
+    model = model_from_text("\n".join(lines) + "\n")
+    np.testing.assert_array_equal(model.trees[1].counts[0],
+                                  [2**62, 2**62 - 1])
+    np.testing.assert_array_equal(model.predict_proba([[0.0], [1.0]]),
+                                  [[0.5, 0.5], [0.25, 0.75]])
+
+
+# tokens a corruption puts in a line, besides small integers
+CORRUPT_TOKENS = ["x", "1.5", "-1", "0", "+1", "01", "1_0", "1e3", "nan",
+                  "inf", "abc", "leaf", "split", "tree", "9" * 20,
+                  str(2**62), str(2**63 - 1)]
+
+
+# a phrase of the message of each rule of a tree or node line
+LOADER_RULES = ["<n_nodes>", "node lines, found", "leaf ...' or",
+                "a leaf needs", "feature", "child ids", "threshold",
+                "exactly one node", "2^63"]
+
+
+def _corrupt(lines, rng):
+    """One seeded edit of a model file's tree and node lines (from index 4):
+    a token replaced, removed or inserted, a line rejoined with other
+    spaces, swapped, deleted or duplicated, a tree line edited, or a leaf
+    count set to 2^63 - 1."""
+    lines = list(lines)
+    at = int(rng.integers(4, len(lines)))
+    edit = str(rng.choice(["replace"] * 5 + ["remove", "insert", "spaces",
+                                             "tree", "swap", "delete",
+                                             "duplicate", "count"]))
+    if edit == "swap":
+        other = int(rng.integers(4, len(lines)))
+        lines[at], lines[other] = lines[other], lines[at]
+        return lines
+    if edit == "delete":
+        del lines[at]
+        return lines
+    if edit == "duplicate":
+        lines.insert(at, lines[at])
+        return lines
+    if edit in ("tree", "count"):
+        kind = "tree " if edit == "tree" else " leaf "
+        at = int(rng.choice([i for i, line in enumerate(lines)
+                             if kind in f" {line}"]))
+    fields = lines[at].split()
+    if edit == "spaces":
+        lines[at] = str(rng.choice(["  ", "\t", " \t "])).join(fields)
+        return lines
+    # "replace" edits one or two tokens of the line, so that it can break
+    # two rules
+    for _ in range(int(rng.integers(1, 3)) if edit == "replace" else 1):
+        token = (str(int(rng.integers(-2, 12))) if rng.random() < 0.6
+                 else str(rng.choice(CORRUPT_TOKENS)))
+        where = int(rng.integers(len(fields) + 1))
+        if edit == "count":  # a leaf count that the tree's counts sum past
+            token, where = str(2**63 - 1), len(fields) - 1
+        if edit == "insert":
+            fields.insert(where, token)
+        elif fields and edit == "remove":
+            del fields[min(where, len(fields) - 1)]
+        elif fields:
+            fields[min(where, len(fields) - 1)] = token
+    lines[at] = " ".join(fields)
+    return lines
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_model_load_matches_line_by_line_reference(n_classes):
+    # seeded corruptions of a trained model: the loader gives the model the
+    # line-by-line reference reads, or exactly its message
+    centers = ((0.0, 0.0), (2.0, 2.0), (0.0, 2.5))[:n_classes]
+    ds = blobs(n_per_class=40, spread=1.5, centers=centers, seed=27)
+    text = model_to_text(train_forest(ds, ForestParams(n_trees=4), seed=8))
+    rng = np.random.default_rng(28 + n_classes)
+    loaded, messages = 0, set()
+    for case in range(400):
+        lines = text.splitlines()
+        for _ in range(int(rng.integers(1, 3))):
+            lines = _corrupt(lines, rng)
+        expected = oracle_model_trees(lines, 4, n_classes, 2)
+        if isinstance(expected, str):
+            with pytest.raises(DataFormatError) as info:
+                model_from_text("\n".join(lines) + "\n")
+            assert str(info.value) == f"bad model file: {expected}", case
+            messages.add(expected)
+        else:
+            model = model_from_text("\n".join(lines) + "\n")
+            assert model_to_text(model).splitlines()[4:] == expected[0], case
+            assert model.nodes.counts.tolist() == expected[1], case
+            loaded += 1
+    # every rule is broken, and some files still load
+    assert loaded >= 20, loaded
+    assert not [rule for rule in LOADER_RULES
+                if not any(rule in message for message in messages)]
 
 
 def test_save_model_failed_rename_keeps_old_file(tmp_path, monkeypatch):

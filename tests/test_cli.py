@@ -337,6 +337,7 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
                  train + ["--knn-k", "0"], train + ["--trees", "0"],
                  train + ["--folds", "1"],
                  train + ["--max-depth", "0"], train + ["--max-depth", "-1"],
+                 train + ["--max-depth", "abc"],
                  train + ["--seed", "-1"],
                  # 80 rows in 4 folds leave 60 training rows
                  train + ["--classifiers", "forest,knn", "--knn-k", "61"],
@@ -358,6 +359,9 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
         if "--seed" in argv:  # numpy's own message names no flag
             assert err == "error: --seed must be at least 0\n"
+        if "abc" in argv:  # argparse's own message names the type's function
+            assert err == ("error: argument --max-depth: expected an integer "
+                           ">= 1 or 'none', not 'abc'\n"), err
     for out in ("f.csv", "t", "s", "e.csv"):
         assert not (tmp_path / out).exists(), out
     assert main(train + ["--classifiers", "knn", "--knn-k", "60"]) == 0
@@ -722,6 +726,15 @@ def _first_node(text, kind, edit):
     return "\n".join(lines) + "\n"
 
 
+def _meta(text, edit):
+    """Apply ``edit`` to the model file's meta object."""
+    lines = text.splitlines()
+    meta = json.loads(lines[2][len("meta "):])
+    edit(meta)
+    lines[2] = "meta " + json.dumps(meta)
+    return "\n".join(lines) + "\n"
+
+
 def _tree0_size(text):
     return next(line.split()[2] for line in text.splitlines()
                 if line.startswith("tree 0 "))
@@ -774,6 +787,8 @@ MALFORMED_INPUTS = [
      lambda t: t.replace("kind forest", "kind banana")),
     ("model_zero_trees", "model",
      lambda t: "\n".join(t.splitlines()[:3] + ["trees 0"]) + "\n"),
+    ("model_trees_not_integer", "model",
+     lambda t: t.replace("\ntrees 2\n", "\ntrees x\n")),
     ("model_feature_name_repeated", "model",
      lambda t: t.replace('"P2"', '"P1"')),
     ("model_label_name_repeated", "model",
@@ -781,6 +796,18 @@ MALFORMED_INPUTS = [
                          '"label_names": ["0", "0"]')),
     ("model_feature_not_in_input", "model",
      lambda t: t.replace('"P1"', '"PX"')),
+    ("model_label_names_string", "model",
+     lambda t: _meta(t, lambda m: m.update(label_names="01"))),
+    ("model_feature_names_object", "model",
+     lambda t: _meta(t, lambda m: m.update(
+         feature_names={name: 0 for name in m["feature_names"]}))),
+    ("model_importances_wrong_count", "model",
+     lambda t: _meta(t, lambda m: m.update(importances=[1, 2, 3]))),
+    ("model_importances_nan", "model",
+     lambda t: _meta(t, lambda m: m["importances"].__setitem__(
+         0, float("nan")))),
+    ("model_leaf_counts_beyond_int64", "model",
+     lambda t: _first_node(t, "leaf", lambda f: f[:2] + [str(2**62)] * 2)),
     ("csv_nan", "csv", lambda t: _first_row(t, lambda r: [r[0], "nan"] + r[2:])),
     ("csv_ragged", "csv", lambda t: _first_row(t, lambda r: r[:-1])),
     # a field longer than the csv module's field_size_limit (131072)
@@ -884,6 +911,13 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
     assert err.count("bad model file:") <= 1, err
     if case == "model_feature_not_in_input":
         assert "PX" in err, err
+    for key in ("label_names", "feature_names", "importances"):
+        if case.startswith(f"model_{key}_"):
+            assert f"bad model file: {key} must be" in err, err
+    if case == "model_trees_not_integer":
+        assert "trees x: need kind forest or tree" in err, err
+    if case == "model_leaf_counts_beyond_int64":
+        assert ": tree 0: the leaf counts sum to 2^63 or more\n" in err, err
     if case.endswith("_field_over_limit"):
         assert f"{bad}: field larger than field limit" in err, err
     if case.endswith("_field_misspelled"):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import itemgetter
 
 import numpy as np
@@ -62,12 +62,15 @@ _INT32_KEYS = 1 << 31
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """One CART tree as parallel arrays indexed by pre-order node id.
+    """The nodes of CART trees as parallel arrays, laid out as one node
+    table: tree t takes nodes ``start[t]`` to ``start[t + 1]``, its root
+    first (training numbers a tree's nodes in pre-order, left child first).
 
-    Node 0 is the root and every child has a larger id than its parent.
-    ``feature`` is -1 at leaves, where ``threshold`` is NaN and ``left`` and
-    ``right`` are -1.  ``counts[i]`` holds the class counts of the training
-    samples that reach node i.
+    ``left`` and ``right`` hold ids in the whole table, each child above
+    its parent and inside its tree.  ``feature`` is -1 at leaves, where
+    ``threshold`` is NaN and a leaf is its own left and right child, so a
+    descent that reaches a leaf stays there.  ``counts[i]`` holds the class
+    counts of the training samples that reach node i.
     """
 
     feature: np.ndarray  # (n_nodes,) int
@@ -76,28 +79,21 @@ class Tree:
     right: np.ndarray  # (n_nodes,) int
     counts: np.ndarray  # (n_nodes, n_classes) int
 
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.size
-
 
 _TREE_FIELDS = ("feature", "threshold", "left", "right", "counts")
 
 
-def _node_table(trees) -> tuple:
-    """The node table of ``trees``: their arrays laid end to end, and the
-    first node of each tree followed by the node count."""
-    start = np.concatenate(([0], np.cumsum([tree.n_nodes for tree in trees])))
-    return Tree(*(np.concatenate([getattr(tree, name) for tree in trees])
+def _node_table(tables) -> tuple:
+    """Node tables ``(nodes, start)`` laid end to end as one: each table's
+    child ids move with its nodes, and its tree starts follow the last
+    table's nodes."""
+    shift = np.cumsum([0] + [int(start[-1]) for _, start in tables[:-1]])
+    moved = [replace(nodes, left=nodes.left + s, right=nodes.right + s)
+             for (nodes, _), s in zip(tables, shift)]
+    start = np.concatenate([[0]] + [np.asarray(start[1:]) + s
+                                    for (_, start), s in zip(tables, shift)])
+    return Tree(*(np.concatenate([getattr(nodes, name) for nodes in moved])
                   for name in _TREE_FIELDS)), start
-
-
-def _tree_views(nodes: Tree, start) -> list:
-    """Tree t of a node table is its nodes start[t] to start[t + 1], as
-    views."""
-    bounds = start.tolist()
-    return [Tree(*(getattr(nodes, name)[a:b] for name in _TREE_FIELDS))
-            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _tree_of(start, node) -> np.ndarray:
@@ -321,7 +317,7 @@ def _level_splits(ranks, values, labels, rows, weight, owner, counts,
 
 
 def _grow_trees(ranks, values, labels, rows, weights, max_depth,
-                min_samples_split, per_split, rngs, n_classes, work) -> list:
+                min_samples_split, per_split, rngs, n_classes, work) -> tuple:
     """Grow a group of trees level by level, one split pass per level.
 
     Tree t takes the distinct training rows ``rows[t]``, row ``rows[t][i]``
@@ -333,8 +329,8 @@ def _grow_trees(ranks, values, labels, rows, weights, max_depth,
     ``rng.random((its open nodes, features))``, and one ``_level_splits``
     call splits the open nodes of every tree.  Nodes are numbered level by
     level across the group, tree by tree within a level, then each tree's
-    are renumbered to pre-order, left child first.  The trees are views of
-    one node table, laid out tree by tree.
+    are renumbered to pre-order, left child first.  Returns the group's
+    node table and the first node of each tree followed by the node count.
     """
     n_trees = len(rngs)
     n_features, n_samples = ranks.shape
@@ -349,16 +345,17 @@ def _grow_trees(ranks, values, labels, rows, weights, max_depth,
     counts = np.empty((cap, n_classes), dtype=np.int64)
     tree = np.empty(cap, dtype=np.intp)  # the tree of each node
 
-    def make_leaves(made, trees):
-        feature[made] = left[made] = right[made] = -1
-        threshold[made] = math.nan
-        tree[made] = trees
+    def make_leaves(lo, hi, trees):  # each leaf its own child
+        feature[lo:hi] = -1
+        threshold[lo:hi] = math.nan
+        left[lo:hi] = right[lo:hi] = np.arange(lo, hi)
+        tree[lo:hi] = trees
 
     def class_counts(node, n_nodes):  # weighted, so exact float64 integers
         return np.bincount(node * n_classes + labels[rows], weights=weight,
                            minlength=n_nodes * n_classes).reshape(-1, n_classes)
 
-    make_leaves(slice(0, n_trees), np.arange(n_trees))
+    make_leaves(0, n_trees, np.arange(n_trees))
     # the node of each row still in play, numbered from its level's first
     node = np.repeat(np.arange(n_trees), [r.size for r in rows])
     rows, weight = np.concatenate(rows), np.concatenate(weights)
@@ -391,8 +388,7 @@ def _grow_trees(ranks, values, labels, rows, weights, max_depth,
         feature[split], threshold[split] = f, thr
         left[split] = n_nodes + 2 * np.arange(n_split)
         right[split] = left[split] + 1
-        make_leaves(slice(n_nodes, n_nodes + 2 * n_split),
-                    np.repeat(tree[split], 2))
+        make_leaves(n_nodes, n_nodes + 2 * n_split, np.repeat(tree[split], 2))
         levels.append(split)
 
         if n_split < n_open:  # some open node has no cut
@@ -406,9 +402,9 @@ def _grow_trees(ranks, values, labels, rows, weights, max_depth,
         counts[n_nodes:n_nodes + 2 * n_split] = class_counts(node, 2 * n_split)
         first, n_nodes, depth = n_nodes, n_nodes + 2 * n_split, depth + 1
 
-    # renumber level order to pre-order within each tree: a left child
-    # follows its parent, a right child follows its parent and the left
-    # child's subtree
+    # renumber level order to pre-order within each tree, trees laid out
+    # in order: a left child follows its parent, a right child follows its
+    # parent and the left child's subtree
     subtree = np.ones(n_nodes, dtype=np.intp)
     for split in reversed(levels):
         subtree[split] += subtree[left[split]] + subtree[right[split]]
@@ -417,13 +413,11 @@ def _grow_trees(ranks, values, labels, rows, weights, max_depth,
         pre[left[split]] = pre[split] + 1
         pre[right[split]] = pre[split] + 1 + subtree[left[split]]
     start = np.concatenate(([0], np.cumsum(subtree[:n_trees])))
+    pre += start[tree[:n_nodes]]
     order = np.empty(n_nodes, dtype=np.intp)
-    order[start[tree[:n_nodes]] + pre] = np.arange(n_nodes)
-    is_split = feature[order] >= 0
-    nodes = Tree(feature[order], threshold[order],
-                 np.where(is_split, pre[left[order]], -1),
-                 np.where(is_split, pre[right[order]], -1), counts[order])
-    return _tree_views(nodes, start)
+    order[pre] = np.arange(n_nodes)
+    return Tree(feature[order], threshold[order], pre[left[order]],
+                pre[right[order]], counts[order]), start
 
 
 @dataclass(frozen=True)
@@ -459,9 +453,8 @@ _PREDICT_STEPS = 4
 
 @dataclass
 class RandomForestModel:
-    """A forest whose nodes exist once, in one node table: ``nodes`` holds
-    every tree's arrays laid end to end, child ids local to their tree,
-    tree t taking nodes ``start[t]`` to ``start[t + 1]``."""
+    """A forest whose nodes exist once, in one node table (see ``Tree``):
+    tree t takes nodes ``start[t]`` to ``start[t + 1]``."""
 
     nodes: Tree = field(repr=False)
     start: np.ndarray = field(repr=False)
@@ -471,11 +464,6 @@ class RandomForestModel:
     seed: int
     importances: np.ndarray | None = None
     kind: str = "forest"
-
-    @property
-    def trees(self) -> list:
-        """Each tree, as views of its part of the node table."""
-        return _tree_views(self.nodes, self.start)
 
     @property
     def n_classes(self) -> int:
@@ -503,14 +491,9 @@ class RandomForestModel:
         n_trees = start.size - 1
         is_split = nodes.feature >= 0
         # node i's next node is step[2 i] if the row's value is above the
-        # threshold, else step[2 i + 1], as ids in the table; both entries
-        # of a leaf are the leaf, whatever value its feature -1 reads
-        step = np.repeat(np.arange(nodes.n_nodes), 2).reshape(-1, 2)
-        split = np.flatnonzero(is_split)
-        root = start[_tree_of(start, split)]
-        step[split, 0] = nodes.right[split] + root
-        step[split, 1] = nodes.left[split] + root
-        step = step.ravel()
+        # threshold, else step[2 i + 1]; both entries of a leaf are the
+        # leaf, whatever value its feature -1 reads
+        step = np.column_stack((nodes.right, nodes.left)).ravel()
         out = np.empty((n_rows, self.n_classes))
         chunk = max(1, _PREDICT_PAIRS // n_trees)
         for lo in range(0, n_rows, chunk):
@@ -598,7 +581,7 @@ def train_forest(dataset: LabeledFeatureSet,
     # one tree, which has at most n distinct rows
     work = _LevelWork(min(max(_GROUP_KEYS, n * per_split),
                           params.n_trees * n * per_split))
-    trees, group, keys = [], [], 0
+    tables, group, keys = [], [], 0
     for t in range(params.n_trees):
         rng = np.random.default_rng(derive_seed(seed, t))
         if params.bootstrap:
@@ -608,17 +591,17 @@ def train_forest(dataset: LabeledFeatureSet,
         else:
             rows, weight = np.arange(n), np.ones(n, dtype=np.intp)
         if group and keys + rows.size * per_split > _GROUP_KEYS:
-            trees += grow(group)
+            tables.append(grow(group))
             group, keys = [], 0
         group.append((rows, weight, rng))
         keys += rows.size * per_split
-    trees += grow(group)
+    tables.append(grow(group))
 
-    # the level pass's arrays go before the groups' trees are laid out in
+    # the level pass's arrays go before the groups' tables are laid out in
     # one node table, and the groups' tables after
     work = None
-    nodes, start = _node_table(trees)
-    trees = None
+    nodes, start = _node_table(tables)
+    tables = None
     model = RandomForestModel(
         nodes=nodes,
         start=start,
@@ -650,7 +633,7 @@ def feature_importances(model: RandomForestModel) -> np.ndarray:
     split = np.flatnonzero(nodes.feature >= 0)
     tree = _tree_of(start, split)
     root = start[tree]
-    lo, hi = nodes.left[split] + root, nodes.right[split] + root
+    lo, hi = nodes.left[split], nodes.right[split]
     child_gini = (n[lo] * gini[lo] + n[hi] * gini[hi]) / n[split]
     decrease = (n[split] / n[root]) * (gini[split] - child_gini)
     per_tree = np.bincount(tree * n_features + nodes.feature[split],
@@ -929,8 +912,9 @@ MODEL_FORMAT_HEADER = "radiofp-model v1"
 def model_to_text(model: RandomForestModel) -> str:
     """Versioned plain-text serialization sufficient for bit-exact reload.
 
-    Each tree's node lines are formatted a column at a time from its part
-    of the node table, and joined into one block.
+    The node lines of the whole table are formatted a column at a time,
+    node and child ids counted from their tree's root as the file numbers
+    them, and each tree's lines follow its ``tree <t> <n_nodes>`` line.
     """
     meta = {
         "label_names": list(model.label_names),
@@ -940,31 +924,33 @@ def model_to_text(model: RandomForestModel) -> str:
         "importances": (None if model.importances is None
                         else list(model.importances)),
     }
-    trees = model.trees
+    nodes, start = model.nodes, model.start
+    size = np.diff(start)
     lines = [MODEL_FORMAT_HEADER, f"kind {model.kind}",
-             "meta " + json.dumps(meta), f"trees {len(trees)}"]
+             "meta " + json.dumps(meta), f"trees {size.size}"]
     # ids are looked up in a table of their decimals, faster than str()
-    nodes = model.nodes
-    decimal = list(map(str, range(max(int(np.diff(model.start).max()),
+    decimal = list(map(str, range(max(int(size.max()),
                                       int(nodes.feature.max()) + 1))))
 
     def decimals(ids):
         return map(decimal.__getitem__, ids.tolist())
 
-    for t, tree in enumerate(trees):
-        split = tree.feature >= 0
-        nid = np.arange(tree.n_nodes)
-        node_lines = np.empty(tree.n_nodes, dtype=object)
-        node_lines[split] = list(map(" ".join, zip(
-            decimals(nid[split]), itertools.repeat("split"),
-            decimals(tree.feature[split]),
-            map(repr, tree.threshold[split].tolist()),
-            decimals(tree.left[split]), decimals(tree.right[split]))))
-        node_lines[~split] = list(map(" ".join, zip(
-            decimals(nid[~split]), itertools.repeat("leaf"),
-            *(map(str, column) for column in tree.counts[~split].T.tolist()))))
-        lines.append("\n".join([f"tree {t} {tree.n_nodes}",
-                                 *node_lines.tolist()]))
+    root = np.repeat(start[:-1], size)  # the root of each node's tree
+    nid = np.arange(root.size) - root
+    split = nodes.feature >= 0
+    base = root[split]
+    node_lines = np.empty(root.size, dtype=object)
+    node_lines[split] = list(map(" ".join, zip(
+        decimals(nid[split]), itertools.repeat("split"),
+        decimals(nodes.feature[split]),
+        map(repr, nodes.threshold[split].tolist()),
+        decimals(nodes.left[split] - base),
+        decimals(nodes.right[split] - base))))
+    node_lines[~split] = list(map(" ".join, zip(
+        decimals(nid[~split]), itertools.repeat("leaf"),
+        *(map(str, column) for column in nodes.counts[~split].T.tolist()))))
+    lines += np.insert(node_lines, start[:-1], [
+        f"tree {t} {n}" for t, n in enumerate(size.tolist())]).tolist()
     lines.append("")  # the final newline, without a copy of the text
     return "\n".join(lines)
 
@@ -992,11 +978,15 @@ def _read_numbers(tokens, read, missing) -> np.ndarray:
 # the kind code of a node line
 _KINDS = {"leaf": 1, "split": 2}
 
+# the types a model file's JSON gives each ForestParams annotation
+_JSON_TYPES = {"int": (int,), "int | None": (int, type(None)),
+               "bool": (bool,)}
+
 
 def _read_tree(lines: list, head: int, t: int, n_classes: int,
                n_features: int, ids: list) -> Tree:
     """Tree t from its node lines, which follow line ``head`` of the file,
-    split-node counts 0.
+    as a one-tree node table, split-node counts 0.
 
     Each line is split once and the lines are read a column at a time.
     Each rule pairs the lines that break it with its message; the first
@@ -1059,7 +1049,7 @@ def _read_tree(lines: list, head: int, t: int, n_classes: int,
         raise DataFormatError(f"line {head}: tree {t}: the leaf counts sum "
                               "to 2^63 or more")
     tree = Tree(np.full(n, -1, dtype=np.int64), np.full(n, math.nan),
-                np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64),
+                np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64),
                 np.zeros((n, n_classes), dtype=np.int64))
     tree.feature[split], tree.threshold[split] = f, thr
     tree.left[split], tree.right[split] = lo, hi
@@ -1071,14 +1061,13 @@ def _sum_split_counts(nodes: Tree, start) -> None:
     """Set the class counts of every split node of a node table to the sum
     of its children's, children first: the split nodes of each depth,
     across every tree, in one round."""
-    node = base = start[:-1]  # each node's tree's root
+    node = start[:-1]  # the roots
     levels = []
     while node.size:
-        is_split = nodes.feature[node] >= 0
-        node, base = node[is_split], base[is_split]
-        lo, hi = nodes.left[node] + base, nodes.right[node] + base
+        node = node[nodes.feature[node] >= 0]
+        lo, hi = nodes.left[node], nodes.right[node]
         levels.append((node, lo, hi))
-        node, base = np.concatenate((lo, hi)), np.concatenate((base, base))
+        node = np.concatenate((lo, hi))
     for node, lo, hi in reversed(levels):
         nodes.counts[node] = nodes.counts[lo] + nodes.counts[hi]
 
@@ -1087,12 +1076,15 @@ def model_from_text(text: str) -> RandomForestModel:
     """Parse a model file; any malformed content raises DataFormatError.
 
     The kind is forest or tree, with at least one tree; label and feature
-    names are JSON lists of distinct strings, and importances null or one
-    finite number per feature.  Node ids run 0..n_nodes-1 in order, each
-    child id lies above its parent's, every node but the root has exactly
-    one parent, split thresholds are finite, and a tree's leaf counts sum
-    to less than 2^63.  The trees are read one at a time, so the first
-    malformed line in the file raises.
+    names are JSON lists of distinct strings, importances null or one
+    finite number per feature, the seed a non-negative integer, and params
+    an object of exactly the ForestParams fields that meets their types and
+    minimums, its n_trees the file's tree count.  A tree's node ids run
+    0..n_nodes-1 in order, each child id lies above its parent's, every
+    node but the root has exactly one parent, split thresholds are finite,
+    and a tree's leaf counts sum to less than 2^63.  The trees are read one
+    at a time, so the first malformed line in the file raises; their ids
+    then move into the one node table.
     """
     lines = text.splitlines()
     try:
@@ -1125,7 +1117,23 @@ def model_from_text(text: str) -> RandomForestModel:
                                               np.float64(math.nan))).all()):
             raise DataFormatError("importances must be null or one finite "
                                   f"number per feature ({n_features})")
-        trees, pos, ids = [], 4, []
+        seed, params = meta["seed"], meta["params"]
+        if type(seed) is not int or seed < 0:  # a bool is no int here
+            raise DataFormatError("seed must be a non-negative JSON integer")
+        # ForestParams' annotations are strings, as this module postpones
+        # their evaluation
+        spec = {f.name: f.type for f in fields(ForestParams)}
+        if not (isinstance(params, dict) and params.keys() == spec.keys()
+                and all(type(params[name]) in _JSON_TYPES[annotation]
+                        for name, annotation in spec.items())):
+            raise DataFormatError("params must be {" + ", ".join(
+                f'"{name}": {annotation}' for name, annotation in spec.items())
+                + "}")
+        params = ForestParams(**params)  # its minimums
+        if params.n_trees != n_trees:
+            raise DataFormatError(f"params n_trees {params.n_trees} is not "
+                                  f"the file's {n_trees} trees")
+        tables, pos, ids = [], 4, []
         for t in range(n_trees):
             head = lines[pos].split() if pos < len(lines) else []
             size = (int(_read_numbers(head[2:], int, np.int64(0))[0])
@@ -1138,21 +1146,21 @@ def model_from_text(text: str) -> RandomForestModel:
                 raise DataFormatError(f"tree {t}: expected {head[2]} "
                                       f"node lines, found {len(body)}")
             ids.extend(map(str, range(len(ids), size)))
-            trees.append(_read_tree(body, pos + 1, t, n_classes, n_features,
-                                    ids))
+            tables.append((_read_tree(body, pos + 1, t, n_classes,
+                                      n_features, ids), (0, size)))
             pos += 1 + size
         if pos != len(lines):
             raise DataFormatError(f"line {pos + 1}: text after the last tree")
         del lines  # before the node table is made
-        nodes, start = _node_table(trees)
+        nodes, start = _node_table(tables)
         _sum_split_counts(nodes, start)
         return RandomForestModel(
             nodes=nodes,
             start=start,
             label_names=tuple(meta["label_names"]),
             feature_names=tuple(meta["feature_names"]),
-            params=ForestParams(**meta["params"]),
-            seed=meta["seed"],
+            params=params,
+            seed=seed,
             importances=(None if importances is None
                          else np.array(importances, dtype=float)),
             kind=kind,

@@ -204,7 +204,8 @@ def read_feature_csv(path) -> LabeledFeatureSet:
     The whole file is read before a check fails, and the checks keep the
     order of checking a table read whole: a missing header, no rows, the
     first row of other than 11 fields, the first value `float` rejects,
-    then a non-finite value."""
+    then the first non-finite value.  A value's row and column are found
+    only once it fails."""
     width = len(FEATURE_CSV_HEADER)
     labels, values = [], array.array("d")
     label = short = bad = None
@@ -220,8 +221,8 @@ def read_feature_csv(path) -> LabeledFeatureSet:
                 elif short is None and bad is None:
                     try:
                         values.extend(map(float, r[1:]))
-                    except ValueError as exc:
-                        bad = exc
+                    except ValueError:
+                        bad = n_rows, r
                     if r[0] != label:
                         label = r[0]
                     labels.append(label)
@@ -234,10 +235,19 @@ def read_feature_csv(path) -> LabeledFeatureSet:
     if short is not None:
         raise DataFormatError(short)
     if bad is not None:
-        raise DataFormatError(f"{path}: bad feature value ({bad})") from bad
+        row, r = bad
+        for col, value in enumerate(r[1:], 1):  # the first value it rejects
+            try:
+                float(value)
+            except ValueError:
+                break
+        raise DataFormatError(f"{path}: data row {row}: {header[col]} value "
+                              f"{r[col]!r} is not a number")
     feats = np.frombuffer(values).reshape(n_rows, width - 1)
     if not np.all(np.isfinite(feats)):
-        raise DataFormatError(f"{path}: non-finite feature value")
+        row, col = divmod(int(np.argmin(np.isfinite(feats))), width - 1)
+        raise DataFormatError(f"{path}: data row {row + 1}: "
+                              f"{header[col + 1]} value is not finite")
     return LabeledFeatureSet.from_rows(labels, feats)
 
 

@@ -2,6 +2,7 @@ import os
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,11 +52,38 @@ def blobs(n_per_class=100, spread=0.3, centers=((0.0, 0.0), (3.0, 3.0)),
     return LabeledFeatureSet.from_rows(labels, np.vstack(rows))
 
 
+def _trees(model):
+    """Each tree of ``model`` as its own arrays, node and child ids counted
+    from its root and -1 for a leaf's children: the form the references
+    below build."""
+    nodes, bounds = model.nodes, model.start.tolist()
+    trees = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        leaf = nodes.feature[a:b] < 0
+        trees.append(classify.Tree(
+            nodes.feature[a:b], nodes.threshold[a:b],
+            np.where(leaf, -1, nodes.left[a:b] - a),
+            np.where(leaf, -1, nodes.right[a:b] - a), nodes.counts[a:b]))
+    return trees
+
+
+def _table(trees):
+    """The node table of trees in the form ``_trees`` gives."""
+    tables = []
+    for tree in trees:
+        own = np.arange(tree.feature.size)
+        leaf = tree.feature < 0
+        tables.append((replace(tree, left=np.where(leaf, own, tree.left),
+                               right=np.where(leaf, own, tree.right)),
+                       [0, own.size]))
+    return classify._node_table(tables)
+
+
 def test_tree_one_perfect_split():
     x = np.concatenate([np.linspace(-2, -0.1, 10), np.linspace(0.1, 2, 10)])
     ds = LabeledFeatureSet.from_rows((x > 0).astype(int), x[:, None])
     model = train_tree(ds)
-    tree = model.trees[0]
+    tree = _trees(model)[0]
     assert tree.feature[0] >= 0  # the root splits
     assert np.all(tree.feature[[tree.left[0], tree.right[0]]] == -1)
     assert np.mean(model.predict(ds.features) == ds.labels) == 1.0
@@ -64,8 +92,8 @@ def test_tree_one_perfect_split():
 def test_tree_single_class_is_leaf():
     ds = LabeledFeatureSet.from_rows([1] * 10, np.random.default_rng(0).normal(size=(10, 3)))
     model = train_tree(ds)
-    tree = model.trees[0]
-    assert tree.n_nodes == 1 and tree.feature[0] == -1
+    tree = _trees(model)[0]
+    assert tree.feature.size == 1 and tree.feature[0] == -1
     assert np.all(model.predict(ds.features) == 0)
 
 
@@ -102,7 +130,7 @@ def test_forest_features_per_split_range():
     # a request above n_features takes every feature, as n_features does
     full, over = (train_forest(ds, ForestParams(n_trees=3, features_per_split=f),
                                seed=4) for f in (3, 7))
-    for a, b in zip(full.trees, over.trees):
+    for a, b in zip(_trees(full), _trees(over)):
         np.testing.assert_array_equal(a.feature, b.feature)
         np.testing.assert_array_equal(a.threshold, b.threshold)
 
@@ -115,7 +143,7 @@ def test_forest_max_depth_range():
         with pytest.raises(ValueError, match="max_depth"):
             train_tree(ds, max_depth=bad)
     stumps = train_forest(ds, ForestParams(n_trees=3, max_depth=1), seed=0)
-    assert all(tree.n_nodes == 3 for tree in stumps.trees)
+    assert all(tree.feature.size == 3 for tree in _trees(stumps))
 
 
 def _best_split_reference(x_node, y_node, feature_ids, n_classes,
@@ -279,7 +307,7 @@ def test_forest_trees_match_level_order_reference():
             bootstrap=bool(trial % 3),
         )
         model = train_forest(ds, params, seed=trial)
-        for t, tree in enumerate(model.trees):
+        for t, tree in enumerate(_trees(model)):
             tree_rng = np.random.default_rng(derive_seed(trial, t))
             rows = (tree_rng.integers(0, ds.n, ds.n) if params.bootstrap
                     else np.arange(ds.n))
@@ -297,7 +325,7 @@ def _assert_forest_matches_level_order(ds, params, seed):
     number of splits."""
     model = train_forest(ds, params, seed=seed)
     splits = 0
-    for t, tree in enumerate(model.trees):
+    for t, tree in enumerate(_trees(model)):
         tree_rng = np.random.default_rng(derive_seed(seed, t))
         rows = (tree_rng.integers(0, ds.n, ds.n) if params.bootstrap
                 else np.arange(ds.n))
@@ -489,7 +517,7 @@ def test_full_feature_trees_match_depth_first_reference():
                            min_samples_split=min_samples_split, seed=trial)
         want = _grow_depth_first(ds.features, ds.labels, np.arange(ds.n),
                                  max_depth, min_samples_split, ds.n_classes)
-        _assert_same_tree(model.trees[0], want)
+        _assert_same_tree(_trees(model)[0], want)
         splits += int(np.sum(want.feature >= 0))
     assert splits > 1500
 
@@ -530,15 +558,16 @@ def test_predict_proba_agreement_and_ties():
 def _row_walk_proba(model, rows):
     """Reference: one row at a time, leaf distributions summed in tree order."""
     out = np.zeros((len(rows), model.n_classes))
+    trees = _trees(model)
     for i, row in enumerate(rows):
         acc = np.zeros(model.n_classes)
-        for tree in model.trees:
+        for tree in trees:
             node = 0
             while tree.feature[node] >= 0:
                 go_left = row[tree.feature[node]] <= tree.threshold[node]
                 node = tree.left[node] if go_left else tree.right[node]
             acc += tree.counts[node] / tree.counts[node].sum()
-        out[i] = acc / len(model.trees)
+        out[i] = acc / len(trees)
     return out
 
 
@@ -565,10 +594,11 @@ def _mixed_forest():
     single = classify.Tree(np.array([-1]), np.array([np.nan]),
                            np.array([-1]), np.array([-1]),
                            np.array([[3, 1]]))
-    trees = [deep.trees[0], stumps.trees[0], single, *shallow.trees,
-             *deep.trees[1:], stumps.trees[1]]
-    assert len({tree.n_nodes for tree in trees}) >= 5
-    nodes, start = classify._node_table(trees)
+    deep, stumps = _trees(deep), _trees(stumps)
+    trees = [deep[0], stumps[0], single, *_trees(shallow), *deep[1:],
+             stumps[1]]
+    assert len({tree.feature.size for tree in trees}) >= 5
+    nodes, start = _table(trees)
     return classify.RandomForestModel(
         nodes=nodes, start=start, label_names=ds.label_names,
         feature_names=ds.feature_names, params=ForestParams(), seed=0)
@@ -578,7 +608,7 @@ def _mixed_forest():
 def test_predict_proba_chunks_match_row_walk(monkeypatch, steps):
     # chunks of 5 rows; every row count around and across a chunk boundary
     model = _mixed_forest()
-    n_trees = len(model.trees)
+    n_trees = model.start.size - 1
     monkeypatch.setattr(classify, "_PREDICT_PAIRS", 5 * n_trees + 1)
     monkeypatch.setattr(classify, "_PREDICT_STEPS", steps)
     rng = np.random.default_rng(12)
@@ -593,7 +623,7 @@ def test_predict_proba_chunks_match_row_walk(monkeypatch, steps):
 
 def test_predict_proba_default_chunk_matches_row_walk():
     model = _mixed_forest()
-    chunk = classify._PREDICT_PAIRS // len(model.trees)
+    chunk = classify._PREDICT_PAIRS // (model.start.size - 1)
     rows = np.random.default_rng(13).normal(1.5, 2.0, size=(2 * chunk + 3, 3))
     np.testing.assert_array_equal(model.predict_proba(rows),
                                   _row_walk_proba(model, rows))
@@ -601,7 +631,7 @@ def test_predict_proba_default_chunk_matches_row_walk():
 
 def test_predict_proba_rejects_rows_without_a_split_feature():
     model = _mixed_forest()
-    used = int(max(tree.feature.max() for tree in model.trees))
+    used = int(model.nodes.feature.max())
     rows = np.zeros((4, used))
     with pytest.raises(ValueError, match=f"rows of {used} features"):
         model.predict_proba(rows)
@@ -630,7 +660,7 @@ def _node_walk_importances(model):
         return 1.0 - p @ p
 
     total = np.zeros(len(model.feature_names))
-    for tree in model.trees:
+    for tree in _trees(model):
         n_root = tree.counts[0].sum()
         for nid in np.flatnonzero(tree.feature >= 0):
             lo, hi = tree.left[nid], tree.right[nid]
@@ -660,7 +690,7 @@ def test_two_tree_tie_breaks_to_lowest_label():
                     left=np.array([-1]), right=np.array([-1]),
                     counts=np.array([counts]))
 
-    nodes, start = classify._node_table([leaf([5, 0]), leaf([0, 5])])
+    nodes, start = _table([leaf([5, 0]), leaf([0, 5])])
     model = RandomForestModel(nodes=nodes, start=start, label_names=("a", "b"),
                               feature_names=("F1",), params=ForestParams(),
                               seed=0)
@@ -996,18 +1026,84 @@ def test_serialization_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.importances, model.importances)
 
 
-def test_trees_are_views_of_one_node_table():
-    ds = blobs(n_per_class=60, spread=0.8, seed=20, n_features=4)
-    model = train_forest(ds, ForestParams(n_trees=12), seed=9)
-    for forest in (model, model_from_text(model_to_text(model))):
-        nodes, start = forest.nodes, forest.start
-        assert start[-1] == nodes.n_nodes == sum(t.n_nodes
-                                                 for t in forest.trees)
-        for t, tree in enumerate(forest.trees):
-            for name in ("feature", "threshold", "left", "right", "counts"):
-                part = getattr(nodes, name)[start[t]:start[t + 1]]
-                assert getattr(tree, name).base is getattr(nodes, name)
-                np.testing.assert_array_equal(getattr(tree, name), part)
+def _assert_node_table(nodes, start):
+    """The layout of a node table: start rises from 0 to the node count,
+    each split's children lie above it inside its tree, every node but a
+    root has exactly one parent, and a leaf is its own left and right
+    child."""
+    n = nodes.feature.size
+    assert start[0] == 0 and start[-1] == n and np.all(np.diff(start) > 0)
+    ids = np.arange(n)
+    end = start[np.searchsorted(start, ids, side="right")]  # of its tree
+    split = nodes.feature >= 0
+    for child in (nodes.left, nodes.right):
+        assert np.array_equal(child[~split], ids[~split])
+        assert np.all((ids[split] < child[split]) & (child[split] < end[split]))
+    children = np.concatenate((nodes.left[split], nodes.right[split]))
+    assert np.array_equal(np.sort(children), np.setdiff1d(ids, start[:-1]))
+
+
+def test_node_table_layout():
+    # trained forests of 2 and 3 classes, with and without bootstrap and a
+    # depth cap, their reloaded copies, and a hand-built table
+    for n_classes in (2, 3):
+        centers = ((0.0, 0.0), (2.0, 2.0), (0.0, 2.5))[:n_classes]
+        ds = blobs(n_per_class=50, spread=1.2, centers=centers, seed=20,
+                   n_features=4)
+        for bootstrap, max_depth in ((True, None), (False, None), (True, 2)):
+            model = train_forest(ds, ForestParams(n_trees=12,
+                                                  max_depth=max_depth,
+                                                  bootstrap=bootstrap), seed=9)
+            assert model.start.size == 13
+            for forest in (model, model_from_text(model_to_text(model))):
+                _assert_node_table(forest.nodes, forest.start)
+    # a stump, a leaf, then a split whose right child splits
+    nodes = classify.Tree(
+        feature=np.array([0, -1, -1, -1, 1, -1, 0, -1, -1]),
+        threshold=np.array([0.5, np.nan, np.nan, np.nan, 1.5, np.nan, 2.5,
+                            np.nan, np.nan]),
+        left=np.array([1, 1, 2, 3, 5, 5, 7, 7, 8]),
+        right=np.array([2, 1, 2, 3, 6, 5, 8, 7, 8]),
+        counts=np.ones((9, 2), dtype=np.int64))
+    start = np.array([0, 3, 4, 9])
+    _assert_node_table(nodes, start)
+    # each rule, broken once: a leaf's -1 child, a child in the next tree,
+    # a child below its parent, two parents of one node, an empty tree
+    for name, at, value in (("left", 1, -1), ("right", 0, 3),
+                            ("left", 6, 5), ("right", 6, 7)):
+        column = getattr(nodes, name).copy()
+        column[at] = value
+        with pytest.raises(AssertionError):
+            _assert_node_table(replace(nodes, **{name: column}), start)
+    with pytest.raises(AssertionError):
+        _assert_node_table(nodes, np.array([0, 3, 3, 4, 9]))
+
+
+@pytest.mark.parametrize("budget", [None, 600])
+def test_forest_prefix_is_node_table_prefix(monkeypatch, budget):
+    # the first t trees of a forest are its first start[t] nodes, whatever
+    # groups the trees grow in, and predict as the forest of t trees does
+    ds = blobs(n_per_class=50, spread=1.2, seed=30, n_features=3)
+    if budget is not None:  # groups of two or three trees
+        monkeypatch.setattr(classify, "_GROUP_KEYS", budget)
+    rows = np.random.default_rng(31).normal(1.5, 2.0, size=(200, 3))
+    for params in (ForestParams(n_trees=7),
+                   ForestParams(n_trees=7, max_depth=3, bootstrap=False,
+                                features_per_split=2)):
+        whole = train_forest(ds, params, seed=12)
+        for t in range(1, params.n_trees):
+            forest = train_forest(ds, replace(params, n_trees=t), seed=12)
+            end = whole.start[t]
+            prefix = classify.Tree(*(getattr(whole.nodes, name)[:end]
+                                     for name in classify._TREE_FIELDS))
+            for name in classify._TREE_FIELDS:
+                got, want = getattr(forest.nodes, name), getattr(prefix, name)
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), (t, name)
+            np.testing.assert_array_equal(forest.start, whole.start[:t + 1])
+            cut = replace(whole, nodes=prefix, start=whole.start[:t + 1])
+            assert (forest.predict_proba(rows).tobytes()
+                    == cut.predict_proba(rows).tobytes()), t
 
 
 @pytest.mark.parametrize("kind", ["forest", "tree"])
@@ -1018,7 +1114,7 @@ def test_model_text_round_trip_and_rebuilt_counts(kind):
              if kind == "forest" else train_tree(ds, seed=5))
     text = model_to_text(model)
     loaded = model_from_text(text)
-    assert loaded.kind == kind and len(loaded.trees) == len(model.trees)
+    assert loaded.kind == kind and loaded.start.size == model.start.size
     assert model_to_text(loaded) == text
     # the loader sums the split nodes' counts from the leaves' counts
     for name in ("feature", "threshold", "left", "right", "counts"):
@@ -1036,7 +1132,7 @@ def _node_line_at(lines, tree, nid):
 def test_model_load_reports_first_malformed_line():
     ds = blobs(n_per_class=40, spread=1.0, seed=25)
     model = train_forest(ds, ForestParams(n_trees=3), seed=6)
-    assert min(tree.n_nodes for tree in model.trees) >= 3
+    assert np.diff(model.start).min() >= 3
     lines = model_to_text(model).splitlines()
     # the last node line of the last tree, a leaf in pre-order
     last = len(lines) - 1
@@ -1064,6 +1160,11 @@ def test_model_load_reports_first_malformed_line():
                            match=rf"^bad model file: line {at + 1}: "
                                  rf"node {nid_1}: expected '{nid_1} leaf"):
             model_from_text("\n".join(bad) + "\n")
+
+
+# the meta params of a hand-written model file of 2 trees
+PARAMS_2 = ('{"n_trees": 2, "max_depth": null, "min_samples_split": 2, '
+            '"features_per_split": null, "bootstrap": true}')
 
 
 # (node line edit, message after "line <n>: node <id>: "); each message is
@@ -1107,7 +1208,7 @@ def test_model_load_node_line_messages(line, message):
     # tree 0 is a stump, tree 1 a leaf; tree 0's root line is replaced
     lines = ["radiofp-model v1", "kind forest",
              'meta {"label_names": ["a", "b"], "feature_names": ["F1", "F2"], '
-             '"seed": 0, "params": {}, "importances": null}',
+             '"seed": 0, "params": ' + PARAMS_2 + ', "importances": null}',
              "trees 2", "tree 0 3", "0 split 1 0.5 1 2", "1 leaf 2 0",
              "2 leaf 0 2", "tree 1 1", "0 leaf 1 1"]
     model_from_text("\n".join(lines) + "\n")  # valid as it stands
@@ -1139,7 +1240,7 @@ def test_model_load_rejects_leaf_counts_beyond_int64():
     # that sum to 2^63 would wrap there and in each leaf's own total
     lines = ["radiofp-model v1", "kind forest",
              'meta {"label_names": ["a", "b"], "feature_names": ["F1"], '
-             '"seed": 0, "params": {}, "importances": null}',
+             '"seed": 0, "params": ' + PARAMS_2 + ', "importances": null}',
              "trees 2", "tree 0 1", "0 leaf 1 1", "tree 1 3",
              "0 split 0 0.5 1 2", f"1 leaf {2**62} {2**62}", "2 leaf 0 0"]
     with pytest.raises(DataFormatError, match=r"^bad model file: line 10: "
@@ -1152,7 +1253,7 @@ def test_model_load_rejects_leaf_counts_beyond_int64():
         model_from_text("\n".join(lines) + "\n")
     lines[-2] = f"1 leaf {2**62} {2**62 - 2}"  # 2^63 - 1 in all
     model = model_from_text("\n".join(lines) + "\n")
-    np.testing.assert_array_equal(model.trees[1].counts[0],
+    np.testing.assert_array_equal(model.nodes.counts[model.start[1]],
                                   [2**62, 2**62 - 1])
     np.testing.assert_array_equal(model.predict_proba([[0.0], [1.0]]),
                                   [[0.5, 0.5], [0.25, 0.75]])

@@ -808,6 +808,30 @@ MALFORMED_INPUTS = [
          0, float("nan")))),
     ("model_leaf_counts_beyond_int64", "model",
      lambda t: _first_node(t, "leaf", lambda f: f[:2] + [str(2**62)] * 2)),
+    ("model_seed_string", "model",
+     lambda t: _meta(t, lambda m: m.update(seed="abc"))),
+    ("model_seed_negative", "model",
+     lambda t: _meta(t, lambda m: m.update(seed=-5))),
+    ("model_seed_boolean", "model",
+     lambda t: _meta(t, lambda m: m.update(seed=True))),
+    ("model_params_list", "model",
+     lambda t: _meta(t, lambda m: m.update(params=[1, 2]))),
+    ("model_params_bootstrap_string", "model",
+     lambda t: _meta(t, lambda m: m["params"].update(bootstrap="no"))),
+    ("model_params_n_trees_fraction", "model",
+     lambda t: _meta(t, lambda m: m["params"].update(n_trees=2.5))),
+    ("model_params_min_samples_split_boolean", "model",
+     lambda t: _meta(t, lambda m: m["params"].update(min_samples_split=True))),
+    ("model_params_max_depth_string", "model",
+     lambda t: _meta(t, lambda m: m["params"].update(max_depth="x"))),
+    ("model_params_field_missing", "model",
+     lambda t: _meta(t, lambda m: m["params"].pop("bootstrap"))),
+    ("model_params_field_extra", "model",
+     lambda t: _meta(t, lambda m: m["params"].update(depth=3))),
+    ("model_params_features_per_split_zero", "model",
+     lambda t: _meta(t, lambda m: m["params"].update(features_per_split=0))),
+    ("model_params_n_trees_not_tree_count", "model",
+     lambda t: _meta(t, lambda m: m["params"].update(n_trees=100))),
     ("csv_nan", "csv", lambda t: _first_row(t, lambda r: [r[0], "nan"] + r[2:])),
     ("csv_ragged", "csv", lambda t: _first_row(t, lambda r: r[:-1])),
     # a field longer than the csv module's field_size_limit (131072)
@@ -918,6 +942,20 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
         assert "trees x: need kind forest or tree" in err, err
     if case == "model_leaf_counts_beyond_int64":
         assert ": tree 0: the leaf counts sum to 2^63 or more\n" in err, err
+    if case.startswith("model_seed_"):
+        assert err.endswith("bad model file: seed must be a non-negative "
+                            "JSON integer\n"), err
+    if case.startswith("model_params_"):
+        assert err.endswith({
+            "model_params_features_per_split_zero":
+                "bad model file: features_per_split must be at least 1\n",
+            "model_params_n_trees_not_tree_count":
+                "bad model file: params n_trees 100 is not the file's 2 "
+                "trees\n",
+        }.get(case, 'bad model file: params must be {"n_trees": int, '
+                    '"max_depth": int | None, "min_samples_split": int, '
+                    '"features_per_split": int | None, "bootstrap": bool}\n'
+              )), err
     if case.endswith("_field_over_limit"):
         assert f"{bad}: field larger than field limit" in err, err
     if case.endswith("_field_misspelled"):

@@ -190,6 +190,15 @@ _ROW = "0," + ",".join(["1.5"] * 10) + "\n"
 _HEADER = "label,P1,P2,P3,P4,P5,P6,P7,P8,P9,P10\n"
 
 
+def _row_with(*values):
+    """A data row of 1.5s but for ``values``, (parameter number, text)
+    pairs."""
+    fields = ["1.5"] * 10
+    for number, text in values:
+        fields[number - 1] = text
+    return "0," + ",".join(fields) + "\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "missing feature CSV header"),
     ("# only a comment\n" + _ROW, "missing feature CSV header"),
@@ -198,10 +207,11 @@ _HEADER = "label,P1,P2,P3,P4,P5,P6,P7,P8,P9,P10\n"
     (_HEADER + _ROW + "0,1.5\n", "data row 2 has 2 fields, expected 11"),
     (_HEADER + _ROW + "\n", "data row 2 has 0 fields, expected 11"),
     (_HEADER + _ROW.replace("1.5", "x", 1),
-     "bad feature value (could not convert string to float: 'x')"),
+     "data row 1: P1 value 'x' is not a number"),
     (_HEADER + _ROW + _ROW.replace("1.5", "nan", 1),
-     "non-finite feature value"),
-    (_HEADER + _ROW.replace("1.5", "-inf", 1), "non-finite feature value"),
+     "data row 2: P1 value is not finite"),
+    (_HEADER + _ROW.replace("1.5", "-inf", 1),
+     "data row 1: P1 value is not finite"),
     # every row's field count is checked before any value: a short row
     # after a bad value is what is reported
     (_HEADER + _ROW.replace("1.5", "x", 1) + _ROW + "0,1\n",
@@ -209,7 +219,17 @@ _HEADER = "label,P1,P2,P3,P4,P5,P6,P7,P8,P9,P10\n"
     # the first bad value in row order, then the non-finite check
     (_HEADER + _ROW.replace("1.5", "inf", 1) + _ROW.replace("1.5", "y", 1)
      + _ROW.replace("1.5", "z", 1),
-     "bad feature value (could not convert string to float: 'y')"),
+     "data row 2: P1 value 'y' is not a number"),
+    # a comment line is no data row; the first failing value of a row is
+    # named, and a value float rejects ahead of an earlier non-finite one
+    (_HEADER + _ROW + "# a note\n" + _ROW + _row_with((10, "abc")),
+     "data row 3: P10 value 'abc' is not a number"),
+    (_HEADER + _ROW + "# a note\n" + _ROW + _row_with((10, "1e999")),
+     "data row 3: P10 value is not finite"),
+    (_HEADER + _row_with((4, "nan"), (7, "q"), (9, "r")),
+     "data row 1: P7 value 'q' is not a number"),
+    (_HEADER + _row_with((9, "inf")) + _row_with((2, "nan")),
+     "data row 1: P9 value is not finite"),
 ])
 def test_feature_csv_error_messages(text, message, tmp_path):
     path = tmp_path / "bad.csv"

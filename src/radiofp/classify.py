@@ -552,7 +552,10 @@ def train_tree(dataset: LabeledFeatureSet, max_depth: int | None = None,
 def train_forest(dataset: LabeledFeatureSet,
                  params: ForestParams | None = None,
                  seed: int = 0) -> RandomForestModel:
-    """Bagged CART ensemble, deterministic for a given seed."""
+    """Bagged CART ensemble, deterministic for a given seed.  The seed must
+    be at least 0, as `model_from_text` requires of a saved model's."""
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     if dataset.n == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     params = params or ForestParams()

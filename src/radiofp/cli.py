@@ -127,15 +127,16 @@ def _device_blocks(etalon, profile, seed: int, dev: int, frames: int,
                    lead_in: int):
     """The stream of device ``dev`` in blocks of `frames_per_block` frames:
     ``lead_in`` zeros, then frame m = `simulate_device` of the etalon with
-    seed ``derive_seed(seed, dev, m)``, for m = 0 .. frames - 1."""
+    seed ``derive_seed(seed, dev, m)``, for m = 0 .. frames - 1, one
+    `simulate_device` call per block."""
     per_block = frames_per_block(etalon.size)
     block = per_block * etalon.size
     zeros = np.zeros(min(lead_in, block), dtype=complex)
     for lo in range(0, lead_in, block):
         yield zeros[:lead_in - lo]
     for first in range(0, frames, per_block):
-        yield np.concatenate([
-            simulate_device(etalon, profile, derive_seed(seed, dev, m))
+        yield simulate_device(etalon, profile, [
+            derive_seed(seed, dev, m)
             for m in range(first, min(frames, first + per_block))])
 
 

@@ -110,7 +110,8 @@ def _features(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = y.mean(axis=1)
     dy = y - mean[:, None]
     y_max, y_min = y.max(axis=1), y.min(axis=1)
-    hi, lo = dy.max(axis=1), dy.min(axis=1)
+    # the extremes of dy: rounding y - mean never decreases as y grows
+    hi, lo = y_max - mean, y_min - mean
     y_range = y_max - y_min
     one_sided = (hi <= 0) | (lo >= 0)
     bell = np.cumsum(np.sort(dy, axis=1)[:, ::-1], axis=1)

@@ -123,15 +123,20 @@ def _json_number(name: str, value) -> float:
     return float(value)
 
 
-def simulate_device(clean, profile: ImpairmentProfile, seed: int) -> np.ndarray:
-    """Pass a clean frame through a simulated imperfect transmitter.
+def simulate_device(clean, profile: ImpairmentProfile, seeds) -> np.ndarray:
+    """Pass a clean frame through a simulated imperfect transmitter once per
+    seed: row r of the ``(len(seeds), L)`` result is the frame of
+    ``seeds[r]``.
 
     Applies, in order: cubic nonlinearity ``x + c*x*|x|^2``, I/Q gain and
     quadrature imbalance, DC offset, per-sample Gaussian phase jitter, and
-    AWGN at the configured SNR.  Deterministic for a given seed.
+    AWGN at the configured SNR.  The first three are the same for every
+    row and run once.  Row r's jitter, then its noise I and Q, are drawn
+    from ``np.random.default_rng(seeds[r])``, and every later step works
+    element by element or row by row, so a row's bytes depend on its seed
+    alone, not on the other seeds or their number.
     """
-    rng = np.random.default_rng(seed)
-    x = np.asarray(clean, dtype=complex).copy()
+    x = np.asarray(clean, dtype=complex)
 
     if profile.cubic_nonlinearity != 0.0:
         x = x + profile.cubic_nonlinearity * x * np.abs(x) ** 2
@@ -148,17 +153,27 @@ def simulate_device(clean, profile: ImpairmentProfile, seed: int) -> np.ndarray:
     if profile.dc_offset != 0:
         x = x + profile.dc_offset
 
-    if profile.phase_noise_rms > 0.0:
-        jitter = rng.normal(0.0, profile.phase_noise_rms, x.size)
+    shape = (len(seeds), x.size)
+    jitter = np.empty(shape) if profile.phase_noise_rms > 0.0 else None
+    noise = None if profile.snr_db is None else np.empty((2,) + shape)
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if jitter is not None:
+            jitter[row] = rng.normal(0.0, profile.phase_noise_rms, x.size)
+        if noise is not None:
+            noise[0, row] = rng.normal(size=x.size)
+            noise[1, row] = rng.normal(size=x.size)
+
+    if jitter is not None:
         x = x * np.exp(1j * jitter)
 
-    if profile.snr_db is not None:
-        p_sig = float(np.mean(np.abs(x) ** 2))
+    if noise is not None:
+        p_sig = np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)
         p_noise = p_sig * 10.0 ** (-profile.snr_db / 10.0)
-        sigma = math.sqrt(p_noise / 2.0)
-        x = x + sigma * (rng.normal(size=x.size) + 1j * rng.normal(size=x.size))
+        sigma = np.sqrt(p_noise / 2.0)
+        x = x + sigma * (noise[0] + 1j * noise[1])
 
-    return x
+    return np.tile(x, (shape[0], 1)) if x.ndim == 1 else x
 
 
 def _as_stream(stream):

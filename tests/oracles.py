@@ -3,6 +3,9 @@
 Everything here is written in plain Python loops, straight from the
 definitions, deliberately avoiding the vectorized code paths of the package
 (different summation orders, closed forms instead of sorts, and vice versa).
+The exception is `oracle_simulate_frame`, the package's earlier per-frame
+simulation, kept in its numpy form because the block simulation must match
+its bytes.
 """
 
 import math
@@ -113,6 +116,43 @@ def oracle_p_value(r, n):
             return c * (1 + x * x / df) ** (-(df + 1) / mp.mpf(2))
 
         return float(2 * mp.quad(pdf, [t, mp.inf]))
+
+
+def oracle_simulate_frame(clean, profile, seed):
+    """One frame of ``pipeline.simulate_device`` as it was made before the
+    block simulation: the front end, then ``default_rng(seed)``'s jitter,
+    noise I and noise Q, all on this one frame."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    x = np.asarray(clean, dtype=complex).copy()
+
+    if profile.cubic_nonlinearity != 0.0:
+        x = x + profile.cubic_nonlinearity * x * np.abs(x) ** 2
+
+    g = profile.gain_imbalance
+    phi = profile.quadrature_error
+    if g != 0.0 or phi != 0.0:
+        i = x.real
+        q = x.imag
+        x = (1.0 + 0.5 * g) * i + 1j * (
+            (1.0 - 0.5 * g) * (np.cos(phi) * q + np.sin(phi) * i)
+        )
+
+    if profile.dc_offset != 0:
+        x = x + profile.dc_offset
+
+    if profile.phase_noise_rms > 0.0:
+        jitter = rng.normal(0.0, profile.phase_noise_rms, x.size)
+        x = x * np.exp(1j * jitter)
+
+    if profile.snr_db is not None:
+        p_sig = float(np.mean(np.abs(x) ** 2))
+        p_noise = p_sig * 10.0 ** (-profile.snr_db / 10.0)
+        sigma = math.sqrt(p_noise / 2.0)
+        x = x + sigma * (rng.normal(size=x.size) + 1j * rng.normal(size=x.size))
+
+    return x
 
 
 def _oracle_int(token):

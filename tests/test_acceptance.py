@@ -193,10 +193,11 @@ def synthetic_experiment():
     labels, rows = [], []
     skipped = 0
     for dev, profile in enumerate(profiles):
-        frames = [simulate_device(etalon, profile, derive_seed(0, dev, m))
-                  for m in range(2000)]
-        values, failed, dropped, _ = run_capture_pipeline(
-            np.concatenate(frames), etalon)
+        seeds = [derive_seed(0, dev, m) for m in range(2000)]
+        stream = np.concatenate([
+            simulate_device(etalon, profile, seeds[lo:lo + 250])
+            for lo in range(0, 2000, 250)]).ravel()
+        values, failed, dropped, _ = run_capture_pipeline(stream, etalon)
         skipped += int(dropped.sum()) + int((failed >= 0).sum())
         rows += list(values[failed < 0])
         labels += [str(dev)] * int((failed < 0).sum())

@@ -538,6 +538,16 @@ def test_forest_deterministic():
     assert model_to_text(a) != model_to_text(c)
 
 
+def test_forest_seed_range():
+    # a negative seed would write a model file that model_from_text refuses
+    ds = blobs(seed=5)
+    params = ForestParams(n_trees=2)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        train_forest(ds, params, seed=-1)
+    text = model_to_text(train_forest(ds, params, seed=0))
+    assert model_to_text(model_from_text(text)) == text
+
+
 def test_forest_empty_dataset():
     ds = LabeledFeatureSet(np.empty((0, 2)), np.empty(0, dtype=int), ("0",),
                            ("F1", "F2"))

@@ -9,6 +9,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from oracles import oracle_simulate_frame
 from radiofp import dataio, pipeline, stats as stats_module
 from radiofp.classify import derive_seed
 from radiofp.cli import build_parser, main
@@ -61,8 +62,9 @@ def test_gen_dataset_deterministic(tmp_path):
 def test_gen_dataset_blocks_equal_whole_array_write(per_block, lead_in,
                                                     tmp_path, monkeypatch):
     """Each stream, simulated and written per_block frames at a time (20 is
-    all of them), has the bytes of the whole stream built in memory and
-    written at once; 1500 lead-in zeros span more than one block."""
+    all of them), has the bytes of the whole stream built in memory from
+    the per-frame reference simulation and written at once; 1500 lead-in
+    zeros span more than one block."""
     monkeypatch.setattr(pipeline, "_FRAME_BLOCK_BYTES", per_block * 16 * 64)
     out = tmp_path / "g"
     assert main(["gen-dataset", "--out-dir", str(out), "--frames-per-device",
@@ -72,8 +74,8 @@ def test_gen_dataset_blocks_equal_whole_array_write(per_block, lead_in,
     entries = dataio.read_manifest(out / "manifest.csv")
     assert len(entries) == 2
     for dev, entry in enumerate(entries):
-        frames = [pipeline.simulate_device(etalon, entry.profile,
-                                           derive_seed(5, dev, m))
+        frames = [oracle_simulate_frame(etalon, entry.profile,
+                                        derive_seed(5, dev, m))
                   for m in range(20)]
         stream = np.concatenate([np.zeros(lead_in, dtype=complex), *frames])
         dataio.write_iq(tmp_path / "whole.iq", stream)

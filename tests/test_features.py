@@ -64,6 +64,34 @@ def test_p3_mirror_antisymmetry():
     np.testing.assert_allclose(fm, -fy, rtol=0, atol=1e-12)
 
 
+def test_deviation_extremes_are_extremes_minus_mean():
+    """P2 and P3 take the largest and smallest deviation as ``y_max - mean``
+    and ``y_min - mean``.  Rounding ``y - mean`` never decreases as y grows,
+    so these equal the extremes of the rounded deviations bit for bit, the
+    sign of a zero included."""
+    rng = np.random.default_rng(21)
+    n, length = 40, 16
+    signed_zeros = rng.choice([0.0, -0.0], size=(n, length))
+    one_nonzero = signed_zeros.copy()
+    one_nonzero[np.arange(n), rng.integers(0, length, n)] = rng.normal(size=n)
+    constant = np.repeat([[-2.5], [0.1], [7.0], [-0.0], [0.0], [1e150]],
+                         length, axis=1)
+    y = np.concatenate(
+        [rng.normal(size=(n, length)) * scale
+         for scale in (1e-150, 1e-9, 1.0, 1e6, 1e150)]
+        + [np.round(rng.normal(size=(n, length)), 1),  # ties
+           signed_zeros, one_nonzero, constant])
+    mean = y.mean(axis=1)
+    dy = y - mean[:, None]
+    hi, lo = dy.max(axis=1), dy.min(axis=1)
+    assert (y.max(axis=1) - mean).tobytes() == hi.tobytes()
+    assert (y.min(axis=1) - mean).tobytes() == lo.tobytes()
+    values, _ = features.feature_matrix(y)
+    assert values[:, P["P2"]].tobytes() == (hi - lo).tobytes()
+    p3 = np.where((hi <= 0) | (lo >= 0), np.nan, hi - np.abs(lo))
+    assert values[:, P["P3"]].tobytes() == p3.tobytes()
+
+
 def test_p4_example_and_scaling():
     assert params([1, 3, 2, 0])[0][P["P4"]] == 2.0
     assert params([3, 3, 3])[0][P["P4"]] == 0.0

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import oracle_simulate_frame
 from radiofp import pipeline
+from radiofp.classify import derive_seed
 from radiofp.errors import DigitTableExhaustedError, SyncNotFoundError
 from radiofp.pipeline import ImpairmentProfile
 
@@ -45,8 +48,8 @@ def test_transnoise_table_exhaustion():
 
 def test_simulate_identity_profile():
     etalon = pipeline.transnoise_etalon(256)
-    out = pipeline.simulate_device(etalon, ImpairmentProfile(), seed=1)
-    np.testing.assert_array_equal(out, etalon)
+    out = pipeline.simulate_device(etalon, ImpairmentProfile(), [1, 2, 3])
+    np.testing.assert_array_equal(out, np.tile(etalon, (3, 1)))
 
 
 def test_simulate_snr_calibration():
@@ -54,10 +57,8 @@ def test_simulate_snr_calibration():
     frame = rng.normal(size=512) + 1j * rng.normal(size=512)
     frame /= np.sqrt(np.mean(np.abs(frame) ** 2))  # unit power
     profile = ImpairmentProfile(snr_db=20.0)
-    powers = []
-    for s in range(100):
-        noisy = pipeline.simulate_device(frame, profile, seed=s)
-        powers.append(np.mean(np.abs(noisy - frame) ** 2))
+    noisy = pipeline.simulate_device(frame, profile, range(100))
+    powers = np.mean(np.abs(noisy - frame) ** 2, axis=1)
     assert np.mean(powers) == pytest.approx(0.01, rel=0.10)
 
 
@@ -65,8 +66,8 @@ def test_simulate_distinct_profiles_differ():
     etalon = pipeline.transnoise_etalon(128)
     p1 = ImpairmentProfile(cubic_nonlinearity=0.02, snr_db=25.0)
     p2 = ImpairmentProfile(cubic_nonlinearity=0.05, snr_db=25.0)
-    out1 = pipeline.simulate_device(etalon, p1, seed=3)
-    out2 = pipeline.simulate_device(etalon, p2, seed=3)
+    out1 = pipeline.simulate_device(etalon, p1, [3])
+    out2 = pipeline.simulate_device(etalon, p2, [3])
     assert not np.array_equal(out1, out2)
 
 
@@ -74,9 +75,46 @@ def test_simulate_deterministic():
     etalon = pipeline.transnoise_etalon(128)
     p = ImpairmentProfile(phase_noise_rms=0.01, snr_db=15.0)
     np.testing.assert_array_equal(
-        pipeline.simulate_device(etalon, p, seed=9),
-        pipeline.simulate_device(etalon, p, seed=9),
+        pipeline.simulate_device(etalon, p, [9]),
+        pipeline.simulate_device(etalon, p, [9]),
     )
+
+
+_ALL_IMPAIRMENTS = ImpairmentProfile(
+    gain_imbalance=-0.05, quadrature_error=-0.05, phase_noise_rms=0.12,
+    cubic_nonlinearity=0.25, dc_offset=-0.008 + 0.015j, snr_db=10.0)
+
+# each impairment alone, all of them, none, all but the noise, all but the
+# jitter
+_SIMULATE_PROFILES = {
+    "cubic": ImpairmentProfile(cubic_nonlinearity=0.05),
+    "gain": ImpairmentProfile(gain_imbalance=0.03),
+    "quadrature": ImpairmentProfile(quadrature_error=0.03),
+    "dc_offset": ImpairmentProfile(dc_offset=0.010 + 0.005j),
+    "jitter": ImpairmentProfile(phase_noise_rms=0.02),
+    "noise": ImpairmentProfile(snr_db=20.0),
+    "all": _ALL_IMPAIRMENTS,
+    "identity": ImpairmentProfile(),
+    "no_noise": dataclasses.replace(_ALL_IMPAIRMENTS, snr_db=None),
+    "no_jitter": dataclasses.replace(_ALL_IMPAIRMENTS, phase_noise_rms=0.0),
+}
+
+
+@pytest.mark.parametrize("length", [67, 1024])
+@pytest.mark.parametrize("n", [1, 7, 32])
+@pytest.mark.parametrize("name", list(_SIMULATE_PROFILES))
+def test_simulate_device_rows_match_per_frame_reference(name, n, length):
+    """Row r of one block call has the bytes of the per-frame simulation of
+    seeds[r]; 67 samples leave a tail after any SIMD width."""
+    profile = _SIMULATE_PROFILES[name]
+    etalon = pipeline.transnoise_etalon(1024)[:length]
+    seeds = [derive_seed(11, 1, m) for m in range(n)]
+    got = pipeline.simulate_device(etalon, profile, seeds)
+    assert got.shape == (n, length)
+    assert got.dtype == np.complex128
+    for row, seed in zip(got, seeds):
+        assert row.tobytes() == \
+            oracle_simulate_frame(etalon, profile, seed).tobytes()
 
 
 def test_profile_validation():
@@ -136,8 +174,7 @@ def test_synchronize_noisy_delay_40():
     length = 256
     etalon = pipeline.transnoise_etalon(length)
     profile = ImpairmentProfile(snr_db=20.0)
-    for trial in range(100):
-        noisy = pipeline.simulate_device(etalon, profile, seed=trial)
+    for noisy in pipeline.simulate_device(etalon, profile, range(100)):
         stream = np.concatenate([np.zeros(40, dtype=complex), noisy])
         lags = _sync(stream, etalon)
         assert lags[0] == 40
@@ -452,8 +489,8 @@ def test_error_phase_gain_invariance():
     rng = np.random.default_rng(11)
     etalon = pipeline.transnoise_etalon(512)
     frame = pipeline.simulate_device(
-        etalon, ImpairmentProfile(cubic_nonlinearity=0.02, snr_db=20.0), seed=2
-    )
+        etalon, ImpairmentProfile(cubic_nonlinearity=0.02, snr_db=20.0), [2]
+    )[0]
     base = pipeline.error_phase(frame[None], etalon)[0][0]
     for mag in (1e-6, 1e-2, 1.0, 37.5, 1e6):
         c = mag * np.exp(1j * rng.uniform(-np.pi, np.pi))
@@ -472,8 +509,9 @@ def test_error_phase_zero_gain():
 
 def test_error_phase_range():
     etalon = pipeline.transnoise_etalon(256)
-    frame = pipeline.simulate_device(etalon, ImpairmentProfile(snr_db=5.0), 4)
-    phases, _ = pipeline.error_phase(frame[None], etalon)
+    frames = pipeline.simulate_device(etalon, ImpairmentProfile(snr_db=5.0),
+                                      [4])
+    phases, _ = pipeline.error_phase(frames, etalon)
     assert np.all(phases > -np.pi)
     assert np.all(phases <= np.pi)
 
@@ -493,9 +531,8 @@ def test_capture_pipeline_clean_repetitions():
 def test_capture_pipeline_simulated_devices():
     etalon = pipeline.transnoise_etalon(128)
     profile = ImpairmentProfile(quadrature_error=0.02, snr_db=20.0)
-    parts = [pipeline.simulate_device(etalon, profile, seed=s) for s in range(10)]
-    values, _, _, _ = pipeline.run_capture_pipeline(np.concatenate(parts),
-                                                    etalon)
+    frames = pipeline.simulate_device(etalon, profile, range(10))
+    values, _, _, _ = pipeline.run_capture_pipeline(frames.ravel(), etalon)
     assert len(values) == 10
     assert np.all(values[:, 1] > 0)  # no error phase is constant
 
@@ -562,8 +599,7 @@ def test_run_capture_pipeline_blocks_match_whole_matrix(kind, tmp_path,
 def test_error_phase_matrix_masks_zero_gain_row():
     etalon = pipeline.transnoise_etalon(256)
     profile = ImpairmentProfile(cubic_nonlinearity=0.05, snr_db=15.0)
-    frames = np.array([pipeline.simulate_device(etalon, profile, seed=s)
-                       for s in range(4)])
+    frames = pipeline.simulate_device(etalon, profile, range(4))
     frames[2] = 0.0
     phases, dropped = pipeline.error_phase(frames, etalon)
     assert dropped.tolist() == [False, False, True, False]

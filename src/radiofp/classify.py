@@ -30,6 +30,7 @@ from .errors import (
     SingleClassError,
     TooFewSamplesError,
 )
+from .parallel import fork_map
 
 _MASK64 = (1 << 64) - 1
 
@@ -553,7 +554,9 @@ def train_forest(dataset: LabeledFeatureSet,
                  params: ForestParams | None = None,
                  seed: int = 0) -> RandomForestModel:
     """Bagged CART ensemble, deterministic for a given seed.  The seed must
-    be at least 0, as `model_from_text` requires of a saved model's."""
+    be at least 0, as `model_from_text` requires of a saved model's.  The
+    trees grow on every usable core (`parallel.fork_map`), and the model
+    does not depend on how many there are."""
     if seed < 0:
         raise ValueError("seed must be at least 0")
     if dataset.n == 0:
@@ -573,32 +576,37 @@ def train_forest(dataset: LabeledFeatureSet,
     ranks, values = _value_ranks(feats)
     n = dataset.n
 
-    def grow(group):
-        rows, weights, rngs = zip(*group)
+    def bootstrap(t):  # tree t's rows, their draw counts, its generator
+        rng = np.random.default_rng(derive_seed(seed, t))
+        if not params.bootstrap:
+            return np.arange(n), np.ones(n, dtype=np.intp), rng
+        drawn = np.bincount(rng.integers(0, n, n), minlength=n)
+        rows = np.flatnonzero(drawn)
+        return rows, drawn[rows], rng
+
+    # a group's root level is its largest: per_split keys per distinct row.
+    # A group takes trees while their keys fit in _GROUP_KEYS, and at least
+    # one tree, which has at most n distinct rows.  A group is a range of
+    # tree indices; whoever grows it draws its trees' bootstraps again
+    groups, first, keys = [], 0, 0
+    for t in range(params.n_trees):
+        tree_keys = bootstrap(t)[0].size * per_split
+        if t > first and keys + tree_keys > _GROUP_KEYS:
+            groups.append(range(first, t))
+            first, keys = t, 0
+        keys += tree_keys
+    groups.append(range(first, params.n_trees))
+
+    def grow(trees):
+        rows, weights, rngs = zip(*map(bootstrap, trees))
         return _grow_trees(ranks, values, labels, rows, weights,
                            params.max_depth, params.min_samples_split,
                            per_split, rngs, n_classes, work)
 
-    # a group's root level is its largest: per_split keys per distinct row.
-    # A group takes trees while their keys fit in _GROUP_KEYS, and at least
-    # one tree, which has at most n distinct rows
     work = _LevelWork(min(max(_GROUP_KEYS, n * per_split),
                           params.n_trees * n * per_split))
-    tables, group, keys = [], [], 0
-    for t in range(params.n_trees):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        if params.bootstrap:
-            drawn = np.bincount(rng.integers(0, n, n), minlength=n)
-            rows = np.flatnonzero(drawn)
-            weight = drawn[rows]
-        else:
-            rows, weight = np.arange(n), np.ones(n, dtype=np.intp)
-        if group and keys + rows.size * per_split > _GROUP_KEYS:
-            tables.append(grow(group))
-            group, keys = [], 0
-        group.append((rows, weight, rng))
-        keys += rows.size * per_split
-    tables.append(grow(group))
+    # a tree is the same whatever group and process grows it
+    tables = fork_map(grow, groups)
 
     # the level pass's arrays go before the groups' tables are laid out in
     # one node table, and the groups' tables after

@@ -306,6 +306,8 @@ def read_manifest(path) -> list:
             profile = None
         entries.append(ManifestEntry(label=r[0], file=r[1], frames=int(r[2]),
                                      profile=_profile(profile, where)))
+    if not entries:
+        raise DataFormatError(f"{path}: manifest lists no devices")
     return entries
 
 

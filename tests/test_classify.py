@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radiofp import classify
+from radiofp import classify, parallel
 from radiofp.classify import (
     CVResult,
     ForestParams,
@@ -445,13 +445,15 @@ def _distinct_row_groups(n, n_trees, seed, per_split, budget):
 
 def test_level_pass_keys_within_budget(monkeypatch):
     # the keys one level pass sorts, and so the size of its work arrays,
-    # stay within the budget unless one tree's root level alone exceeds it
+    # stay within the budget unless one tree's root level alone exceeds it.
+    # The passes are counted in this process, so the groups grow on one
+    # core; a run on two cores hands fork_map the same tree ranges
     assert classify._GROUP_KEYS <= 1 << 16  # the peak RSS rests on it
     ds = _group_table()
     per_split = 2
     one_tree = ds.n * per_split
-    seen, roots = [], []
-    real = classify._level_splits
+    seen, roots, handed = [], [], []
+    real, real_fork_map = classify._level_splits, classify.fork_map
 
     def level_splits(ranks, values, labels, rows, weight, owner, counts,
                      per_split, *rest):
@@ -461,18 +463,30 @@ def test_level_pass_keys_within_budget(monkeypatch):
         return real(ranks, values, labels, rows, weight, owner, counts,
                     per_split, *rest)
 
+    def fork_map(fn, items):
+        handed.append(list(items))
+        return real_fork_map(fn, items)
+
     monkeypatch.setattr(classify, "_level_splits", level_splits)
+    monkeypatch.setattr(classify, "fork_map", fork_map)
+    params = ForestParams(n_trees=10, features_per_split=per_split)
     for budget in (5 * one_tree - 1, one_tree // 3):  # then one-tree groups
         monkeypatch.setattr(classify, "_GROUP_KEYS", budget)
         seen.clear()
         roots.clear()
-        train_forest(ds, ForestParams(n_trees=10,
-                                      features_per_split=per_split), seed=3)
+        handed.clear()
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+        train_forest(ds, params, seed=3)
         groups = _distinct_row_groups(ds.n, 10, 3, per_split, budget)
         assert roots == [trees for trees, _ in groups], budget
         # a group's root level is its largest
         assert max(seen) == max(keys for _, keys in groups), budget
         assert all(keys <= max(budget, one_tree) for keys in seen)
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+        train_forest(ds, params, seed=3)
+        assert handed[0] == handed[1], budget
+        assert [len(trees) for trees in handed[0]] == [
+            trees for trees, _ in groups], budget
 
 
 def test_weighted_pass_matches_level_order_reference(monkeypatch):

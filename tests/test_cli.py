@@ -845,6 +845,8 @@ MALFORMED_INPUTS = [
      lambda t: _few_rows_of_label(_few_rows_of_label(t, "0", 1), "1", 1)),
     ("train_class_smaller_than_folds", "train_csv",
      lambda t: _few_rows_of_label(t, "1", 3)),
+    ("manifest_no_devices", "manifest",
+     lambda t: "".join(t.partition("label,file,frames,profile\n")[:2])),
     ("manifest_short_row", "manifest",
      lambda t: _manifest_row(t, lambda f: f[:3])),
     ("manifest_field_over_limit", "manifest",
@@ -958,6 +960,8 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
                     '"max_depth": int | None, "min_samples_split": int, '
                     '"features_per_split": int | None, "bootstrap": bool}\n'
               )), err
+    if case == "manifest_no_devices":
+        assert err == f"error: {bad}: manifest lists no devices\n", err
     if case.endswith("_field_over_limit"):
         assert f"{bad}: field larger than field limit" in err, err
     if case.endswith("_field_misspelled"):

@@ -1,0 +1,257 @@
+import os
+import signal
+import subprocess
+import sys
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import radiofp
+from radiofp import classify, dataio, parallel
+from radiofp.classify import ForestParams, train_forest
+from radiofp.cli import main
+from radiofp.dataset import LabeledFeatureSet
+from radiofp.errors import DataFormatError, NoSplitsError
+from radiofp.features import FEATURE_NAMES
+from radiofp.parallel import fork_map
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: n)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_results_in_order(monkeypatch):
+    _cores(monkeypatch, 3)
+    out = fork_map(lambda x: (x * x, os.getpid()), range(10))
+    assert [square for square, _ in out] == [x * x for x in range(10)]
+    pids = [pid for _, pid in out]
+    # contiguous shares of 3, 3 and 4 items, the first in this process
+    assert pids[:3] == [os.getpid()] * 3
+    assert len(set(pids[3:6])) == len(set(pids[6:])) == 1
+    assert len(set(pids)) == 3
+    _assert_no_child_left()
+
+
+def test_fork_map_runs_serially_on_one_core_or_item(monkeypatch):
+    for cores, items in ((1, range(5)), (4, range(1)), (4, [])):
+        _cores(monkeypatch, cores)
+        pids = fork_map(lambda x: os.getpid(), items)
+        assert pids == [os.getpid()] * len(items)
+
+
+def test_usable_cores_is_the_affinity_mask(monkeypatch):
+    assert parallel.usable_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert parallel.usable_cores() == 1
+
+
+def test_nested_fork_map_runs_serially(monkeypatch):
+    _cores(monkeypatch, 2)
+
+    def inner(x):
+        return x, fork_map(lambda y: os.getpid(), range(4))
+
+    out = fork_map(inner, range(4))
+    assert [x for x, _ in out] == [0, 1, 2, 3]
+    # each call maps on one process: this one for the first share, the
+    # child for the second
+    assert out[0][1] == out[1][1] == [os.getpid()] * 4
+    child = out[2][1][0]
+    assert child != os.getpid()
+    assert out[2][1] == out[3][1] == [child] * 4
+    _assert_no_child_left()
+
+
+def _fail_at(bad):
+    def fn(x):
+        if x in bad:
+            raise DataFormatError(f"item {x} is bad")
+        return x
+    return fn
+
+
+@pytest.mark.parametrize("bad, first", [({5}, 5), ({1, 5}, 1), ({5, 8}, 5)])
+def test_first_failing_share_raises(monkeypatch, bad, first):
+    # shares of items 0-2, 3-5 and 6-9; the exception is the one a serial
+    # map raises, with its type and message
+    _cores(monkeypatch, 3)
+    with pytest.raises(DataFormatError, match=f"^item {first} is bad$"):
+        fork_map(_fail_at(bad), range(10))
+    _assert_no_child_left()
+
+
+def test_no_child_left_after_keyboard_interrupt(monkeypatch):
+    # the parent's share is interrupted while the child's is still running:
+    # the child is killed and reaped at once
+    _cores(monkeypatch, 2)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        fork_map(fn, range(2))
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_child_killed_mid_share_is_a_clear_error(monkeypatch):
+    _cores(monkeypatch, 2)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(ChildProcessError,
+                       match=r"^worker process \d+ was killed by signal 9 "
+                             r"before it sent its whole result \(0 bytes "
+                             r"read\)$"):
+        fork_map(fn, range(2))
+    _assert_no_child_left()
+
+
+def test_result_that_does_not_pickle_is_a_clear_error(monkeypatch):
+    _cores(monkeypatch, 2)
+    with pytest.raises(ChildProcessError,
+                       match=r"^worker process \d+ exited with status 1 "
+                             r"before it sent its whole result"):
+        fork_map(lambda x: (lambda: x), range(2))
+    _assert_no_child_left()
+
+
+def test_fork_warning_of_threaded_process_is_ignored(monkeypatch):
+    # Python 3.12 warns in the parent, after the fork, when the process
+    # runs threads (OpenBLAS's pool counts); tests turn warnings into errors
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is "
+                          "multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning,
+                          stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    _cores(monkeypatch, 2)
+    assert fork_map(lambda x: x + 1, range(4)) == [1, 2, 3, 4]
+    _assert_no_child_left()
+
+
+def _table(rng, n_classes):
+    n, n_features = int(rng.integers(60, 160)), 4
+    x = (rng.normal(size=(n, n_features)) * 2).round(1)  # values tie
+    y = rng.integers(0, n_classes, size=n)
+    x[:, 0] += y  # something to learn
+    return LabeledFeatureSet(x, y, tuple("abc"[:n_classes]),
+                             tuple(f"F{i}" for i in range(n_features)))
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forked_forest_equals_serial(monkeypatch, n_classes, bootstrap):
+    # one group (the default budget), two groups, and one group per tree
+    rng = np.random.default_rng(40 + n_classes + 2 * bootstrap)
+    for trial in range(3):
+        ds = _table(rng, n_classes)
+        params = ForestParams(n_trees=7, bootstrap=bootstrap,
+                              max_depth=[None, 4][trial % 2],
+                              features_per_split=2)
+        for budget in (1 << 16, 4 * ds.n * 2, 1):
+            monkeypatch.setattr(classify, "_GROUP_KEYS", budget)
+            models = []
+            for cores in (1, 2, 3):
+                _cores(monkeypatch, cores)
+                models.append(train_forest(ds, params, seed=trial))
+            serial = models[0]
+            for model in models[1:]:
+                for name in classify._TREE_FIELDS:
+                    got = getattr(model.nodes, name)
+                    want = getattr(serial.nodes, name)
+                    assert got.dtype == want.dtype, name
+                    assert got.tobytes() == want.tobytes(), (budget, name)
+                assert model.start.tobytes() == serial.start.tobytes()
+                assert (model.importances.tobytes()
+                        == serial.importances.tobytes())
+    _assert_no_child_left()
+
+
+def _feature_csv(path):
+    rng = np.random.default_rng(41)
+    labels = ["0"] * 30 + ["1"] * 30
+    x = rng.normal(size=(60, len(FEATURE_NAMES)))
+    x[30:, 0] += 1.0
+    dataio.write_feature_csv(path, labels, x)
+
+
+@pytest.mark.parametrize("error, code", [
+    (DataFormatError("a child's share failed"), 2),
+    (NoSplitsError("a child's share failed"), 2),
+    (ValueError("a child's share failed"), 4),
+])
+def test_child_error_through_cli(monkeypatch, tmp_path, capsys, error, code):
+    # the trees of each fit grow one per group, the last two groups in a
+    # child, which fails: train-eval exits with the error's code and one line
+    features = tmp_path / "features.csv"
+    _feature_csv(features)
+    parent = os.getpid()
+    real = classify._grow_trees
+
+    def grow_trees(*args):
+        if os.getpid() != parent:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(classify, "_grow_trees", grow_trees)
+    monkeypatch.setattr(classify, "_GROUP_KEYS", 1)
+    _cores(monkeypatch, 2)
+    capsys.readouterr()
+    assert main(["train-eval", "--input", str(features), "--out-dir",
+                 str(tmp_path / "ml"), "--classifiers", "forest",
+                 "--trees", "4"]) == code
+    err = capsys.readouterr().err
+    assert err == "error: a child's share failed\n", err
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 usable cores to compare with 1")
+def test_train_eval_bytes_do_not_depend_on_core_count(tmp_path):
+    # the 10 dB test-scale table; train-eval with the CLI defaults on one
+    # core and on all of them
+    raw, features = tmp_path / "raw", tmp_path / "features.csv"
+    assert main(["gen-dataset", "--out-dir", str(raw),
+                 "--frames-per-device", "2000", "--snr-db", "10",
+                 "--seed", "3", "--no-timestamp"]) == 0
+    assert main(["extract", "--input", str(raw / "manifest.csv"),
+                 "--etalon", str(raw / "etalon.iq"), "--out", str(features),
+                 "--no-timestamp"]) == 0
+    src = str(Path(radiofp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    outputs = []
+    for pin in (True, False):
+        out = tmp_path / ("one_core" if pin else "all_cores")
+        subprocess.run(
+            [sys.executable, "-m", "radiofp.cli", "train-eval", "--input",
+             str(features), "--out-dir", str(out), "--no-timestamp"],
+            env=env, check=True, capture_output=True,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {0})) if pin else None)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert "model.txt" in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -40,6 +40,7 @@ from .dataset import FeatureStats
 from .errors import DataFormatError, RadioFpError
 from .explain import ExplainConfig, explain_instance
 from .features import FEATURE_NAMES
+from .parallel import fork_map
 from .pi_digits import PI_DIGIT_COUNT
 from .pipeline import (
     DEFAULT_FRAME_LEN,
@@ -185,24 +186,29 @@ def cmd_extract(args) -> int:
     else:
         jobs = [(args.label, input_path, None)]
 
-    labels, rows, sync_notes = [], [], []
+    def read_stream(path):
+        return run_capture_pipeline(dataio.IqFile(path), etalon,
+                                    threshold=args.sync_threshold)
+
+    # the streams are independent: fork_map reads them on the cores of the
+    # affinity mask and raises the first failing stream's error, as a loop
+    # would.  Every stream is read before the first stderr line, so an
+    # error stays the only line
+    results = fork_map(read_stream, [path for _, path, _ in jobs])
+    labels, rows = [], []
     reasons = ("zero gain",) + FEATURE_NAMES
     skips = np.zeros(len(reasons), dtype=np.int64)
-    for label, path, expected in jobs:
-        values, failed, dropped, lags = run_capture_pipeline(
-            dataio.IqFile(path), etalon, threshold=args.sync_threshold)
+    for (label, _, expected), (values, failed, dropped, lags) in zip(
+            jobs, results):
         if expected is not None and lags.size < expected:
-            sync_notes.append(
-                f"device {label}: sync found {lags.size} of {expected} "
-                f"frames, lost after sample {lags[-1] + etalon.size}")
+            print(f"device {label}: sync found {lags.size} of {expected} "
+                  f"frames, lost after sample {lags[-1] + etalon.size}",
+                  file=sys.stderr)
         rows.append(values[failed < 0])
         labels += [label] * len(rows[-1])
         skips[0] += dropped.sum()
         skips[1:] += np.bincount(failed[failed >= 0], minlength=10)
 
-    # held until every stream is read, so an error stays the only line
-    for note in sync_notes:
-        print(note, file=sys.stderr)
     detail = ", ".join(f"{r}: {n}" for r, n in zip(reasons, skips) if n)
     print(f"skipped {skips.sum()} of {len(labels) + skips.sum()} frames"
           + (f" ({detail})" if detail else ""), file=sys.stderr)

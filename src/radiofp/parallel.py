@@ -12,11 +12,14 @@ from a function that a fork_map maps, the map runs serially in the calling
 process.
 
 Why the fork is safe here: the only threads a radiofp process runs are
-OpenBLAS's, whose ``pthread_atfork`` handler stops its pool before a fork
-and rebuilds it after, no BLAS call is in flight at the fork, and a child
-runs only the mapped function (a forest's tree groups: numpy sorting and
-indexing, no BLAS) and leaves by ``os._exit`` (no atexit hook, no second
-flush of the parent's stdio buffers).
+OpenBLAS's.  Its ``pthread_atfork`` handler stops its pool before a fork
+and rebuilds it after, in the parent and in the child, and no BLAS call
+is in flight at the fork, since the calling process forks between its own
+calls.  So a child may call BLAS: an `extract` stream's `error_phase`
+calls OpenBLAS through ``np.vdot`` (its correlation runs numpy's FFT,
+which starts no thread), while a forest's tree groups only sort and
+index.  A child runs only the mapped function and leaves by ``os._exit``
+(no atexit hook, no second flush of the parent's stdio buffers).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import shutil
 import warnings
 from datetime import datetime, timedelta
@@ -191,31 +192,48 @@ def test_extract_error_after_sync_loss_one_line(small_dataset, tmp_path,
 def test_extract_reads_each_sample_once(tmp_path, monkeypatch):
     """A 2-device extract reads every sample of each stream once, and the
     etalon once: the correlation batches carry the samples they share, and
-    the frames come from the batches."""
+    the frames come from the batches.  Serially, and with the second
+    stream in a forked child, whose reads the log file counts too."""
     from collections import Counter
     from pathlib import Path
+
+    from radiofp import parallel
 
     raw = tmp_path / "raw"
     assert main(["gen-dataset", "--out-dir", str(raw), "--frames-per-device",
                  "30", "--frame-len", "64", "--snr-db", "20", "--seed", "2",
                  "--lead-in", "50", "--no-timestamp"]) == 0
-    reads = Counter()
+    log = tmp_path / "reads.log"
 
     class CountingIqFile(dataio.IqFile):
         def read_into(self, start, out):
-            reads[Path(self.path).name] += out.size
+            # one write to an O_APPEND file: the lines of both processes
+            # stay whole
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{Path(self.path).name} {out.size}\n".encode())
+            finally:
+                os.close(fd)
             super().read_into(start, out)
 
     # 65-lag correlation windows, one to a batch
     monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", 128)
     monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES", 16 * 128)
     monkeypatch.setattr(dataio, "IqFile", CountingIqFile)
-    assert main(["extract", "--input", str(raw / "manifest.csv"),
-                 "--etalon", str(raw / "etalon.iq"),
-                 "--out", str(tmp_path / "f.csv"), "--no-timestamp"]) == 0
     sizes = {p.name: p.stat().st_size // 8 for p in raw.glob("*.iq")}
     assert sizes["device_0.iq"] == 50 + 30 * 64
-    assert reads == sizes
+    for cores in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+        log.write_bytes(b"")
+        assert main(["extract", "--input", str(raw / "manifest.csv"),
+                     "--etalon", str(raw / "etalon.iq"),
+                     "--out", str(tmp_path / "f.csv"),
+                     "--no-timestamp"]) == 0
+        reads = Counter()
+        for line in log.read_text().splitlines():
+            name, size = line.split()
+            reads[name] += int(size)
+        assert reads == sizes, cores
 
 
 def test_extract_stream_truncated_after_open_exit_2(small_dataset, tmp_path,

@@ -1,4 +1,5 @@
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import radiofp
 from radiofp import classify, dataio, parallel
 from radiofp.classify import ForestParams, train_forest
 from radiofp.cli import main
+from radiofp.dataio import IqFile
 from radiofp.dataset import LabeledFeatureSet
 from radiofp.errors import DataFormatError, NoSplitsError
 from radiofp.features import FEATURE_NAMES
@@ -255,3 +257,171 @@ def test_train_eval_bytes_do_not_depend_on_core_count(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert "model.txt" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+def _src_env():
+    """This process's environment, with the radiofp under test first on
+    PYTHONPATH."""
+    src = str(Path(radiofp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.fixture(scope="module")
+def three_devices(tmp_path_factory):
+    """3 devices x 40 frames at L=256, 20 dB: an extract maps device 0 in
+    the calling process and devices 1 and 2 in a child, on 2 cores."""
+    raw = tmp_path_factory.mktemp("three") / "raw"
+    profiles = raw.parent / "profiles.json"
+    profiles.write_text('[{}, {"phase_noise_rms": 0.1}, '
+                        '{"cubic_nonlinearity": 0.2}]')
+    assert main(["gen-dataset", "--out-dir", str(raw), "--profiles",
+                 str(profiles), "--frames-per-device", "40", "--frame-len",
+                 "256", "--snr-db", "20", "--seed", "5",
+                 "--no-timestamp"]) == 0
+    return raw
+
+
+def _extract(data, out):
+    return main(["extract", "--input", str(data / "manifest.csv"),
+                 "--etalon", str(data / "etalon.iq"), "--out", str(out),
+                 "--no-timestamp"])
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 usable cores to compare with 1")
+def test_extract_bytes_do_not_depend_on_core_count(three_devices, tmp_path):
+    # devices 0 and 2, one in each process, lose sync after frame 10 of 40:
+    # their stderr notes keep the manifest order
+    data = tmp_path / "data"
+    shutil.copytree(three_devices, data)
+    for name in ("device_0.iq", "device_2.iq"):
+        stream = dataio.read_iq(data / name)
+        cut = 10 * 256
+        dataio.write_iq(data / name, np.concatenate(
+            [stream[:cut], np.zeros(300, dtype=complex), stream[cut:]]))
+    out = tmp_path / "features.csv"
+    runs = []
+    for pin in (True, False):
+        done = subprocess.run(
+            [sys.executable, "-m", "radiofp.cli", "extract", "--input",
+             str(data / "manifest.csv"), "--etalon", str(data / "etalon.iq"),
+             "--out", str(out), "--no-timestamp"],
+            env=_src_env(), capture_output=True, text=True, timeout=300,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {0})) if pin else None)
+        runs.append((done.returncode, done.stdout, done.stderr,
+                     out.read_bytes()))
+        out.unlink()
+    assert runs[0][:3] == (0, f"wrote 60 feature rows to {out}\n",
+                           "device 0: sync found 10 of 40 frames, lost after "
+                           "sample 2560\n"
+                           "device 2: sync found 10 of 40 frames, lost after "
+                           "sample 2560\n"
+                           "skipped 0 of 60 frames\n")
+    assert runs[0] == runs[1]
+    _assert_no_child_left()
+
+
+# each edit makes the stream at ``path`` fail in the read that extract
+# makes of it
+def _no_file(path, monkeypatch):
+    path.unlink()
+
+
+def _half_sample(path, monkeypatch):
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 4)
+
+
+def _nan_sample(path, monkeypatch):
+    with open(path, "r+b") as fh:
+        fh.seek(8 * 1234)
+        fh.write(np.array([0.0, np.nan], dtype="<f4").tobytes())
+
+
+def _shrunk_after_open(path, monkeypatch):
+    class ShrinkingIqFile(IqFile):  # not a subclass of an earlier run's
+        def __init__(self, name):
+            super().__init__(name)
+            if Path(name) == path:
+                path.write_bytes(path.read_bytes()[:8 * 3000])
+
+    monkeypatch.setattr(dataio, "IqFile", ShrinkingIqFile)
+
+
+def _run_each_way(monkeypatch, tmp_path, capsys, source, edits):
+    """Extract a fresh copy of ``source``, each ``(edit, file name)`` of
+    ``edits`` applied to it, serially and with devices 1 and 2 in a child:
+    ``(exit code, stdout, stderr)`` of each run, the paths the same."""
+    data, out = tmp_path / "data", tmp_path / "f.csv"
+    runs = []
+    for cores in (1, 2):
+        shutil.rmtree(data, ignore_errors=True)
+        shutil.copytree(source, data)
+        for edit, name in edits:
+            edit(data / name, monkeypatch)
+        _cores(monkeypatch, cores)
+        capsys.readouterr()
+        code = _extract(data, out)
+        runs.append((code,) + tuple(capsys.readouterr()))
+        assert not out.exists()
+        _assert_no_child_left()
+    return runs
+
+
+@pytest.mark.parametrize("edit", [_no_file, _half_sample, _nan_sample,
+                                  _shrunk_after_open])
+def test_extract_failing_device_in_child(three_devices, tmp_path,
+                                         monkeypatch, capsys, edit):
+    # device 1's stream is missing, not a whole number of 8-byte samples,
+    # holds a non-finite sample, or shrinks between IqFile measuring it and
+    # the read: the child's error is the serial run's one line, exit 2
+    serial, forked = _run_each_way(monkeypatch, tmp_path, capsys,
+                                   three_devices, [(edit, "device_1.iq")])
+    code, out, err = serial
+    assert code == 2 and out == "", serial
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "device_1.iq" in err
+    assert forked == serial
+
+
+def test_extract_first_failing_device_in_child_reported(
+        three_devices, tmp_path, monkeypatch, capsys):
+    # devices 1 and 2 both fail, one after the other in the child's share:
+    # device 1's error is the one line, as in a serial run
+    serial, forked = _run_each_way(
+        monkeypatch, tmp_path, capsys, three_devices,
+        [(_nan_sample, "device_1.iq"), (_no_file, "device_2.iq")])
+    assert serial == (2, "", f"error: {tmp_path}/data/device_1.iq: sample "
+                             "1234 is not finite\n")
+    assert forked == serial
+
+
+def test_fork_map_with_blas_in_child():
+    # OpenBLAS's pool is awake in the parent at the fork, and each item
+    # calls BLAS in the child: the map neither hangs nor changes a bit
+    script = """
+import numpy as np
+from radiofp import parallel
+
+parallel.usable_cores = lambda: 2
+rng = np.random.default_rng(0)
+big = rng.normal(size=(800, 800))
+big @ big  # starts OpenBLAS's threads
+
+
+def fn(i):
+    a = np.random.default_rng(i).normal(size=(300, 300))
+    z = a[0] + 1j * a[1]
+    return (a @ a).tobytes(), complex(np.vdot(z, a[2] - 1j * a[3]))
+
+
+forked = parallel.fork_map(fn, range(6))
+assert forked == [fn(i) for i in range(6)]
+print("ok")
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr

@@ -41,10 +41,10 @@ from .errors import DataFormatError, RadioFpError
 from .explain import ExplainConfig, explain_instance
 from .features import FEATURE_NAMES
 from .parallel import fork_map
-from .pi_digits import PI_DIGIT_COUNT
 from .pipeline import (
     DEFAULT_FRAME_LEN,
     DEFAULT_SYNC_THRESHOLD,
+    MAX_FRAME_LEN,
     MIN_ETALON_LEN,
     ImpairmentProfile,
     frames_per_block,
@@ -142,8 +142,8 @@ def _device_blocks(etalon, profile, seed: int, dev: int, frames: int,
 
 
 def cmd_gen_dataset(args) -> int:
-    if not MIN_ETALON_LEN <= args.frame_len <= PI_DIGIT_COUNT:
-        raise ConfigError(f"--frame-len not in {MIN_ETALON_LEN}..{PI_DIGIT_COUNT}")
+    if not MIN_ETALON_LEN <= args.frame_len <= MAX_FRAME_LEN:
+        raise ConfigError(f"--frame-len not in {MIN_ETALON_LEN}..{MAX_FRAME_LEN}")
     # derive_seed would alias seed -1 to 2^64 - 1.  The --snr-db floor
     # keeps the noise finite: near -760 dB it overflows the float32
     # samples, below about -3080 dB its power overflows a float
@@ -355,8 +355,12 @@ def cmd_explain(args) -> int:
         raise ConfigError(
             f"--row {args.row} out of range for {dataset.n} rows")
     stats = FeatureStats.from_features(dataset.features)
-    explanation = explain_instance(model, dataset.features[args.row],
-                                   config, stats, seed=args.seed)
+    try:
+        explanation = explain_instance(model, dataset.features[args.row],
+                                       config, stats, seed=args.seed)
+    except (ValueError, MemoryError) as exc:  # numpy's array size limits
+        raise ConfigError(f"--n-perturbations {args.n_perturbations} is too "
+                          f"large: {exc}") from exc
     label_name = model.label_names[explanation.predicted_class]
     dataio.write_explanation_csv(args.out, explanation,
                                  dataset.feature_names, label_name,

@@ -301,10 +301,15 @@ def read_manifest(path) -> list:
             raise DataFormatError(
                 f"{where}: frames {r[2]!r} is not a non-negative integer")
         try:
+            frames = int(r[2])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise DataFormatError(f"{where}: frames has {len(r[2])} digits, "
+                                  "more than Python converts") from None
+        try:
             profile = json.loads(r[3])
         except ValueError:
             profile = None
-        entries.append(ManifestEntry(label=r[0], file=r[1], frames=int(r[2]),
+        entries.append(ManifestEntry(label=r[0], file=r[1], frames=frames,
                                      profile=_profile(profile, where)))
     if not entries:
         raise DataFormatError(f"{path}: manifest lists no devices")

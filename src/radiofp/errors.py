@@ -13,10 +13,6 @@ class DegenerateSequenceError(RadioFpError):
     """Sequence is shorter than the fluctuation parameters need."""
 
 
-class DigitTableExhaustedError(RadioFpError):
-    """Requested more digits than the embedded table provides."""
-
-
 class InvalidEtalonError(RadioFpError, ValueError):
     """Reference waveform shorter than the minimum length or without energy."""
 

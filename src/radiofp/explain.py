@@ -29,10 +29,12 @@ class ExplainConfig:
     def __post_init__(self):
         if self.n_perturbations < 100:
             raise ValueError("need at least 100 perturbations")
-        if self.kernel_width is not None and not (
-                math.isfinite(self.kernel_width) and self.kernel_width > 0):
-            raise ValueError("kernel_width must be finite and > 0, "
-                             f"not {self.kernel_width}")
+        # the surrogate's kernel divides by the width's square
+        width = self.kernel_width
+        if width is not None and not (
+                width > 0 and 0 < width * width < math.inf):
+            raise ValueError("kernel_width must be > 0 with a finite, non-zero "
+                             f"square, not {width}")
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
             raise ValueError("ridge_lambda must be finite and >= 0, "
                              f"not {self.ridge_lambda}")
@@ -76,7 +78,8 @@ def _fit_local_linear(z_samples, z_instance, target, kernel_width,
     """
     n, n_features = z_samples.shape
     d2 = np.sum((z_samples - z_instance) ** 2, axis=1)
-    sample_w = np.exp(-d2 / kernel_width**2)
+    with np.errstate(over="ignore"):  # a far sample's weight is then 0
+        sample_w = np.exp(-d2 / kernel_width**2)
 
     design = np.column_stack([np.ones(n), z_samples])
     weighted = design * sample_w[:, None]

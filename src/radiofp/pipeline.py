@@ -1,7 +1,9 @@
 """Baseband pipeline: reference waveform, device simulation, sync, error phase.
 
 The reference ("etalon") waveform is trans-noise: decimal digits of pi mapped
-linearly onto DAC amplitude levels, digit 0 at -1 and digit 9 at +1.  A
+linearly onto DAC amplitude levels, digit 0 at -1 and digit 9 at +1.  The
+digits are computed with Machin's formula in Python integers, up to
+`MAX_FRAME_LEN` of them.  A
 received stream is aligned to the etalon by cross-correlation, normalized by
 a complex least-squares gain, and the etalon is subtracted; the per-sample
 phase of the remaining error signal is the trendless sequence handed to
@@ -18,16 +20,19 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DigitTableExhaustedError,
-    InvalidEtalonError,
-    SyncNotFoundError,
-)
+from .errors import InvalidEtalonError, SyncNotFoundError
 from .features import feature_matrix
-from .pi_digits import PI_DIGITS
 
 DEFAULT_FRAME_LEN = 1024
 MIN_ETALON_LEN = 64
+# a stated cap on the etalon's pi digits.  `_pi_digits` sums Machin's series
+# to 20 guard digits; each of its under 8000 terms is a floor, off by less
+# than one unit, so 16 arctan(1/5) - 4 arctan(1/239) errs by less than 10^6
+# units of the last guard digit.  A kept digit can then be wrong only where
+# 14 or more 9s or 0s follow it.  Pi's first 8212 digits hold no such run
+# longer than 6 (the six 9s from decimal place 762), so every length up to
+# the cap is exact
+MAX_FRAME_LEN = 8192
 DEFAULT_SYNC_THRESHOLD = 3.0
 _SEARCH_WIDTH = 8  # lags either side of where the next frame is expected
 
@@ -49,19 +54,44 @@ def frames_per_block(length: int) -> int:
     return max(1, _FRAME_BLOCK_BYTES // (16 * length))
 
 
+def _pi_digits(n: int) -> str:
+    """The first ``n`` decimal digits of pi, "31415...", from Machin's
+    formula pi/4 = 4 arctan(1/5) - arctan(1/239) in integer fixed point.
+
+    The integer becomes text 512 digits at a time, as Python refuses longer
+    int-to-str conversions when `sys.set_int_max_str_digits` is at its
+    floor of 640.
+    """
+    guard = 10**20  # 20 guard digits, see MAX_FRAME_LEN
+    unit = 10 ** (n - 1) * guard
+
+    def arctan_inv(x):  # arctan(1/x) * unit
+        total = power = unit // x
+        k, sign = 1, 1
+        while power:
+            power //= x * x
+            k, sign = k + 2, -sign
+            total += sign * (power // k)
+        return total
+
+    scaled = 4 * (4 * arctan_inv(5) - arctan_inv(239)) // guard
+    chunk, chunks = 10**512, []
+    while scaled >= chunk:
+        scaled, low = divmod(scaled, chunk)
+        chunks.append(f"{low:0512d}")
+    return str(scaled) + "".join(reversed(chunks))
+
+
 def gen_transnoise(length: int) -> np.ndarray:
     """Real amplitude sequence from the first ``length`` digits of pi.
 
     The digit stream starts "3, 1, 4, 1, 5, ..." with the decimal point
-    skipped.  Digit d maps to amplitude ``-1 + 2*d/9``.
+    skipped.  Digit d maps to amplitude ``-1 + 2*d/9``.  ``length`` must
+    lie in 1..`MAX_FRAME_LEN`.
     """
-    if length < 1:
-        raise ValueError("length must be positive")
-    if length > len(PI_DIGITS):
-        raise DigitTableExhaustedError(
-            f"need {length} digits, table holds {len(PI_DIGITS)}"
-        )
-    digits = np.frombuffer(PI_DIGITS[:length].encode("ascii"),
+    if not 1 <= length <= MAX_FRAME_LEN:
+        raise ValueError(f"length must lie in 1..{MAX_FRAME_LEN}, not {length}")
+    digits = np.frombuffer(_pi_digits(length).encode("ascii"),
                            dtype=np.uint8) - ord("0")
     return -1.0 + 2.0 * digits / 9.0
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from oracles import oracle_simulate_frame
-from radiofp import dataio, pipeline, stats as stats_module
+from radiofp import dataio, explain as explain_module, pipeline
+from radiofp import stats as stats_module
 from radiofp.classify import derive_seed
 from radiofp.cli import build_parser, main
 from radiofp.pipeline import transnoise_etalon
@@ -307,7 +308,7 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
            "--frames-per-device", "1", "--no-timestamp"]
     one = tmp_path / "one_profile.json"
     one.write_text("[{}]")
-    # the etalon needs 64 samples; the pi table holds 8192 digits; a dataset
+    # the etalon needs 64 samples and is capped at 8192 pi digits; a dataset
     # needs 2 devices and a frame per device
     for flags in (["--frame-len", "10"], ["--frame-len", "63"],
                   ["--frame-len", "8193"], ["--frame-len", "9000"],
@@ -367,6 +368,9 @@ def test_bad_flags_exit_4(small_dataset, tmp_path, capsys, monkeypatch):
                  explain + ["--kernel-width", "nan"],
                  explain + ["--kernel-width", "inf"],
                  explain + ["--kernel-width", "0"],
+                 # squares to 0 and to inf
+                 explain + ["--kernel-width", "1e-300"],
+                 explain + ["--kernel-width", "1e200"],
                  explain + ["--ridge-lambda", "nan"],
                  explain + ["--ridge-lambda", "inf"],
                  explain + ["--ridge-lambda", "-1"],
@@ -594,6 +598,31 @@ def test_explain_singular_fit_exit_2_one_line(small_dataset, small_model,
                        if not line.startswith("#"))
         assert float(weights["P1"]) == 0.0, value
         (tmp_path / "e.csv").unlink()
+
+
+def test_explain_too_many_perturbations_exit_4(small_dataset, small_model,
+                                               tmp_path, capsys, monkeypatch):
+    _, _, features = small_dataset
+    real_perturb = explain_module.perturb
+
+    def perturb(instance, training_stats, n, seed):
+        # an allocation that fails, without making it
+        if n == 10**12:
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+        return real_perturb(instance, training_stats, n, seed)
+
+    monkeypatch.setattr(explain_module, "perturb", perturb)
+    # numpy refuses 10^18 rows before it allocates anything
+    for n in (10**12, 10**18):
+        capsys.readouterr()
+        assert main(["explain", "--model", str(small_model),
+                     "--input", str(features), "--row", "0",
+                     "--n-perturbations", str(n),
+                     "--out", str(tmp_path / "e.csv")]) == 4, n
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: --n-perturbations {n} is too large: ")
+        assert not (tmp_path / "e.csv").exists()
 
 
 def test_explain_cli(small_dataset, tmp_path):
@@ -871,6 +900,8 @@ MALFORMED_INPUTS = [
      lambda t: _manifest_row(t, lambda f: ["x" * 140000] + f[1:])),
     ("manifest_frames_not_integer", "manifest",
      lambda t: _manifest_row(t, lambda f: f[:2] + ["4.5"] + f[3:])),
+    ("manifest_frames_over_int_str_limit", "manifest",  # int() refuses it
+     lambda t: _manifest_row(t, lambda f: f[:2] + ["1" * 5000] + f[3:])),
     ("manifest_frames_negative", "manifest",
      lambda t: _manifest_row(t, lambda f: f[:2] + ["-1"] + f[3:])),
     ("manifest_profile_not_object", "manifest",
@@ -957,6 +988,8 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
     assert err.count("bad model file:") <= 1, err
     if case == "model_feature_not_in_input":
         assert "PX" in err, err
+    if case == "manifest_frames_over_int_str_limit":
+        assert ": manifest row 1: frames has 5000 digits" in err, err
     for key in ("label_names", "feature_names", "importances"):
         if case.startswith(f"model_{key}_"):
             assert f"bad model file: {key} must be" in err, err

@@ -168,5 +168,17 @@ def test_explain_deterministic_per_seed():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExplainConfig(n_perturbations=10)
-    with pytest.raises(ValueError):
-        ExplainConfig(kernel_width=-1.0)
+    # 1e-300 and 1e200 square to 0 and to inf
+    for width in (-1.0, 0.0, float("nan"), float("inf"), 1e-300, 1e200):
+        with pytest.raises(ValueError):
+            ExplainConfig(kernel_width=width)
+
+
+def test_tiny_kernel_width_weights_the_instance_alone():
+    # the width squares to a subnormal: every other sample's d2 / width^2
+    # overflows, and its weight is 0 without a warning
+    stats, feats = make_stats(9)
+    exp = explain_instance(LinearStub(stats), feats[0],
+                           ExplainConfig(kernel_width=1e-160), stats, seed=3)
+    assert exp.local_fidelity == 0.0
+    assert np.all(np.isfinite(exp.weights))

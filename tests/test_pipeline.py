@@ -1,14 +1,20 @@
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import oracle_simulate_frame
+import radiofp
 from radiofp import pipeline
 from radiofp.classify import derive_seed
-from radiofp.errors import DigitTableExhaustedError, SyncNotFoundError
+from radiofp.errors import SyncNotFoundError
 from radiofp.pipeline import ImpairmentProfile
 
 
@@ -40,10 +46,64 @@ def test_transnoise_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_transnoise_table_exhaustion():
+def test_transnoise_cap():
+    assert pipeline.MAX_FRAME_LEN == 8192
     assert pipeline.gen_transnoise(8192).size == 8192
-    with pytest.raises(DigitTableExhaustedError):
-        pipeline.gen_transnoise(8193)
+    for length in (0, 8193):
+        with pytest.raises(ValueError):
+            pipeline.gen_transnoise(length)
+
+
+def _digits(length):
+    """The pi digits of ``gen_transnoise(length)``, as text."""
+    seq = pipeline.gen_transnoise(length)
+    return "".join(map(str, np.round((seq + 1.0) * 4.5).astype(int)))
+
+
+# sha256 of the 8192-digit text that earlier versions embedded as a table;
+# the etalon of every golden digest was made from it
+PI_8192_SHA256 = (
+    "92b32934d48848ffc23bd44a261dba37760235d6af657a2d8de6679466891c9d")
+
+
+def test_transnoise_digits_equal_the_former_table():
+    digits = _digits(8192)
+    assert hashlib.sha256(digits.encode("ascii")).hexdigest() == PI_8192_SHA256
+
+
+def test_transnoise_digits_equal_mpmath_pi():
+    import mpmath
+
+    with mpmath.workdps(8250):
+        # 8230 significant digits: the rounded last ones are not compared
+        text = mpmath.nstr(mpmath.pi, 8230, strip_zeros=False)
+    assert _digits(8192) == text.replace(".", "")[:8192]
+
+
+def test_transnoise_digits_are_prefixes():
+    # 755..775 straddle the six 9s from decimal place 762; 4300 is Python's
+    # default int-to-str digit limit
+    full = _digits(8192)
+    for length in (*range(755, 776), 4300, 4301, 8191):
+        assert _digits(length) == full[:length], length
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_transnoise_under_the_lowest_int_str_digit_limit():
+    script = ("import hashlib, sys\n"
+              "from radiofp.pipeline import gen_transnoise\n"
+              "print(sys.get_int_max_str_digits())\n"
+              "print(hashlib.sha256(gen_transnoise(8192).tobytes()).hexdigest())")
+    src = str(Path(radiofp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", script],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    expected = hashlib.sha256(pipeline.gen_transnoise(8192).tobytes())
+    assert out == ["640", expected.hexdigest()]
 
 
 def test_simulate_identity_profile():

@@ -264,7 +264,7 @@ def _trainers(args, params):
             ds, max_depth=args.max_depth,
             min_samples_split=args.min_samples_split, seed=s),
         "knn": lambda ds, s: train_knn(ds, args.knn_k),
-        "logreg": lambda ds, s: logistic_regression_train(ds, seed=s),
+        "logreg": lambda ds, s: logistic_regression_train(ds),
     }
     chosen = [c.strip() for c in args.classifiers.split(",") if c.strip()]
     bad = [c for c in chosen if c not in available]

@@ -204,8 +204,9 @@ def read_feature_csv(path) -> LabeledFeatureSet:
     The whole file is read before a check fails, and the checks keep the
     order of checking a table read whole: a missing header, no rows, the
     first row of other than 11 fields, the first value `float` rejects,
-    then the first non-finite value.  A value's row and column are found
-    only once it fails."""
+    the first non-finite value, then the first column whose statistics
+    can overflow.  A value's row and column are found only once it
+    fails."""
     width = len(FEATURE_CSV_HEADER)
     labels, values = [], array.array("d")
     label = short = bad = None
@@ -248,6 +249,18 @@ def read_feature_csv(path) -> LabeledFeatureSet:
         row, col = divmod(int(np.argmin(np.isfinite(feats))), width - 1)
         raise DataFormatError(f"{path}: data row {row + 1}: "
                               f"{header[col + 1]} value is not finite")
+    # every mean, variance and Pearson sum of a column, over any of its
+    # rows, is at most n max|v| or n (max - min)^2 in size, and
+    # `stats.pearson` multiplies two of the latter
+    hi, lo = feats.max(axis=0), feats.min(axis=0)
+    with np.errstate(over="ignore"):
+        spread = n_rows * np.square(hi - lo)
+        too_large = ~(np.isfinite(n_rows * np.maximum(hi, -lo))
+                      & np.isfinite(spread * spread))
+    if too_large.any():
+        raise DataFormatError(
+            f"{path}: {header[int(np.argmax(too_large)) + 1]} values are "
+            "too large: the column's statistics overflow a float")
     return LabeledFeatureSet.from_rows(labels, feats)
 
 

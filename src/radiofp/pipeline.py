@@ -3,12 +3,12 @@
 The reference ("etalon") waveform is trans-noise: decimal digits of pi mapped
 linearly onto DAC amplitude levels, digit 0 at -1 and digit 9 at +1.  The
 digits are computed with Machin's formula in Python integers, up to
-`MAX_FRAME_LEN` of them.  A
-received stream is aligned to the etalon by cross-correlation, normalized by
-a complex least-squares gain, and the etalon is subtracted; the per-sample
-phase of the remaining error signal is the trendless sequence handed to
-feature extraction.  `run_capture_pipeline` runs the sync, the error
-phase and feature extraction in one pass over a stream.
+`MAX_FRAME_LEN` of them.  A received stream is aligned to the etalon by
+cross-correlation, normalized by a complex least-squares gain, and the
+etalon is subtracted; the per-sample phase of the remaining error signal is
+the trendless sequence handed to feature extraction.  `run_capture_pipeline`
+runs the sync, the error phase and feature extraction in one pass over a
+stream.
 """
 
 from __future__ import annotations

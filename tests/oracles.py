@@ -244,3 +244,34 @@ def oracle_model_trees(lines, n_trees, n_classes, n_features):
     if pos != len(lines):
         return f"line {pos + 1}: text after the last tree"
     return out, counts
+
+
+def oracle_logistic_fit(features_std, labels01, l2, dps=50):
+    """The minimizer (weights, bias) of the L2-penalized mean cross-entropy,
+    bias unpenalized, by plain Newton steps at ``dps`` digits (mpmath),
+    from zero, until a step's largest component is below 10^-(dps - 10).
+    Meant for small, non-separable tables, where plain Newton converges."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        rows = [[mp.mpf(float(v)) for v in r] + [mp.mpf(1)]
+                for r in features_std]
+        y = [mp.mpf(float(v)) for v in labels01]
+        n, m = len(rows), len(rows[0])
+        pen = [mp.mpf(l2)] * (m - 1) + [mp.mpf(0)]
+        theta = [mp.mpf(0)] * m
+        while True:
+            p = [1 / (1 + mp.exp(-mp.fsum(t * x for t, x in zip(theta, r))))
+                 for r in rows]
+            grad = [mp.fsum((p[i] - y[i]) * rows[i][j] for i in range(n)) / n
+                    + pen[j] * theta[j] for j in range(m)]
+            hess = mp.matrix(m, m)
+            for j in range(m):
+                for k in range(m):
+                    hess[j, k] = mp.fsum(p[i] * (1 - p[i]) * rows[i][j]
+                                         * rows[i][k] for i in range(n)) / n
+                hess[j, j] += pen[j]
+            step = mp.lu_solve(hess, mp.matrix(grad))
+            theta = [t - s for t, s in zip(theta, step)]
+            if max(abs(s) for s in step) < mp.mpf(10) ** (10 - dps):
+                return [float(t) for t in theta[:-1]], float(theta[-1])

@@ -600,6 +600,33 @@ def test_explain_singular_fit_exit_2_one_line(small_dataset, small_model,
         (tmp_path / "e.csv").unlink()
 
 
+@pytest.mark.parametrize("command", ["stats", "train-eval", "explain"])
+def test_overflowing_feature_column_exit_2_one_line(command, small_model,
+                                                    tmp_path, capsys):
+    # P1 at +-1e308: its mean and variance overflow, so the table is
+    # refused as it is read, not turned into NaN statistics, scores of 0.5
+    # or an explanation of fidelity nan
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(40, 10))
+    feats[:, 0] = np.where(np.arange(40) % 3 == 0, -1e308, 1e308)
+    table = tmp_path / "overflow.csv"
+    dataio.write_feature_csv(table, [str(i % 2) for i in range(40)], feats)
+    out = tmp_path / "out"
+    argv = {"stats": ["--out-dir", str(out)],
+            "train-eval": ["--out-dir", str(out)],
+            "explain": ["--model", str(small_model), "--row", "0",
+                        "--out", str(out)]}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--input", str(table)] + argv)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {table}: P1 values are too large: the column's statistics "
+        "overflow a float\n")
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
 def test_explain_too_many_perturbations_exit_4(small_dataset, small_model,
                                                tmp_path, capsys, monkeypatch):
     _, _, features = small_dataset

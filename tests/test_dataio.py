@@ -7,7 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from radiofp import dataio
+from radiofp import dataio, stats
 from radiofp.errors import DataFormatError
 from radiofp.pipeline import ImpairmentProfile
 
@@ -230,6 +230,17 @@ def _row_with(*values):
      "data row 1: P7 value 'q' is not a number"),
     (_HEADER + _row_with((9, "inf")) + _row_with((2, "nan")),
      "data row 1: P9 value is not finite"),
+    # a column whose mean, variance or Pearson sums can overflow: n max|v|
+    # (2e308), n (max - min)^2 (2e600), that squared (6.4e309); the
+    # non-finite check comes first
+    (_HEADER + _row_with((3, "1e308")) + _row_with((3, "-1e308")),
+     "P3 values are too large: the column's statistics overflow a float"),
+    (_HEADER + _row_with((2, "1e300")) + _ROW,
+     "P2 values are too large: the column's statistics overflow a float"),
+    (_HEADER + _row_with((5, "1e77")) + _row_with((5, "-1e77"), (6, "1e77")),
+     "P5 values are too large: the column's statistics overflow a float"),
+    (_HEADER + _row_with((3, "1e308")) + _row_with((3, "1e308"), (4, "nan")),
+     "data row 2: P4 value is not finite"),
 ])
 def test_feature_csv_error_messages(text, message, tmp_path):
     path = tmp_path / "bad.csv"
@@ -237,6 +248,19 @@ def test_feature_csv_error_messages(text, message, tmp_path):
     with pytest.raises(DataFormatError) as caught:
         dataio.read_feature_csv(path)
     assert str(caught.value) == f"{path}: {message}"
+
+
+def test_feature_csv_large_columns_keep_exact_statistics(tmp_path):
+    # under the overflow rule: n (max - min)^2 = 4e153 for P1's 40
+    # rows, so stats.pearson's product of two such sums stays finite
+    rng = np.random.default_rng(5)
+    feats = rng.normal(size=(40, 10))
+    feats[:, 0] = np.where(np.arange(40) % 2, 5e75, -5e75)
+    feats[:, 1] = feats[:, 0] / 2
+    path = tmp_path / "large.csv"
+    dataio.write_feature_csv(path, [str(i % 2) for i in range(40)], feats)
+    ds = dataio.read_feature_csv(path)
+    assert stats.pearson(ds.features[:, 0], ds.features[:, 1]) == 1.0
 
 
 def test_feature_csv_read_memory(tmp_path):

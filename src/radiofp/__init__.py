@@ -42,7 +42,6 @@ from .stats import (
     p_value_two_sided,
     pearson,
     pearson_matrix,
-    point_biserial,
     significance_report,
 )
 

@@ -789,8 +789,8 @@ def logistic_regression_train(dataset: LabeledFeatureSet,
     every step taken, and a float takes finitely many values, so the fit
     ends.  ``l2 > 0`` keeps the optimum finite on separable data.  An
     ``l2`` so small that every row's probability rounds to 0 or 1 near the
-    optimum (below about 1e-17, on separable data) leaves the Hessian
-    singular: `np.linalg.LinAlgError`.
+    optimum (below about 1e-17, on separable data) can leave the Hessian
+    singular; the fit then ends at the last point taken.
     """
     if not (math.isfinite(l2) and l2 > 0):
         raise ValueError(f"l2 must be finite and above 0, got {l2}")
@@ -813,7 +813,10 @@ def logistic_regression_train(dataset: LabeledFeatureSet,
             p = _sigmoid(np.einsum("ji,j->i", xt, theta))
             grad = np.einsum("ji,i->j", xt, p - y) / y.size + penalty * theta
             hess = np.einsum("ji,ki->jk", xt * (p * (1.0 - p)), xt) / y.size
-            step = np.linalg.solve(hess + np.diag(penalty), grad)
+            try:
+                step = np.linalg.solve(hess + np.diag(penalty), grad)
+            except np.linalg.LinAlgError:  # a singular Hessian ends the fit
+                break
         else:
             step /= 2
     return LogisticModel(weights=theta[:-1], bias=float(theta[-1]),

@@ -43,7 +43,6 @@ class ExplainConfig:
 @dataclass(frozen=True)
 class Explanation:
     weights: np.ndarray
-    intercept: float
     local_fidelity: float
     predicted_class: int
     n_perturbations: int
@@ -69,15 +68,15 @@ def perturb(instance, training_stats: FeatureStats, n: int,
     return out
 
 
-def _fit_local_linear(z_samples, z_instance, target, kernel_width,
-                      ridge_lambda):
-    """Proximity-weighted ridge fit; returns (weights, intercept, fidelity).
+def _fit_local_linear(z_samples, target, kernel_width, ridge_lambda):
+    """Proximity-weighted ridge fit around sample 0, the instance; returns
+    (weights, fidelity).
 
     The intercept is unpenalized; fidelity is the weighted R^2, defined as 0
     when the target carries no weighted variance.
     """
     n, n_features = z_samples.shape
-    d2 = np.sum((z_samples - z_instance) ** 2, axis=1)
+    d2 = np.sum((z_samples - z_samples[0]) ** 2, axis=1)
     with np.errstate(over="ignore"):  # a far sample's weight is then 0
         sample_w = np.exp(-d2 / kernel_width**2)
 
@@ -102,37 +101,36 @@ def _fit_local_linear(z_samples, z_instance, target, kernel_width,
     else:
         ss_res = float(sample_w @ (target - fitted) ** 2)
         fidelity = 1.0 - ss_res / ss_tot
-    return beta[1:], float(beta[0]), fidelity
+    return beta[1:], fidelity
 
 
 def explain_instance(model, instance, config: ExplainConfig,
                      training_stats: FeatureStats, seed: int = 0) -> Explanation:
     """Fit a local linear surrogate around one prediction.
 
-    ``model`` must expose ``predict`` and ``predict_proba`` over feature
-    rows.  The surrogate regresses the probability of the model's predicted
-    class on standardized features, so positive weights read as pushing
-    toward that class.
+    ``model`` must expose ``predict_proba`` over feature rows; its predicted
+    class is the most probable one at the instance.  The surrogate regresses
+    the probability of that class on standardized features, so positive
+    weights read as pushing toward it.
     """
     x = np.asarray(instance, dtype=float)
     if not np.all(np.isfinite(x)):
         raise SingularFitError("instance contains non-finite values")
 
-    predicted_class = int(model.predict(x[None, :])[0])
     samples = perturb(x, training_stats, config.n_perturbations, seed)
-    target = np.asarray(model.predict_proba(samples), dtype=float)[:, predicted_class]
+    proba = np.asarray(model.predict_proba(samples), dtype=float)
+    # sample 0 is the instance itself
+    predicted_class = int(np.argmax(proba[0]))
+    target = proba[:, predicted_class]
     if not np.all(np.isfinite(target)):
         raise SingularFitError("model produced non-finite probabilities")
 
-    z_samples = training_stats.standardize(samples)
-    z_instance = training_stats.standardize(x[None, :])[0]
-    weights, intercept, fidelity = _fit_local_linear(
-        z_samples, z_instance, target,
+    weights, fidelity = _fit_local_linear(
+        training_stats.standardize(samples), target,
         config.kernel_width or 0.75 * math.sqrt(x.size), config.ridge_lambda,
     )
     return Explanation(
         weights=weights,
-        intercept=intercept,
         local_fidelity=fidelity,
         predicted_class=predicted_class,
         n_perturbations=config.n_perturbations,

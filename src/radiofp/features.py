@@ -37,12 +37,6 @@ def _as_sequence(rows) -> np.ndarray:
     return y
 
 
-def _walk_range(steps: np.ndarray) -> np.ndarray:
-    """Range of each row's running sum, the walk starting at 0."""
-    walk = np.cumsum(steps, axis=1)
-    return np.maximum(walk.max(axis=1), 0.0) - np.minimum(walk.min(axis=1), 0.0)
-
-
 def _roots(dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero crossings of each row of a centered matrix: (positions, rows).
 
@@ -71,38 +65,40 @@ def _roots(dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, rows
 
 
-def _root_line(roots: np.ndarray) -> tuple[float, float] | None:
-    """P9 and P10 from the least-squares line through one row's roots.
+def _root_lines(pos: np.ndarray, rows: np.ndarray,
+                shape: tuple[int, int]) -> np.ndarray:
+    """P9 and P10 of each row from the least-squares line through its roots.
 
-    The root positions are fitted against their 1-based index, giving the
-    spacing ``a`` between successive crossings and the intercept ``b``.
-    Successive crossings of ``cos(w*t - phi)`` are ``pi/a`` apart in angle,
-    so ``w = pi / a``; matching the constant terms gives
-    ``phi = pi*b/a - pi/2``, reported modulo pi in ``[0, pi)`` because the
-    choice of which crossing counts as the first shifts the phase by pi.
-    None when there are fewer than 2 roots or the slope is not positive.
+    ``pos`` and ``rows`` are `_roots` of a ``shape`` matrix; the result is
+    ``(n, 2)``.  Each row's root positions are fitted against their 1-based
+    index k, giving the spacing ``a`` between successive crossings and the
+    intercept ``b``.  Successive crossings of ``cos(w*t - phi)`` are
+    ``pi/a`` apart in angle, so ``w = pi / a``; matching the constant terms
+    gives ``phi = pi*b/a - pi/2``, reported modulo pi in ``[0, pi)`` because
+    the choice of which crossing counts as the first shifts the phase by pi.
+    NaN when a row has fewer than 2 roots or its slope is not positive.
     """
-    n = roots.size
-    if n < 2:
-        return None
-    # k = 1..n has mean (n+1)/2 and sum((k - mean)^2) = n(n^2-1)/12, and
-    # so only the sums over the roots stay per row.  numpy's float sums of
-    # k give exactly these while 4 * n(n^2-1)/12 < 2^53, n <= 300079, as
-    # every term and partial sum is then an exact multiple of 1/4; past
-    # that the closed forms are still the exact values
-    k_mean = (n + 1) / 2
-    sxx = n * (n * n - 1) / 12
-    r_mean = float(np.add.reduce(roots)) / n
-    dev = roots - r_mean
-    dev *= np.arange((1 - n) / 2, k_mean)  # k - k_mean, exact half-integers
-    a = float(np.add.reduce(dev)) / sxx
-    if a <= 0:
-        return None
-    b = r_mean - a * k_mean
-    p10 = (np.pi * b / a - np.pi / 2.0) % np.pi
-    if p10 >= np.pi:  # float wrap guard
-        p10 -= np.pi
-    return np.pi / a, p10
+    counts = np.bincount(rows, minlength=shape[0])
+    # each root's 0-based index within its row, k - 1; a row holds at most
+    # L roots, so they go left-aligned into an (n, L) matrix of zeros, and
+    # each row's two sums are numpy's pairwise sums along it, which depend
+    # on the row and L alone
+    k0 = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    padded = np.zeros(shape)
+    padded[rows, k0] = pos
+    # k = 1..n has mean (n+1)/2 and sum((k - mean)^2) = n(n^2-1)/12, exact
+    # while n(n^2-1) < 2^53, and so only the sums over the roots stay
+    k_mean = (counts + 1) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_mean = np.add.reduce(padded, axis=1) / counts
+        # k - k_mean is an exact half-integer
+        padded[rows, k0] = (pos - r_mean[rows]) * (k0 + 1 - k_mean[rows])
+        a = np.add.reduce(padded, axis=1) / (counts * (counts**2 - 1) / 12)
+        b = r_mean - a * k_mean
+        p10 = (np.pi * b / a - np.pi / 2.0) % np.pi
+        p10[p10 >= np.pi] -= np.pi  # float wrap guard
+        p9 = np.pi / a
+    return np.where((a > 0)[:, None], np.column_stack([p9, p10]), np.nan)
 
 
 def _features(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,29 +110,22 @@ def _features(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi, lo = y_max - mean, y_min - mean
     y_range = y_max - y_min
     one_sided = (hi <= 0) | (lo >= 0)
-    bell = np.cumsum(np.sort(dy, axis=1)[:, ::-1], axis=1)
     # distance of the last negative deviation from the end, minus that of
     # the last positive one: the difference of their 1-based indices
     backwards = dy[:, ::-1]
     horizontal = (np.argmax(backwards < 0, axis=1)
                   - np.argmax(backwards > 0, axis=1))
+    walk = np.cumsum(dy, axis=1)  # P4's walk, starting at 0
+    p4 = np.maximum(walk.max(axis=1), 0.0) - np.minimum(walk.min(axis=1), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.column_stack([
-            mean, hi - lo, np.where(one_sided, np.nan, hi - np.abs(lo)),
-            _walk_range(dy),
+            mean, hi - lo, np.where(one_sided, np.nan, hi - np.abs(lo)), p4,
             np.where(mean > y_min, (y_max - mean) / (mean - y_min), np.nan),
             np.where(one_sided, np.nan, horizontal),
-            np.maximum(bell.max(axis=1), 0.0),
-            np.where(y_range == 0, np.nan, _walk_range(dy / y_range[:, None])),
-            np.full((len(y), 2), np.nan),
+            np.add.reduce(np.maximum(dy, 0.0), axis=1),
+            np.where(y_range == 0, np.nan, p4 / y_range),
+            _root_lines(*_roots(dy), dy.shape),
         ])
-
-    roots, rows = _roots(dy)
-    bounds = np.searchsorted(rows, np.arange(len(y) + 1)).tolist()
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        p9_p10 = _root_line(roots[lo:hi])
-        if p9_p10 is not None:
-            values[i, 8:] = p9_p10
 
     undefined = np.isnan(values)
     undefined[:, 1] = values[:, 1] == 0
@@ -154,9 +143,9 @@ def feature_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
     - P5 the vertical asymmetry ``(max - mean) / (mean - min)``;
     - P6 the largest 1-based index of a positive deviation minus the
       largest of a negative one;
-    - P7 the maximum of the running sum of ``Dy`` sorted in descending
-      order, which is the sum of the positive deviations;
-    - P8 P4 of the row rescaled to unit range (P4 / P2);
+    - P7 the sum of the positive deviations, which is the peak of the
+      running sum of ``Dy`` sorted in descending order;
+    - P8 ``P4 / P2``, which is P4 of the row rescaled to unit range;
     - P9 and P10 the mean angular frequency and the phase in ``[0, pi)``
       of the line through the zero crossings of ``Dy``.
 

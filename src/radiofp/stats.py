@@ -26,7 +26,9 @@ SIGNIFICANCE_ALPHA = 0.05
 
 
 def pearson(xs, ys) -> float:
-    """Sample Pearson correlation coefficient of two equal-length columns."""
+    """Sample Pearson correlation coefficient of two equal-length columns.
+
+    Against 0/1 labels it is the point-biserial coefficient (PBCC)."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -35,39 +37,13 @@ def pearson(xs, ys) -> float:
         raise ValueError("need at least 2 points")
     dx = x - x.mean()
     dy = y - y.mean()
-    scale = math.sqrt(float(dx @ dx) * float(dy @ dy))
-    # scale == 0 is a division guard, for deviations whose squares underflow
+    # two roots, as the product of the sums can overflow where each is
+    # finite; scale == 0 is a division guard, for deviations whose squares
+    # underflow
+    scale = math.sqrt(float(dx @ dx)) * math.sqrt(float(dy @ dy))
     if is_constant(x) or is_constant(y) or scale == 0:
         raise ConstantInputError("correlation undefined for a constant input")
     return min(1.0, max(-1.0, float(dx @ dy) / scale))
-
-
-def point_biserial(xs, labels) -> float:
-    """Correlation of a continuous column against 0/1 labels.
-
-    ``((M1 - M0) / s) * sqrt(n1*n0 / n^2)`` with ``s`` the population
-    (divide-by-n) standard deviation, which makes the result identical to
-    ``pearson(xs, labels)``.
-    """
-    x = np.asarray(xs, dtype=float)
-    lab = np.asarray(labels)
-    if x.shape != lab.shape or x.ndim != 1:
-        raise ValueError("inputs must be 1-D and of equal length")
-    ones = lab == 1
-    zeros = lab == 0
-    if not np.all(ones | zeros):
-        raise ValueError("labels must be 0 or 1")
-    n1 = int(ones.sum())
-    n0 = int(zeros.sum())
-    if n1 == 0 or n0 == 0:
-        raise SingleClassError("both classes must be present")
-    s = float(x.std())  # population std
-    # s == 0 is a division guard, for deviations whose squares underflow
-    if is_constant(x) or s == 0:
-        raise ConstantInputError("correlation undefined for a constant input")
-    n = x.size
-    r = (x[ones].mean() - x[zeros].mean()) / s * math.sqrt(n1 * n0 / n**2)
-    return min(1.0, max(-1.0, float(r)))
 
 
 # --- Student-t tail via the regularized incomplete beta ---------------------
@@ -193,12 +169,13 @@ class FeatureSignificance:
 
 def significance_report(dataset: LabeledFeatureSet
                         ) -> tuple[FeatureSignificance, ...]:
-    """Point-biserial coefficient and p-value per feature, |pbcc| descending.
+    """Point-biserial coefficient, `pearson` against the 0/1 labels, and
+    p-value per feature, |pbcc| descending.
 
     Needs binary labels and at least 3 rows.  Features with a constant
     column are reported as undefined and sort after every defined row.
     """
-    if dataset.n_classes < 2:
+    if np.count_nonzero(dataset.class_counts()) < 2:
         raise SingleClassError("dataset has a single class")
     if dataset.n_classes > 2:
         raise StatsError("point-biserial significance needs binary labels")
@@ -207,7 +184,7 @@ def significance_report(dataset: LabeledFeatureSet
     rows = []
     for name, xs in zip(dataset.feature_names, dataset.features.T):
         try:
-            r = point_biserial(xs, dataset.labels)
+            r = pearson(xs, dataset.labels)
         except ConstantInputError:
             rows.append(FeatureSignificance(name, None, None, None))
             continue

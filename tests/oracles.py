@@ -1,8 +1,11 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here is written in plain Python loops, straight from the
-definitions, deliberately avoiding the vectorized code paths of the package
-(different summation orders, closed forms instead of sorts, and vice versa).
+definitions, deliberately avoiding the vectorized code paths of the package:
+sums go through `math.fsum`, exactly rounded, where the package sums
+pairwise; P8 walks the range-normalized sequence where the package divides
+P4 by P2; and the root line comes from the uncentered normal equations
+where the package centers the roots on their mean.
 The exception is `oracle_simulate_frame`, the package's earlier per-frame
 simulation, kept in its numpy form because the block simulation must match
 its bytes.

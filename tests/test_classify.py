@@ -929,6 +929,17 @@ def test_logreg_matches_mpmath_newton():
     assert model.bias == pytest.approx(bias, rel=0, abs=1e-9)
 
 
+def test_logreg_singular_hessian_ends_the_fit():
+    # at l2 = 1e-300 every probability rounds to 0 or 1 near the optimum,
+    # and the Hessian of the penalized loss is singular there; the suite
+    # turns any warning into an error
+    x = np.repeat([-1.0, 1.0], 20)
+    ds = LabeledFeatureSet.from_rows((x > 0).astype(int), x[:, None])
+    model = logistic_regression_train(ds, l2=1e-300)
+    assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+    assert np.all(model.predict(ds.features) == ds.labels)
+
+
 @pytest.mark.parametrize("l2", [0.0, -1e-4, np.nan, np.inf])
 def test_logreg_rejects_l2_not_finite_and_positive(l2):
     with pytest.raises(ValueError, match="l2 must be finite and above 0"):

@@ -13,9 +13,6 @@ class LinearStub:
         self.stats = stats
         self.feature = feature
 
-    def predict(self, rows):
-        return np.ones(np.atleast_2d(rows).shape[0], dtype=int)
-
     def predict_proba(self, rows):
         z = self.stats.standardize(np.atleast_2d(rows))
         v = z[:, self.feature]
@@ -23,9 +20,6 @@ class LinearStub:
 
 
 class ConstantStub:
-    def predict(self, rows):
-        return np.zeros(np.atleast_2d(rows).shape[0], dtype=int)
-
     def predict_proba(self, rows):
         n = np.atleast_2d(rows).shape[0]
         return np.tile([0.7, 0.3], (n, 1))
@@ -99,7 +93,26 @@ def test_linear_model_recovers_dominant_feature():
     others = np.delete(mags, 2)
     assert np.all(others < 0.05 * mags[2])
     assert exp.local_fidelity >= 0.99
-    assert exp.predicted_class == 1
+    # feature 2's z-score is below 0.5 at this instance, so class 0 is the
+    # more probable, and raising the feature pushes away from it
+    assert exp.predicted_class == 0 and exp.weights[2] < 0
+
+
+def test_explains_a_model_without_predict():
+    # the predicted class is the most probable one at sample 0, the
+    # instance, so `predict_proba` is all a model needs
+    stats, feats = make_stats(5)
+    model = LinearStub(stats)
+    assert not hasattr(model, "predict")
+    classes = set()
+    for row in range(20):
+        [proba] = model.predict_proba(feats[row])
+        exp = explain_instance(model, feats[row],
+                               ExplainConfig(n_perturbations=200), stats,
+                               seed=row)
+        assert exp.predicted_class == int(np.argmax(proba))
+        classes.add(exp.predicted_class)
+    assert classes == {0, 1}
 
 
 def test_weights_invariant_to_sample_order():
@@ -107,14 +120,13 @@ def test_weights_invariant_to_sample_order():
     model = LinearStub(stats)
     samples = perturb(feats[0], stats, 2000, seed=4)
     z = stats.standardize(samples)
-    zi = stats.standardize(feats[0][None, :])[0]
     target = model.predict_proba(samples)[:, 1]
-    w1, b1, f1 = explain._fit_local_linear(z, zi, target, 0.75 * np.sqrt(10), 1e-3)
-    order = np.random.default_rng(9).permutation(2000)
-    w2, b2, f2 = explain._fit_local_linear(z[order], zi, target[order],
-                                           0.75 * np.sqrt(10), 1e-3)
+    w1, f1 = explain._fit_local_linear(z, target, 0.75 * np.sqrt(10), 1e-3)
+    # sample 0, the instance, stays first
+    order = np.append(0, 1 + np.random.default_rng(9).permutation(1999))
+    w2, f2 = explain._fit_local_linear(z[order], target[order],
+                                       0.75 * np.sqrt(10), 1e-3)
     np.testing.assert_allclose(w1, w2, atol=1e-9)
-    assert b1 == pytest.approx(b2, abs=1e-9)
     assert f1 == pytest.approx(f2, abs=1e-9)
 
 
@@ -123,9 +135,6 @@ class TwoFeatureStub:
 
     def __init__(self, stats):
         self.stats = stats
-
-    def predict(self, rows):
-        return np.ones(np.atleast_2d(rows).shape[0], dtype=int)
 
     def predict_proba(self, rows):
         z = self.stats.standardize(np.atleast_2d(rows))

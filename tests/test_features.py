@@ -194,50 +194,54 @@ def test_find_roots_empty_for_one_sided_walk():
     np.testing.assert_allclose(roots([-3, 3]), [0.5])
 
 
-def test_fit_root_line_exact_and_two_point():
+def root_lines(cases, width):
+    """`_root_lines` of a block of ``width`` columns whose rows hold the
+    given roots, ``(len(cases), 2)``."""
+    pos = np.concatenate([np.asarray(r, dtype=float) for r in cases])
+    rows = np.repeat(np.arange(len(cases)), [len(r) for r in cases])
+    return features._root_lines(pos, rows, (len(cases), width))
+
+
+def test_root_lines_exact_and_two_point():
+    (p9, p10), (q9, q10) = root_lines([[8.0, 16.0, 24.0], [3.0, 5.0]], 8)
     # a = 8, b = 0: P9 = pi/8, P10 = (0 - pi/2) mod pi = pi/2
-    p9, p10 = features._root_line(np.array([8.0, 16.0, 24.0]))
     assert p9 == pytest.approx(np.pi / 8, rel=1e-12)
     assert p10 == pytest.approx(np.pi / 2, rel=1e-12)
     # a = 2, b = 1: P9 = pi/2, P10 = (pi/2 - pi/2) mod pi = 0
-    p9, p10 = features._root_line(np.array([3.0, 5.0]))
-    assert p9 == pytest.approx(np.pi / 2)
-    assert p10 == pytest.approx(0.0, abs=1e-12)
+    assert q9 == pytest.approx(np.pi / 2)
+    assert q10 == pytest.approx(0.0, abs=1e-12)
 
 
-def test_fit_root_line_ols_values():
+def test_root_lines_ols_values():
     # hand OLS: n=4, sum k=10, sum k^2=30, sum R=10, sum kR=29.9
     # -> a = 19.6/20 = 0.98, b = (10 - 9.8)/4 = 0.05
-    p9, p10 = features._root_line(np.array([1.0, 2.1, 2.9, 4.0]))
+    [(p9, p10)] = root_lines([[1.0, 2.1, 2.9, 4.0]], 8)
     assert p9 == pytest.approx(np.pi / 0.98, abs=1e-10)
     assert p10 == pytest.approx(
         (np.pi * 0.05 / 0.98 - np.pi / 2) % np.pi, abs=1e-10
     )
 
 
-def test_fit_root_line_errors():
-    assert features._root_line(np.array([])) is None
-    assert features._root_line(np.array([4.0])) is None
-    assert features._root_line(np.array([10.0, 6.0, 2.0])) is None
+def test_root_lines_errors():
+    assert np.isnan(root_lines([[], [4.0], [10.0, 6.0, 2.0]], 8)).all()
 
 
 def test_p9_p10_examples():
-    p9, p10 = features._root_line(line(8.0, 0.0, 5))
+    (p9, p10), (q9, q10) = root_lines([line(8.0, 0.0, 5),
+                                       line(np.pi, np.pi / 2, 3)], 8)
     assert p9 == pytest.approx(np.pi / 8)
     assert p10 == pytest.approx(np.pi / 2)
     # P10 = 0 up to rounding, which the modulo may carry to just below pi
-    p9, p10 = features._root_line(line(np.pi, np.pi / 2, 3))
-    assert p9 == pytest.approx(1.0)
-    assert min(p10, np.pi - p10) == pytest.approx(0.0, abs=1e-12)
+    assert q9 == pytest.approx(1.0)
+    assert min(q10, np.pi - q10) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_p10_in_range():
     rng = np.random.default_rng(29)
-    for _ in range(300):
-        a = float(rng.uniform(0.5, 50))
-        b = float(rng.normal(0, 30))
-        _, p10 = features._root_line(line(a, b, 3))
-        assert 0.0 <= p10 < np.pi
+    cases = [line(float(rng.uniform(0.5, 50)), float(rng.normal(0, 30)), 3)
+             for _ in range(300)]
+    p10 = root_lines(cases, 3)[:, 1]
+    assert np.all((0.0 <= p10) & (p10 < np.pi))
 
 
 def reference_roots(dy):
@@ -256,7 +260,8 @@ def reference_roots(dy):
 
 
 def reference_root_line(roots):
-    """`_root_line` with float sums over the indices, its bitwise reference."""
+    """One row's P9 and P10 by float sums over the unpadded roots and their
+    indices, the reference of `_root_lines`; None where it gives NaN."""
     if roots.size < 2:
         return None
     k = np.arange(1, roots.size + 1, dtype=float)
@@ -273,7 +278,9 @@ def reference_root_line(roots):
     return float(np.pi / a), float(p10)
 
 
-def test_root_line_bitwise_equals_reference():
+def root_line_cases():
+    """Roots of 1-based rows: sorted crossings and any-slope rows of 0 to
+    1100 roots, exact lines, and two-root edge cases."""
     rng = np.random.default_rng(53)
     cases = []
     for n in range(1101):
@@ -283,14 +290,38 @@ def test_root_line_bitwise_equals_reference():
               for n in (2, 3, 500)]
     cases += [np.array([3.0, 5.0]), np.array([5.0, 3.0]),
               np.array([2.0, 2.0]), line(-2.0, 100.0, 50)]
+    return cases
+
+
+def test_root_lines_rows_equal_rows_alone():
+    # a row's bits depend on its roots and the block's width alone, not on
+    # its neighbours: each row of a mixed block equals its one-row block
+    cases = root_line_cases()
+    width = 1100
+    block = root_lines(cases, width)
+    for r, got in zip(cases, block):
+        assert got.tobytes() == root_lines([r], width)[0].tobytes(), r.size
+
+
+def test_root_lines_agree_with_reference():
+    # the padded pairwise sums round differently from the reference's
+    # unpadded ones.  Measured worst over these cases: P9 rel 8.3e-14, and
+    # the P10 difference (mod pi) 8.1e-14 of its angle's scale
+    # P9*|mean root| + pi*(n+1)/2, both at rows whose fitted slope nearly
+    # cancels; the bounds keep a 12x margin
+    cases = root_line_cases()
+    block = root_lines(cases, 1100)
     fitted = 0
-    for r in cases:
-        got, expected = features._root_line(r), reference_root_line(r)
-        assert (got is None) == (expected is None), r.size
-        if got is not None:
-            fitted += 1
-            assert all(type(v) is float for v in got)
-            assert np.array(got).tobytes() == np.array(expected).tobytes()
+    for r, (p9, p10) in zip(cases, block):
+        expected = reference_root_line(r)
+        assert np.isnan(p9) == np.isnan(p10) == (expected is None), r.size
+        if expected is None:
+            continue
+        fitted += 1
+        assert p9 == pytest.approx(expected[0], rel=1e-12, abs=0)
+        d = (p10 - expected[1]) % np.pi
+        scale = expected[0] * abs(r.mean()) + np.pi * (r.size + 1) / 2
+        assert min(d, np.pi - d) <= 1e-12 * scale, r.size
     assert 1100 < fitted < len(cases) - 500
 
 

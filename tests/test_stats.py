@@ -83,19 +83,20 @@ def test_pearson_constant_input():
         stats.pearson([1, 1, 1], [1, 2, 3])
 
 
-def test_point_biserial_examples():
-    assert stats.point_biserial([1, 2, 3, 4], [0, 0, 1, 1]) == pytest.approx(
+def test_pearson_against_labels_examples():
+    assert stats.pearson([1, 2, 3, 4], [0, 0, 1, 1]) == pytest.approx(
         0.8944, abs=1e-4
     )
     # identical per-class distribution: M1 = M0 -> 0
-    assert stats.point_biserial([5, 7, 5, 7], [0, 0, 1, 1]) == pytest.approx(
+    assert stats.pearson([5, 7, 5, 7], [0, 0, 1, 1]) == pytest.approx(
         0.0, abs=1e-14
     )
-    with pytest.raises(SingleClassError):
-        stats.point_biserial([1, 2, 3], [1, 1, 1])
+    with pytest.raises(ConstantInputError):
+        stats.pearson([1, 2, 3], [1, 1, 1])
 
 
-def test_point_biserial_equals_pearson():
+def test_pearson_against_labels_is_point_biserial():
+    # ((M1 - M0) / s) * sqrt(n1*n0 / n^2), s the population std
     rng = np.random.default_rng(2)
     for _ in range(300):
         n = int(rng.integers(4, 200))
@@ -103,9 +104,23 @@ def test_point_biserial_equals_pearson():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         x = rng.normal(size=n)
-        assert stats.point_biserial(x, labels) == pytest.approx(
-            stats.pearson(x, labels.astype(float)), abs=1e-12
-        )
+        ones = labels == 1
+        n1 = int(ones.sum())
+        pbcc = ((x[ones].mean() - x[~ones].mean()) / x.std()
+                * np.sqrt(n1 * (n - n1) / n**2))
+        assert stats.pearson(x, labels) == pytest.approx(pbcc, abs=1e-12)
+
+
+def test_pearson_of_huge_columns():
+    # each sum of squared deviations is finite at about +-1e100, their
+    # product is not
+    rng = np.random.default_rng(12)
+    p1 = rng.choice([-1.0, 1.0], size=40) * 1e100 * rng.uniform(1, 2, 40)
+    feats = np.column_stack([p1, 2 * p1, rng.normal(size=(40, 8))])
+    ds = make_set(feats, np.arange(40) % 2)
+    assert stats.pearson(feats[:, 0], feats[:, 1]) == pytest.approx(
+        1.0, abs=1e-12)
+    assert stats.pearson_matrix(ds)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_p_value_exact_cases():
@@ -251,7 +266,7 @@ def test_constant_column_of_rounding_mean_is_constant():
     with pytest.raises(ConstantInputError):
         stats.pearson(feats[:, 1], feats[:, 0])
     with pytest.raises(ConstantInputError):
-        stats.point_biserial(feats[:, 0], labels)
+        stats.pearson(feats[:, 0], labels)
     ds = make_set(feats, labels)
     rep = stats.significance_report(ds)
     assert rep[-1] == stats.FeatureSignificance("P1", None, None, None)
@@ -264,6 +279,10 @@ def test_constant_column_of_rounding_mean_is_constant():
 def test_significance_report_single_class():
     feats = np.random.default_rng(8).normal(size=(10, 10))
     ds = make_set(feats, [1] * 10)
+    with pytest.raises(SingleClassError):
+        stats.significance_report(ds)
+    # two label names, one of them without a row
+    ds = LabeledFeatureSet(feats, np.zeros(10, dtype=int), ("a", "b"))
     with pytest.raises(SingleClassError):
         stats.significance_report(ds)
 

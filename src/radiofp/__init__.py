@@ -12,6 +12,7 @@ from .classify import (
     ForestParams,
     HyperparamGrid,
     RandomForestModel,
+    cross_validate,
     evaluate,
     feature_importances,
     load_model,

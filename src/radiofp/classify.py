@@ -851,16 +851,25 @@ class CVResult:
     confusion: np.ndarray  # rows true class, columns predicted
 
 
-def evaluate(dataset: LabeledFeatureSet, trainer, k: int, seed: int) -> CVResult:
-    """Stratified k-fold CV of ``trainer(train_set, fold_seed) -> model``.
+def cross_validate(dataset: LabeledFeatureSet, trainers, k: int,
+                   seed: int) -> list:
+    """Stratified k-fold CV of each ``trainer(train_set, fold_seed) ->
+    model``, one `CVResult` per trainer.
 
-    Each fold's model and training set are dropped before the next fold's
-    fit, so two models are never alive together."""
+    Fold i's fit takes the seed ``derive_seed(seed, i + 1)``.  The fits are
+    one job table, fold-major (fold 0 of every trainer, then fold 1, ...),
+    mapped by `parallel.fork_map`: its contiguous shares give each of 2
+    cores half the folds of every trainer, whatever a fit costs.  A forest
+    fit in a job grows its trees serially.  A job returns only its fold's
+    predictions, so a process holds one model at a time, and no result
+    depends on the number of cores.  A job returns a fit's exception
+    instead of raising it; the first in trainer-then-fold order is raised,
+    as a loop over the trainers, then the folds, would raise it."""
     folds = stratified_kfold(dataset, k, seed)
-    n_classes = dataset.n_classes
-    confusion = np.zeros((n_classes, n_classes), dtype=int)
-    accuracies = []
-    for i, test_idx in enumerate(folds):
+    trainers = list(trainers)
+
+    def fit_and_predict(job):  # the held-out fold's predictions
+        i, t = job
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
         train_set = LabeledFeatureSet(
             features=dataset.features[train_idx],
@@ -868,17 +877,41 @@ def evaluate(dataset: LabeledFeatureSet, trainer, k: int, seed: int) -> CVResult
             label_names=dataset.label_names,
             feature_names=dataset.feature_names,
         )
-        model = trainer(train_set, derive_seed(seed, i + 1))
-        predicted = model.predict(dataset.features[test_idx])
-        del model, train_set
-        truth = dataset.labels[test_idx]
-        accuracies.append(float(np.mean(predicted == truth)))
-        np.add.at(confusion, (truth, predicted), 1)
-    return CVResult(
-        fold_accuracies=accuracies,
-        mean_accuracy=float(np.mean(accuracies)),
-        confusion=confusion,
-    )
+        try:
+            model = trainers[t](train_set, derive_seed(seed, i + 1))
+            return model.predict(dataset.features[folds[i]])
+        except Exception as exc:  # raised below, in the loop's order
+            return exc
+
+    jobs = [(i, t) for i in range(k) for t in range(len(trainers))]
+    predictions = dict(zip(jobs, fork_map(fit_and_predict, jobs)))
+    n_classes = dataset.n_classes
+    results = []
+    for t in range(len(trainers)):
+        confusion = np.zeros((n_classes, n_classes), dtype=int)
+        accuracies = []
+        for i, test_idx in enumerate(folds):
+            predicted = predictions[i, t]
+            if isinstance(predicted, Exception):
+                raise predicted
+            truth = dataset.labels[test_idx]
+            accuracies.append(float(np.mean(predicted == truth)))
+            np.add.at(confusion, (truth, predicted), 1)
+        results.append(CVResult(
+            fold_accuracies=accuracies,
+            mean_accuracy=float(np.mean(accuracies)),
+            confusion=confusion,
+        ))
+    return results
+
+
+def evaluate(dataset: LabeledFeatureSet, trainer, k: int, seed: int) -> CVResult:
+    """Stratified k-fold CV of ``trainer(train_set, fold_seed) -> model``,
+    `cross_validate` of one trainer.
+
+    A process drops each fold's model and training set before its next
+    fit, so two models are never alive together in one process."""
+    return cross_validate(dataset, [trainer], k, seed)[0]
 
 
 @dataclass
@@ -911,23 +944,24 @@ def random_grid_search(dataset: LabeledFeatureSet, grid: HyperparamGrid,
 
     Returns ``(best_params, best_cv_result)``; ties keep the first sampled
     combination.  Folds are identical across combinations so scores are
-    comparable.
+    comparable, and every combination's fits form one `cross_validate`
+    job table.
     """
     combos = grid.combinations()
     if not combos:
         raise ValueError("empty hyperparameter grid")
     n_eval = min(grid.iterations, len(combos))
     rng = np.random.default_rng(derive_seed(seed, 0xC0))
-    chosen = rng.choice(len(combos), size=n_eval, replace=False)
+    chosen = [combos[int(pos)] for pos in
+              rng.choice(len(combos), size=n_eval, replace=False)]
+    results = cross_validate(
+        dataset,
+        [lambda ds, s, p=params: train_forest(ds, p, s) for params in chosen],
+        k,
+        seed,
+    )
     best = None
-    for pos in chosen:
-        params = combos[int(pos)]
-        result = evaluate(
-            dataset,
-            lambda ds, s, p=params: train_forest(ds, p, s),
-            k,
-            seed,
-        )
+    for params, result in zip(chosen, results):
         if best is None or result.mean_accuracy > best[1].mean_accuracy:
             best = (params, result)
     return best

@@ -25,8 +25,8 @@ from . import dataio
 from .classify import (
     ForestParams,
     HyperparamGrid,
+    cross_validate,
     derive_seed,
-    evaluate,
     load_model,
     logistic_regression_train,
     random_grid_search,
@@ -299,10 +299,17 @@ def cmd_train_eval(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = not args.no_timestamp
+    # every cross-validation, the search's too, runs before the first
+    # write, so a failing fit leaves no output file
+    results = cross_validate(dataset, [trainer for _, trainer in trainers],
+                             args.folds, args.seed)
+    best_params = params
+    if grid is not None:
+        best_params, best_result = random_grid_search(
+            dataset, grid, args.folds, args.seed)
 
     metric_rows = []
-    for name, trainer in trainers:
-        result = evaluate(dataset, trainer, args.folds, args.seed)
+    for (name, _), result in zip(trainers, results):
         for fold, acc in enumerate(result.fold_accuracies):
             metric_rows.append((name, fold, acc))
         metric_rows.append((name, "mean", result.mean_accuracy))
@@ -311,10 +318,7 @@ def cmd_train_eval(args) -> int:
                                    stamp)
         print(f"{name}: mean accuracy {result.mean_accuracy:.4f}")
 
-    best_params = params
     if grid is not None:
-        best_params, best_result = random_grid_search(
-            dataset, grid, args.folds, args.seed)
         metric_rows.append(("forest_search", "mean", best_result.mean_accuracy))
         dataio.atomic_write_text(
             out_dir / "best_params.json",

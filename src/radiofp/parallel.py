@@ -17,8 +17,10 @@ and rebuilds it after, in the parent and in the child, and no BLAS call
 is in flight at the fork, since the calling process forks between its own
 calls.  So a child may call BLAS: an `extract` stream's `error_phase`
 calls OpenBLAS through ``np.vdot`` (its correlation runs numpy's FFT,
-which starts no thread), while a forest's tree groups only sort and
-index.  A child runs only the mapped function and leaves by ``os._exit``
+which starts no thread), and a cross-validation job's kNN and logistic
+fits and predictions call it through ``np.matmul`` and
+``np.linalg.solve``, while a forest's tree groups only sort and index.
+A child runs only the mapped function and leaves by ``os._exit``
 (no atexit hook, no second flush of the parent's stdio buffers).
 """
 

@@ -1024,19 +1024,146 @@ def test_evaluate_confusion_conservation():
     )
 
 
-def test_evaluate_drops_each_fold_model_before_the_next_fit():
+def test_evaluate_drops_each_fold_model_before_the_next_fit(monkeypatch):
+    # the fits run in the calling process and in a forked child, each
+    # process one fit after another: a process's previous fold model must
+    # be gone before its next fit.  A failing check in the child comes back
+    # as the AssertionError that evaluate raises
     ds = blobs(n_per_class=40, seed=15)
-    models = []
+    for cores in (2, 1):
+        monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+        models = {}  # process id -> weak references to its fold models
 
-    def trainer(d, s):
-        # the previous fold's model must be gone before this fit
-        assert all(ref() is None for ref in models)
-        model = train_forest(d, ForestParams(n_trees=3), s)
-        models.append(weakref.ref(model))
-        return model
+        def trainer(d, s):
+            mine = models.setdefault(os.getpid(), [])
+            assert all(ref() is None for ref in mine)
+            model = train_forest(d, ForestParams(n_trees=3), s)
+            mine.append(weakref.ref(model))
+            return model
 
-    evaluate(ds, trainer, k=4, seed=2)
-    assert len(models) == 4 and models[-1]() is None
+        evaluate(ds, trainer, k=4, seed=2)
+        mine = models[os.getpid()]
+        assert len(mine) == 4 // cores and mine[-1]() is None, cores
+
+
+# the serial loops that cross-validated before the job table: the
+# references for cross_validate and random_grid_search
+
+
+def serial_evaluate(dataset, trainer, k, seed):
+    folds = stratified_kfold(dataset, k, seed)
+    n_classes = dataset.n_classes
+    confusion = np.zeros((n_classes, n_classes), dtype=int)
+    accuracies = []
+    for i, test_idx in enumerate(folds):
+        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
+        train_set = LabeledFeatureSet(
+            features=dataset.features[train_idx],
+            labels=dataset.labels[train_idx],
+            label_names=dataset.label_names,
+            feature_names=dataset.feature_names,
+        )
+        model = trainer(train_set, derive_seed(seed, i + 1))
+        predicted = model.predict(dataset.features[test_idx])
+        del model, train_set
+        truth = dataset.labels[test_idx]
+        accuracies.append(float(np.mean(predicted == truth)))
+        np.add.at(confusion, (truth, predicted), 1)
+    return CVResult(
+        fold_accuracies=accuracies,
+        mean_accuracy=float(np.mean(accuracies)),
+        confusion=confusion,
+    )
+
+
+def serial_grid_search(dataset, grid, k, seed):
+    combos = grid.combinations()
+    n_eval = min(grid.iterations, len(combos))
+    rng = np.random.default_rng(derive_seed(seed, 0xC0))
+    chosen = rng.choice(len(combos), size=n_eval, replace=False)
+    best = None
+    for pos in chosen:
+        params = combos[int(pos)]
+        result = serial_evaluate(
+            dataset, lambda ds, s, p=params: train_forest(ds, p, s), k, seed)
+        if best is None or result.mean_accuracy > best[1].mean_accuracy:
+            best = (params, result)
+    return best
+
+
+def assert_same_cv(got, want):
+    # floats bit for bit, the confusion counts and their dtype equal
+    assert [a.hex() for a in got.fold_accuracies] == \
+        [a.hex() for a in want.fold_accuracies]
+    assert got.mean_accuracy.hex() == want.mean_accuracy.hex()
+    assert got.confusion.dtype == want.confusion.dtype
+    np.testing.assert_array_equal(got.confusion, want.confusion)
+
+
+MIXED_TRAINERS = {
+    "forest": lambda d, s: train_forest(d, ForestParams(n_trees=7), s),
+    "tree": lambda d, s: train_tree(d, max_depth=4, seed=s),
+    "knn": lambda d, s: train_knn(d, 3),
+    "logreg": lambda d, s: logistic_regression_train(d),
+    "forest_deep": lambda d, s: train_forest(
+        d, ForestParams(n_trees=4, features_per_split=3, bootstrap=False), s),
+}
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("k", [3, 5])
+def test_cross_validate_equals_serial_loop(n_classes, k, monkeypatch):
+    # k = 3 and 5 folds of 4 or 5 trainers cut into uneven fold-major
+    # shares on 2 cores
+    centers = ((0.0, 0.0, 0.0), (1.5, 1.0, 0.0), (0.0, 1.5, 1.0))
+    ds = blobs(n_per_class=31, spread=0.9, centers=centers[:n_classes],
+               seed=40 + n_classes, n_features=3)
+    names = [n for n in MIXED_TRAINERS if n_classes == 2 or n != "logreg"]
+    trainers = [MIXED_TRAINERS[n] for n in names]
+    want = [serial_evaluate(ds, t, k, seed=5) for t in trainers]
+    assert min(w.mean_accuracy for w in want) < 1.0
+    for cores in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+        got = classify.cross_validate(ds, trainers, k, seed=5)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_cv(g, w)
+        assert_same_cv(evaluate(ds, trainers[-1], k, seed=5), want[-1])
+
+
+@pytest.mark.parametrize("spread", [0.2, 1.2])
+def test_grid_search_equals_serial_loop(spread, monkeypatch):
+    # at spread 0.2 sampled points tie at 1.0, and the first of them wins
+    ds = blobs(n_per_class=25, spread=spread, seed=21, n_features=3)
+    grid = HyperparamGrid(n_trees=(2, 5), max_depth=(2, None),
+                          min_samples_split=(2, 10),
+                          features_per_split=(1, 3), iterations=7)
+    want_params, want_result = serial_grid_search(ds, grid, k=3, seed=4)
+    for cores in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+        params, result = random_grid_search(ds, grid, k=3, seed=4)
+        assert params == want_params, cores
+        assert_same_cv(result, want_result)
+
+
+def test_cross_validate_raises_the_serial_loops_first_error(monkeypatch):
+    # trainer 0 fails on fold 3 and trainer 1 on fold 0: fold 0 comes first
+    # in the job table, but the loop over trainers, then folds, meets
+    # trainer 0's error first
+    ds = blobs(n_per_class=20, seed=22)
+
+    def failing(name, fold):
+        def trainer(d, s):
+            if s == derive_seed(6, fold + 1):
+                raise ValueError(f"{name} fails on fold {fold}")
+            return train_knn(d, 1)
+        return trainer
+
+    for cores in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+        with pytest.raises(ValueError, match="^first fails on fold 3$"):
+            classify.cross_validate(
+                ds, [failing("first", 3), failing("second", 0)], 4, seed=6)
 
 
 def test_evaluate_shuffled_labels_near_prior():

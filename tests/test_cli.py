@@ -541,6 +541,41 @@ def test_train_eval_outputs(small_dataset, tmp_path):
     assert model_text.startswith("radiofp-model v1\n")
 
 
+def test_train_eval_reports_the_serial_loops_fit_error(small_dataset, tmp_path,
+                                                      capsys, monkeypatch):
+    # the tree fails on fold 3 and the forest on fold 1.  The fold-major
+    # job table fits the forest's fold 1 first, but train-eval reports the
+    # error that a loop over the classifiers, then the folds, meets first,
+    # the tree's (exit 2, not the forest's 4), and writes no file
+    from radiofp import classify, cli, parallel
+    from radiofp.errors import NoSplitsError
+
+    _, _, features = small_dataset
+
+    def tree(ds, *, seed, **kwargs):
+        if seed == derive_seed(1, 3 + 1):
+            raise NoSplitsError("tree fails on fold 3")
+        return classify.train_tree(ds, seed=seed, **kwargs)
+
+    def forest(ds, params, seed):
+        if seed == derive_seed(1, 1 + 1):
+            raise ValueError("forest fails on fold 1")
+        return classify.train_forest(ds, params, seed)
+
+    monkeypatch.setattr(cli, "train_tree", tree)
+    monkeypatch.setattr(cli, "train_forest", forest)
+    for cores in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        capsys.readouterr()
+        assert main(["train-eval", "--input", str(features),
+                     "--out-dir", str(out), "--folds", "4", "--seed", "1",
+                     "--trees", "3", "--classifiers", "knn,tree,forest",
+                     "--no-timestamp"]) == 2
+        assert capsys.readouterr() == ("", "error: tree fails on fold 3\n")
+        assert list(out.iterdir()) == []
+
+
 def test_train_eval_feature_mask(small_dataset, tmp_path):
     _, _, features = small_dataset
     out = tmp_path / "masked"

@@ -401,7 +401,9 @@ def test_extract_first_failing_device_in_child_reported(
 
 def test_fork_map_with_blas_in_child():
     # OpenBLAS's pool is awake in the parent at the fork, and each item
-    # calls BLAS in the child: the map neither hangs nor changes a bit
+    # calls BLAS in the child, as extract's vdot and a cross-validation
+    # job's kNN matmul and logistic solve do: the map neither hangs nor
+    # changes a bit
     script = """
 import numpy as np
 from radiofp import parallel
@@ -415,7 +417,9 @@ big @ big  # starts OpenBLAS's threads
 def fn(i):
     a = np.random.default_rng(i).normal(size=(300, 300))
     z = a[0] + 1j * a[1]
-    return (a @ a).tobytes(), complex(np.vdot(z, a[2] - 1j * a[3]))
+    return ((a @ a).tobytes(), complex(np.vdot(z, a[2] - 1j * a[3])),
+            np.matmul(a[:7], a.T).tobytes(),
+            np.linalg.solve(a @ a.T + np.eye(300), a[4]).tobytes())
 
 
 forked = parallel.fork_map(fn, range(6))

@@ -129,7 +129,9 @@ def _device_blocks(etalon, profile, seed: int, dev: int, frames: int,
     """The stream of device ``dev`` in blocks of `frames_per_block` frames:
     ``lead_in`` zeros, then frame m = `simulate_device` of the etalon with
     seed ``derive_seed(seed, dev, m)``, for m = 0 .. frames - 1, one
-    `simulate_device` call per block."""
+    `simulate_device` call per block.  The bytes are a function of the
+    arguments alone, so a stream is the same in whichever process
+    `cmd_gen_dataset` writes it."""
     per_block = frames_per_block(etalon.size)
     block = per_block * etalon.size
     zeros = np.zeros(min(lead_in, block), dtype=complex)
@@ -158,16 +160,18 @@ def cmd_gen_dataset(args) -> int:
     etalon = transnoise_etalon(args.frame_len)
     dataio.write_iq(out_dir / "etalon.iq", etalon)
 
-    entries = []
-    for dev, profile in enumerate(profiles):
-        name = f"device_{dev}.iq"
-        dataio.write_iq_blocks(out_dir / name, _device_blocks(
-            etalon, profile, args.seed, dev, args.frames_per_device,
-            args.lead_in))
-        entries.append(dataio.ManifestEntry(
-            label=str(dev), file=name,
-            frames=args.frames_per_device, profile=profile,
-        ))
+    names = [f"device_{dev}.iq" for dev in range(len(profiles))]
+    # the devices are independent, so write_iq_files writes their streams
+    # on the cores of the affinity mask; the first failing device's error
+    # is raised, as a loop would, and then no stream is written
+    dataio.write_iq_files(
+        [out_dir / name for name in names],
+        lambda dev: _device_blocks(etalon, profiles[dev], args.seed, dev,
+                                   args.frames_per_device, args.lead_in))
+    entries = [dataio.ManifestEntry(label=str(dev), file=name,
+                                    frames=args.frames_per_device,
+                                    profile=profile)
+               for dev, (name, profile) in enumerate(zip(names, profiles))]
     dataio.write_manifest(out_dir / "manifest.csv", entries,
                           timestamp=not args.no_timestamp, seed=args.seed)
     total = args.frames_per_device * len(profiles)

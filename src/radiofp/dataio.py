@@ -9,8 +9,12 @@ CSV files use ``\\n`` line endings and shortest round-trip decimal floats, so
 a given dataset and seed always produce byte-identical output.  `write_csv`
 renders every CSV; readers skip its ``#`` comment lines.  Every output file,
 ``model.txt`` and ``best_params.json`` included, is written through
-`_atomic_file`: into a temp file as it is produced, then renamed over the
-target, so a crash never leaves a torn file.
+`_atomic_paths`: into a temp file as it is produced, then renamed over the
+target, so a crash never leaves a torn file.  `write_iq_files` writes
+several ``.iq`` files that way at once, all or none, on the cores of the
+affinity mask: each is written, possibly by a forked child, into a temp
+file that the calling process names, and once every write has ended the
+calling process renames them all, or removes them all if one failed.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from .dataset import LabeledFeatureSet
 from .errors import DataFormatError
 from .features import FEATURE_NAMES
+from .parallel import fork_map
 from .pipeline import ImpairmentProfile
 
 FEATURE_CSV_HEADER = ["label", *FEATURE_NAMES]
@@ -38,19 +43,29 @@ _CSV_BLOCK_ROWS = 1 << 12  # feature rows turned into Python floats at once
 
 
 @contextmanager
-def _atomic_file(path, mode: str = "wb", **kwargs):
-    """Yield ``<name>.tmp<pid>`` opened with ``mode`` and ``kwargs``; rename
-    it over ``path`` once the block ends, or remove it on any exception,
-    so ``path`` is either the whole new file or left as it was."""
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+def _atomic_paths(paths):
+    """Yield ``<name>.tmp<pid>`` for each of ``paths``, with this process's
+    pid; rename each over its path once the block ends, or remove every
+    one left on any exception, so each path is either its whole new file
+    or left as it was."""
+    paths = [Path(p) for p in paths]
+    tmps = [p.with_name(p.name + f".tmp{os.getpid()}") for p in paths]
     try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _atomic_file(path, mode: str = "wb", **kwargs):
+    """Yield the temp file of ``path`` (`_atomic_paths`), opened with
+    ``mode`` and ``kwargs``."""
+    with _atomic_paths([path]) as (tmp,), open(tmp, mode, **kwargs) as fh:
+        yield fh
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -62,23 +77,46 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_iq_blocks(path, blocks) -> None:
-    """Atomically write the samples of each complex block in turn, so only
+def _write_iq(fh, blocks, path) -> None:
+    """Write the samples of each complex block to ``fh`` in turn, so only
     one block is held as ``<c8`` at a time.  A sample that is not finite as
     ``<c8`` (a finite complex beyond float32's range becomes inf) raises
-    `DataFormatError`, and ``path`` is left as it was."""
+    `DataFormatError` naming ``path``."""
+    written = 0
+    for block in blocks:
+        with np.errstate(over="ignore"):  # the check below reports it
+            samples = np.asarray(block, dtype="<c8")
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise DataFormatError(
+                f"{path}: sample {written + bad[0]} is not finite as "
+                "32-bit floats")
+        fh.write(samples)
+        written += samples.size
+
+
+def write_iq_blocks(path, blocks) -> None:
+    """Atomically write the samples of each complex block in turn
+    (`_write_iq`); on an error ``path`` is left as it was."""
     with _atomic_file(path) as fh:
-        written = 0
-        for block in blocks:
-            with np.errstate(over="ignore"):  # the check below reports it
-                samples = np.asarray(block, dtype="<c8")
-            bad = np.flatnonzero(~np.isfinite(samples))
-            if bad.size:
-                raise DataFormatError(
-                    f"{path}: sample {written + bad[0]} is not finite as "
-                    "32-bit floats")
-            fh.write(samples)
-            written += samples.size
+        _write_iq(fh, blocks, path)
+
+
+def write_iq_files(paths, blocks_of) -> None:
+    """Write ``paths[i]`` as ``write_iq_blocks(paths[i], blocks_of(i))``
+    does, for every i, all or none.  `parallel.fork_map` maps the indices,
+    so the files are written on the cores of the affinity mask, each call
+    into its file's temp file, opened by path.  The temp files are renamed,
+    or all removed if the map raises, only once it has returned or raised,
+    and fork_map reaps or kills every child before that, so a file is never
+    renamed or removed before its last write.  The first failing file's
+    error, in order, is raised; it names the path, never a temp file."""
+    with _atomic_paths(paths) as tmps:
+        def write(i):
+            with open(tmps[i], "wb") as fh:
+                _write_iq(fh, blocks_of(i), paths[i])
+
+        fork_map(write, range(len(tmps)))
 
 
 def write_iq(path, samples) -> None:

@@ -11,6 +11,13 @@ first failing share's, in item order.  With one share, and when called
 from a function that a fork_map maps, the map runs serially in the calling
 process.
 
+A mapped function writes only to files that its caller names and removes
+if the map raises: when a share fails, every child still running is
+SIGKILLed, so a file that a child made for itself could be left behind.
+`gen-dataset` maps its devices so: each job writes one device's stream
+into a temp file that `dataio.write_iq_files` names in the calling
+process and renames or removes once the map has returned or raised.
+
 Why the fork is safe here: the only threads a radiofp process runs are
 OpenBLAS's.  Its ``pthread_atfork`` handler stops its pool before a fork
 and rebuilds it after, in the parent and in the child, and no BLAS call
@@ -19,7 +26,8 @@ calls.  So a child may call BLAS: an `extract` stream's `error_phase`
 calls OpenBLAS through ``np.vdot`` (its correlation runs numpy's FFT,
 which starts no thread), and a cross-validation job's kNN and logistic
 fits and predictions call it through ``np.matmul`` and
-``np.linalg.solve``, while a forest's tree groups only sort and index.
+``np.linalg.solve``, while a forest's tree groups only sort and index,
+and a `gen-dataset` device's simulation calls no BLAS.
 A child runs only the mapped function and leaves by ``os._exit``
 (no atexit hook, no second flush of the parent's stdio buffers).
 """

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_simulate_frame
-from radiofp import dataio, explain as explain_module, pipeline
+from radiofp import dataio, explain as explain_module, parallel, pipeline
 from radiofp import stats as stats_module
 from radiofp.classify import derive_seed
 from radiofp.cli import build_parser, main
@@ -59,15 +59,18 @@ def test_gen_dataset_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("lead_in", [0, 1500])
 @pytest.mark.parametrize("per_block", [1, 7, 20])
-def test_gen_dataset_blocks_equal_whole_array_write(per_block, lead_in,
+def test_gen_dataset_blocks_equal_whole_array_write(per_block, lead_in, cores,
                                                     tmp_path, monkeypatch):
     """Each stream, simulated and written per_block frames at a time (20 is
     all of them), has the bytes of the whole stream built in memory from
     the per-frame reference simulation and written at once; 1500 lead-in
-    zeros span more than one block."""
+    zeros span more than one block.  On 2 cores device 1 is written in a
+    forked child, which inherits the patched block size."""
     monkeypatch.setattr(pipeline, "_FRAME_BLOCK_BYTES", per_block * 16 * 64)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
     out = tmp_path / "g"
     assert main(["gen-dataset", "--out-dir", str(out), "--frames-per-device",
                  "20", "--frame-len", "64", "--seed", "5", "--lead-in",

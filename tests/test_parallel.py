@@ -324,6 +324,65 @@ def test_extract_bytes_do_not_depend_on_core_count(three_devices, tmp_path):
     _assert_no_child_left()
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 usable cores to compare with 1")
+def test_gen_dataset_bytes_do_not_depend_on_core_count(tmp_path):
+    # 3 devices after 1500 lead-in zeros: on all cores device 0 is written
+    # in the calling process and devices 1 and 2 in a child, on one core
+    # all three in one process
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text('[{}, {"phase_noise_rms": 0.1}, '
+                        '{"cubic_nonlinearity": 0.2}]')
+    runs = []
+    for pin in (True, False):
+        out = tmp_path / ("one_core" if pin else "all_cores")
+        done = subprocess.run(
+            [sys.executable, "-m", "radiofp.cli", "gen-dataset", "--out-dir",
+             str(out), "--profiles", str(profiles), "--frames-per-device",
+             "40", "--frame-len", "256", "--snr-db", "20", "--seed", "5",
+             "--lead-in", "1500", "--no-timestamp"],
+            env=_src_env(), capture_output=True, text=True, timeout=300,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {0})) if pin else None)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, f"wrote 3 devices x 40 frames (120 total) to {out}\n", "")
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(runs[0]) == ["device_0.iq", "device_1.iq", "device_2.iq",
+                               "etalon.iq", "manifest.csv"]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("failing, sample", [((0,), 100000),
+                                             ((1, 2), 100001)])
+def test_gen_dataset_failing_device_leaves_no_stream(failing, sample,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+    # 3 devices on 2 cores, device 0 in this process, devices 1 and 2 in a
+    # child.  Device 0's samples overflow float32 while the child is still
+    # writing, or devices 1 and 2 overflow in the child while device 0 is
+    # written whole: exit 2 with the first failing device's one line, as
+    # on one core, and no stream and no temp file is left, whoever wrote
+    # it.  Every stream starts with the lead-in zeros, so the child's first
+    # file is open before device 0 fails
+    lead_in = 100000
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text("[" + ", ".join(
+        '{"cubic_nonlinearity": 1e40}' if dev in failing else "{}"
+        for dev in range(3)) + "]")
+    out = tmp_path / "g"
+    for cores in (2, 1):
+        _cores(monkeypatch, cores)
+        capsys.readouterr()
+        code = main(["gen-dataset", "--out-dir", str(out), "--profiles",
+                     str(profiles), "--frames-per-device", "400",
+                     "--frame-len", "256", "--lead-in", str(lead_in),
+                     "--no-timestamp"])
+        assert (code,) + tuple(capsys.readouterr()) == (
+            2, "", f"error: {out / f'device_{failing[0]}.iq'}: sample "
+                   f"{sample} is not finite as 32-bit floats\n"), cores
+        assert sorted(p.name for p in out.iterdir()) == ["etalon.iq"], cores
+        _assert_no_child_left()
+
+
 # each edit makes the stream at ``path`` fail in the read that extract
 # makes of it
 def _no_file(path, monkeypatch):

@@ -5,7 +5,8 @@ mean-decrease-in-impurity feature importances, k-nearest-neighbours and
 logistic regression baselines, stratified k-fold cross-validation and a
 randomized hyperparameter search.  Everything is deterministic given a seed:
 per-tree and per-fold generators are derived from the master seed with a
-splitmix-style mixer so results are reproducible across runs and platforms.
+splitmix-style mixer so results are reproducible across runs on one machine
+and numpy build.
 
 Ties are always broken the same way: split candidates by lowest feature
 index then lowest threshold, predicted classes by lowest label index.

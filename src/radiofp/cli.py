@@ -182,6 +182,7 @@ def cmd_gen_dataset(args) -> int:
 
 def cmd_extract(args) -> int:
     _check_out_file(args.out)
+    dataio.check_label(args.label, "--label")
     etalon = dataio.read_iq(args.etalon)
     input_path = Path(args.input)
     if input_path.suffix == ".csv":
@@ -241,13 +242,17 @@ def cmd_stats(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = not args.no_timestamp
+    names = dataset.feature_names
 
-    dataio.write_significance_csv(out_dir / "significance.csv", report, stamp)
-    dataio.write_matrix_csv(out_dir / "pearson_matrix.csv",
-                            dataset.feature_names, correlations, stamp)
-    for name, (edges, counts) in zip(dataset.feature_names, histograms):
-        dataio.write_histogram_csv(out_dir / f"hist_{name}.csv",
-                                   edges, counts, stamp)
+    dataio.write_csv(out_dir / "significance.csv", [
+        ["feature", "pbcc", "p_value", "significant"],
+        *map(dataclasses.astuple, report)], stamp)
+    dataio.write_csv(out_dir / "pearson_matrix.csv", [["feature", *names], *(
+        [name, *row] for name, row in zip(names, correlations))], stamp)
+    for name, (edges, counts) in zip(names, histograms):
+        dataio.write_csv(out_dir / f"hist_{name}.csv", [
+            ["bin_left", "bin_right", "count"],
+            *zip(edges[:-1], edges[1:], counts)], stamp)
     print(f"wrote reports for {dataset.n} rows to {out_dir}")
     return EXIT_OK
 
@@ -312,32 +317,32 @@ def cmd_train_eval(args) -> int:
         best_params, best_result = random_grid_search(
             dataset, grid, args.folds, args.seed)
 
-    metric_rows = []
+    labels = dataset.label_names
+    metric_rows = [["classifier", "fold", "accuracy"]]
     for (name, _), result in zip(trainers, results):
         for fold, acc in enumerate(result.fold_accuracies):
             metric_rows.append((name, fold, acc))
         metric_rows.append((name, "mean", result.mean_accuracy))
-        dataio.write_confusion_csv(out_dir / f"confusion_{name}.csv",
-                                   result.confusion, dataset.label_names,
-                                   stamp)
+        dataio.write_csv(out_dir / f"confusion_{name}.csv", [
+            ["true\\predicted", *labels],
+            *([t, *row] for t, row in zip(labels, result.confusion))], stamp)
         print(f"{name}: mean accuracy {result.mean_accuracy:.4f}")
 
     if grid is not None:
         metric_rows.append(("forest_search", "mean", best_result.mean_accuracy))
-        dataio.atomic_write_text(
-            out_dir / "best_params.json",
-            json.dumps(dataclasses.asdict(best_params), sort_keys=True) + "\n")
+        dataio.atomic_write_bytes(out_dir / "best_params.json", json.dumps(
+            dataclasses.asdict(best_params), sort_keys=True).encode() + b"\n")
         print(f"search best: {best_params} "
               f"mean accuracy {best_result.mean_accuracy:.4f}")
 
-    dataio.write_metrics_csv(out_dir / "metrics.csv", metric_rows, stamp,
-                             seed=args.seed)
+    dataio.write_csv(out_dir / "metrics.csv", metric_rows, stamp,
+                     [f"seed {args.seed}"])
     model = train_forest(dataset, best_params, args.seed)
     save_model(model, out_dir / "model.txt")
     if model.importances is not None:
-        dataio.write_importances_csv(out_dir / "importances.csv",
-                                     dataset.feature_names,
-                                     model.importances, stamp)
+        dataio.write_csv(out_dir / "importances.csv", [
+            ["feature", "importance"],
+            *zip(dataset.feature_names, model.importances)], stamp)
     return EXIT_OK
 
 
@@ -370,9 +375,13 @@ def cmd_explain(args) -> int:
         raise ConfigError(f"--n-perturbations {args.n_perturbations} is too "
                           f"large: {exc}") from exc
     label_name = model.label_names[explanation.predicted_class]
-    dataio.write_explanation_csv(args.out, explanation,
-                                 dataset.feature_names, label_name,
-                                 timestamp=not args.no_timestamp)
+    summary = (f"predicted_class={label_name} fidelity="
+               f"{explanation.local_fidelity!r} seed={explanation.seed}")
+    # the feature,weight rows, |weight| descending
+    order = np.argsort(-np.abs(explanation.weights), kind="stable")
+    dataio.write_csv(args.out, [["feature", "weight"], *(
+        [dataset.feature_names[i], explanation.weights[i]] for i in order)],
+        not args.no_timestamp, [summary])
     print(f"row {args.row}: predicted {label_name} "
           f"fidelity {explanation.local_fidelity:.4f}")
     return EXIT_OK

@@ -6,15 +6,20 @@ which is numpy's little-endian complex64 (``<c8``) read and written as is
 etalon file is the same format with exactly 2L floats.
 
 CSV files use ``\\n`` line endings and shortest round-trip decimal floats, so
-a given dataset and seed always produce byte-identical output.  `write_csv`
-renders every CSV; readers skip its ``#`` comment lines.  Every output file,
-``model.txt`` and ``best_params.json`` included, is written through
-`_atomic_paths`: into a temp file as it is produced, then renamed over the
-target, so a crash never leaves a torn file.  `write_iq_files` writes
-several ``.iq`` files that way at once, all or none, on the cores of the
-affinity mask: each is written, possibly by a forked child, into a temp
-file that the calling process names, and once every write has ended the
-calling process renames them all, or removes them all if one failed.
+a given dataset and seed always produce byte-identical output.  This module
+holds the formats that are also read back: IQ, the manifest and the feature
+table, whose rows `write_feature_csv` renders itself.  Each report that a
+command writes is one `write_csv` call in that command.  Readers skip ``#``
+comment lines and refuse a label with a line break (`check_label`).
+
+Every output file, ``model.txt`` and ``best_params.json`` included, is
+written through `_atomic_paths`: into a temp file as it is produced, then
+renamed over the target, so a crash never leaves a torn file.
+`write_iq_files` writes several ``.iq`` files that way at once, all or none,
+on the cores of the affinity mask: each is written, possibly by a forked
+child, into a temp file that the calling process names, and once every
+write has ended the calling process renames them all, or removes them all
+if one failed.
 """
 
 from __future__ import annotations
@@ -60,21 +65,9 @@ def _atomic_paths(paths):
         raise
 
 
-@contextmanager
-def _atomic_file(path, mode: str = "wb", **kwargs):
-    """Yield the temp file of ``path`` (`_atomic_paths`), opened with
-    ``mode`` and ``kwargs``."""
-    with _atomic_paths([path]) as (tmp,), open(tmp, mode, **kwargs) as fh:
-        yield fh
-
-
 def atomic_write_bytes(path, data: bytes) -> None:
-    with _atomic_file(path) as fh:
-        fh.write(data)
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with _atomic_paths([path]) as (tmp,):
+        tmp.write_bytes(data)
 
 
 def _write_iq(fh, blocks, path) -> None:
@@ -95,16 +88,10 @@ def _write_iq(fh, blocks, path) -> None:
         written += samples.size
 
 
-def write_iq_blocks(path, blocks) -> None:
-    """Atomically write the samples of each complex block in turn
-    (`_write_iq`); on an error ``path`` is left as it was."""
-    with _atomic_file(path) as fh:
-        _write_iq(fh, blocks, path)
-
-
 def write_iq_files(paths, blocks_of) -> None:
-    """Write ``paths[i]`` as ``write_iq_blocks(paths[i], blocks_of(i))``
-    does, for every i, all or none.  `parallel.fork_map` maps the indices,
+    """Write the samples of each complex block of ``blocks_of(i)`` in turn
+    (`_write_iq`) to ``paths[i]``, for every i, all or none: on an error
+    every path is left as it was.  `parallel.fork_map` maps the indices,
     so the files are written on the cores of the affinity mask, each call
     into its file's temp file, opened by path.  The temp files are renamed,
     or all removed if the map raises, only once it has returned or raised,
@@ -120,7 +107,7 @@ def write_iq_files(paths, blocks_of) -> None:
 
 
 def write_iq(path, samples) -> None:
-    write_iq_blocks(path, [samples])
+    write_iq_files([path], lambda _: [samples])
 
 
 class IqFile:
@@ -181,7 +168,8 @@ def _cell(value) -> str:
 def _csv_file(path, timestamp: bool = False, comments=()):
     """Yield the atomic text file of a CSV table, after its ``# generated
     <iso-utc>`` and ``# <comment>`` lines."""
-    with _atomic_file(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_paths([path]) as (tmp,), \
+            open(tmp, "w", encoding="utf-8", newline="") as fh:
         if timestamp:
             now = datetime.now(timezone.utc).isoformat(timespec="seconds")
             fh.write(f"# generated {now}\n")
@@ -198,20 +186,19 @@ def write_csv(path, rows, timestamp: bool = False, comments=()) -> None:
             [_cell(v) for v in row] for row in rows)
 
 
+def check_label(label: str, where: str) -> None:
+    """Raise `DataFormatError` if ``label`` holds a line break: a label is
+    written into CSV rows and ``#`` comment lines, where a ``\\n`` or
+    ``\\r`` would start a line of its own."""
+    if "\n" in label or "\r" in label:
+        raise DataFormatError(f"{where} {label!r} holds a line break")
+
+
 def _csv_field(text: str) -> str:
     """``text`` as `csv.writer` writes it in a row of several fields."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([text, ""])
     return buf.getvalue()[:-2]
-
-
-def _read_csv_rows(path) -> list:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    try:
-        return list(csv.reader(lines))
-    except csv.Error as exc:  # a field over csv.field_size_limit(), say
-        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def write_feature_csv(path, labels, features, timestamp: bool = False) -> None:
@@ -242,12 +229,13 @@ def read_feature_csv(path) -> LabeledFeatureSet:
     The whole file is read before a check fails, and the checks keep the
     order of checking a table read whole: a missing header, no rows, the
     first row of other than 11 fields, the first value `float` rejects,
-    the first non-finite value, then the first column whose statistics
-    can overflow.  A value's row and column are found only once it
-    fails."""
+    the first label with a line break (`check_label`, run only where the
+    label changes), the first non-finite value, then the first column
+    whose statistics can overflow.  A value's row and column are found
+    only once it fails."""
     width = len(FEATURE_CSV_HEADER)
     labels, values = [], array.array("d")
-    label = short = bad = None
+    label = short = bad = broken = None
     n_rows = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
@@ -264,6 +252,8 @@ def read_feature_csv(path) -> LabeledFeatureSet:
                         bad = n_rows, r
                     if r[0] != label:
                         label = r[0]
+                        if "\n" in label or "\r" in label:
+                            broken = broken or n_rows
                     labels.append(label)
         except csv.Error as exc:  # a field over csv.field_size_limit(), say
             raise DataFormatError(f"{path}: {exc}") from exc
@@ -282,6 +272,8 @@ def read_feature_csv(path) -> LabeledFeatureSet:
                 break
         raise DataFormatError(f"{path}: data row {row}: {header[col]} value "
                               f"{r[col]!r} is not a number")
+    if broken:
+        check_label(labels[broken - 1], f"{path}: data row {broken}: label")
     feats = np.frombuffer(values).reshape(n_rows, width - 1)
     if not np.all(np.isfinite(feats)):
         row, col = divmod(int(np.argmin(np.isfinite(feats))), width - 1)
@@ -340,7 +332,18 @@ def read_profiles(path) -> list:
 
 
 def read_manifest(path) -> list:
-    rows = _read_csv_rows(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        # a "#" line is a comment only between rows: inside a quoted field
+        # (a label's), after a line with an odd number of quotes, it is data
+        lines, quoted = [], False
+        for ln in fh:
+            if quoted or not ln.startswith("#"):
+                lines.append(ln)
+                quoted ^= ln.count('"') % 2 == 1
+    try:
+        rows = list(csv.reader(lines))
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise DataFormatError(f"{path}: {exc}") from exc
     if not rows or rows[0] != ["label", "file", "frames", "profile"]:
         raise DataFormatError(f"{path}: missing manifest header")
     entries = []
@@ -348,6 +351,7 @@ def read_manifest(path) -> list:
         where = f"{path}: manifest row {i}"
         if len(r) != 4:
             raise DataFormatError(f"{where} has {len(r)} fields, expected 4")
+        check_label(r[0], f"{where}: label")
         if not r[2].isascii() or not r[2].isdigit():
             raise DataFormatError(
                 f"{where}: frames {r[2]!r} is not a non-negative integer")
@@ -365,50 +369,3 @@ def read_manifest(path) -> list:
     if not entries:
         raise DataFormatError(f"{path}: manifest lists no devices")
     return entries
-
-
-def write_significance_csv(path, report, timestamp: bool = False) -> None:
-    """``report``: the `stats.FeatureSignificance` rows, in order."""
-    rows = [[r.feature, r.pbcc, r.p_value, r.significant] for r in report]
-    write_csv(path, [["feature", "pbcc", "p_value", "significant"], *rows],
-              timestamp)
-
-
-def write_matrix_csv(path, names, values, timestamp: bool = False) -> None:
-    rows = [[name, *row] for name, row in zip(names, values)]
-    write_csv(path, [["feature", *names], *rows], timestamp)
-
-
-def write_histogram_csv(path, edges, counts, timestamp: bool = False) -> None:
-    write_csv(path, [["bin_left", "bin_right", "count"],
-                     *zip(edges[:-1], edges[1:], counts)], timestamp)
-
-
-def write_metrics_csv(path, metric_rows, timestamp: bool = False,
-                      seed: int | None = None) -> None:
-    """metric_rows: iterable of (classifier, fold, accuracy)."""
-    write_csv(path, [["classifier", "fold", "accuracy"], *metric_rows],
-              timestamp, [] if seed is None else [f"seed {seed}"])
-
-
-def write_confusion_csv(path, confusion, label_names,
-                        timestamp: bool = False) -> None:
-    rows = [[name, *counts] for name, counts in zip(label_names, confusion)]
-    write_csv(path, [["true\\predicted", *label_names], *rows], timestamp)
-
-
-def write_importances_csv(path, feature_names, importances,
-                          timestamp: bool = False) -> None:
-    write_csv(path, [["feature", "importance"],
-                     *zip(feature_names, importances)], timestamp)
-
-
-def write_explanation_csv(path, explanation, feature_names, label_name,
-                          timestamp: bool = False) -> None:
-    """feature,weight rows sorted by |weight| descending, after a summary."""
-    summary = (f"predicted_class={label_name}"
-               f" fidelity={explanation.local_fidelity!r}"
-               f" seed={explanation.seed}")
-    order = np.argsort(-np.abs(explanation.weights), kind="stable")
-    rows = [[feature_names[i], explanation.weights[i]] for i in order]
-    write_csv(path, [["feature", "weight"], *rows], timestamp, [summary])

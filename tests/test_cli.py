@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from oracles import oracle_simulate_frame
 from radiofp import dataio, explain as explain_module, parallel, pipeline
 from radiofp import stats as stats_module
-from radiofp.classify import derive_seed
+from radiofp.classify import HyperparamGrid, derive_seed, random_grid_search
 from radiofp.cli import build_parser, main
 from radiofp.pipeline import transnoise_etalon
 
@@ -579,6 +580,41 @@ def test_train_eval_reports_the_serial_loops_fit_error(small_dataset, tmp_path,
         assert list(out.iterdir()) == []
 
 
+def test_train_eval_search_outputs(small_dataset, tmp_path):
+    """best_params.json is the search's best point as sorted-key JSON and a
+    newline; metrics.csv ends with the search's forest_search mean row."""
+    _, _, features = small_dataset
+    out = tmp_path / "ml"
+    assert main([
+        "train-eval", "--input", str(features), "--out-dir", str(out),
+        "--search", "--iterations", "2", "--folds", "3", "--seed", "3",
+        "--classifiers", "knn", "--no-timestamp",
+    ]) == 0
+    best, result = random_grid_search(dataio.read_feature_csv(features),
+                                      HyperparamGrid(iterations=2), 3, 3)
+    assert (out / "best_params.json").read_bytes() == (json.dumps(
+        dataclasses.asdict(best), sort_keys=True) + "\n").encode()
+    metrics = (out / "metrics.csv").read_text().splitlines()
+    assert metrics[0] == "# seed 3"
+    assert metrics[-1] == \
+        f"forest_search,mean,{float(result.mean_accuracy)!r}"
+
+
+def test_extract_label_line_break_exit_2_one_line(small_dataset, tmp_path,
+                                                   capsys):
+    """A label is written into CSV rows and explain's summary comment, where
+    a line break would start a line of its own: --label refuses one before
+    any input is read."""
+    _, raw, _ = small_dataset
+    capsys.readouterr()
+    assert main(["extract", "--input", str(raw / "device_0.iq"),
+                 "--etalon", str(tmp_path / "missing.iq"),
+                 "--label", "a\nb", "--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err == \
+        "error: --label 'a\\nb' holds a line break\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_train_eval_feature_mask(small_dataset, tmp_path):
     _, _, features = small_dataset
     out = tmp_path / "masked"
@@ -769,7 +805,9 @@ def test_pipeline_reproducibility_end_to_end(tmp_path):
 
 def test_timestamped_layout(small_dataset, tmp_path):
     """Line 1 is the UTC generated stamp, then any seed or summary comment;
-    without line 1 each file equals its --no-timestamp twin byte for byte."""
+    without line 1 each file equals its --no-timestamp twin byte for byte.
+    Each run's extract and stats read that run's own outputs, so the
+    stamped ones read stamped inputs."""
     _, _, features = small_dataset
     runs = {}
     for flags in ([], ["--no-timestamp"]):
@@ -777,6 +815,12 @@ def test_timestamped_layout(small_dataset, tmp_path):
         assert main(["gen-dataset", "--out-dir", str(base / "raw"),
                      "--frames-per-device", "2", "--frame-len", "256",
                      "--seed", "7"] + flags) == 0
+        assert main(["extract", "--input", str(base / "raw" / "manifest.csv"),
+                     "--etalon", str(base / "raw" / "etalon.iq"),
+                     "--out", str(base / "features.csv")] + flags) == 0
+        assert main(["stats", "--input", str(base / "features.csv"),
+                     "--out-dir", str(base / "stats"), "--bins", "5"]
+                    + flags) == 0
         assert main(["train-eval", "--input", str(features),
                      "--out-dir", str(base / "ml"), "--trees", "2",
                      "--classifiers", "forest", "--seed", "1"] + flags) == 0
@@ -787,7 +831,9 @@ def test_timestamped_layout(small_dataset, tmp_path):
         runs[base.name] = {p.relative_to(base).as_posix(): p.read_bytes()
                            for p in base.rglob("*.csv")}
     stamped, plain = runs["stamped"], runs["plain"]
-    assert sorted(stamped) == sorted(plain) and len(stamped) == 5
+    # manifest, features, significance, Pearson matrix, 10 histograms,
+    # metrics, confusion, importances, explanation
+    assert sorted(stamped) == sorted(plain) and len(stamped) == 18
     for name, blob in stamped.items():
         first, rest = blob.decode().split("\n", 1)
         assert first.startswith("# generated "), name
@@ -947,6 +993,8 @@ MALFORMED_INPUTS = [
     ("model_params_n_trees_not_tree_count", "model",
      lambda t: _meta(t, lambda m: m["params"].update(n_trees=100))),
     ("csv_nan", "csv", lambda t: _first_row(t, lambda r: [r[0], "nan"] + r[2:])),
+    ("csv_label_line_break", "csv",
+     lambda t: _first_row(t, lambda r: ['"a\nb"'] + r[1:])),
     ("csv_ragged", "csv", lambda t: _first_row(t, lambda r: r[:-1])),
     # a field longer than the csv module's field_size_limit (131072)
     ("csv_field_over_limit", "csv",
@@ -961,6 +1009,11 @@ MALFORMED_INPUTS = [
      lambda t: "".join(t.partition("label,file,frames,profile\n")[:2])),
     ("manifest_short_row", "manifest",
      lambda t: _manifest_row(t, lambda f: f[:3])),
+    ("manifest_label_line_break", "manifest",
+     lambda t: t.replace("\n0,device_0.iq,", '\n"a\rb",device_0.iq,')),
+    # the "#b" line is inside the quoted label, so not a comment
+    ("manifest_label_line_break_hash", "manifest",
+     lambda t: t.replace("\n0,device_0.iq,", '\n"a\n#b",device_0.iq,')),
     ("manifest_field_over_limit", "manifest",
      lambda t: _manifest_row(t, lambda f: ["x" * 140000] + f[1:])),
     ("manifest_frames_not_integer", "manifest",
@@ -1053,6 +1106,13 @@ def test_malformed_input_exit_2_one_line(case, target, corrupt, small_dataset,
     assert err.count("bad model file:") <= 1, err
     if case == "model_feature_not_in_input":
         assert "PX" in err, err
+    if case == "csv_label_line_break":
+        assert err.endswith(": data row 1: label 'a\\nb' holds a line "
+                            "break\n"), err
+    if case.startswith("manifest_label_line_break"):
+        label = "'a\\n#b'" if case.endswith("_hash") else "'a\\rb'"
+        assert err.endswith(f": manifest row 1: label {label} holds a line "
+                            "break\n"), err
     if case == "manifest_frames_over_int_str_limit":
         assert ": manifest row 1: frames has 5000 digits" in err, err
     for key in ("label_names", "feature_names", "importances"):

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import math
+import re
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -54,8 +56,8 @@ def test_write_iq_bytes_equal_hand_interleaved_float32(tmp_path):
     dataio.write_iq(path, np.array(samples))
     assert path.read_bytes() == expected
     # blocks of a list, a complex array and a real array with Q all +0.0
-    dataio.write_iq_blocks(path, [samples[:5], np.array(samples[5:13]),
-                                  np.array(values)])
+    blocks = [samples[:5], np.array(samples[5:13]), np.array(values)]
+    dataio.write_iq_files([path], lambda _: blocks)
     assert path.read_bytes() == expected[:8 * 13] + bytes.fromhex(
         "".join(h + "00000000" for h in hexes))
 
@@ -298,10 +300,42 @@ def test_manifest_round_trip(tmp_path):
     assert dataio.read_manifest(path) == entries
 
 
+def test_manifest_comments_only_between_rows(tmp_path):
+    """A ``#`` line between rows is skipped, with quoted fields around it; a
+    ``#`` line inside a quoted label is the label's, which a line break
+    makes an error naming the row."""
+    profile = ImpairmentProfile()
+    entries = [dataio.ManifestEntry(label=label, file=f"d{i}.iq", frames=1,
+                                    profile=profile)
+               for i, label in enumerate(['x "1"', "y,2"])]
+    path = tmp_path / "manifest.csv"
+    dataio.write_manifest(path, entries, timestamp=True, seed=3)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[3].startswith('"x ""1"""') and lines[4].startswith('"y,2"')
+    path.write_text("".join(lines[:4] + ['# a "note\n'] + lines[4:]))
+    assert dataio.read_manifest(path) == entries
+    for label in ("a\n#b", "a\r\n#b"):
+        entries[1] = dataclasses.replace(entries[1], label=label)
+        dataio.write_manifest(path, entries)
+        with pytest.raises(DataFormatError, match=(
+                rf"manifest row 2: label {re.escape(repr(label))} holds a "
+                "line break$")):
+            dataio.read_manifest(path)
+
+
+def test_feature_csv_label_line_break_names_the_row(tmp_path):
+    path = tmp_path / "features.csv"
+    dataio.write_feature_csv(path, ["0", "0", "a\nb", "a\nb", "c"],
+                             np.ones((5, 10)))
+    with pytest.raises(DataFormatError, match=(
+            r"data row 3: label 'a\\nb' holds a line break$")):
+        dataio.read_feature_csv(path)
+
+
 def test_atomic_write_replaces_existing(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old")
-    dataio.atomic_write_text(path, "new")
+    dataio.atomic_write_bytes(path, b"new")
     assert path.read_text() == "new"
     assert list(tmp_path.iterdir()) == [path]  # no temp litter
 
@@ -408,7 +442,7 @@ def test_failed_streamed_writes_keep_target(exc, tmp_path, monkeypatch):
     writes = [
         lambda: dataio.write_csv(target, _failing_after(
             [["a", 1.0], ["b", 2.0]], exc), comments=["c"]),
-        lambda: dataio.write_iq_blocks(target, _failing_after(
+        lambda: dataio.write_iq_files([target], lambda _: _failing_after(
             [np.ones(5), np.zeros(3)], exc)),
         lambda: dataio.write_feature_csv(
             target, ["0"] * 4 + [BadLabel()], np.ones((5, 10))),
@@ -425,7 +459,7 @@ def test_write_iq_blocks_equal_write_iq(tmp_path):
     x = rng.normal(size=300) + 1j * rng.normal(size=300)
     x[7] = complex(-0.0, 0.0)
     dataio.write_iq(tmp_path / "whole.iq", x)
-    dataio.write_iq_blocks(tmp_path / "blocks.iq",
-                           (x[i:i + 64] for i in range(0, 300, 64)))
+    dataio.write_iq_files([tmp_path / "blocks.iq"], lambda _: (
+        x[i:i + 64] for i in range(0, 300, 64)))
     assert (tmp_path / "blocks.iq").read_bytes() == \
         (tmp_path / "whole.iq").read_bytes()

@@ -191,38 +191,44 @@ def cmd_extract(args) -> int:
     else:
         jobs = [(args.label, input_path, None)]
 
-    def read_stream(path):
-        return run_capture_pipeline(dataio.IqFile(path), etalon,
-                                    threshold=args.sync_threshold)
+    def read_stream(job):
+        """A stream's finished feature rows as text, with what the calling
+        process prints: the row count, the skips by reason, and the frames
+        sync found and the last one's sample offset."""
+        label, path, _ = job
+        values, failed, dropped, lags = run_capture_pipeline(
+            dataio.IqFile(path), etalon, threshold=args.sync_threshold)
+        kept = values[failed < 0]
+        skips = np.bincount(failed[failed >= 0] + 1, minlength=11)
+        skips[0] = dropped.sum()
+        return (dataio.render_feature_rows([label] * len(kept), kept),
+                len(kept), skips, lags.size, int(lags[-1]))
 
-    # the streams are independent: fork_map reads them on the cores of the
-    # affinity mask and raises the first failing stream's error, as a loop
-    # would.  Every stream is read before the first stderr line, so an
-    # error stays the only line
-    results = fork_map(read_stream, [path for _, path, _ in jobs])
-    labels, rows = [], []
+    # the streams are independent: fork_map runs their jobs on the cores
+    # of the affinity mask and raises the first failing stream's error, as
+    # a loop would.  Every stream is read before the first stderr line, so
+    # an error stays the only line
+    results = fork_map(read_stream, jobs)
     reasons = ("zero gain",) + FEATURE_NAMES
-    skips = np.zeros(len(reasons), dtype=np.int64)
-    for (label, _, expected), (values, failed, dropped, lags) in zip(
+    n_rows, skips = 0, np.zeros(len(reasons), dtype=np.int64)
+    for (label, _, expected), (_, rows, stream_skips, found, last) in zip(
             jobs, results):
-        if expected is not None and lags.size < expected:
-            print(f"device {label}: sync found {lags.size} of {expected} "
-                  f"frames, lost after sample {lags[-1] + etalon.size}",
+        if expected is not None and found < expected:
+            print(f"device {label}: sync found {found} of {expected} "
+                  f"frames, lost after sample {last + etalon.size}",
                   file=sys.stderr)
-        rows.append(values[failed < 0])
-        labels += [label] * len(rows[-1])
-        skips[0] += dropped.sum()
-        skips[1:] += np.bincount(failed[failed >= 0], minlength=10)
+        n_rows += rows
+        skips += stream_skips
 
     detail = ", ".join(f"{r}: {n}" for r, n in zip(reasons, skips) if n)
-    print(f"skipped {skips.sum()} of {len(labels) + skips.sum()} frames"
+    print(f"skipped {skips.sum()} of {n_rows + skips.sum()} frames"
           + (f" ({detail})" if detail else ""), file=sys.stderr)
-    if not labels:
+    if not n_rows:
         print("no extractable frames", file=sys.stderr)
         return EXIT_EMPTY
-    dataio.write_feature_csv(args.out, labels, np.concatenate(rows),
+    dataio.write_feature_csv(args.out, [text for text, *_ in results],
                              timestamp=not args.no_timestamp)
-    print(f"wrote {len(labels)} feature rows to {args.out}")
+    print(f"wrote {n_rows} feature rows to {args.out}")
     return EXIT_OK
 
 

@@ -6,11 +6,16 @@ which is numpy's little-endian complex64 (``<c8``) read and written as is
 etalon file is the same format with exactly 2L floats.
 
 CSV files use ``\\n`` line endings and shortest round-trip decimal floats, so
-a given dataset and seed always produce byte-identical output.  This module
-holds the formats that are also read back: IQ, the manifest and the feature
-table, whose rows `write_feature_csv` renders itself.  Each report that a
-command writes is one `write_csv` call in that command.  Readers skip ``#``
-comment lines and refuse a label with a line break (`check_label`).
+a given dataset and seed always produce byte-identical output.  A cell is
+quoted, its quotes doubled, when it holds a comma, a quote, ``\\n`` or
+``\\r`` (`_csv_field`).  This module holds the formats that are also read
+back: IQ, the manifest and the feature table.  `render_feature_rows` turns
+feature rows into the table's text, in the process that computed them
+(`extract` renders each stream's rows in that stream's job), and
+`write_feature_csv` writes the header and the rendered texts.  Each report
+that a command writes is one `write_csv` call in that command.  Readers
+skip ``#`` comment lines, so `check_label` refuses a label that starts with
+``#``, and one with a line break.
 
 Every output file, ``model.txt`` and ``best_params.json`` included, is
 written through `_atomic_paths`: into a temp file as it is produced, then
@@ -26,10 +31,10 @@ from __future__ import annotations
 
 import array
 import csv
-import io
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -45,6 +50,7 @@ from .pipeline import ImpairmentProfile
 
 FEATURE_CSV_HEADER = ["label", *FEATURE_NAMES]
 _CSV_BLOCK_ROWS = 1 << 12  # feature rows turned into Python floats at once
+_NEEDS_QUOTES = re.compile('[,"\n\r]').search
 
 
 @contextmanager
@@ -178,47 +184,70 @@ def _csv_file(path, timestamp: bool = False, comments=()):
         yield fh
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted, its quotes doubled, if it holds a
+    comma, a quote or a line break.  `csv.writer` under a ``\\n`` line
+    terminator leaves a bare ``\\r`` unquoted, which `csv.reader` reads as
+    the end of the row."""
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_row(cells) -> str:
+    """One CSV line; a row of one empty cell is ``""``, as `csv.writer`
+    writes it, so that it reads back as one field."""
+    return (",".join(map(_csv_field, cells)) or '""') + "\n"
+
+
 def write_csv(path, rows, timestamp: bool = False, comments=()) -> None:
     """Atomically write ``# generated <iso-utc>``, ``# <comment>``s, rows;
     each row goes to the file as ``rows`` yields it."""
     with _csv_file(path, timestamp, comments) as fh:
-        csv.writer(fh, lineterminator="\n").writerows(
-            [_cell(v) for v in row] for row in rows)
+        for row in rows:
+            fh.write(_csv_row(map(_cell, row)))
 
 
 def check_label(label: str, where: str) -> None:
-    """Raise `DataFormatError` if ``label`` holds a line break: a label is
-    written into CSV rows and ``#`` comment lines, where a ``\\n`` or
-    ``\\r`` would start a line of its own."""
+    """Raise `DataFormatError` if ``label`` cannot start a CSV row: a label
+    is written into CSV rows and ``#`` comment lines, where a ``\\n`` or
+    ``\\r`` would start a line of its own, and a row that starts with
+    ``#`` is read as a comment."""
     if "\n" in label or "\r" in label:
         raise DataFormatError(f"{where} {label!r} holds a line break")
+    if label.startswith("#"):
+        raise DataFormatError(
+            f"{where} {label!r} starts with '#', which marks a comment line")
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as `csv.writer` writes it in a row of several fields."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
-
-
-def write_feature_csv(path, labels, features, timestamp: bool = False) -> None:
-    """The feature table, rows as `write_csv` renders them: the label cell,
-    rendered once for each run of the same label object, then the shortest
-    round-trip ``repr`` of each value, NaN as ``undefined``."""
+def render_feature_rows(labels, features) -> str:
+    """The feature table's rows, as `write_csv` renders them: the label
+    cell, rendered once for each run of the same label object, then the
+    shortest round-trip ``repr`` of each value, NaN as ``undefined``.  The
+    values become Python floats ``_CSV_BLOCK_ROWS`` rows at a time."""
     feats = np.asarray(features, dtype=float)
+    blocks = []
+    label = cell = None
+    for lo in range(0, len(feats), _CSV_BLOCK_ROWS):
+        block = feats[lo:lo + _CSV_BLOCK_ROWS].tolist()
+        lines = []
+        for row_label, row in zip(labels[lo:lo + len(block)], block):
+            if cell is None or row_label is not label:
+                label, cell = row_label, _csv_field(_cell(row_label))
+            # no other float repr holds "nan"
+            values = ",".join(map(repr, row)).replace("nan", "undefined")
+            lines.append(f"{cell},{values}\n")
+        blocks.append("".join(lines))
+    return "".join(blocks)
+
+
+def write_feature_csv(path, texts, timestamp: bool = False) -> None:
+    """Atomically write the feature table: its header, then each of
+    ``texts``, rows that `render_feature_rows` rendered, as ``texts``
+    yields it."""
     with _csv_file(path, timestamp) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(FEATURE_CSV_HEADER)
-        label = cell = None
-        for lo in range(0, len(feats), _CSV_BLOCK_ROWS):
-            block = feats[lo:lo + _CSV_BLOCK_ROWS].tolist()
-            lines = []
-            for row_label, row in zip(labels[lo:lo + len(block)], block):
-                if cell is None or row_label is not label:
-                    label, cell = row_label, _csv_field(_cell(row_label))
-                # no other float repr holds "nan"
-                values = ",".join(map(repr, row)).replace("nan", "undefined")
-                lines.append(f"{cell},{values}\n")
-            fh.write("".join(lines))
+        fh.write(_csv_row(FEATURE_CSV_HEADER))
+        fh.writelines(texts)
 
 
 def read_feature_csv(path) -> LabeledFeatureSet:
@@ -229,8 +258,8 @@ def read_feature_csv(path) -> LabeledFeatureSet:
     The whole file is read before a check fails, and the checks keep the
     order of checking a table read whole: a missing header, no rows, the
     first row of other than 11 fields, the first value `float` rejects,
-    the first label with a line break (`check_label`, run only where the
-    label changes), the first non-finite value, then the first column
+    the first label `check_label` refuses (run only where the label
+    changes), the first non-finite value, then the first column
     whose statistics can overflow.  A value's row and column are found
     only once it fails."""
     width = len(FEATURE_CSV_HEADER)
@@ -252,8 +281,11 @@ def read_feature_csv(path) -> LabeledFeatureSet:
                         bad = n_rows, r
                     if r[0] != label:
                         label = r[0]
-                        if "\n" in label or "\r" in label:
-                            broken = broken or n_rows
+                        try:
+                            check_label(label,
+                                        f"{path}: data row {n_rows}: label")
+                        except DataFormatError as exc:
+                            broken = broken or exc
                     labels.append(label)
         except csv.Error as exc:  # a field over csv.field_size_limit(), say
             raise DataFormatError(f"{path}: {exc}") from exc
@@ -273,7 +305,7 @@ def read_feature_csv(path) -> LabeledFeatureSet:
         raise DataFormatError(f"{path}: data row {row}: {header[col]} value "
                               f"{r[col]!r} is not a number")
     if broken:
-        check_label(labels[broken - 1], f"{path}: data row {broken}: label")
+        raise broken
     feats = np.frombuffer(values).reshape(n_rows, width - 1)
     if not np.all(np.isfinite(feats)):
         row, col = divmod(int(np.argmin(np.isfinite(feats))), width - 1)

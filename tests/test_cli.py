@@ -615,6 +615,20 @@ def test_extract_label_line_break_exit_2_one_line(small_dataset, tmp_path,
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_extract_label_starting_with_hash_exit_2_one_line(small_dataset,
+                                                          tmp_path, capsys):
+    """A row that starts with '#' is read as a comment: --label refuses a
+    label that starts with one before any input is read."""
+    _, raw, _ = small_dataset
+    capsys.readouterr()
+    assert main(["extract", "--input", str(raw / "device_0.iq"),
+                 "--etalon", str(tmp_path / "missing.iq"),
+                 "--label", "#x", "--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err == ("error: --label '#x' starts with '#', "
+                                       "which marks a comment line\n")
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_train_eval_feature_mask(small_dataset, tmp_path):
     _, _, features = small_dataset
     out = tmp_path / "masked"
@@ -684,7 +698,8 @@ def test_overflowing_feature_column_exit_2_one_line(command, small_model,
     feats = rng.normal(size=(40, 10))
     feats[:, 0] = np.where(np.arange(40) % 3 == 0, -1e308, 1e308)
     table = tmp_path / "overflow.csv"
-    dataio.write_feature_csv(table, [str(i % 2) for i in range(40)], feats)
+    dataio.write_feature_csv(table, [dataio.render_feature_rows(
+        [str(i % 2) for i in range(40)], feats)])
     out = tmp_path / "out"
     argv = {"stats": ["--out-dir", str(out)],
             "train-eval": ["--out-dir", str(out)],

@@ -143,12 +143,19 @@ def test_iq_file_signed_zeros_match_i_plus_1j_q(tmp_path):
                                       expected[start:stop].view(np.uint64))
 
 
+def _write_table(path, labels, feats, timestamp=False):
+    """The feature table of ``labels`` and ``feats``, rendered as one
+    stream's rows."""
+    dataio.write_feature_csv(
+        path, [dataio.render_feature_rows(labels, feats)], timestamp)
+
+
 def test_feature_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(20, 10))
     labels = [str(v) for v in rng.integers(0, 2, size=20)]
     path = tmp_path / "features.csv"
-    dataio.write_feature_csv(path, labels, feats)
+    _write_table(path, labels, feats)
     ds = dataio.read_feature_csv(path)
     # shortest round-trip decimals: bit-exact restoration
     np.testing.assert_array_equal(ds.features, feats)
@@ -157,8 +164,7 @@ def test_feature_csv_round_trip(tmp_path):
 
 def test_feature_csv_skips_comment_lines(tmp_path):
     path = tmp_path / "features.csv"
-    dataio.write_feature_csv(path, ["0", "1"], np.ones((2, 10)),
-                             timestamp=True)
+    _write_table(path, ["0", "1"], np.ones((2, 10)), timestamp=True)
     text = path.read_text()
     assert text.startswith("# generated ")
     ds = dataio.read_feature_csv(path)
@@ -179,7 +185,7 @@ def test_feature_csv_quoted_labels_and_comment_lines(tmp_path):
     feats = rng.normal(size=(9, 10))
     labels = ["a,b", 'say "hi"', "plain"] * 3
     path = tmp_path / "features.csv"
-    dataio.write_feature_csv(path, labels, feats, timestamp=True)
+    _write_table(path, labels, feats, timestamp=True)
     lines = path.read_text().splitlines(keepends=True)
     assert '"a,b"' in lines[2] and '"say ""hi"""' in lines[3]
     path.write_text("".join(lines[:5] + ["# a note\n"] + lines[5:]))
@@ -260,7 +266,7 @@ def test_feature_csv_large_columns_keep_exact_statistics(tmp_path):
     feats[:, 0] = np.where(np.arange(40) % 2, 5e75, -5e75)
     feats[:, 1] = feats[:, 0] / 2
     path = tmp_path / "large.csv"
-    dataio.write_feature_csv(path, [str(i % 2) for i in range(40)], feats)
+    _write_table(path, [str(i % 2) for i in range(40)], feats)
     ds = dataio.read_feature_csv(path)
     assert stats.pearson(ds.features[:, 0], ds.features[:, 1]) == 1.0
 
@@ -273,7 +279,7 @@ def test_feature_csv_read_memory(tmp_path):
     feats = rng.normal(size=(30000, 10))
     labels = ["0"] * 15000 + ["1"] * 15000
     path = tmp_path / "features.csv"
-    dataio.write_feature_csv(path, labels, feats)
+    _write_table(path, labels, feats)
     tracemalloc.start()
     try:
         ds = dataio.read_feature_csv(path)
@@ -325,11 +331,30 @@ def test_manifest_comments_only_between_rows(tmp_path):
 
 def test_feature_csv_label_line_break_names_the_row(tmp_path):
     path = tmp_path / "features.csv"
-    dataio.write_feature_csv(path, ["0", "0", "a\nb", "a\nb", "c"],
-                             np.ones((5, 10)))
+    _write_table(path, ["0", "0", "a\nb", "a\nb", "c"], np.ones((5, 10)))
     with pytest.raises(DataFormatError, match=(
             r"data row 3: label 'a\\nb' holds a line break$")):
         dataio.read_feature_csv(path)
+
+
+def test_label_starting_with_hash_is_refused_as_read(tmp_path):
+    """A row that starts with '#' is a comment, so a label that starts with
+    one can only be read quoted; the manifest and the feature table refuse
+    it, naming the row."""
+    path = tmp_path / "manifest.csv"
+    path.write_text('label,file,frames,profile\n0,d0.iq,1,{}\n'
+                    '"#1",d1.iq,1,{}\n#1,d1.iq,1,{}\n')
+    with pytest.raises(DataFormatError) as caught:
+        dataio.read_manifest(path)
+    assert str(caught.value) == (f"{path}: manifest row 2: label '#1' "
+                                 "starts with '#', which marks a comment line")
+    path = tmp_path / "features.csv"
+    path.write_text(_HEADER + _ROW + _ROW.replace("0", '"#a"', 1)
+                    + "#" + _ROW)
+    with pytest.raises(DataFormatError) as caught:
+        dataio.read_feature_csv(path)
+    assert str(caught.value) == (f"{path}: data row 2: label '#a' starts "
+                                 "with '#', which marks a comment line")
 
 
 def test_atomic_write_replaces_existing(tmp_path):
@@ -387,35 +412,73 @@ def test_write_feature_csv_blocks_match_whole_table(tmp_path, monkeypatch):
     feats[3, 4] = np.nan
     labels = [f"dev{i % 3}" for i in range(30)]
     path = tmp_path / "features.csv"
-    dataio.write_feature_csv(path, labels, feats)
+    _write_table(path, labels, feats)
     rows = [[label, *row] for label, row in zip(labels, feats.tolist())]
     assert path.read_bytes() == _render_csv_reference(
         [dataio.FEATURE_CSV_HEADER, *rows])
 
 
 def test_write_feature_csv_matches_csv_writer_cells(tmp_path, monkeypatch):
-    """Labels that csv quotes, an empty label, labels of other types and
-    equal labels that are distinct objects; NaN, +-inf, -0.0 and extreme
-    floats: the rows are the csv.writer + _cell rendering, byte for byte."""
+    """Labels that csv quotes, an empty label, labels of other types, runs
+    of labels and equal labels that are distinct objects; NaN, +-inf, -0.0
+    and extreme floats: the rows are the csv.writer + _cell rendering, byte
+    for byte, whether the table is rendered as one text, as texts cut
+    inside runs, or as extract's stream jobs render it, one text per run
+    of one label object, an empty stream's text among them."""
     monkeypatch.setattr(dataio, "datetime", _FrozenClock)
     monkeypatch.setattr(dataio, "_CSV_BLOCK_ROWS", 4)
     values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
               1e22, 1 / 3, 1e16]
-    labels = ["a,b", "a,b", "".join(["a", ",b"]), '"q"', "", "", "banana",
-              "new\nline", "\u00b5", 1, True, 1.5, np.nan]
+    labels = ["a,b", "a,b", "a,b", "".join(["a", ",b"]), '"q"', '"q"', "",
+              "", "banana", "banana", "banana", "new\nline", "\u00b5", 1,
+              True, 1.5, np.nan]
     rng = np.random.default_rng(3)
     feats = rng.choice(values, size=(len(labels), 10))
     feats[0] = values
+    starts = [i for i, label in enumerate(labels)
+              if i == 0 or label is not labels[i - 1]]
+    runs = list(zip(starts, starts[1:] + [len(labels)]))
+    assert len(runs) == 11  # the first three labels are one object
+    tables = {
+        "one text": [(labels, feats)],
+        "cut inside runs": [(labels[lo:hi], feats[lo:hi]) for lo, hi in
+                            ((0, 2), (2, 5), (5, 5), (5, 10), (10, 17))],
+        "stream jobs": [([labels[lo]] * (hi - lo), feats[lo:hi])
+                        for lo, hi in runs[:4] + [(8, 8)] + runs[4:]],
+    }
+    rows = [[label, *row] for label, row in zip(labels, feats.tolist())]
     for timestamp in (False, True):
-        path = tmp_path / "features.csv"
-        dataio.write_feature_csv(path, labels, feats, timestamp)
-        rows = [[label, *row] for label, row in zip(labels, feats.tolist())]
         want = _render_csv_reference([dataio.FEATURE_CSV_HEADER, *rows],
                                      timestamp)
-        assert path.read_bytes() == want
+        for name, texts in tables.items():
+            path = tmp_path / "features.csv"
+            dataio.write_feature_csv(path, [
+                dataio.render_feature_rows(lab, f) for lab, f in texts],
+                timestamp)
+            assert path.read_bytes() == want, (name, timestamp)
     for cell in (b'\n"a,b",undefined,inf,-inf,-0.0,', b'\n"""q""",',
                  b'\n,', b'\nbanana,', b'\ntrue,', b'\nundefined,'):
         assert cell in want
+
+
+def test_bare_carriage_return_cells_are_quoted(tmp_path):
+    """csv.writer under a \\n line terminator leaves a bare \\r unquoted,
+    and csv.reader ends a row there: write_csv and the feature rows quote
+    such a cell, so every row reads back as written.  A cell without one
+    is rendered as csv.writer renders it."""
+    cells = ["a\rb", "\r", "x\r\ny", "end\r", "plain", ""]
+    path = tmp_path / "t.csv"
+    dataio.write_csv(path, [cells, ["\r", 1.5], [""]])
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [cells, ["\r", "1.5"], [""]]
+    assert path.read_bytes().endswith(b'\n"\r",1.5\n""\n')
+    labels = ["a\rb", "a\rb", "\r", "\ra"]
+    feats = np.arange(40.0).reshape(4, 10)
+    dataio.write_feature_csv(path, [dataio.render_feature_rows(labels, feats)])
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [dataio.FEATURE_CSV_HEADER, *(
+            [label, *map(repr, row)]
+            for label, row in zip(labels, feats.tolist()))]
 
 
 class _Boom(Exception):
@@ -435,17 +498,13 @@ def test_failed_streamed_writes_keep_target(exc, tmp_path, monkeypatch):
     target = tmp_path / "out"
     target.write_bytes(b"old")
 
-    class BadLabel:
-        def __str__(self):
-            raise exc
-
     writes = [
         lambda: dataio.write_csv(target, _failing_after(
             [["a", 1.0], ["b", 2.0]], exc), comments=["c"]),
         lambda: dataio.write_iq_files([target], lambda _: _failing_after(
             [np.ones(5), np.zeros(3)], exc)),
-        lambda: dataio.write_feature_csv(
-            target, ["0"] * 4 + [BadLabel()], np.ones((5, 10))),
+        lambda: dataio.write_feature_csv(target, _failing_after(
+            [dataio.render_feature_rows(["0"], np.ones((1, 10)))], exc)),
     ]
     for write in writes:
         with pytest.raises(type(exc)):

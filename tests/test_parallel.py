@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import shutil
 import signal
@@ -19,6 +21,7 @@ from radiofp.dataset import LabeledFeatureSet
 from radiofp.errors import DataFormatError, NoSplitsError
 from radiofp.features import FEATURE_NAMES
 from radiofp.parallel import fork_map
+from radiofp.pipeline import run_capture_pipeline
 
 
 def _cores(monkeypatch, n):
@@ -197,7 +200,8 @@ def _feature_csv(path):
     labels = ["0"] * 30 + ["1"] * 30
     x = rng.normal(size=(60, len(FEATURE_NAMES)))
     x[30:, 0] += 1.0
-    dataio.write_feature_csv(path, labels, x)
+    dataio.write_feature_csv(
+        path, [dataio.render_feature_rows(labels, x)])
 
 
 @pytest.mark.parametrize("error, code", [
@@ -322,6 +326,49 @@ def test_extract_bytes_do_not_depend_on_core_count(three_devices, tmp_path):
                            "skipped 0 of 60 frames\n")
     assert runs[0] == runs[1]
     _assert_no_child_left()
+
+
+def test_extract_stream_jobs_render_the_same_table(three_devices, tmp_path,
+                                                  monkeypatch, capsys):
+    # device 1 loses sync after frame 10 of 40, and device 2's frames, at
+    # 1e-14 of their amplitude, all have zero gain.  With usable cores
+    # forced to 1, 2 and 3, every job runs in this process, devices 1 and
+    # 2 run in one child, or each device runs in a process of its own;
+    # each job renders its stream's rows.  The table, stdout, stderr and
+    # exit code are the same, and the table is the csv.writer rendering of
+    # each stream's kept rows, in manifest order
+    data = tmp_path / "data"
+    shutil.copytree(three_devices, data)
+    stream = dataio.read_iq(data / "device_1.iq")
+    cut = 10 * 256
+    dataio.write_iq(data / "device_1.iq", np.concatenate(
+        [stream[:cut], np.zeros(300, dtype=complex), stream[cut:]]))
+    dataio.write_iq(data / "device_2.iq",
+                    1e-14 * dataio.read_iq(data / "device_2.iq"))
+    out = tmp_path / "features.csv"
+    runs = []
+    for cores in (1, 2, 3):
+        _cores(monkeypatch, cores)
+        capsys.readouterr()
+        code = _extract(data, out)
+        runs.append((code, *capsys.readouterr(), out.read_bytes()))
+        out.unlink()
+        _assert_no_child_left()
+    assert runs[0][:3] == (0, f"wrote 50 feature rows to {out}\n",
+                           "device 1: sync found 10 of 40 frames, lost after "
+                           "sample 2560\n"
+                           "skipped 40 of 90 frames (zero gain: 40)\n")
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    etalon = dataio.read_iq(data / "etalon.iq")
+    buf = io.StringIO()
+    table = csv.writer(buf, lineterminator="\n")
+    table.writerow(dataio.FEATURE_CSV_HEADER)
+    for dev in range(3):
+        values, failed, _, _ = run_capture_pipeline(
+            IqFile(data / f"device_{dev}.iq"), etalon)
+        table.writerows([str(dev), *map(dataio._cell, row)]
+                        for row in values[failed < 0].tolist())
+    assert runs[0][3] == buf.getvalue().encode()
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,

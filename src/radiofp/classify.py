@@ -98,9 +98,14 @@ def _node_table(tables) -> tuple:
                   for name in _TREE_FIELDS)), start
 
 
-def _tree_of(start, node) -> np.ndarray:
-    """The tree of each id in ``node`` of a node table."""
-    return np.searchsorted(start, node, side="right") - 1
+def _class_shares(counts) -> tuple:
+    """Each row's size as float64, its class shares and its Gini impurity
+    ``1 - p.p``, for a table of class counts whose rows are not all zero.
+    The dot products are numpy's own reduction, not BLAS, so their bits do
+    not depend on the CPU's BLAS kernel; the sizes are exact int64 sums."""
+    size = counts.sum(axis=1).astype(np.float64)
+    p = counts / size[:, None]
+    return size, p, 1.0 - np.einsum("ij,ij->i", p, p)
 
 
 def _value_ranks(features):
@@ -134,9 +139,7 @@ def _cut_gains(cls, weight, cut, start, at, counts, work):
     float64 rows of ``work``, exact below 2^53, so the gains equal those of
     int64 counts; they stay in ``work`` until the next call.
     """
-    size = counts.sum(axis=1).astype(np.float64)
-    p = counts / size[:, None]
-    parent_gini = 1.0 - (p[:, None, :] @ p[:, :, None])[:, 0, 0]  # p @ p
+    size, _, parent_gini = _class_shares(counts)
     n_left, l0, l_sq, r_sq, lk, rk = work.cuts[:6 * cut.size].reshape(6, -1)
     packed, spare = lk.view(np.int64), rk.view(np.int64)
     l_sq[:] = 0
@@ -479,8 +482,9 @@ class RandomForestModel:
         Every (tree, row) pair of a chunk of rows descends at once, one
         gather per level, and every ``_PREDICT_STEPS`` levels the pairs
         still at a split node are gathered anew.  The leaves'
-        distributions are then summed in tree order, as one tree at a time
-        sums them.
+        distributions, looked up in one table of every node's class shares
+        (`_class_shares`), are then summed in tree order, as one tree at a
+        time sums them.
         """
         rows = np.atleast_2d(np.asarray(features, dtype=float))
         nodes, start = self.nodes, self.start
@@ -496,6 +500,7 @@ class RandomForestModel:
         # threshold, else step[2 i + 1]; both entries of a leaf are the
         # leaf, whatever value its feature -1 reads
         step = np.column_stack((nodes.right, nodes.left)).ravel()
+        shares = _class_shares(nodes.counts)[1]  # every node's distribution
         out = np.empty((n_rows, self.n_classes))
         chunk = max(1, _PREDICT_PAIRS // n_trees)
         for lo in range(0, n_rows, chunk):
@@ -518,13 +523,7 @@ class RandomForestModel:
                     at = step.take(at)
                 node[active] = at
                 active = active[is_split.take(at)]
-            # each pair's leaf distribution; the class counts are summed a
-            # class at a time, as numpy sums a short axis slowly
-            leaf = nodes.counts.take(node, axis=0)
-            total = leaf[:, 0].copy()
-            for k in range(1, leaf.shape[1]):
-                total += leaf[:, k]
-            leaf = (leaf / total[:, None]).reshape(n_trees, m, -1)
+            leaf = shares.take(node, axis=0).reshape(n_trees, m, -1)
             np.cumsum(leaf, axis=0, out=leaf)
             np.divide(leaf[-1], n_trees, out=out[lo:lo + m])
         return out
@@ -639,11 +638,9 @@ def feature_importances(model: RandomForestModel) -> np.ndarray:
     """
     nodes, start = model.nodes, model.start
     n_trees, n_features = start.size - 1, len(model.feature_names)
-    n = nodes.counts.sum(axis=1)
-    p = nodes.counts / n[:, None]
-    gini = 1.0 - np.einsum("ij,ij->i", p, p)
+    n, _, gini = _class_shares(nodes.counts)
     split = np.flatnonzero(nodes.feature >= 0)
-    tree = _tree_of(start, split)
+    tree = np.searchsorted(start, split, side="right") - 1
     root = start[tree]
     lo, hi = nodes.left[split], nodes.right[split]
     child_gini = (n[lo] * gini[lo] + n[hi] * gini[hi]) / n[split]

@@ -158,22 +158,24 @@ def cmd_gen_dataset(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     etalon = transnoise_etalon(args.frame_len)
-    dataio.write_iq(out_dir / "etalon.iq", etalon)
-
     names = [f"device_{dev}.iq" for dev in range(len(profiles))]
-    # the devices are independent, so write_iq_files writes their streams
-    # on the cores of the affinity mask; the first failing device's error
-    # is raised, as a loop would, and then no stream is written
-    dataio.write_iq_files(
-        [out_dir / name for name in names],
-        lambda dev: _device_blocks(etalon, profiles[dev], args.seed, dev,
-                                   args.frames_per_device, args.lead_in))
     entries = [dataio.ManifestEntry(label=str(dev), file=name,
                                     frames=args.frames_per_device,
                                     profile=profile)
                for dev, (name, profile) in enumerate(zip(names, profiles))]
-    dataio.write_manifest(out_dir / "manifest.csv", entries,
-                          timestamp=not args.no_timestamp, seed=args.seed)
+    # the devices are independent, so write_iq_files writes their streams
+    # on the cores of the affinity mask; the first failing device's error
+    # is raised, as a loop would.  The etalon, last so that device 0 stays
+    # the calling process's share, and the manifest, written before any
+    # file is renamed, join the streams' all-or-none set
+    dataio.write_iq_files(
+        [out_dir / name for name in names + ["etalon.iq"]],
+        lambda i: ([etalon] if i == len(names) else
+                   _device_blocks(etalon, profiles[i], args.seed, i,
+                                  args.frames_per_device, args.lead_in)),
+        then=lambda: dataio.write_manifest(
+            out_dir / "manifest.csv", entries,
+            timestamp=not args.no_timestamp, seed=args.seed))
     total = args.frames_per_device * len(profiles)
     print(f"wrote {len(profiles)} devices x {args.frames_per_device} frames "
           f"({total} total) to {out_dir}")
@@ -201,7 +203,7 @@ def cmd_extract(args) -> int:
         kept = values[failed < 0]
         skips = np.bincount(failed[failed >= 0] + 1, minlength=11)
         skips[0] = dropped.sum()
-        return (dataio.render_feature_rows([label] * len(kept), kept),
+        return (dataio.render_feature_rows(label, kept),
                 len(kept), skips, lags.size, int(lags[-1]))
 
     # the streams are independent: fork_map runs their jobs on the cores

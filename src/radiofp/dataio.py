@@ -10,12 +10,12 @@ a given dataset and seed always produce byte-identical output.  A cell is
 quoted, its quotes doubled, when it holds a comma, a quote, ``\\n`` or
 ``\\r`` (`_csv_field`).  This module holds the formats that are also read
 back: IQ, the manifest and the feature table.  `render_feature_rows` turns
-feature rows into the table's text, in the process that computed them
-(`extract` renders each stream's rows in that stream's job), and
-`write_feature_csv` writes the header and the rendered texts.  Each report
-that a command writes is one `write_csv` call in that command.  Readers
-skip ``#`` comment lines, so `check_label` refuses a label that starts with
-``#``, and one with a line break.
+one stream's feature rows into the table's text, in the process that
+computed them (`extract` renders each stream's rows in that stream's job),
+and `write_feature_csv` writes the header and the rendered texts.  Each
+report that a command writes is one `write_csv` call in that command.
+Readers skip ``#`` comment lines, so `check_label` refuses a label that
+starts with ``#``, and one with a line break.
 
 Every output file, ``model.txt`` and ``best_params.json`` included, is
 written through `_atomic_paths`: into a temp file as it is produced, then
@@ -24,7 +24,8 @@ renamed over the target, so a crash never leaves a torn file.
 on the cores of the affinity mask: each is written, possibly by a forked
 child, into a temp file that the calling process names, and once every
 write has ended the calling process renames them all, or removes them all
-if one failed.
+if one failed.  A file written atomically by its ``then`` callback, as
+`gen-dataset` writes its manifest, joins that set.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _write_iq(fh, blocks, path) -> None:
         written += samples.size
 
 
-def write_iq_files(paths, blocks_of) -> None:
+def write_iq_files(paths, blocks_of, then=None) -> None:
     """Write the samples of each complex block of ``blocks_of(i)`` in turn
     (`_write_iq`) to ``paths[i]``, for every i, all or none: on an error
     every path is left as it was.  `parallel.fork_map` maps the indices,
@@ -103,13 +104,17 @@ def write_iq_files(paths, blocks_of) -> None:
     or all removed if the map raises, only once it has returned or raised,
     and fork_map reaps or kills every child before that, so a file is never
     renamed or removed before its last write.  The first failing file's
-    error, in order, is raised; it names the path, never a temp file."""
+    error, in order, is raised; it names the path, never a temp file.
+    ``then()``, if given, runs after the map and before the renames, so
+    an error it raises also leaves every path as it was."""
     with _atomic_paths(paths) as tmps:
         def write(i):
             with open(tmps[i], "wb") as fh:
                 _write_iq(fh, blocks_of(i), paths[i])
 
         fork_map(write, range(len(tmps)))
+        if then is not None:
+            then()
 
 
 def write_iq(path, samples) -> None:
@@ -220,20 +225,18 @@ def check_label(label: str, where: str) -> None:
             f"{where} {label!r} starts with '#', which marks a comment line")
 
 
-def render_feature_rows(labels, features) -> str:
-    """The feature table's rows, as `write_csv` renders them: the label
-    cell, rendered once for each run of the same label object, then the
-    shortest round-trip ``repr`` of each value, NaN as ``undefined``.  The
-    values become Python floats ``_CSV_BLOCK_ROWS`` rows at a time."""
+def render_feature_rows(label, features) -> str:
+    """The feature table's rows of one stream, every row labelled
+    ``label``, as `write_csv` renders them: the label cell, rendered once,
+    then the shortest round-trip ``repr`` of each value, NaN as
+    ``undefined``.  The values become Python floats ``_CSV_BLOCK_ROWS``
+    rows at a time."""
     feats = np.asarray(features, dtype=float)
+    cell = _csv_field(_cell(label))
     blocks = []
-    label = cell = None
     for lo in range(0, len(feats), _CSV_BLOCK_ROWS):
-        block = feats[lo:lo + _CSV_BLOCK_ROWS].tolist()
         lines = []
-        for row_label, row in zip(labels[lo:lo + len(block)], block):
-            if cell is None or row_label is not label:
-                label, cell = row_label, _csv_field(_cell(row_label))
+        for row in feats[lo:lo + _CSV_BLOCK_ROWS].tolist():
             # no other float repr holds "nan"
             values = ",".join(map(repr, row)).replace("nan", "undefined")
             lines.append(f"{cell},{values}\n")

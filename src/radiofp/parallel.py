@@ -15,8 +15,9 @@ A mapped function writes only to files that its caller names and removes
 if the map raises: when a share fails, every child still running is
 SIGKILLed, so a file that a child made for itself could be left behind.
 `gen-dataset` maps its devices so: each job writes one device's stream
-into a temp file that `dataio.write_iq_files` names in the calling
-process and renames or removes once the map has returned or raised.
+(or the etalon) into a temp file that `dataio.write_iq_files` names in
+the calling process and renames or removes once the map has returned or
+raised.
 
 Why the fork is safe here: the only threads a radiofp process runs are
 OpenBLAS's.  Its ``pthread_atfork`` handler stops its pool before a fork
@@ -26,8 +27,9 @@ calls.  So a child may call BLAS: an `extract` stream's `error_phase`
 calls OpenBLAS through ``np.vdot`` (its correlation runs numpy's FFT,
 which starts no thread), and a cross-validation job's kNN and logistic
 fits and predictions call it through ``np.matmul`` and
-``np.linalg.solve``, while a forest's tree groups only sort and index,
-and a `gen-dataset` device's simulation calls no BLAS.
+``np.linalg.solve``, while a forest's tree groups only sort, index and
+reduce with numpy's own loops, and a `gen-dataset` device's simulation
+calls no BLAS.
 A child runs only the mapped function and leaves by ``os._exit``
 (no atexit hook, no second flush of the parent's stdio buffers).
 """
@@ -135,8 +137,9 @@ def _child(fn, share, write_fd) -> None:
         # a result that does not pickle leaves nothing sent, which the
         # parent reports
         data = pickle.dumps(message)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(len(data).to_bytes(_LENGTH_BYTES, "little") + data)
+        with os.fdopen(write_fd, "wb") as pipe:  # two writes, no joined copy
+            pipe.write(len(data).to_bytes(_LENGTH_BYTES, "little"))
+            pipe.write(data)
         status = 0
     finally:
         os._exit(status)
@@ -152,4 +155,4 @@ def _unpack(data: bytes, pid: int, status: int) -> tuple:
             how = f"exited with status {os.waitstatus_to_exitcode(status)}"
         raise ChildProcessError(f"worker process {pid} {how} before it sent "
                                 f"its whole result ({len(data)} bytes read)")
-    return pickle.loads(data[_LENGTH_BYTES:])
+    return pickle.loads(memoryview(data)[_LENGTH_BYTES:])  # not a copy

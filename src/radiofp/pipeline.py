@@ -198,7 +198,10 @@ def simulate_device(clean, profile: ImpairmentProfile, seeds) -> np.ndarray:
         x = x * np.exp(1j * jitter)
 
     if noise is not None:
-        p_sig = np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)
+        # a power beyond float range leaves samples that dataio refuses
+        # when they are written, naming the sample
+        with np.errstate(over="ignore"):
+            p_sig = np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)
         p_noise = p_sig * 10.0 ** (-profile.snr_db / 10.0)
         sigma = np.sqrt(p_noise / 2.0)
         x = x + sigma * (noise[0] + 1j * noise[1])

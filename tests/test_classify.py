@@ -1,12 +1,16 @@
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radiofp
 from radiofp import classify, parallel
 from radiofp.classify import (
     CVResult,
@@ -550,6 +554,60 @@ def test_forest_deterministic():
     assert model_to_text(a) == model_to_text(b)
     c = train_forest(ds, ForestParams(n_trees=5), seed=43)
     assert model_to_text(a) != model_to_text(c)
+
+
+# the digests of _cut_gains' gains on 200000 random 2-class nodes, each cut
+# sending one class left and the other right, so that both children are
+# pure and a node's gain is its Gini; then of a forest fit on random
+# labels, its predict_proba and its importances
+_BLAS_KERNEL_SCRIPT = """
+import hashlib
+import numpy as np
+from radiofp import classify
+from radiofp.dataset import LabeledFeatureSet
+
+def digest(a):
+    print(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
+
+rng = np.random.default_rng(7)
+n = 200_000
+counts = rng.integers(1, 1000, size=(n, 2))
+cls = np.tile(np.arange(2, dtype=np.int32), n)
+first = 2 * np.arange(n)
+digest(classify._cut_gains(cls, counts.ravel().astype(np.int32), first,
+                           first, np.arange(n), counts,
+                           classify._LevelWork(2 * n)))
+x = rng.normal(size=(3000, 4))
+ds = LabeledFeatureSet(x, rng.integers(0, 3, 3000), ("a", "b", "c"),
+                        ("F1", "F2", "F3", "F4"))
+model = classify.train_forest(ds, classify.ForestParams(n_trees=20,
+                                                        max_depth=4), 3)
+print(hashlib.sha256(classify.model_to_text(model).encode()).hexdigest())
+digest(model.predict_proba(rng.normal(size=(5000, 4))))
+digest(model.importances)
+"""
+
+
+def test_gini_and_leaf_shares_do_not_depend_on_the_blas_kernel():
+    """A node's Gini and a leaf's class shares have the same bits under
+    the oldest OpenBLAS x86-64 kernel as under the native one: they are
+    numpy's own reductions, not BLAS.  (A stacked ``p @ p`` Gini changed
+    the bits of thousands of these rows.)  OpenBLAS reads the core type
+    when numpy loads it, hence a process for each."""
+    src = str(Path(radiofp.__file__).resolve().parents[1])
+    runs = []
+    for coretype in (None, "Nehalem"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        runs.append(subprocess.run(
+            [sys.executable, "-c", _BLAS_KERNEL_SCRIPT], env=env,
+            capture_output=True, text=True, check=True).stdout.split())
+    assert len(runs[0]) == 4
+    assert runs[1] == runs[0]
 
 
 def test_forest_seed_range():

@@ -117,7 +117,7 @@ def test_gen_dataset_float32_overflow_exit_2(tmp_path, capsys):
         f"error: {out / 'device_0.iq'}: sample 0 is not finite as 32-bit "
         "floats\n")
     assert [str(w.message) for w in caught] == []
-    assert sorted(p.name for p in out.iterdir()) == ["etalon.iq"]
+    assert list(out.iterdir()) == []  # the etalon neither
 
 
 def test_gen_dataset_negative_seed_exit_4(tmp_path, capsys):
@@ -698,8 +698,9 @@ def test_overflowing_feature_column_exit_2_one_line(command, small_model,
     feats = rng.normal(size=(40, 10))
     feats[:, 0] = np.where(np.arange(40) % 3 == 0, -1e308, 1e308)
     table = tmp_path / "overflow.csv"
-    dataio.write_feature_csv(table, [dataio.render_feature_rows(
-        [str(i % 2) for i in range(40)], feats)])
+    dataio.write_feature_csv(table, [
+        dataio.render_feature_rows(str(i % 2), feats[i:i + 1])
+        for i in range(40)])
     out = tmp_path / "out"
     argv = {"stats": ["--out-dir", str(out)],
             "train-eval": ["--out-dir", str(out)],

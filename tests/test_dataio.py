@@ -143,11 +143,19 @@ def test_iq_file_signed_zeros_match_i_plus_1j_q(tmp_path):
                                       expected[start:stop].view(np.uint64))
 
 
+def _label_runs(labels) -> list:
+    """``(lo, hi)`` of each run of one label object in ``labels``."""
+    starts = [i for i, label in enumerate(labels)
+              if i == 0 or label is not labels[i - 1]]
+    return list(zip(starts, starts[1:] + [len(labels)]))
+
+
 def _write_table(path, labels, feats, timestamp=False):
-    """The feature table of ``labels`` and ``feats``, rendered as one
-    stream's rows."""
-    dataio.write_feature_csv(
-        path, [dataio.render_feature_rows(labels, feats)], timestamp)
+    """The feature table of ``labels`` and ``feats``, rendered as extract
+    renders it, one stream's rows per run of one label object."""
+    dataio.write_feature_csv(path, [
+        dataio.render_feature_rows(labels[lo], feats[lo:hi])
+        for lo, hi in _label_runs(labels)], timestamp)
 
 
 def test_feature_csv_round_trip(tmp_path):
@@ -410,7 +418,7 @@ def test_write_feature_csv_blocks_match_whole_table(tmp_path, monkeypatch):
     rng = np.random.default_rng(6)
     feats = rng.normal(size=(30, 10))
     feats[3, 4] = np.nan
-    labels = [f"dev{i % 3}" for i in range(30)]
+    labels = [f"dev{i // 12}" for i in range(30)]  # runs cut into blocks
     path = tmp_path / "features.csv"
     _write_table(path, labels, feats)
     rows = [[label, *row] for label, row in zip(labels, feats.tolist())]
@@ -422,9 +430,9 @@ def test_write_feature_csv_matches_csv_writer_cells(tmp_path, monkeypatch):
     """Labels that csv quotes, an empty label, labels of other types, runs
     of labels and equal labels that are distinct objects; NaN, +-inf, -0.0
     and extreme floats: the rows are the csv.writer + _cell rendering, byte
-    for byte, whether the table is rendered as one text, as texts cut
-    inside runs, or as extract's stream jobs render it, one text per run
-    of one label object, an empty stream's text among them."""
+    for byte, whether the table is rendered as extract's stream jobs
+    render it, one text per run of one label object, or with each run cut
+    into two streams, empty streams among them."""
     monkeypatch.setattr(dataio, "datetime", _FrozenClock)
     monkeypatch.setattr(dataio, "_CSV_BLOCK_ROWS", 4)
     values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
@@ -435,17 +443,14 @@ def test_write_feature_csv_matches_csv_writer_cells(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     feats = rng.choice(values, size=(len(labels), 10))
     feats[0] = values
-    starts = [i for i, label in enumerate(labels)
-              if i == 0 or label is not labels[i - 1]]
-    runs = list(zip(starts, starts[1:] + [len(labels)]))
+    runs = _label_runs(labels)
     assert len(runs) == 11  # the first three labels are one object
-    tables = {
-        "one text": [(labels, feats)],
-        "cut inside runs": [(labels[lo:hi], feats[lo:hi]) for lo, hi in
-                            ((0, 2), (2, 5), (5, 5), (5, 10), (10, 17))],
-        "stream jobs": [([labels[lo]] * (hi - lo), feats[lo:hi])
-                        for lo, hi in runs[:4] + [(8, 8)] + runs[4:]],
-    }
+    halves = [cut for lo, hi in runs
+              for cut in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))]
+    assert any(lo == hi for lo, hi in halves)
+    tables = {name: [(labels[lo], feats[lo:hi]) for lo, hi in cuts]
+              for name, cuts in (("stream jobs", runs),
+                                 ("runs cut in two", halves))}
     rows = [[label, *row] for label, row in zip(labels, feats.tolist())]
     for timestamp in (False, True):
         want = _render_csv_reference([dataio.FEATURE_CSV_HEADER, *rows],
@@ -474,7 +479,7 @@ def test_bare_carriage_return_cells_are_quoted(tmp_path):
     assert path.read_bytes().endswith(b'\n"\r",1.5\n""\n')
     labels = ["a\rb", "a\rb", "\r", "\ra"]
     feats = np.arange(40.0).reshape(4, 10)
-    dataio.write_feature_csv(path, [dataio.render_feature_rows(labels, feats)])
+    _write_table(path, labels, feats)
     with open(path, encoding="utf-8", newline="") as fh:
         assert list(csv.reader(fh)) == [dataio.FEATURE_CSV_HEADER, *(
             [label, *map(repr, row)]
@@ -504,7 +509,7 @@ def test_failed_streamed_writes_keep_target(exc, tmp_path, monkeypatch):
         lambda: dataio.write_iq_files([target], lambda _: _failing_after(
             [np.ones(5), np.zeros(3)], exc)),
         lambda: dataio.write_feature_csv(target, _failing_after(
-            [dataio.render_feature_rows(["0"], np.ones((1, 10)))], exc)),
+            [dataio.render_feature_rows("0", np.ones((1, 10)))], exc)),
     ]
     for write in writes:
         with pytest.raises(type(exc)):

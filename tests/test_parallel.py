@@ -197,11 +197,11 @@ def test_forked_forest_equals_serial(monkeypatch, n_classes, bootstrap):
 
 def _feature_csv(path):
     rng = np.random.default_rng(41)
-    labels = ["0"] * 30 + ["1"] * 30
     x = rng.normal(size=(60, len(FEATURE_NAMES)))
     x[30:, 0] += 1.0
     dataio.write_feature_csv(
-        path, [dataio.render_feature_rows(labels, x)])
+        path, [dataio.render_feature_rows("0", x[:30]),
+               dataio.render_feature_rows("1", x[30:])])
 
 
 @pytest.mark.parametrize("error, code", [
@@ -374,9 +374,9 @@ def test_extract_stream_jobs_render_the_same_table(three_devices, tmp_path,
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                     reason="needs 2 usable cores to compare with 1")
 def test_gen_dataset_bytes_do_not_depend_on_core_count(tmp_path):
-    # 3 devices after 1500 lead-in zeros: on all cores device 0 is written
-    # in the calling process and devices 1 and 2 in a child, on one core
-    # all three in one process
+    # 3 devices after 1500 lead-in zeros: on all cores devices 0 and 1 are
+    # written in the calling process and device 2 and the etalon in a
+    # child, on one core all four files in one process
     profiles = tmp_path / "profiles.json"
     profiles.write_text('[{}, {"phase_noise_rms": 0.1}, '
                         '{"cubic_nonlinearity": 0.2}]')
@@ -399,16 +399,18 @@ def test_gen_dataset_bytes_do_not_depend_on_core_count(tmp_path):
 
 
 @pytest.mark.parametrize("failing, sample", [((0,), 100000),
-                                             ((1, 2), 100001)])
+                                             ((1, 2), 100001),
+                                             ((2,), 100000)])
 def test_gen_dataset_failing_device_leaves_no_stream(failing, sample,
                                                      tmp_path, monkeypatch,
                                                      capsys):
-    # 3 devices on 2 cores, device 0 in this process, devices 1 and 2 in a
-    # child.  Device 0's samples overflow float32 while the child is still
-    # writing, or devices 1 and 2 overflow in the child while device 0 is
+    # 3 devices on 2 cores, devices 0 and 1 in this process, device 2 and
+    # the etalon in a child.  Device 0's samples overflow float32 while the
+    # child is still writing, devices 1 and 2 overflow in both processes,
+    # or device 2's overflow in the child while devices 0 and 1 are
     # written whole: exit 2 with the first failing device's one line, as
-    # on one core, and no stream and no temp file is left, whoever wrote
-    # it.  Every stream starts with the lead-in zeros, so the child's first
+    # on one core, and no file and no temp file is left, whoever wrote it.
+    # Every stream starts with the lead-in zeros, so the child's first
     # file is open before device 0 fails
     lead_in = 100000
     profiles = tmp_path / "profiles.json"
@@ -426,8 +428,37 @@ def test_gen_dataset_failing_device_leaves_no_stream(failing, sample,
         assert (code,) + tuple(capsys.readouterr()) == (
             2, "", f"error: {out / f'device_{failing[0]}.iq'}: sample "
                    f"{sample} is not finite as 32-bit floats\n"), cores
-        assert sorted(p.name for p in out.iterdir()) == ["etalon.iq"], cores
+        assert list(out.iterdir()) == [], cores
         _assert_no_child_left()
+
+
+@pytest.mark.parametrize("pin", [False, True])
+def test_gen_dataset_failing_rerun_keeps_the_dataset(pin, tmp_path):
+    # a rerun into a 128-sample dataset whose device 1 overflows float32
+    # (its signal power overflows a float first): exit 2 with the one
+    # error line, numpy's overflow warning not printed, and the etalon,
+    # both streams and the manifest keep their bytes, so extract still
+    # reads one consistent dataset
+    out = tmp_path / "g"
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text('[{}, {"dc_offset": [1e300, 0]}]')
+
+    def gen_dataset(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "radiofp.cli", "gen-dataset", "--out-dir",
+             str(out), "--frames-per-device", "4", "--no-timestamp", *argv],
+            env=_src_env(), capture_output=True, text=True, timeout=300,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {0})) if pin else None)
+
+    assert gen_dataset("--frame-len", "128").returncode == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["device_0.iq", "device_1.iq", "etalon.iq",
+                              "manifest.csv"]
+    done = gen_dataset("--frame-len", "256", "--profiles", str(profiles))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: {out / 'device_1.iq'}: sample 0 is not finite as "
+               "32-bit floats\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # each edit makes the stream at ``path`` fail in the read that extract

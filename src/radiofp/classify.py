@@ -31,7 +31,7 @@ from .errors import (
     SingleClassError,
     TooFewSamplesError,
 )
-from .parallel import fork_map
+from .parallel import fork_map, shares
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,10 +51,11 @@ def derive_seed(master: int, *indices: int) -> int:
 
 # --- CART ------------------------------------------------------------------
 
-# sort keys in one level pass of a tree group.  A forest grows as many
-# trees at once as fit (at least one): the fewer passes, the less fixed
-# numpy cost per level, while the pass's arrays, and so the peak RSS, grow
-# with the keys.
+# sort keys in one level pass.  A tree joins a forest's passes as soon as
+# its root keys fit beside those of the trees still growing (and alone when
+# they exceed this): the fuller the passes, the fewer of them and the less
+# fixed numpy cost, while a pass's arrays, and so the peak RSS, grow with
+# its keys.
 _GROUP_KEYS = 1 << 16
 
 # a level pass whose keys all lie below this sorts them as int32, which is
@@ -194,11 +195,11 @@ def _cut_gains(cls, weight, cut, start, at, counts, work):
 
 
 class _LevelWork:
-    """The largest arrays of a level pass, allocated once per forest at the
-    most keys any of its passes sorts, and reused by every pass.  Allocated
-    and freed anew each level, they had glibc hand their pages back to the
-    kernel after one level and fault them in again at the next.  A pass of
-    int32 keys sorts an int32 view of ``key``."""
+    """The largest arrays of a level pass, allocated once per tree range
+    at the most keys any of its passes sorts, and reused by every pass.
+    Allocated and freed anew each pass, they had glibc hand their pages
+    back to the kernel after one pass and fault them in again at the next.
+    A pass of int32 keys sorts an int32 view of ``key``."""
 
     def __init__(self, n_keys):
         # where each key's value rank sits in ranks, then the packed keys,
@@ -321,108 +322,140 @@ def _level_splits(ranks, values, labels, rows, weight, owner, counts,
     return at[win], f, lo, thr
 
 
-def _grow_trees(ranks, values, labels, rows, weights, max_depth,
-                min_samples_split, per_split, rngs, n_classes, work) -> tuple:
-    """Grow a group of trees level by level, one split pass per level.
+def _grow_trees(ranks, values, labels, trees, bootstrap, max_depth,
+                min_samples_split, per_split, n_classes) -> tuple:
+    """Grow the trees of the range ``trees`` breadth-first in one rolling
+    loop of level passes, each one ``_level_splits`` call.
 
-    Tree t takes the distinct training rows ``rows[t]``, row ``rows[t][i]``
-    drawn ``weights[t][i]`` times (a bootstrap sample repeats some), and
-    generator ``rngs[t]``; a node's sample and class counts count every
-    draw.  A node is open while it holds at least ``min_samples_split``
-    samples, not all of one class, fewer than ``max_depth`` levels below
-    the root.  Each level, every tree with an open node draws
-    ``rng.random((its open nodes, features))``, and one ``_level_splits``
-    call splits the open nodes of every tree.  Nodes are numbered level by
-    level across the group, tree by tree within a level, then each tree's
-    are renumbered to pre-order, left child first.  Returns the group's
-    node table and the first node of each tree followed by the node count.
+    ``bootstrap(t)`` gives tree t's distinct training rows, how often each
+    was drawn (a bootstrap sample repeats some) and its generator; a
+    node's sample and class counts count every draw.  A node is open while
+    it holds at least ``min_samples_split`` samples, not all of one class,
+    fewer than ``max_depth`` levels below its root.  Before each pass the
+    next tree, in index order, joins it while the pass's keys and the
+    tree's root keys fit in ``_GROUP_KEYS`` (``per_split`` keys per
+    distinct row of an open node), and whatever its keys when the pass
+    would have none, so trees at different depths share a pass.  In a pass
+    each tree with an open node draws ``rng.random((its open nodes,
+    features))``, its open nodes in node order, as it would alone.  Nodes
+    are numbered pass by pass, the children of the last pass's splits
+    before the roots that joined, tree by tree, then each tree's are
+    renumbered to pre-order, left child first.  Returns the trees' node
+    table and the first node of each tree followed by the node count.
     """
-    n_trees = len(rngs)
     n_features, n_samples = ranks.shape
-    # each split leaves at least one distinct row on either side; a node is
-    # filled in as a leaf when it is made, so the pages of nodes never made
-    # stay untouched
-    cap = sum(2 * r.size - 1 for r in rows)
-    feature = np.empty(cap, dtype=np.intp)
-    threshold = np.empty(cap)
-    left = np.empty(cap, dtype=np.intp)
-    right = np.empty(cap, dtype=np.intp)
-    counts = np.empty((cap, n_classes), dtype=np.int64)
-    tree = np.empty(cap, dtype=np.intp)  # the tree of each node
 
-    def make_leaves(lo, hi, trees):  # each leaf its own child
-        feature[lo:hi] = -1
-        threshold[lo:hi] = math.nan
-        left[lo:hi] = right[lo:hi] = np.arange(lo, hi)
-        tree[lo:hi] = trees
+    def frontier(node, n_nodes, rows, weight, tree, depth):
+        """The frontier, the nodes a pass may split, from the node of each
+        of their rows: the nodes' class counts (weighted, so exact float64
+        sums), tree, depth and openness, and the rows of the open nodes,
+        with each row's weight and open node (its owner)."""
+        counts = np.bincount(node * n_classes + labels[rows], weights=weight,
+                             minlength=n_nodes * n_classes).reshape(
+                                 -1, n_classes).astype(np.int64)
+        size = counts.sum(axis=1)
+        is_open = (size >= min_samples_split) & (counts.max(axis=1) < size)
+        if max_depth is not None:
+            is_open &= depth < max_depth
+        keep = is_open[node]
+        return [counts, tree, depth, is_open, rows[keep], weight[keep],
+                (np.cumsum(is_open) - 1)[node[keep]]]
 
-    def class_counts(node, n_nodes):  # weighted, so exact float64 integers
-        return np.bincount(node * n_classes + labels[rows], weights=weight,
-                           minlength=n_nodes * n_classes).reshape(-1, n_classes)
-
-    make_leaves(0, n_trees, np.arange(n_trees))
-    # the node of each row still in play, numbered from its level's first
-    node = np.repeat(np.arange(n_trees), [r.size for r in rows])
-    rows, weight = np.concatenate(rows), np.concatenate(weights)
-    counts[:n_trees] = class_counts(node, n_trees)
-    levels = []  # the split nodes of each level
-    first, n_nodes, depth = 0, n_trees, 0
-    while max_depth is None or depth < max_depth:
-        level_counts = counts[first:n_nodes]
-        size = level_counts.sum(axis=1)
-        is_open = (size >= min_samples_split) & (level_counts.max(axis=1) < size)
-        n_open = int(np.count_nonzero(is_open))
-        if n_open == 0:
-            break
-        per_tree = np.bincount(tree[first:n_nodes][is_open], minlength=n_trees)
-        draws = np.concatenate([rng.random((k, n_features))
-                                for rng, k in zip(rngs, per_tree) if k])
-        slot = np.full(n_nodes - first, -1)
-        slot[is_open] = np.arange(n_open)
-        owner = slot[node]
-        keep = owner >= 0
-        rows, weight, owner = rows[keep], weight[keep], owner[keep]
-        found = _level_splits(ranks, values, labels, rows, weight, owner,
-                              level_counts[is_open], per_split, draws, work)
-        if found is None:
-            break
-        won, f, lo, thr = found
-
-        split = first + np.flatnonzero(is_open)[won]
+    none = np.empty(0, dtype=np.intp)
+    front = frontier(none, 0, none, none, none, none)
+    no_cut = (none,) * 3 + (np.empty(0),)  # what a pass without a cut splits
+    rngs, roots = {}, []  # roots: each tree's root id, in tree order
+    # the nodes as made, frontier by frontier: their class counts, then
+    # the ids, left children (the right one follows), features and
+    # thresholds of those that split; and the splits of each pass.  The
+    # children of a frontier's splits open the next.  Byte buffers that
+    # grow in place hold them: arrays kept pass by pass, small and many,
+    # pinned the heap between the passes' temporaries
+    made = [bytearray() for _ in range(5)]
+    n_splits = []
+    # a pass's keys fit in _GROUP_KEYS, or are one root level's
+    work = _LevelWork(min(max(_GROUP_KEYS, n_samples * per_split),
+                          len(trees) * n_samples * per_split))
+    n_nodes, t = 0, trees.start
+    joining = bootstrap(t) if t < trees.stop else None
+    while True:
+        keys, joined = per_split * front[4].size, []
+        while joining is not None and (
+                keys == 0 or keys + per_split * joining[0].size <= _GROUP_KEYS):
+            joined.append(joining)
+            keys += per_split * joining[0].size
+            t += 1
+            joining = bootstrap(t) if t < trees.stop else None
+        if joined:  # roots follow the frontier, in tree order
+            root_rows, root_weights, new_rngs = zip(*joined)
+            new = np.arange(t - len(joined), t)
+            rngs.update(zip(new.tolist(), new_rngs))
+            roots += range(n_nodes + len(front[0]),
+                           n_nodes + len(front[0]) + new.size)
+            at = np.repeat(np.arange(new.size), [r.size for r in root_rows])
+            joins = frontier(at, new.size, np.concatenate(root_rows),
+                             np.concatenate(root_weights), new,
+                             np.zeros_like(new))
+            joins[6] += np.count_nonzero(front[3])
+            front = [np.concatenate(pair) for pair in zip(front, joins)]
+        counts, tree, depth, is_open, rows, weight, owner = front
+        opened = np.flatnonzero(is_open)
+        found = None
+        if opened.size:
+            grown, k = np.unique(tree[opened], return_counts=True)
+            draws = np.concatenate([rngs[g].random((n, n_features)) for g, n
+                                    in zip(grown.tolist(), k.tolist())])
+            found = _level_splits(ranks, values, labels, rows, weight, owner,
+                                  counts[opened], per_split, draws, work)
+        # a frontier without a cut closes, and waiting trees join the next
+        won, f, lo, thr = no_cut if found is None else found
+        split = opened[won]
         n_split = split.size
-        feature[split], threshold[split] = f, thr
-        left[split] = n_nodes + 2 * np.arange(n_split)
-        right[split] = left[split] + 1
-        make_leaves(n_nodes, n_nodes + 2 * n_split, np.repeat(tree[split], 2))
-        levels.append(split)
-
-        if n_split < n_open:  # some open node has no cut
-            slot = np.full(n_open, -1)
+        n_splits.append(n_split)
+        for buf, a in zip(made, (counts, n_nodes + split, n_nodes + len(
+                counts) + 2 * np.arange(n_split), f, thr)):
+            buf += a.data
+        n_nodes += len(counts)
+        if opened.size == 0 and joining is None:  # nothing left to split
+            break
+        if n_split < opened.size:  # some open node has no cut
+            slot = np.full(opened.size, -1)
             slot[won] = np.arange(n_split)
             owner = slot[owner]
             keep = owner >= 0
             rows, weight, owner = rows[keep], weight[keep], owner[keep]
         node = 2 * owner + (ranks.take(f[owner] * n_samples + rows)
                             > lo[owner])
-        counts[n_nodes:n_nodes + 2 * n_split] = class_counts(node, 2 * n_split)
-        first, n_nodes, depth = n_nodes, n_nodes + 2 * n_split, depth + 1
+        front = frontier(node, 2 * n_split, rows, weight,
+                         np.repeat(tree[split], 2),
+                         np.repeat(depth[split] + 1, 2))
 
-    # renumber level order to pre-order within each tree, trees laid out
-    # in order: a left child follows its parent, a right child follows its
-    # parent and the left child's subtree
+    # pre-order ids, trees laid out in order: a left child follows its
+    # parent, a right child follows its parent and the left child's subtree
+    counts = np.frombuffer(made[0], np.int64).reshape(-1, n_classes)
+    split, left, f = (np.frombuffer(b, np.intp) for b in made[1:4])
+    thr = np.frombuffer(made[4])
+    bounds = np.cumsum([0] + n_splits)
+    levels = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     subtree = np.ones(n_nodes, dtype=np.intp)
-    for split in reversed(levels):
-        subtree[split] += subtree[left[split]] + subtree[right[split]]
-    pre = np.zeros(n_nodes, dtype=np.intp)
-    for split in levels:
-        pre[left[split]] = pre[split] + 1
-        pre[right[split]] = pre[split] + 1 + subtree[left[split]]
-    start = np.concatenate(([0], np.cumsum(subtree[:n_trees])))
-    pre += start[tree[:n_nodes]]
-    order = np.empty(n_nodes, dtype=np.intp)
-    order[pre] = np.arange(n_nodes)
-    return Tree(feature[order], threshold[order], pre[left[order]],
-                pre[right[order]], counts[order]), start
+    for lv in reversed(levels):
+        subtree[split[lv]] += subtree[left[lv]] + subtree[left[lv] + 1]
+    start = np.concatenate(([0], np.cumsum(subtree[roots])))
+    pre = np.empty(n_nodes, dtype=np.intp)
+    pre[roots] = start[:-1]
+    for lv in levels:
+        pre[left[lv]] = pre[split[lv]] + 1
+        pre[left[lv] + 1] = pre[split[lv]] + 1 + subtree[left[lv]]
+    feature = np.full(n_nodes, -1, dtype=np.intp)
+    threshold = np.full(n_nodes, math.nan)
+    lefts = np.arange(n_nodes)  # each leaf its own child
+    rights = np.arange(n_nodes)
+    at = pre[split]
+    feature[at], threshold[at] = f, thr
+    lefts[at], rights[at] = pre[left], pre[left + 1]
+    out = np.empty_like(counts)
+    out[pre] = counts
+    return Tree(feature, threshold, lefts, rights, out), start
 
 
 @dataclass(frozen=True)
@@ -584,35 +617,16 @@ def train_forest(dataset: LabeledFeatureSet,
         rows = np.flatnonzero(drawn)
         return rows, drawn[rows], rng
 
-    # a group's root level is its largest: per_split keys per distinct row.
-    # A group takes trees while their keys fit in _GROUP_KEYS, and at least
-    # one tree, which has at most n distinct rows.  A group is a range of
-    # tree indices; whoever grows it draws its trees' bootstraps again
-    groups, first, keys = [], 0, 0
-    for t in range(params.n_trees):
-        tree_keys = bootstrap(t)[0].size * per_split
-        if t > first and keys + tree_keys > _GROUP_KEYS:
-            groups.append(range(first, t))
-            first, keys = t, 0
-        keys += tree_keys
-    groups.append(range(first, params.n_trees))
-
     def grow(trees):
-        rows, weights, rngs = zip(*map(bootstrap, trees))
-        return _grow_trees(ranks, values, labels, rows, weights,
+        return _grow_trees(ranks, values, labels, trees, bootstrap,
                            params.max_depth, params.min_samples_split,
-                           per_split, rngs, n_classes, work)
+                           per_split, n_classes)
 
-    work = _LevelWork(min(max(_GROUP_KEYS, n * per_split),
-                          params.n_trees * n * per_split))
-    # a tree is the same whatever group and process grows it
-    tables = fork_map(grow, groups)
-
-    # the level pass's arrays go before the groups' tables are laid out in
-    # one node table, and the groups' tables after
-    work = None
+    # one contiguous range of trees per core; a tree is the same whatever
+    # range and process grows it
+    tables = fork_map(grow, shares(params.n_trees))
     nodes, start = _node_table(tables)
-    tables = None
+    tables = None  # the ranges' tables go once laid out in one
     model = RandomForestModel(
         nodes=nodes,
         start=start,

@@ -27,7 +27,7 @@ calls.  So a child may call BLAS: an `extract` stream's `error_phase`
 calls OpenBLAS through ``np.vdot`` (its correlation runs numpy's FFT,
 which starts no thread), and a cross-validation job's kNN and logistic
 fits and predictions call it through ``np.matmul`` and
-``np.linalg.solve``, while a forest's tree groups only sort, index and
+``np.linalg.solve``, while a forest's tree ranges only sort, index and
 reduce with numpy's own loops, and a `gen-dataset` device's simulation
 calls no BLAS.
 A child runs only the mapped function and leaves by ``os._exit``
@@ -58,24 +58,34 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def shares(n_items: int) -> list:
+    """The contiguous shares, as ranges of item indices, that `fork_map`
+    cuts ``n_items`` items into when called here: one per usable core and
+    at most one per item, or one share when called from a function that a
+    fork_map maps.  The first share, the calling process's, is the
+    smallest: it also forks and unpickles."""
+    n_shares = 1 if _mapping else max(1, min(usable_cores(), n_items))
+    bounds = [n_items * i // n_shares for i in range(n_shares + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def fork_map(fn, items) -> list:
     """``[fn(item) for item in items]``, the items' contiguous shares
-    mapped in this process and in forked children (see the module
-    docstring).  Every child is reaped before this returns or raises."""
+    (`shares`) mapped in this process and in forked children (see the
+    module docstring).  Every child is reaped before this returns or
+    raises."""
     global _mapping
     items = list(items)
-    n_shares = 1 if _mapping else min(usable_cores(), len(items))
-    if n_shares <= 1:
+    first, *rest = shares(len(items))
+    if not rest:
         return [fn(item) for item in items]
-    # the first share, this process's, is the smallest: it also forks and
-    # unpickles
-    bounds = [len(items) * i // n_shares for i in range(n_shares + 1)]
     children = []  # (pid, read end of its pipe), in item order
     _mapping = True
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork(fn, items[lo:hi], children))
-        results = [fn(item) for item in items[:bounds[1]]]
+        for share in rest:
+            children.append(_fork(fn, items[share.start:share.stop],
+                                  children))
+        results = [fn(item) for item in items[first.start:first.stop]]
         while children:
             pid, pipe = children[0]
             data = pipe.read()

@@ -398,9 +398,9 @@ def test_boundary_cuts_match_reference_on_larger_tables():
     assert splits > 1500 and longest >= 50 and edges >= 200
 
 
-def _group_table():
+def _rounded_table():
     """150 rows of 3 classes whose rounded values tie, so trees reach
-    different depths and drop out of their group at different levels."""
+    different depths and leave the passes at different times."""
     rng = np.random.default_rng(34)
     x = rng.normal(size=(150, 4))
     score = x[:, 0] - x[:, 2] + rng.normal(scale=0.8, size=150)
@@ -409,61 +409,92 @@ def _group_table():
                              tuple(f"F{i}" for i in range(4)))
 
 
-def test_tree_groups_match_level_order_reference(monkeypatch):
-    # groups of 1, 2 and 3 trees (7 trees leave a remainder group) and one
-    # group of all 7 grow the same trees, each the level-order reference's
-    ds = _group_table()
+def _tied_table():
+    """40 rows of 2 features valued 0, 1 or 2 and one row of class b among
+    class a: a bootstrap that misses that row has a pure root, and nodes of
+    equal rows of both classes are open without a cut."""
+    rng = np.random.default_rng(36)
+    x = rng.integers(0, 3, size=(40, 2)).astype(float)
+    x[1:6] = x[0]  # five copies of the class b row's values, of class a
+    y = np.zeros(40, dtype=np.intp)
+    y[0] = 1
+    return LabeledFeatureSet(x, y, ("a", "b"), ("F0", "F1"))
+
+
+def test_rolling_passes_match_level_order_reference(monkeypatch):
+    # a budget below one tree's root keys and one of one tree's keys let a
+    # tree join only once no node is open; larger ones let 2, 3 or all 7
+    # trees share passes.  Every budget grows the same trees, each the
+    # level-order reference's
     per_split = 2
-    one_tree = ds.n * per_split  # a tree's root-level keys
-    splits = 0
-    for bootstrap in (True, False):
-        for max_depth in (None, 1, 3):
-            params = ForestParams(n_trees=7, max_depth=max_depth,
+    real = classify._level_splits
+    passes = []  # whether each pass of a fit found a cut
+
+    def level_splits(*args):
+        found = real(*args)
+        passes.append(found is not None)
+        return found
+
+    monkeypatch.setattr(classify, "_level_splits", level_splits)
+    table, tied = _rounded_table(), _tied_table()
+    cases = [(table, ForestParams(n_trees=7, max_depth=max_depth,
                                   features_per_split=per_split,
-                                  bootstrap=bootstrap)
-            texts = set()
-            for budget in (one_tree, 2 * one_tree, 3 * one_tree + 1, 1 << 40):
-                monkeypatch.setattr(classify, "_GROUP_KEYS", budget)
-                model = train_forest(ds, params, seed=5)
-                texts.add(model_to_text(model))
-            assert len(texts) == 1, (bootstrap, max_depth)
-            splits += _assert_forest_matches_level_order(ds, params, seed=5)
-    assert splits > 500
+                                  bootstrap=bootstrap))
+             for bootstrap in (True, False) for max_depth in (None, 1, 3)]
+    cases += [(tied, ForestParams(n_trees=7, features_per_split=1)),
+              (tied, ForestParams(n_trees=7, features_per_split=1,
+                                  bootstrap=False)),
+              # every root is closed when its tree joins
+              (table, ForestParams(n_trees=7, features_per_split=per_split,
+                                   min_samples_split=table.n + 1))]
+    splits = no_cut_while_waiting = 0
+    for ds, params in cases:
+        one_tree = ds.n * params.features_per_split  # a root's most keys
+        texts = set()
+        for budget in (one_tree // 3, one_tree, 2 * one_tree,
+                       3 * one_tree + 1, 1 << 40):
+            monkeypatch.setattr(classify, "_GROUP_KEYS", budget)
+            passes.clear()
+            model = train_forest(ds, params, seed=5)
+            texts.add(model_to_text(model))
+            # after a pass with no cut the loop goes on only for a tree
+            # still waiting to join
+            no_cut_while_waiting += not all(passes[:-1])
+        assert len(texts) == 1, params
+        splits += _assert_forest_matches_level_order(ds, params, seed=5)
+    sizes = np.diff(train_forest(tied, cases[6][1], seed=5).start)
+    assert 1 in sizes and sizes.max() > 1  # pure roots and grown ones
+    assert np.all(np.diff(train_forest(table, cases[-1][1], seed=5).start)
+                  == 1)
+    assert no_cut_while_waiting and splits > 500
 
 
-def _distinct_row_groups(n, n_trees, seed, per_split, budget):
-    """[trees, root-level keys] of each group train_forest makes: a group
-    takes trees while per_split keys per distinct bootstrap row fit in the
-    budget, and at least one tree."""
-    groups = []
-    for t in range(n_trees):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        keys = np.unique(rng.integers(0, n, n)).size * per_split
-        if groups and groups[-1][1] + keys <= budget:
-            groups[-1][0] += 1
-            groups[-1][1] += keys
-        else:
-            groups.append([1, keys])
-    return groups
+def _fold_table():
+    """3000 rows of 10 features and 2 overlapping classes, the size of a
+    cross-validation fold of the benchmark's 10 dB table; a 100-tree forest
+    on it grows trees of some 450 nodes."""
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(3000, 10))
+    y = (x[:, :3].sum(axis=1) + rng.normal(scale=0.5, size=3000) > 0)
+    return LabeledFeatureSet(x.round(3), y.astype(np.intp), ("a", "b"),
+                             tuple(f"F{i}" for i in range(10)))
 
 
 def test_level_pass_keys_within_budget(monkeypatch):
     # the keys one level pass sorts, and so the size of its work arrays,
     # stay within the budget unless one tree's root level alone exceeds it.
-    # The passes are counted in this process, so the groups grow on one
-    # core; a run on two cores hands fork_map the same tree ranges
+    # The passes are counted in this process, which grows the first tree
+    # range on 2 cores and all of them on 1
     assert classify._GROUP_KEYS <= 1 << 16  # the peak RSS rests on it
-    ds = _group_table()
+    ds = _rounded_table()
     per_split = 2
     one_tree = ds.n * per_split
-    seen, roots, handed = [], [], []
+    seen, handed = [], []
     real, real_fork_map = classify._level_splits, classify.fork_map
 
     def level_splits(ranks, values, labels, rows, weight, owner, counts,
                      per_split, *rest):
         seen.append(rows.size * per_split)
-        if np.all(counts.sum(axis=1) == ds.n):  # only a root holds every draw
-            roots.append(counts.shape[0])
         return real(ranks, values, labels, rows, weight, owner, counts,
                     per_split, *rest)
 
@@ -474,23 +505,35 @@ def test_level_pass_keys_within_budget(monkeypatch):
     monkeypatch.setattr(classify, "_level_splits", level_splits)
     monkeypatch.setattr(classify, "fork_map", fork_map)
     params = ForestParams(n_trees=10, features_per_split=per_split)
-    for budget in (5 * one_tree - 1, one_tree // 3):  # then one-tree groups
+    for budget in (5 * one_tree - 1, one_tree // 3):
         monkeypatch.setattr(classify, "_GROUP_KEYS", budget)
-        seen.clear()
-        roots.clear()
-        handed.clear()
-        monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
-        train_forest(ds, params, seed=3)
-        groups = _distinct_row_groups(ds.n, 10, 3, per_split, budget)
-        assert roots == [trees for trees, _ in groups], budget
-        # a group's root level is its largest
-        assert max(seen) == max(keys for _, keys in groups), budget
-        assert all(keys <= max(budget, one_tree) for keys in seen)
-        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
-        train_forest(ds, params, seed=3)
-        assert handed[0] == handed[1], budget
-        assert [len(trees) for trees in handed[0]] == [
-            trees for trees, _ in groups], budget
+        by_cores = {}
+        for cores, n_trees in ((1, 10), (2, 10), (1, 5)):
+            monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+            seen.clear()
+            handed.clear()
+            text = model_to_text(train_forest(
+                ds, replace(params, n_trees=n_trees), seed=3))
+            by_cores[cores, n_trees] = list(seen), handed[0], text
+            assert all(keys <= max(budget, one_tree) for keys in seen)
+        # one contiguous tree range per core, as fork_map cuts 10 items
+        assert by_cores[1, 10][1] == [range(10)]
+        assert by_cores[2, 10][1] == [range(5), range(5, 10)]
+        assert by_cores[1, 10][2] == by_cores[2, 10][2]
+        # a range grows as a forest of its trees does on one core
+        assert by_cores[2, 10][0] == by_cores[1, 5][0], budget
+        if budget > one_tree:  # trees share passes
+            assert max(by_cores[1, 10][0]) > one_tree, budget
+
+    # a fold-sized table: trees join as soon as they fit, so every pass
+    # but the last few is near the budget.  116 passes measured, bounded
+    # with a 15% margin; fixed tree groups, each growing to its last level
+    # in passes of its own, made 219
+    monkeypatch.setattr(classify, "_GROUP_KEYS", 1 << 16)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+    seen.clear()
+    train_forest(_fold_table(), ForestParams(), seed=1)
+    assert len(seen) <= 133, len(seen)
 
 
 def test_weighted_pass_matches_level_order_reference(monkeypatch):
@@ -1360,9 +1403,9 @@ def test_node_table_layout():
 @pytest.mark.parametrize("budget", [None, 600])
 def test_forest_prefix_is_node_table_prefix(monkeypatch, budget):
     # the first t trees of a forest are its first start[t] nodes, whatever
-    # groups the trees grow in, and predict as the forest of t trees does
+    # passes the trees share, and predict as the forest of t trees does
     ds = blobs(n_per_class=50, spread=1.2, seed=30, n_features=3)
-    if budget is not None:  # groups of two or three trees
+    if budget is not None:  # a few trees a pass
         monkeypatch.setattr(classify, "_GROUP_KEYS", budget)
     rows = np.random.default_rng(31).normal(1.5, 2.0, size=(200, 3))
     for params in (ForestParams(n_trees=7),

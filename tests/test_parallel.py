@@ -75,6 +75,22 @@ def test_nested_fork_map_runs_serially(monkeypatch):
     _assert_no_child_left()
 
 
+def test_shares_are_fork_maps_cut(monkeypatch):
+    # contiguous, the first the smallest, at most one per item; one share
+    # on one core and in a call from a mapped function
+    _cores(monkeypatch, 3)
+    assert parallel.shares(10) == [range(3), range(3, 6), range(6, 10)]
+    assert parallel.shares(2) == [range(1), range(1, 2)]
+    assert parallel.shares(0) == [range(0)]
+    _cores(monkeypatch, 1)
+    assert parallel.shares(10) == [range(10)]
+    _cores(monkeypatch, 2)
+    nested = fork_map(lambda x: (os.getpid(), parallel.shares(10)), range(2))
+    assert nested[0][0] != nested[1][0]  # this process, then the child
+    assert [cut for _, cut in nested] == [[range(10)], [range(10)]]
+    _assert_no_child_left()
+
+
 def _fail_at(bad):
     def fn(x):
         if x in bad:
@@ -169,7 +185,8 @@ def _table(rng, n_classes):
 @pytest.mark.parametrize("n_classes", [2, 3])
 @pytest.mark.parametrize("bootstrap", [True, False])
 def test_forked_forest_equals_serial(monkeypatch, n_classes, bootstrap):
-    # one group (the default budget), two groups, and one group per tree
+    # every tree in one pass (the default budget), about four trees a
+    # pass, and one tree at a time
     rng = np.random.default_rng(40 + n_classes + 2 * bootstrap)
     for trial in range(3):
         ds = _table(rng, n_classes)
@@ -210,8 +227,9 @@ def _feature_csv(path):
     (ValueError("a child's share failed"), 4),
 ])
 def test_child_error_through_cli(monkeypatch, tmp_path, capsys, error, code):
-    # the trees of each fit grow one per group, the last two groups in a
-    # child, which fails: train-eval exits with the error's code and one line
+    # the trees of each fit grow one at a time, and every fit a child runs
+    # fails (its cross-validation jobs', the last two trees of the final
+    # fit): train-eval exits with the error's code and one line
     features = tmp_path / "features.csv"
     _feature_csv(features)
     parent = os.getpid()

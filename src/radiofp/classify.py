@@ -141,7 +141,7 @@ def _cut_gains(cls, weight, cut, start, at, counts, work):
     int64 counts; they stay in ``work`` until the next call.
     """
     size, _, parent_gini = _class_shares(counts)
-    n_left, l0, l_sq, r_sq, lk, rk = work.cuts[:6 * cut.size].reshape(6, -1)
+    n_left, l0, l_sq, r_sq, lk, rk = (row[:cut.size] for row in work.cuts)
     packed, spare = lk.view(np.int64), rk.view(np.int64)
     l_sq[:] = 0
     r_sq[:] = 0
@@ -211,9 +211,11 @@ class _LevelWork:
         self.weight = np.empty(n_keys, dtype=np.int32)
         self.edge = np.empty(n_keys, dtype=bool)
         self.keep = np.empty(n_keys, dtype=bool)
-        # the 6 per-cut rows of _cut_gains, laid end to end at the front,
-        # so a pass touches only as many pages as it scores cuts
-        self.cuts = np.empty(6 * n_keys)
+        # the 6 per-cut rows of _cut_gains, each used from its front, so a
+        # pass touches only as many pages as it scores cuts.  Six arrays,
+        # not one of 6 * n_keys: numpy asks for huge pages on arrays of 4 MB
+        # or more, and a pass then faults in 2 MB at a time
+        self.cuts = [np.empty(n_keys) for _ in range(6)]
 
 
 def _level_splits(ranks, values, labels, rows, weight, owner, counts,
@@ -675,7 +677,9 @@ def feature_importances(model: RandomForestModel) -> np.ndarray:
 
 # multiply-adds in one query block's matrix product.  OpenBLAS 0.3 runs a
 # product of up to about 10^6 on the calling thread, so kNN stays on one
-# core while blocks hold two rows or more.
+# core while blocks hold two rows or more.  A block holds at least two rows
+# whatever the training size: numpy hands a one-row product to a gemv,
+# which took 1.4 times as long per query (300 queries, 36000 training rows).
 _KNN_BLOCK_MADDS = 1 << 19
 
 
@@ -692,7 +696,8 @@ class KnnModel:
 
         The k nearest are the first k training rows in (squared distance,
         index) order, as a stable sort of ``sum((x - q)**2)`` puts them.
-        Queries go in blocks of ``_KNN_BLOCK_MADDS // x.size`` rows.  A
+        Queries go in blocks of ``max(2, _KNN_BLOCK_MADDS // x.size)``
+        rows.  A
         block's matrix product gives each distance less ``|q|^2`` as
         ``|x|^2 - 2 q.x``, within ``delta`` of the exact one; a training row
         can be among a query's k nearest only if that is at most the
@@ -714,7 +719,7 @@ class KnnModel:
         scale = 2 * (n_features + 2) * np.finfo(float).eps
         reach = np.sqrt(x_sq.max())
         out = np.empty(rows.shape[0], dtype=int)
-        block = max(1, _KNN_BLOCK_MADDS // x.size)
+        block = max(2, _KNN_BLOCK_MADDS // x.size)
         approx = np.empty((min(block, rows.shape[0]), n_train))
         for lo in range(0, rows.shape[0], block):
             q = rows[lo:lo + block]

@@ -146,8 +146,10 @@ class IqFile:
         if raw.size < out.size:
             raise DataFormatError(f"{self.path}: file ended at sample "
                                   f"{start + raw.size}, expected {self.size}")
-        bad = np.flatnonzero(~np.isfinite(raw))
-        if bad.size:
+        # one pass over the float32 parts; the first bad sample is looked
+        # for only when there is one
+        if not np.isfinite(raw.view(np.float32)).all():
+            bad = np.flatnonzero(~np.isfinite(raw))
             raise DataFormatError(
                 f"{self.path}: sample {start + bad[0]} is not finite")
         # I + 1j*Q without full-size temporaries; addition commutes, so

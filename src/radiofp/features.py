@@ -47,19 +47,25 @@ def _roots(dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fractional 0-based positions come out row by row and in increasing order
     within each row.
     """
-    zero = dy == 0.0
-    first = zero.copy()
-    first[:, 1:] &= ~zero[:, :-1]
-    cross = np.zeros_like(zero)
-    cross[:, :-1] = dy[:, :-1] * dy[:, 1:] < 0
-    # flat gathers: a crossing's right neighbour is the next flat index,
-    # since a crossing is never in a row's last column
-    idx = np.flatnonzero(first | cross)
-    rows, cols = np.divmod(idx, dy.shape[1])
-    pos = cols.astype(float)
-    at = cross.ravel().take(idx)
-    left = idx[at]
+    width = dy.shape[1]
     flat = dy.ravel()
+    zero = flat == 0.0
+    # the masks are built on the raveled block, so each row's first column
+    # gets its own zero flag back (no carry from the row before), and its
+    # last column starts no crossing
+    mark = np.empty_like(zero)
+    np.greater(zero[1:], zero[:-1], out=mark[1:])  # a zero after a non-zero
+    mark[::width] = zero[::width]
+    cross = np.empty_like(zero)
+    np.less(flat[:-1] * flat[1:], 0, out=cross[:-1])
+    cross[width - 1::width] = False
+    mark |= cross
+    # flat gathers: a crossing's right neighbour is the next flat index
+    idx = np.flatnonzero(mark)
+    rows, cols = np.divmod(idx, width)
+    pos = cols.astype(float)
+    at = cross.take(idx)
+    left = idx[at]
     y0, y1 = flat.take(left), flat.take(left + 1)
     pos[at] += y0 / (y0 - y1)
     return pos, rows
@@ -84,15 +90,20 @@ def _root_lines(pos: np.ndarray, rows: np.ndarray,
     # each row's two sums are numpy's pairwise sums along it, which depend
     # on the row and L alone
     k0 = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    # both scatters go through flat indices of the matrix: the same elements
+    # in the same order as a 2-D scatter, which numpy runs several times
+    # slower
+    at = rows * shape[1] + k0
     padded = np.zeros(shape)
-    padded[rows, k0] = pos
+    flat = padded.reshape(-1)
+    flat[at] = pos
     # k = 1..n has mean (n+1)/2 and sum((k - mean)^2) = n(n^2-1)/12, exact
     # while n(n^2-1) < 2^53, and so only the sums over the roots stay
     k_mean = (counts + 1) / 2
     with np.errstate(divide="ignore", invalid="ignore"):
         r_mean = np.add.reduce(padded, axis=1) / counts
         # k - k_mean is an exact half-integer
-        padded[rows, k0] = (pos - r_mean[rows]) * (k0 + 1 - k_mean[rows])
+        flat[at] = (pos - r_mean[rows]) * (k0 + 1 - k_mean[rows])
         a = np.add.reduce(padded, axis=1) / (counts * (counts**2 - 1) / 12)
         b = r_mean - a * k_mean
         p10 = (np.pi * b / a - np.pi / 2.0) % np.pi

@@ -599,6 +599,19 @@ def test_forest_deterministic():
     assert model_to_text(a) != model_to_text(c)
 
 
+def test_level_work_arrays_stay_below_huge_pages():
+    """numpy asks the kernel for huge pages on arrays of 2^22 bytes or
+    more, and a pass then faults in 2 MB at a time.  A paper-scale fold
+    sizes its work for 90000 keys, and no array of it reaches that size."""
+    work = classify._LevelWork(90000)
+    arrays = [a for value in vars(work).values()
+              for a in (value if isinstance(value, list) else [value])]
+    assert len(arrays) == 12
+    assert [a.size for a in work.cuts] == [90000] * 6
+    assert all(a.base is None for a in arrays)  # no views of one buffer
+    assert max(a.nbytes for a in arrays) < 1 << 22
+
+
 # the digests of _cut_gains' gains on 200000 random 2-class nodes, each cut
 # sending one class left and the other right, so that both children are
 # pure and a node's gain is its Gini; then of a forest fit on random
@@ -885,8 +898,22 @@ def _knn_row_loop(model, features):
     return np.array(out)
 
 
+def _knn_blocks(monkeypatch):
+    """The query rows of each block product `KnnModel.predict` makes, as
+    it makes them."""
+    rows, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        rows.append(a.shape[0])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return rows
+
+
 def test_knn_predict_matches_row_loop(monkeypatch):
     rng = np.random.default_rng(23)
+    blocks = _knn_blocks(monkeypatch)
     for trial in range(40):
         n, n_classes = int(rng.integers(3, 60)), int(rng.integers(2, 4))
         # integer features: many rows tie at the k-th distance
@@ -897,18 +924,24 @@ def test_knn_predict_matches_row_loop(monkeypatch):
         ds = LabeledFeatureSet(feats[:n], labels, tuple("abc"[:n_classes]),
                                ("F1", "F2", "F3"))
         model = train_knn(ds, int(rng.integers(1, n + 1)))
-        # chunks of one, a few, and all query rows
-        chunk_rows = [1, 7, 1000][trial % 3]
+        # a budget below one row and one of one row, which both give
+        # blocks of two rows, and a few and all query rows
+        chunk_rows = [0, 1, 7, 1000][trial % 4]
         monkeypatch.setattr(classify, "_KNN_BLOCK_MADDS",
-                            chunk_rows * model.features_std.size)
+                            max(1, chunk_rows * model.features_std.size))
+        blocks.clear()
         np.testing.assert_array_equal(model.predict(feats),
                                       _knn_row_loop(model, feats))
+        # only the last block may hold one row
+        assert blocks[:-1] == [max(2, chunk_rows)] * (len(blocks) - 1)
+        assert sum(blocks) == len(feats)
 
 
 def test_knn_predict_matches_row_loop_near_ties(monkeypatch):
     # distances that tie or differ in their last bits, where the rounding of
     # |q|^2 + |x|^2 - 2 q.x is as large as the gaps the shortlist must keep
     rng = np.random.default_rng(24)
+    blocks = _knn_blocks(monkeypatch)
     for trial in range(48):
         n, n_feat = int(rng.integers(2, 80)), int(rng.integers(1, 6))
         kind = trial % 4
@@ -934,8 +967,10 @@ def test_knn_predict_matches_row_loop_near_ties(monkeypatch):
         queries = np.vstack([x, near])
         chunk_rows = [1, 7, 1000][trial // 3 % 3]
         monkeypatch.setattr(classify, "_KNN_BLOCK_MADDS", chunk_rows * x.size)
+        blocks.clear()
         np.testing.assert_array_equal(model.predict(queries),
                                       _knn_row_loop(model, queries))
+        assert min(blocks[:-1], default=2) >= 2
 
 
 def test_knn_blobs_cv():

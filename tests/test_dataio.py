@@ -96,6 +96,26 @@ def test_iq_rejects_partial_and_non_finite_samples(tail, message, tmp_path):
         _read(f, 200, f.size)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", [0, 1])
+def test_iq_read_names_first_non_finite_sample_of_its_block(value, part,
+                                                            tmp_path):
+    """A read names the first non-finite sample of its range, in either
+    part: as the range's first sample, its last, or the first of two; a
+    range between the bad samples reads as written."""
+    raw = np.ones((300, 2), dtype="<f4")
+    raw[[40, 41, 200], part] = value
+    path = tmp_path / "bad.iq"
+    path.write_bytes(raw.tobytes())
+    f = dataio.IqFile(path)
+    for start, stop, bad in ((40, 60, 40), (41, 45, 41), (30, 41, 40),
+                             (30, 42, 40), (100, 201, 200), (0, 300, 40)):
+        with pytest.raises(DataFormatError,
+                           match=f": sample {bad} is not finite$"):
+            _read(f, start, stop)
+    assert _read(f, 42, 200).tobytes() == np.full(158, 1 + 1j).tobytes()
+
+
 def test_iq_file_truncated_after_open(tmp_path):
     """A file that shrinks after IqFile measured it raises DataFormatError
     where the read runs out, not numpy's broadcast error."""

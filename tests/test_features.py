@@ -259,6 +259,25 @@ def reference_roots(dy):
     return pos, rows
 
 
+def reference_root_lines(pos, rows, shape):
+    """`_root_lines` by 2-D scatters into the padded matrix, its bitwise
+    reference."""
+    counts = np.bincount(rows, minlength=shape[0])
+    k0 = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    padded = np.zeros(shape)
+    padded[rows, k0] = pos
+    k_mean = (counts + 1) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_mean = np.add.reduce(padded, axis=1) / counts
+        padded[rows, k0] = (pos - r_mean[rows]) * (k0 + 1 - k_mean[rows])
+        a = np.add.reduce(padded, axis=1) / (counts * (counts**2 - 1) / 12)
+        b = r_mean - a * k_mean
+        p10 = (np.pi * b / a - np.pi / 2.0) % np.pi
+        p10[p10 >= np.pi] -= np.pi
+        p9 = np.pi / a
+    return np.where((a > 0)[:, None], np.column_stack([p9, p10]), np.nan)
+
+
 def reference_root_line(roots):
     """One row's P9 and P10 by float sums over the unpadded roots and their
     indices, the reference of `_root_lines`; None where it gives NaN."""
@@ -338,6 +357,10 @@ def test_root_line_closed_forms_equal_float_sums_up_to_300079():
 
 
 def test_roots_bitwise_equals_reference():
+    """`_roots` and `_root_lines` equal their 2-D references bit for bit.
+    The blocks hold zero runs at row starts and ends, so a row's first
+    column follows a zero or a sign change of the row before it, rows of
+    0, 1 and 2 roots, and widths 8, 12, 16, 100 and 1024."""
     rng = np.random.default_rng(59)
     rows = [
         np.array([1.0, 0.0, -2.0, 0.0, 0.0, 3.0, -1.0, 0.0, 0.0, 0.0,
@@ -350,16 +373,31 @@ def test_roots_bitwise_equals_reference():
         np.tile([1.0, -1.0], 8),  # most roots
         np.repeat([-1.0, 1.0], 8),  # one root
         rng.normal(size=16),
+        np.ones(16),  # no root
+        np.repeat([1.0, -1.0, 1.0], [5, 6, 5]),  # two roots
+        -np.ones(16),  # no root, after a row ending in a positive sample
     ]
-    for matrix in (np.array(rows), np.array(rows[::-1]),
+    short = np.array([[0.0, 0.0, 1.0, -1.0, 2.0, 0.0, 0.0, 0.0],
+                      [0.0, -1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+                      [-2.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0],
+                      [3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0],
+                      [-1.0, 2.0, -1.0, 2.0, -1.0, 2.0, -1.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    for matrix in (np.array(rows), np.array(rows[::-1]), short, short[::-1],
                    rng.normal(size=(64, 1024)),
-                   np.round(rng.normal(size=(40, 100)))):  # many exact zeros
+                   np.round(rng.normal(size=(40, 100))),  # many exact zeros
+                   np.round(0.7 * rng.normal(size=(300, 8))),
+                   np.round(rng.normal(size=(50, 12)))):
         pos, at_row = features._roots(matrix)
         ref_pos, ref_row = reference_roots(matrix)
         assert pos.tobytes() == ref_pos.tobytes()
         assert at_row.tobytes() == ref_row.tobytes()
+        assert features._root_lines(pos, at_row, matrix.shape).tobytes() == \
+            reference_root_lines(pos, at_row, matrix.shape).tobytes()
     # a product that underflows to -0.0 is no crossing
     assert roots([1e-200, -1e-200]).size == 0
+    counts = np.bincount(features._roots(np.array(rows))[1], minlength=10)
+    assert counts[-3:].tolist() == [0, 2, 0]
 
 
 def test_extract_sinusoid():

@@ -778,6 +778,45 @@ def test_run_capture_pipeline_one_pass_equals_two_pass(windows_per_batch,
     assert carried >= 10 and errors > 5, (carried, errors)
 
 
+@pytest.mark.parametrize("windows_per_batch", [1, 3, 40])
+def test_run_capture_pipeline_runs_equal_two_pass(windows_per_batch,
+                                                  monkeypatch):
+    """The walk takes frames that sit exactly L apart many at a time.  Runs
+    of such frames, broken by frames up to 8 lags off their window's
+    centre (each ends a run), by a noise gap that loses sync, and by a
+    stream end inside a run, give the two-pass result byte for byte, with
+    65-lag correlation windows, 1, 3 or 40 to a batch, and frame blocks of
+    5."""
+    monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", 128)  # step 65 lags
+    monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES",
+                        windows_per_batch * 16 * 128)
+    monkeypatch.setattr(pipeline, "_FRAME_BLOCK_BYTES", 5 * 16 * 64)
+    rng = np.random.default_rng(41)
+    etalon = pipeline.transnoise_etalon(64)
+    shifted = 0
+    for trial in range(24):
+        moves = np.where(rng.random(120) < 0.9, 0, rng.integers(-8, 9, 120))
+        starts = int(rng.integers(0, 64)) + np.append(
+            0, np.cumsum(64 + moves[1:]))
+        n = int(starts[-1]) + int(rng.integers(64, 128))
+        stream = 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        for start in starts[:-1]:
+            stream[start:start + 64] += etalon
+        if trial % 3 == 2:  # noise over frames 80 .. 82
+            stream[starts[80]:starts[83]] = 0.5 * rng.normal(
+                size=int(starts[83] - starts[80]))
+        want = _two_pass(stream, etalon)
+        got = _one_pass(stream, etalon)
+        assert len(want) == 4 and len(got) == 4, trial
+        for have, expect in zip(got, want):
+            assert have.dtype == expect.dtype, trial
+            assert have.tobytes() == expect.tobytes(), trial
+        lags = want[3]
+        assert lags.size == (80 if trial % 3 == 2 else starts.size - 1)
+        shifted += np.count_nonzero(np.diff(lags) != 64)
+    assert shifted > 100, shifted
+
+
 @pytest.mark.parametrize("length", [64, 256])
 def test_run_capture_pipeline_memory_does_not_grow_with_stream(length,
                                                               tmp_path):
@@ -828,6 +867,26 @@ def _error_phase_reference(frames, etalon):
     return phases, dropped
 
 
+def _error_phase_interleaved(frames, etalon):
+    """error_phase with its small-magnitude samples found by testing both
+    parts of each sample on the interleaved float view, then |err| of
+    those alone: the bitwise reference of the one-sided tests."""
+    e = np.asarray(etalon, dtype=complex)
+    f = np.asarray(frames, dtype=complex)
+    energy = float(np.vdot(e, e).real)
+    gain = np.array([np.vdot(e, row) / energy for row in f], dtype=complex)
+    floor = 1e-12 * math.sqrt(energy / e.size)
+    dropped = np.abs(gain) < floor
+    err = f[~dropped] / gain[~dropped, None] - e
+    phases = np.angle(err)
+    phases[phases == -np.pi] = np.pi
+    parts = err.view(float).reshape(-1)
+    small = (parts <= floor) & (parts >= -floor)
+    near = np.flatnonzero(small[0::2] & small[1::2])
+    phases.flat[near[np.abs(err.flat[near]) <= floor]] = 0.0
+    return phases, dropped
+
+
 def test_error_phase_matches_reference_formula():
     """Bit for bit, with and without dropped rows: noisy frames, exact
     multiples of the etalon (every error sample zero or a rounding
@@ -847,26 +906,32 @@ def test_error_phase_matches_reference_formula():
     with_zero = np.concatenate([noisy[:2], np.zeros((1, 256)), near])
     for frames in cases + [with_zero]:
         got = pipeline.error_phase(frames, etalon)
-        want = _error_phase_reference(frames, etalon)
-        for have, expect in zip(got, want):
-            assert have.dtype == expect.dtype
-            assert have.tobytes() == expect.tobytes()
+        for reference in (_error_phase_reference, _error_phase_interleaved):
+            for have, expect in zip(got, reference(frames, etalon)):
+                assert have.dtype == expect.dtype
+                assert have.tobytes() == expect.tobytes()
     # an etalon with zero samples: where the frame equals it elsewhere, the
     # gain is exactly 1, so each error sample there is the frame's own,
-    # with parts at, just above and just below the floor
+    # with parts of either sign (-0.0 among them) at, just above and just
+    # below the floor
     holes = etalon.copy()
     holes[::4] = 0.0
     floor = 1e-12 * math.sqrt(float(np.vdot(holes, holes).real) / 256)
     parts = floor * np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0,
                               np.nextafter(1.0, 2.0)])
     parts = np.concatenate([parts, -parts])
+    assert np.signbit(parts[5]) and parts[5] == 0.0
     re, im = np.meshgrid(parts, parts)
     frames = np.tile(holes, (2, 1))
     frames[:, ::4] = np.resize(re + 1j * im, (2, 64))  # all 100 pairs
     got = pipeline.error_phase(frames, holes)
-    assert got[0].tobytes() == _error_phase_reference(frames,
-                                                      holes)[0].tobytes()
+    for reference in (_error_phase_reference, _error_phase_interleaved):
+        assert got[0].tobytes() == reference(frames, holes)[0].tobytes()
     assert 0 < np.count_nonzero(got[0][:, ::4] == 0.0) < 128
+    # [imaginary, real] index into parts: -floor - 0.0j is at the floor, its
+    # phase pi set to 0; a real part one ulp beyond keeps its pi
+    pairs = got[0][:, ::4].reshape(-1)[:100].reshape(10, 10)
+    assert pairs[5, 8] == 0.0 and pairs[5, 9] == np.pi
     assert pipeline.error_phase(with_zero, etalon)[1].tolist() == \
         [False, False, True, False, False, False]
     phases = pipeline.error_phase(near, etalon)[0]

@@ -141,7 +141,7 @@ def _cut_gains(cls, weight, cut, start, at, counts, work):
     int64 counts; they stay in ``work`` until the next call.
     """
     size, _, parent_gini = _class_shares(counts)
-    n_left, l0, l_sq, r_sq, lk, rk = (row[:cut.size] for row in work.cuts)
+    n_left, l0, l_sq, r_sq, lk, rk = work.cuts[:6 * cut.size].reshape(6, -1)
     packed, spare = lk.view(np.int64), rk.view(np.int64)
     l_sq[:] = 0
     r_sq[:] = 0
@@ -196,10 +196,11 @@ def _cut_gains(cls, weight, cut, start, at, counts, work):
 
 class _LevelWork:
     """The largest arrays of a level pass, allocated once per tree range
-    at the most keys any of its passes sorts, and reused by every pass.
-    Allocated and freed anew each pass, they had glibc hand their pages
-    back to the kernel after one pass and fault them in again at the next.
-    A pass of int32 keys sorts an int32 view of ``key``."""
+    for the keys a pass may hold, again for a root level that holds more,
+    and reused by every pass.  Allocated and freed anew each pass, they had
+    glibc hand their pages back to the kernel after one pass and fault them
+    in again at the next.  A pass of int32 keys sorts an int32 view of
+    ``key``."""
 
     def __init__(self, n_keys):
         # where each key's value rank sits in ranks, then the packed keys,
@@ -211,11 +212,9 @@ class _LevelWork:
         self.weight = np.empty(n_keys, dtype=np.int32)
         self.edge = np.empty(n_keys, dtype=bool)
         self.keep = np.empty(n_keys, dtype=bool)
-        # the 6 per-cut rows of _cut_gains, each used from its front, so a
-        # pass touches only as many pages as it scores cuts.  Six arrays,
-        # not one of 6 * n_keys: numpy asks for huge pages on arrays of 4 MB
-        # or more, and a pass then faults in 2 MB at a time
-        self.cuts = [np.empty(n_keys) for _ in range(6)]
+        # the 6 per-cut rows of _cut_gains, laid end to end at the front,
+        # so a pass touches only as many pages as it scores cuts
+        self.cuts = np.empty(6 * n_keys)
 
 
 def _level_splits(ranks, values, labels, rows, weight, owner, counts,
@@ -375,9 +374,13 @@ def _grow_trees(ranks, values, labels, trees, bootstrap, max_depth,
     # pinned the heap between the passes' temporaries
     made = [bytearray() for _ in range(5)]
     n_splits = []
-    # a pass's keys fit in _GROUP_KEYS, or are one root level's
-    work = _LevelWork(min(max(_GROUP_KEYS, n_samples * per_split),
-                          len(trees) * n_samples * per_split))
+    # a pass's keys fit in _GROUP_KEYS, or are one root level's, which
+    # holds per_split keys per distinct row its tree draws, about 0.63 n
+    # of them: the work holds the budget and grows to the largest root
+    # level that exceeds it.  Sized for n, a paper-scale fold's cut rows
+    # reached the 4 MB at which numpy asks for huge pages, whose 2 MB
+    # faults made its peak vary from fit to fit
+    work = _LevelWork(min(_GROUP_KEYS, len(trees) * n_samples * per_split))
     n_nodes, t = 0, trees.start
     joining = bootstrap(t) if t < trees.stop else None
     while True:
@@ -407,6 +410,9 @@ def _grow_trees(ranks, values, labels, trees, bootstrap, max_depth,
             grown, k = np.unique(tree[opened], return_counts=True)
             draws = np.concatenate([rngs[g].random((n, n_features)) for g, n
                                     in zip(grown.tolist(), k.tolist())])
+            if per_split * rows.size > work.key.size:  # a root level alone
+                work = None  # the old arrays go before the new ones come
+                work = _LevelWork(per_split * rows.size)
             found = _level_splits(ranks, values, labels, rows, weight, owner,
                                   counts[opened], per_split, draws, work)
         # a frontier without a cut closes, and waiting trees join the next
@@ -697,10 +703,9 @@ class KnnModel:
         The k nearest are the first k training rows in (squared distance,
         index) order, as a stable sort of ``sum((x - q)**2)`` puts them.
         Queries go in blocks of ``max(2, _KNN_BLOCK_MADDS // x.size)``
-        rows.  A
-        block's matrix product gives each distance less ``|q|^2`` as
-        ``|x|^2 - 2 q.x``, within ``delta`` of the exact one; a training row
-        can be among a query's k nearest only if that is at most the
+        rows.  A block's matrix product gives each distance less ``|q|^2``
+        as ``|x|^2 - 2 q.x``, within ``delta`` of the exact one; a training
+        row can be among a query's k nearest only if that is at most the
         query's k-th smallest plus ``2 delta``.  The exact distances of
         those rows alone then decide.
         """

@@ -148,7 +148,7 @@ class IqFile:
                                   f"{start + raw.size}, expected {self.size}")
         # one pass over the float32 parts; the first bad sample is looked
         # for only when there is one
-        if not np.isfinite(raw.view(np.float32)).all():
+        if not np.isfinite(raw.view("<f4")).all():
             bad = np.flatnonzero(~np.isfinite(raw))
             raise DataFormatError(
                 f"{self.path}: sample {start + bad[0]} is not finite")

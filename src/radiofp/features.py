@@ -47,7 +47,7 @@ def _roots(dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fractional 0-based positions come out row by row and in increasing order
     within each row.
     """
-    width = dy.shape[1]
+    n, width = dy.shape
     flat = dy.ravel()
     zero = flat == 0.0
     # the masks are built on the raveled block, so each row's first column
@@ -60,14 +60,18 @@ def _roots(dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.less(flat[:-1] * flat[1:], 0, out=cross[:-1])
     cross[width - 1::width] = False
     mark |= cross
-    # flat gathers: a crossing's right neighbour is the next flat index
+    # flat gathers: a crossing's right neighbour is the next flat index.
+    # The roots come in flat order, so a search finds each row's first,
+    # and their rows and columns need no division
     idx = np.flatnonzero(mark)
-    rows, cols = np.divmod(idx, width)
-    pos = cols.astype(float)
-    at = cross.take(idx)
-    left = idx[at]
-    y0, y1 = flat.take(left), flat.take(left + 1)
-    pos[at] += y0 / (y0 - y1)
+    counts = np.diff(np.searchsorted(idx, np.arange(n + 1) * width))
+    rows = np.repeat(np.arange(n), counts)
+    pos = (idx - rows * width).astype(float)
+    # every root's step to its right neighbour, added at the crossings
+    # alone: a zero root may have a zero or no right neighbour
+    y0, y1 = flat.take(idx), flat.take(idx + 1, mode="clip")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.add(pos, y0 / (y0 - y1), out=pos, where=cross.take(idx))
     return pos, rows
 
 
@@ -84,16 +88,20 @@ def _root_lines(pos: np.ndarray, rows: np.ndarray,
     the choice of which crossing counts as the first shifts the phase by pi.
     NaN when a row has fewer than 2 roots or its slope is not positive.
     """
-    counts = np.bincount(rows, minlength=shape[0])
+    # rows ascend, so a search finds each row's first root, and each
+    # per-row value reaches its roots by np.repeat, not a gather
+    start = np.searchsorted(rows, np.arange(shape[0] + 1))
+    counts = np.diff(start)
+    start = start[:-1]
     # each root's 0-based index within its row, k - 1; a row holds at most
     # L roots, so they go left-aligned into an (n, L) matrix of zeros, and
     # each row's two sums are numpy's pairwise sums along it, which depend
     # on the row and L alone
-    k0 = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    # both scatters go through flat indices of the matrix: the same elements
-    # in the same order as a 2-D scatter, which numpy runs several times
-    # slower
-    at = rows * shape[1] + k0
+    k0 = np.arange(rows.size) - np.repeat(start, counts)
+    # both scatters go through flat indices of the matrix, row * L + k0:
+    # the same elements in the same order as a 2-D scatter, which numpy
+    # runs several times slower
+    at = k0 + np.repeat(np.arange(shape[0]) * shape[1], counts)
     padded = np.zeros(shape)
     flat = padded.reshape(-1)
     flat[at] = pos
@@ -103,7 +111,8 @@ def _root_lines(pos: np.ndarray, rows: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         r_mean = np.add.reduce(padded, axis=1) / counts
         # k - k_mean is an exact half-integer
-        flat[at] = (pos - r_mean[rows]) * (k0 + 1 - k_mean[rows])
+        flat[at] = ((pos - np.repeat(r_mean, counts))
+                    * (k0 + 1 - np.repeat(k_mean, counts)))
         a = np.add.reduce(padded, axis=1) / (counts * (counts**2 - 1) / 12)
         b = r_mean - a * k_mean
         p10 = (np.pi * b / a - np.pi / 2.0) % np.pi

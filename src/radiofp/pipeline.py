@@ -406,8 +406,6 @@ def run_capture_pipeline(stream, etalon,
     total = 0.0
     held, base = np.empty(0), 0  # |c| of lags base .. base + held.size - 1
     lo, hi = 0, min(length, size)  # the next candidate's search window
-    window = np.arange(2 * _SEARCH_WIDTH + 1)  # a guessed window's lags
-    near = np.arange(5)  # a peak's neighbourhood, from k - 2
     walking = True
     # samples tail_first .. of the batch before, for a frame that starts
     # before the current batch
@@ -419,39 +417,21 @@ def run_capture_pipeline(stream, etalon,
         held = np.concatenate([held, mag])
         end = first + mag.size
         # take each candidate once its window and the five-lag
-        # neighbourhood of any lag in it have arrived, a run at a time: the
-        # peak k of the window lo..hi, then the peaks of the next windows
-        # whose lags and two more have arrived, each window placed as if the
-        # peak before it sat at its window's centre, k + jL.  That holds up
-        # to the first peak off its centre, whose own window was placed
-        # right, so the run ends with it.  A guessed window ends at least
-        # two lags before the last held lag, so the stream's end neither
-        # cuts it nor stops the walk before it
+        # neighbourhood of any lag in it have arrived
         while walking and min(size, hi + 2) <= end:
             k = lo + int(held[lo - base:hi - base].argmax())
-            guess = k + length * np.arange(
-                1, (end - k - _SEARCH_WIDTH - 3) // length + 1)
-            top = held[(guess - _SEARCH_WIDTH - base)[:, None]
-                       + window].argmax(axis=1) - _SEARCH_WIDTH
-            off = np.flatnonzero(top)
-            taken = off[0] + 1 if off.size else top.size
-            run = np.append(k, guess[:taken] + top[:taken])
-            ks.frombytes(run.tobytes())
-            peaks.frombytes(held[run - base].tobytes())
+            ks.append(k)
+            peaks.append(float(held[k - base]))
             sums.append(float(
                 held[max(0, k - 2) - base:min(size, k + 3) - base].sum()))
-            # the later peaks' neighbourhoods lie inside the held lags
-            sums.frombytes(np.add.reduce(
-                held[(run[1:] - 2 - base)[:, None] + near], axis=1).tobytes())
-            for k in run.tolist():
-                src, at = (samples, k - first) if k >= first \
-                    else (tail, k - tail_first)
-                frames[filled] = src[at:at + length]
-                filled += 1
-                if filled == len(frames):
-                    featurize(frames)
-                    filled = 0
-            expected = k + length  # from the run's last peak
+            src, at = (samples, k - first) if k >= first \
+                else (tail, k - tail_first)
+            frames[filled] = src[at:at + length]
+            filled += 1
+            if filled == len(frames):
+                featurize(frames)
+                filled = 0
+            expected = k + length
             walking = expected + length <= n
             lo = max(0, expected - _SEARCH_WIDTH)
             hi = min(size, expected + _SEARCH_WIDTH + 1)

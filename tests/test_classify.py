@@ -599,17 +599,38 @@ def test_forest_deterministic():
     assert model_to_text(a) != model_to_text(c)
 
 
-def test_level_work_arrays_stay_below_huge_pages():
-    """numpy asks the kernel for huge pages on arrays of 2^22 bytes or
-    more, and a pass then faults in 2 MB at a time.  A paper-scale fold
-    sizes its work for 90000 keys, and no array of it reaches that size."""
-    work = classify._LevelWork(90000)
-    arrays = [a for value in vars(work).values()
-              for a in (value if isinstance(value, list) else [value])]
-    assert len(arrays) == 12
-    assert [a.size for a in work.cuts] == [90000] * 6
-    assert all(a.base is None for a in arrays)  # no views of one buffer
-    assert max(a.nbytes for a in arrays) < 1 << 22
+def test_level_work_sized_for_the_roots_drawn(monkeypatch):
+    """A paper-scale fold of 22500 rows and 4 features a split could give a
+    root 90000 keys, and work of that size holds 4.3 MB of cut rows, past
+    the 2^22 bytes at which numpy asks the kernel for huge pages.  A tree
+    draws some 0.63 n distinct rows, so its roots fit the pass budget, and
+    no array of the work reaches that size.  Under a smaller budget the
+    work grows to each larger root level as it comes.  Work sized for
+    every row grows the same forests, byte for byte."""
+    rng = np.random.default_rng(38)
+    n = 22500
+    x = rng.normal(size=(n, 10)).round(2)
+    ds = LabeledFeatureSet(x, (x[:, 0] > 0).astype(np.intp), ("a", "b"),
+                           tuple(f"F{i}" for i in range(10)))
+    params = ForestParams(n_trees=6, max_depth=2)
+    drawn = [np.unique(np.random.default_rng(classify.derive_seed(5, t))
+                       .integers(0, n, n)).size for t in range(6)]
+    assert 6 * 8 * 4 * n >= 1 << 22  # sized for every row, it would reach
+    sizes, real = [], classify._LevelWork
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+    monkeypatch.setattr(classify, "_LevelWork",
+                        lambda n_keys: sizes.append(n_keys) or real(n_keys))
+    text = model_to_text(train_forest(ds, params, seed=5))
+    assert 4 * max(drawn) < 1 << 16
+    assert sizes == [1 << 16]
+    assert max(a.nbytes for a in vars(real(sizes[0])).values()) < 1 << 22
+    sizes.clear()
+    monkeypatch.setattr(classify, "_GROUP_KEYS", 1 << 14)
+    assert model_to_text(train_forest(ds, params, seed=5)) == text
+    records = [4 * d for i, d in enumerate(drawn) if d > max(drawn[:i] + [0])]
+    assert sizes == [1 << 14] + records
+    monkeypatch.setattr(classify, "_LevelWork", lambda n_keys: real(4 * n))
+    assert model_to_text(train_forest(ds, params, seed=5)) == text
 
 
 # the digests of _cut_gains' gains on 200000 random 2-class nodes, each cut

@@ -359,8 +359,9 @@ def test_root_line_closed_forms_equal_float_sums_up_to_300079():
 def test_roots_bitwise_equals_reference():
     """`_roots` and `_root_lines` equal their 2-D references bit for bit.
     The blocks hold zero runs at row starts and ends, so a row's first
-    column follows a zero or a sign change of the row before it, rows of
-    0, 1 and 2 roots, and widths 8, 12, 16, 100 and 1024."""
+    column follows a zero or a sign change of the row before it, a lone
+    zero as the block's last sample, rows of 0, 1 and 2 roots, and widths
+    8, 12, 16, 100 and 1024."""
     rng = np.random.default_rng(59)
     rows = [
         np.array([1.0, 0.0, -2.0, 0.0, 0.0, 3.0, -1.0, 0.0, 0.0, 0.0,
@@ -383,7 +384,9 @@ def test_roots_bitwise_equals_reference():
                       [3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0],
                       [-1.0, 2.0, -1.0, 2.0, -1.0, 2.0, -1.0, 0.0],
                       [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    last = np.array([[1.0, -2.0, 0.0, 3.0, -1.0, 2.0, 1.0, 0.0]])
     for matrix in (np.array(rows), np.array(rows[::-1]), short, short[::-1],
+                   last, np.vstack([short, last]),
                    rng.normal(size=(64, 1024)),
                    np.round(rng.normal(size=(40, 100))),  # many exact zeros
                    np.round(0.7 * rng.normal(size=(300, 8))),

@@ -781,12 +781,11 @@ def test_run_capture_pipeline_one_pass_equals_two_pass(windows_per_batch,
 @pytest.mark.parametrize("windows_per_batch", [1, 3, 40])
 def test_run_capture_pipeline_runs_equal_two_pass(windows_per_batch,
                                                   monkeypatch):
-    """The walk takes frames that sit exactly L apart many at a time.  Runs
-    of such frames, broken by frames up to 8 lags off their window's
-    centre (each ends a run), by a noise gap that loses sync, and by a
-    stream end inside a run, give the two-pass result byte for byte, with
-    65-lag correlation windows, 1, 3 or 40 to a batch, and frame blocks of
-    5."""
+    """Runs of frames that sit exactly L apart, broken by frames up to 8
+    lags off their window's centre, by a noise gap that loses sync, and by
+    a stream end inside a run, give the two-pass result byte for byte,
+    with 65-lag correlation windows, 1, 3 or 40 to a batch, and frame
+    blocks of 5."""
     monkeypatch.setattr(pipeline, "_CORR_MIN_NFFT", 128)  # step 65 lags
     monkeypatch.setattr(pipeline, "_CORR_BATCH_BYTES",
                         windows_per_batch * 16 * 128)
